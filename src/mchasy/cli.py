@@ -54,7 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import ConfigError, MchasyError
+from .errors import ConfigError, DomainError, MchasyError
 from .numerics import QuadratureSpec
 from .painleve2 import SolutionCache, eval_pii, solve_pii
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
@@ -306,7 +306,7 @@ def _eval_point(cfg, data, cache, constants, spec, point):
             return row
         row["u"] = res.u
         row["err_order"] = res.error_order
-    except MchasyError as exc:
+    except Exception as exc:   # one bad point must not abort the scan
         row["error"] = "%s: %s" % (type(exc).__name__, exc)
         row.setdefault("region", "")
     return row
@@ -321,7 +321,10 @@ def run_scan(cfg: RunConfig) -> list[dict]:
     cache = SolutionCache()
     points = [SpaceTimePoint(_grid_to_x(cfg, t, v), t)
               for t in cfg.scan["t"] for v in cfg.scan["grid"]]
-    workers = max(1, int(os.environ.get("MCH_ASY_THREADS", "1")))
+    try:
+        workers = max(1, int(os.environ.get("MCH_ASY_THREADS", "1")))
+    except ValueError as exc:
+        raise ConfigError("not an integer", key="MCH_ASY_THREADS") from exc
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
@@ -393,7 +396,11 @@ def _run_region(args, force_kind=None) -> int:
         cfg.shock["p"] = args.p
     if getattr(args, "q", None) is not None:
         cfg.shock["q"] = args.q
-    table = run_scan(cfg)
+    try:
+        table = run_scan(cfg)
+    except ConfigError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return 1
     meta = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()}
     try:
         write_output(table, cfg.output["format"], cfg.output["path"], meta)
@@ -423,8 +430,22 @@ def _run_check(args) -> int:
 
 
 def _run_pii(args) -> int:
-    lo, hi, step = (float(x) for x in args.s.split(":"))
-    sol = solve_pii(args.k, s_min=min(-10.0, lo), tol=args.tol)
+    try:
+        try:
+            lo, hi, step = (float(x) for x in args.s.split(":"))
+        except ValueError as exc:
+            raise ConfigError("expected lo:hi:step, got %r" % args.s, key="--s") from exc
+        # finite, and at most a million rows, so that the tabulation ends
+        if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step
+                and (hi - lo) / step < 1e6):
+            raise ConfigError("need finite lo <= hi, step > 0 and at most 1e6 rows, "
+                              "got %r" % args.s, key="--s")
+        if not (math.isfinite(args.k) and args.tol > 0):
+            raise ConfigError("need a finite --k and --tol > 0")
+        sol = solve_pii(args.k, s_min=min(-10.0, lo), tol=args.tol)
+    except (ConfigError, DomainError) as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return 1
     print("s,v,v_prime,Q")
     s = lo
     while s <= hi + 1e-12:

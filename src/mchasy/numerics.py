@@ -52,10 +52,6 @@ class QuadratureSpec:
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 
-    def tighter(self, factor):
-        return QuadratureSpec(self.abs_tol * factor, self.rel_tol * factor,
-                              self.max_subdivisions, self.tail_cutoff)
-
 
 @dataclass(frozen=True)
 class ThetaParams:
@@ -187,22 +183,24 @@ def airy(s: float):
 # Jacobi theta series
 # ----------------------------------------------------------------------
 
-def _theta_truncation(s: complex, params: ThetaParams) -> int:
+def _theta_truncation(s, params: ThetaParams) -> int:
     y0 = float(np.imag(params.varkappa))
-    im = abs(float(np.imag(s)))
+    im = float(np.max(np.abs(np.imag(s))))
     # beyond n*, exp(-pi*y0*n^2 + 2*pi*n*|Im s|) < abs_tol
     budget = -math.log(max(params.abs_tol, 1e-300)) / math.pi
     n_star = (im + math.sqrt(im * im + y0 * budget)) / y0
     return max(params.truncation, int(math.ceil(n_star)) + 4)
 
 
-def jacobi_theta(s: complex, params: ThetaParams, order: int = 0) -> complex:
+def jacobi_theta(s, params: ThetaParams, order: int = 0):
     """Theta series sum(exp(2*pi*i*n*s + pi*i*varkappa*n^2), n in Z).
 
     Truncated symmetric sum over |n| <= N with N auto-enlarged so that the
     dropped tail is below ``params.abs_tol``; for real s the tail obeys
     |tail| < 3*|nome|**(N**2) / (1 - |nome|) with nome = exp(pi*i*varkappa).
-    ``order=1`` evaluates the derivative d/ds.
+    ``order=1`` evaluates the derivative d/ds.  A scalar ``s`` gives a
+    ``complex``, an array a complex array of its shape (one exponential over
+    s x (2N+1) terms, N set by the largest |Im s|).
     """
     if not np.imag(params.varkappa) > 0:
         raise DivergentSeriesError("Im(varkappa) must be positive")
@@ -210,14 +208,18 @@ def jacobi_theta(s: complex, params: ThetaParams, order: int = 0) -> complex:
         raise DomainError("order must be 0 or 1")
     trunc = _theta_truncation(s, params)
     n = np.arange(-trunc, trunc + 1, dtype=np.clongdouble)
+    s_l = np.asarray(s, dtype=np.clongdouble)[..., np.newaxis]
     # extended precision: the quasi-periodicity identities are checked to
     # 1e-12 absolute on values of size O(10)
     pi_l = np.longdouble("3.14159265358979323846264338328")
-    arg = 2j * pi_l * n * np.clongdouble(s) + 1j * pi_l * np.clongdouble(params.varkappa) * n * n
+    arg = 2j * pi_l * n * s_l + 1j * pi_l * np.clongdouble(params.varkappa) * n * n
     terms = np.exp(arg)
     if order == 1:
         terms = terms * (2j * pi_l * n)
-    return complex(terms.sum())
+    total = terms.sum(axis=-1)
+    if np.ndim(s) == 0:
+        return complex(total)
+    return total.astype(complex)
 
 
 # ----------------------------------------------------------------------

@@ -26,8 +26,10 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.special import ellipe, ellipkm1, elliprf, hyp2f1
 
 from .errors import (
     AdmissibilityError,
@@ -174,29 +176,59 @@ def _seg_w(a, b, lo, hi, spec=_TIGHT) -> float:
         lambda z: np.sqrt((z - lo) * (hi - z)) * _w_abs(z, a, b), lo, hi, spec).value))
 
 
-def _k_band(a, b, spec=_TIGHT):
-    return _seg_inv_w(a, b, a, b, spec)
+# Real periods as complete elliptic integrals (DLMF 19.2) of m = (a/b)^2 and
+# of m1 = 1 - m, formed without subtraction; K(1 - x) is ellipkm1(x).  Where
+# a docstring's Legendre combination cancels (J_gap ~ m as a -> 0, J_band ~
+# m1^2 as the band closes) the equal Gauss series is used (DLMF 15.6.1, and
+# Pfaff's transformation 15.8.1 for J_band).
 
-def _k_gap(a, b, spec=_TIGHT):
-    return _seg_inv_w(a, b, -a, a, spec)
+def _m1(a, b):
+    return (b - a) * (b + a) / (b * b)
 
-def _j_band(a, b, spec=_TIGHT):
-    return _seg_w(a, b, a, b, spec)
 
-def _j_gap(a, b, spec=_TIGHT):
-    return _seg_w(a, b, -a, a, spec)
+def _k_band(a, b) -> float:
+    """int_a^b dz/|w| = K(m1)/b."""
+    return float(ellipkm1((a / b) ** 2)) / b
+
+
+def _k_gap(a, b) -> float:
+    """int_{-a}^a dz/|w| = 2K(m)/b."""
+    return 2.0 * float(ellipkm1(_m1(a, b))) / b
+
+
+def _j_band(a, b) -> float:
+    """int_a^b |w| dz = (b/3)[(a^2+b^2)E(m1) - 2a^2 K(m1)]."""
+    m1 = _m1(a, b)
+    if m1 < 0.5:
+        return math.pi / 16.0 * b ** 3 * m1 * m1 * float(hyp2f1(0.5, 1.5, 3.0, m1))
+    return b / 3.0 * ((a * a + b * b) * float(ellipe(m1))
+                      - 2.0 * a * a * float(ellipkm1((a / b) ** 2)))
+
+
+def _j_gap(a, b) -> float:
+    """int_{-a}^a |w| dz = (2b/3)[(a^2+b^2)E(m) - (b^2-a^2)K(m)]."""
+    return 0.5 * math.pi * a * a * b * float(hyp2f1(-0.5, 0.5, 2.0, (a / b) ** 2))
+
+
+def _band_z2(a, b) -> float:
+    """int_a^b z^2/|w| dz = b*E(m1) (DLMF 19.2.5 under z^2 = b^2 (1 - m1 sin^2))."""
+    return b * float(ellipe(_m1(a, b)))
+
+
+def _tail_inv_w(a, b, x):
+    """int_x^inf dz/|w| for real x >= b, elementwise (Carlson R_F, DLMF 19.29)."""
+    return elliprf(x * x, (x - a) * (x + a), (x - b) * (x + b))
 
 
 # ----------------------------------------------------------------------
 # Band endpoints
 # ----------------------------------------------------------------------
 
-def solve_band(params: ShockParams, spec: QuadratureSpec = _TIGHT) -> tuple[float, float]:
+def solve_band(params: ShockParams) -> tuple[float, float]:
     """Solve a^2 + b^2 = 2p/(3q) together with the band-area equation.
 
-    One-parameter bisection in a; the attainable maximum of the band integral
-    is computed by quadrature (not trusted from a closed form) and its
-    monotonicity in a is spot-checked.
+    One-parameter bracketed root in a on the closed-form band integral,
+    whose monotonicity in a is spot-checked.
     """
     p, q = params.p, params.q
     a_max = math.sqrt(p / (3.0 * q))
@@ -206,11 +238,11 @@ def solve_band(params: ShockParams, spec: QuadratureSpec = _TIGHT) -> tuple[floa
         return math.sqrt(radius2 - a * a)
 
     def area(a):
-        return _j_band(a, b_of(a), spec)
+        return _j_band(a, b_of(a))
 
     rhs = params.band_rhs
-    attainable = area(1e-9 * a_max)
     samples = [area(f * a_max) for f in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-9)]
+    attainable = samples[0]
     if any(s1 <= s2 for s1, s2 in zip(samples, samples[1:])):
         raise BranchError("band integral is not decreasing in a: %r" % samples)
     if not 0.0 < rhs < attainable:
@@ -231,15 +263,13 @@ def solve_band(params: ShockParams, spec: QuadratureSpec = _TIGHT) -> tuple[floa
 # Periods and Abel map
 # ----------------------------------------------------------------------
 
-def periods(a: float, b: float, q: float,
-            spec: QuadratureSpec = _TIGHT) -> tuple[complex, complex, complex]:
+def periods(a: float, b: float, q: float) -> tuple[complex, complex, complex]:
     """(B1, A1, varkappa) under the locked branch/orientation conventions."""
     if not 0.0 < a < b:
         raise DomainError("periods need 0 < a < b")
-    kb, kg = _k_band(a, b, spec), _k_gap(a, b, spec)
-    B1 = 6.0 * q * _j_gap(a, b, spec)
-    A1 = 6.0j * q * _j_band(a, b, spec)
-    varkappa = 1j * kg / kb
+    B1 = 6.0 * q * _j_gap(a, b)
+    A1 = 6.0j * q * _j_band(a, b)
+    varkappa = 1j * _k_gap(a, b) / _k_band(a, b)
     if not varkappa.imag > 0:
         raise BranchError("period ratio lost positivity: %r" % varkappa)
     return complex(B1), A1, varkappa
@@ -263,13 +293,20 @@ class ShockGeometry:
     p: float
     q: float
     K_band: float
-    K_gap: float
-    J_band: float
-    J_gap: float
 
     @property
     def theta_params(self) -> ThetaParams:
         return ThetaParams(varkappa=self.varkappa)
+
+    @cached_property
+    def theta0(self) -> float:
+        """|Theta(0)|, the scale of the pole test on theta values."""
+        return abs(jacobi_theta(0.0, self.theta_params))
+
+    @cached_property
+    def expansion_terms(self) -> tuple[complex, complex]:
+        """(g_inf, x_tilde) of ``_expansion_terms``, computed once per geometry."""
+        return _expansion_terms(self)
 
     def w(self, k):
         return _w_sheet1(k, self.a, self.b)
@@ -305,9 +342,9 @@ def abel(geom: ShockGeometry, k, side: str | None = None,
     if x == b:
         return 0.0 + 0.0j
     if x > b:
-        return -1j * _seg_inv_w(a, b, b, x, spec) / (2.0 * geom.K_band)
+        return complex(_abel_axis(geom, x))
     if x < -b:
-        return (geom.K_gap - _seg_inv_w(a, b, x, -b, spec)) / norm
+        return (_k_gap(a, b) - _seg_inv_w(a, b, x, -b, spec)) / norm
     if abs(x) < a:
         g0 = _seg_inv_w(a, b, x, a, spec)
         val = 0.5 - 1j * g0 / (2.0 * geom.K_band)
@@ -327,16 +364,10 @@ def abel(geom: ShockGeometry, k, side: str | None = None,
     return sgn * 0.5 - geom.varkappa / 2.0 - sgn * pfrac
 
 
-def _abel_infinity(a, b, kb, spec=_TIGHT) -> complex:
-    R = 1e5 * max(b, 1.0)
-
-    def f(u):
-        z = b + u * u
-        return 2.0 * u / _w_abs(z, a, b)
-
-    body = float(np.real(quad(f, 0.0, math.sqrt(R - b), spec).value))
-    tail = 1.0 / R + (a * a + b * b) / (6.0 * R ** 3)
-    return -1j * (body + tail) / (2.0 * kb)
+def _abel_axis(geom: ShockGeometry, x):
+    """A(x) for real x > b, elementwise: -i*int_b^x dz/|w| / (2*K_band)."""
+    a, b = geom.a, geom.b
+    return -1j * (_tail_inv_w(a, b, b) - _tail_inv_w(a, b, x)) / (2.0 * geom.K_band)
 
 
 def delta0(a: float, b: float, C_R: float, K_band: float | None = None,
@@ -350,53 +381,44 @@ def delta0(a: float, b: float, C_R: float, K_band: float | None = None,
         raise AdmissibilityError("C_R must be positive")
     if not 0.0 < a < b:
         raise DomainError("delta0 needs 0 < a < b")
-    kb = K_band if K_band is not None else _k_band(a, b, spec)
-
-    def f(th):
-        z = a * math.sin(th)
-        lg = math.log(C_R) + 2.0 * math.log(max(z, 1e-300))
-        return lg / math.sqrt(b * b - z * z)
-
-    L = float(np.real(quad(np.vectorize(f), 0.0, 0.5 * math.pi, spec).value))
-    return -L / kb
+    kb = K_band if K_band is not None else _k_band(a, b)
+    return -_gap_log_moment(a, b, C_R, 0, spec) / kb
 
 
 def _gap_log_moment(a, b, C_R, power, spec=_TIGHT) -> float:
     """int_0^a z^power * log(C_R z^2) / sqrt((a^2-z^2)(b^2-z^2)) dz."""
 
     def f(th):
-        z = a * math.sin(th)
-        lg = math.log(C_R) + 2.0 * math.log(max(z, 1e-300))
-        return z ** power * lg / math.sqrt(b * b - z * z)
+        z = a * np.sin(th)
+        lg = math.log(C_R) + 2.0 * np.log(np.maximum(z, 1e-300))
+        return z ** power * lg / np.sqrt(b * b - z * z)
 
-    return float(np.real(quad(np.vectorize(f), 0.0, 0.5 * math.pi, spec).value))
+    return float(np.real(quad(f, 0.0, 0.5 * math.pi, spec).value))
 
 
 def build_geometry(params: ShockParams, spec: QuadratureSpec = _TIGHT,
                    validate: bool = True) -> ShockGeometry:
     """Solve the band equations and assemble all derived constants."""
-    a, b = solve_band(params, spec)
-    kb, kg = _k_band(a, b, spec), _k_gap(a, b, spec)
-    jb, jg = _j_band(a, b, spec), _j_gap(a, b, spec)
-    B1 = 6.0 * params.q * jg
-    A1 = 6.0j * params.q * jb
-    varkappa = 1j * kg / kb
-    A_inf = _abel_infinity(a, b, kb, spec)
+    a, b = solve_band(params)
+    B1, A1, varkappa = periods(a, b, params.q)
+    kb = _k_band(a, b)
+    # Carlson's R_F here, while varkappa comes from ellipkm1: the check
+    # A(inf) = -varkappa/4 compares two independent computations
+    A_inf = -1j * float(_tail_inv_w(a, b, b)) / (2.0 * kb)
     if abs(A_inf - (-varkappa / 4.0)) > 1e-9:
         raise BranchError("A(inf) disagrees with -varkappa/4: %r vs %r"
                           % (A_inf, -varkappa / 4.0))
     d0 = delta0(a, b, params.C_R, kb, spec)
     tau = params.tau
     phi = tau * B1 / 2.0 - 1j * d0
-    geom = ShockGeometry(a=a, b=b, B1=complex(B1), A1=A1, varkappa=varkappa,
+    geom = ShockGeometry(a=a, b=b, B1=B1, A1=A1, varkappa=varkappa,
                          A_inf=A_inf, cA=1j / (2.0 * kb), Delta0=d0, phi=phi,
-                         tau=tau, C_R=params.C_R, p=params.p, q=params.q,
-                         K_band=kb, K_gap=kg, J_band=jb, J_gap=jg)
+                         tau=tau, C_R=params.C_R, p=params.p, q=params.q, K_band=kb)
     if validate:
         ident = (2.0 - params.xi) * cmath.exp(-1j * tau * A1)
         if abs(ident - 1.0) > 1e-10:
             raise BranchError("(2-xi)*exp(-i*tau*A1) = %r, expected 1" % ident)
-        nr7_coeffs(geom, spec)   # hard gate on the expansion conventions
+        nr7_coeffs(geom)   # hard gate on the expansion conventions
     return geom
 
 
@@ -434,7 +456,7 @@ def g_eval(geom: ShockGeometry, k, side: str | None = None,
         return -3.0 * q * _seg_w(a, b, b, x, spec) + geom.B1 / 4.0
     if x <= -b:
         # upper crossing: the two band legs contribute -+ i*J_band and cancel
-        body = geom.J_gap - _seg_w(a, b, x, -b, spec)
+        body = _j_gap(a, b) - _seg_w(a, b, x, -b, spec)
         return -3.0 * q * body + geom.B1 / 4.0
     if side not in ("+", "-"):
         raise BoundaryAmbiguityError("g on [-b, b] needs side='+'/'-'")
@@ -442,19 +464,12 @@ def g_eval(geom: ShockGeometry, k, side: str | None = None,
     if x >= a:          # on (a, b)
         return sgn * 3j * q * _seg_w(a, b, x, b, spec) + geom.B1 / 4.0
     if x > -a:          # on the gap: values differ by the full band period
-        body = -sgn * 1j * geom.J_band + _seg_w(a, b, x, a, spec)
+        body = -sgn * 1j * _j_band(a, b) + _seg_w(a, b, x, a, spec)
         return -3.0 * q * body + geom.B1 / 4.0
     # on (-b, -a)
-    body = -sgn * 1j * geom.J_band + geom.J_gap \
+    body = -sgn * 1j * _j_band(a, b) + _j_gap(a, b) \
         + sgn * 1j * _seg_w(a, b, x, -a, spec)
     return -3.0 * q * body + geom.B1 / 4.0
-
-
-def theta_hat(params_or_geom, k) -> complex:
-    """Cubic model phase p*k - q*k^3."""
-    p, q = params_or_geom.p, params_or_geom.q
-    k = complex(k)
-    return p * k - q * k ** 3
 
 
 def h_eval(geom: ShockGeometry, k, side: str | None = None,
@@ -496,14 +511,12 @@ def h_eval(geom: ShockGeometry, k, side: str | None = None,
 def h1_limit(geom: ShockGeometry, spec: QuadratureSpec = _TIGHT) -> float:
     """lim k*h(k): (Delta0 * int_band z^2/w + int_gap z^2 log(C_R z^2)/|w|) / pi."""
     a, b = geom.a, geom.b
-    k2 = float(np.real(quad_band(
-        lambda z: z * z * np.sqrt((z - a) * (b - z)) / _w_abs(z, a, b), a, b, spec).value))
     l2 = _gap_log_moment(a, b, geom.C_R, 2, spec)
-    return (geom.Delta0 * k2 + l2) / math.pi
+    return (geom.Delta0 * _band_z2(a, b) + l2) / math.pi
 
 
 def g0_limit(geom: ShockGeometry) -> float:
-    """lim k*(g(k) - theta_hat(k)) = -3q (b^2 - a^2)^2 / 8."""
+    """lim k*(g(k) - (p*k - q*k^3)) = -3q (b^2 - a^2)^2 / 8."""
     return -3.0 * geom.q * (geom.b ** 2 - geom.a ** 2) ** 2 / 8.0
 
 
@@ -521,76 +534,71 @@ def _nu(geom: ShockGeometry, k: complex, side: str | None) -> complex:
     return complex(((k - a) * (k + b) / ((k + a) * (k - b))) ** 0.25)
 
 
-def _theta_factory(geom: ShockGeometry):
-    params = geom.theta_params
-    t0 = abs(jacobi_theta(0.0, params))
+def _theta(geom: ShockGeometry, s, order=0):
+    val = jacobi_theta(s, geom.theta_params, order=order)
+    small = np.flatnonzero(np.abs(val) < 1e-12 * geom.theta0)
+    if order == 0 and small.size:
+        raise PoleOfSolutionError("theta denominator vanished",
+                                  point=complex(np.ravel(s)[small[0]]))
+    return val
 
-    def T(s, order=0):
-        val = jacobi_theta(s, params, order=order)
-        if order == 0 and abs(val) < 1e-12 * t0:
-            raise PoleOfSolutionError("theta denominator vanished", point=s)
-        return val
 
-    return T
+def _theta_ratios(geom: ShockGeometry, s) -> np.ndarray:
+    """Theta(s + phi/pi) / Theta(s) for each s, from one theta-series call."""
+    s = np.asarray(s, dtype=complex)
+    th = _theta(geom, np.concatenate([s + geom.phi / math.pi, s]))
+    return th[:s.size] / th[s.size:]
 
 
 def nr7_matrix(geom: ShockGeometry, k, side: str | None = None,
                spec: QuadratureSpec = _TIGHT) -> np.ndarray:
     """Explicit theta-function solution of the constant-jump model problem."""
-    kap, phi = geom.varkappa, geom.phi
+    kap4, phi = geom.varkappa / 4, geom.phi
     Ainf = geom.A_inf
     Ak = abel(geom, k, side, spec)
-    T = _theta_factory(geom)
     nu = _nu(geom, complex(k), side)
     p1 = 0.5 * (nu + 1.0 / nu)
     p2 = (nu - 1.0 / nu) / 2j
-    shift = phi / math.pi
-    n11 = p1 * T(Ak - kap / 4 + shift) * T(Ainf - kap / 4) \
-        / (T(Ak - kap / 4) * T(Ainf - kap / 4 + shift))
-    n12 = -cmath.exp(1j * phi) * p2 * T(-Ak - kap / 4 + shift) * T(Ainf - kap / 4) \
-        / (T(-Ak - kap / 4) * T(Ainf - kap / 4 + shift))
-    n21 = cmath.exp(-1j * phi) * p2 * T(Ak + kap / 4 + shift) * T(-Ainf + kap / 4) \
-        / (T(Ak + kap / 4) * T(-Ainf + kap / 4 + shift))
-    n22 = p1 * T(-Ak + kap / 4 + shift) * T(-Ainf + kap / 4) \
-        / (T(-Ak + kap / 4) * T(-Ainf + kap / 4 + shift))
-    return np.array([[n11, n12], [n21, n22]])
+    # row 1 takes theta at +-A(k) - kap/4, row 2 at +-A(k) + kap/4; each row
+    # is normalized by the same ratio at +A_inf (row 1) or -A_inf (row 2)
+    r = _theta_ratios(geom, [Ak - kap4, -Ak - kap4, Ainf - kap4,
+                             Ak + kap4, -Ak + kap4, -Ainf + kap4])
+    return np.array([[p1 * r[0] / r[2], -cmath.exp(1j * phi) * p2 * r[1] / r[2]],
+                     [cmath.exp(-1j * phi) * p2 * r[3] / r[5], p1 * r[4] / r[5]]])
 
 
 def _expansion_terms(geom: ShockGeometry):
-    kap, phi = geom.varkappa, geom.phi
-    Ainf = geom.A_inf
-    T = _theta_factory(geom)
-    shift = phi / math.pi
-    g_inf = T(Ainf - kap / 4) * T(-Ainf - kap / 4 + shift) \
-        / (T(-Ainf - kap / 4) * T(Ainf - kap / 4 + shift))
-    c_inf = T(Ainf - kap / 4) / T(Ainf - kap / 4 + shift)
-
-    def ratio_dds(s):
-        num, den = T(s - kap / 4 + shift), T(s - kap / 4)
-        dnum = T(s - kap / 4 + shift, order=1)
-        dden = T(s - kap / 4, order=1)
-        return (dnum * den - num * dden) / (den * den)
-
+    kap4, shift = geom.varkappa / 4, geom.phi / math.pi
+    s = np.array([geom.A_inf - kap4, -geom.A_inf - kap4])
+    den_p, den_m, num_p, num_m = _theta(geom, np.concatenate([s, s + shift]))
+    g_inf = den_p * num_m / (den_m * num_p)
+    c_inf = den_p / num_p
     # d/d(1/k) at infinity of the ratio evaluated along -A(k)
-    f1 = -geom.cA * ratio_dds(-Ainf)
-    x_tilde = c_inf * f1
-    return g_inf, x_tilde
+    dnum, dden = _theta(geom, np.array([s[1] + shift, s[1]]), order=1)
+    f1 = -geom.cA * (dnum * den_m - num_m * dden) / (den_m * den_m)
+    return complex(g_inf), complex(c_inf * f1)
 
 
-def nr7_coeffs(geom: ShockGeometry,
-               spec: QuadratureSpec = _TIGHT) -> tuple[complex, complex]:
+def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     """Closed-form 1/k and 1/k^2 coefficients of the (1,2) entry.
 
-    Validated against a Laurent fit of ``nr7_matrix`` samples; disagreement
-    beyond 1e-5 signals a broken derivative-at-infinity convention and is a
-    hard failure.
+    Validated against a Laurent fit of the (1,2) entry of ``nr7_matrix`` at
+    eight real k > b, all from one theta-series call; disagreement beyond
+    1e-5 signals a broken derivative-at-infinity convention and is a hard
+    failure.
     """
-    g_inf, x_tilde = _expansion_terms(geom)
-    pref = -cmath.exp(1j * geom.phi) * (geom.b - geom.a) / 2j
+    a, b = geom.a, geom.b
+    g_inf, x_tilde = geom.expansion_terms
+    pref = -cmath.exp(1j * geom.phi) * (b - a) / 2j
     n1_12 = pref * g_inf
     n2_12 = pref * x_tilde
+    # the (1,2) entry of nr7_matrix at each sample k: row-1 theta ratios at
+    # -A(k), normalized by the one at A_inf
     ks = np.array([1e2, 2e2, 3e2, 5e2, 1e3, 2e3, 5e3, 1e4])
-    vals = np.array([nr7_matrix(geom, kk, None, spec)[0, 1] for kk in ks])
+    nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
+    kap4 = geom.varkappa / 4
+    r = _theta_ratios(geom, np.append(-_abel_axis(geom, ks) - kap4, geom.A_inf - kap4))
+    vals = -cmath.exp(1j * geom.phi) * (nu - 1.0 / nu) / 2j * r[:-1] / r[-1]
     design = np.vstack([np.ones_like(ks), 1.0 / ks, 1.0 / ks ** 2, 1.0 / ks ** 3]).T
     coef, *_ = np.linalg.lstsq(design, vals * ks, rcond=None)
     scale = max(1.0, abs(n1_12))
@@ -628,7 +636,7 @@ def u_region3(point: SpaceTimePoint, data: ScatteringData,
     params = ShockParams(p=p, q=q, xi=point.xi, t=point.t,
                          C_R=(q / (12.0 * p)) * curv)
     geom = build_geometry(params, spec, validate=validate)
-    g_inf, x_tilde = _expansion_terms(geom)
+    g_inf, x_tilde = geom.expansion_terms
     z1 = cmath.exp(1j * geom.phi) * g_inf
     z2 = cmath.exp(1j * geom.phi) * x_tilde
     h1 = h1_limit(geom, spec)

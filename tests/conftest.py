@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mchasy import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
-                    SolutionCache)
+from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
+                    ScatteringData, SolutionCache, quad)
 
 
 def agm(x, y):
@@ -19,6 +19,63 @@ def agm(x, y):
 def ellipk(k):
     """Complete elliptic integral of the first kind, modulus k, via AGM."""
     return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - k * k)))
+
+
+# Quadrature oracles for the four real periods of w^2 = (k^2-a^2)(k^2-b^2).
+# Only a relative tolerance: the band integrals shrink like (b-a)^2 as the
+# band closes.  Distances to the ends of the segment are formed from the
+# angle, never by subtraction, and each integrand, which varies on a scale
+# `width` near angle 0 when a -> 0 or a -> b, is integrated on pieces split
+# at width * 4^j, so the oracles stay accurate at both ends.
+_ORACLE_SPEC = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-14, max_subdivisions=6000)
+
+
+def _graded_quad(g, width):
+    cuts = [0.0]
+    while width < 0.5 * math.pi:
+        cuts.append(width)
+        width *= 4.0
+    cuts.append(0.5 * math.pi)
+    return sum(float(np.real(quad(g, lo, hi, _ORACLE_SPEC).value))
+               for lo, hi in zip(cuts, cuts[1:]))
+
+
+def band_quad(a, b, f):
+    """int_a^b f(z-a, b-z, z) / sqrt((z-a)(b-z)) dz via z = a + (b-a) sin^2."""
+    span = b - a
+
+    def g(phi):
+        lo, hi = span * np.sin(phi) ** 2, span * np.cos(phi) ** 2
+        return 2.0 * f(lo, hi, a + lo)
+
+    return _graded_quad(g, math.sqrt(a / span))
+
+
+def gap_quad(a, b, f):
+    """int_{-a}^a f(a^2-z^2, b^2-z^2) / sqrt(a^2-z^2) dz via z = a cos."""
+    d2 = (b - a) * (b + a)
+
+    def g(th):
+        s2 = a * a * np.sin(th) ** 2
+        return 2.0 * f(s2, d2 + s2)
+
+    return _graded_quad(g, math.sqrt(d2) / a)
+
+
+def k_band_quad(a, b):
+    return band_quad(a, b, lambda lo, hi, z: 1.0 / np.sqrt((z + a) * (z + b)))
+
+
+def j_band_quad(a, b):
+    return band_quad(a, b, lambda lo, hi, z: lo * hi * np.sqrt((z + a) * (z + b)))
+
+
+def k_gap_quad(a, b):
+    return gap_quad(a, b, lambda da, db: 1.0 / np.sqrt(db))
+
+
+def j_gap_quad(a, b):
+    return gap_quad(a, b, lambda da, db: da * np.sqrt(db))
 
 
 def richardson_derivative(f, x, h=1e-3):

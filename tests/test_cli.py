@@ -1,20 +1,52 @@
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
+from mchasy import cli, region3
 from mchasy.cli import (RunConfig, emit_config, main, parse_config, run_scan,
                         write_output)
 from mchasy.errors import ConfigError
-from mchasy import region3
 
 MINIMAL = """
 [scattering]
 kappa_r = 0.0
 """
+
+# generic data over two points of the shock window
+SHOCK_SCAN = """
+[scattering]
+kappa_r = -1.0
+beta = 0.5
+
+[scan]
+t = 1e6
+w = 3.0:3.4:2
+
+[output]
+path = {path}
+"""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread if the block outlives ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 R1_SCAN = """
 [scattering]
@@ -118,6 +150,30 @@ class TestScan:
         assert all(r["u"] is None for r in rows)
         assert all("AdmissibilityError" in r["error"] for r in rows)
 
+    def test_stray_exception_becomes_error_row(self, tmp_path, monkeypatch):
+        # a non-package exception at one point is recorded in its row; the
+        # other point is still evaluated, and only --strict turns it into 2
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SHOCK_SCAN.format(path=out))
+        cfg = parse_config(cfg_path.read_text())
+        x_split = cli._grid_to_x(cfg, 1e6, 3.2)
+        real = cli.u_region3
+
+        def flaky(point, *args, **kwargs):
+            if point.x > x_split:
+                raise ZeroDivisionError("float division by zero")
+            return real(point, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "u_region3", flaky)
+        rows = run_scan(cfg)
+        assert rows[0]["error"] == "ZeroDivisionError: float division by zero"
+        assert rows[0]["u"] is None and rows[0]["region"] == "III"
+        assert rows[1]["error"] == "" and math.isfinite(rows[1]["u"])
+        assert main(["scan", "--config", str(cfg_path), "--strict"]) == 2
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        assert "ZeroDivisionError" in out.read_text()
+
 
 class TestWrite:
     def test_csv_single_row(self, tmp_path):
@@ -198,3 +254,32 @@ class TestMain:
         cfg = parse_config(R1_SCAN.format(path="-", fmt="csv"))
         rows = run_scan(cfg)
         assert [r["s"] for r in rows] == sorted(r["s"] for r in rows)
+
+    def test_threads_env_not_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MCH_ASY_THREADS", "abc")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(R1_SCAN.format(path=tmp_path / "o.csv", fmt="csv"))
+        assert main(["scan", "--config", str(cfg_path)]) == 1
+        assert "config error: MCH_ASY_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+
+class TestPiiInput:
+    def check_config_error(self, argv, capsys):
+        assert main(["pii"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+
+    def test_zero_step(self, capsys):
+        with deadline(5.0):
+            self.check_config_error(["--k", "0.5", "--s=0:1:0"], capsys)
+
+    def test_negative_step(self, capsys):
+        self.check_config_error(["--k", "0.5", "--s=0:1:-0.5"], capsys)
+
+    def test_two_fields(self, capsys):
+        self.check_config_error(["--k", "0.5", "--s=0:1"], capsys)
+
+    def test_k_outside_unit_interval(self, capsys):
+        self.check_config_error(["--k", "1.5", "--s=0:1:0.5"], capsys)

@@ -92,6 +92,18 @@ class TestJacobiTheta:
         d = richardson_derivative(lambda x: jacobi_theta(x, params), 0.3, h=1e-4)
         assert abs(d - jacobi_theta(0.3, params, order=1)) < 1e-9
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_array_matches_scalar(self, order):
+        params = ThetaParams(varkappa=0.3 + 0.8j)
+        rng = np.random.default_rng(4)
+        s = rng.uniform(-1, 1, (3, 6)) + 1j * rng.uniform(-0.3, 0.3, (3, 6))
+        got = jacobi_theta(s, params, order=order)
+        assert got.shape == s.shape and got.dtype == complex
+        want = np.array([[jacobi_theta(complex(v), params, order=order) for v in row]
+                         for row in s])
+        assert np.abs(got - want).max() < 1e-14
+        assert type(jacobi_theta(complex(s[0, 0]), params, order=order)) is complex
+
 
 class TestQuad:
     def test_constant(self):

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mchasy import (QuadratureSpec, ReflectionCoefficient, ScatteringData,
                     SpaceTimePoint, abel, delta0, g_eval, h_eval, nr7_coeffs,
-                    nr7_matrix, solve_band, u_region3)
+                    nr7_matrix, region3, solve_band, u_region3)
 from mchasy.errors import (AdmissibilityError, BoundaryAmbiguityError,
-                           BranchError, DomainError, RegionError, WindowError)
-from mchasy.region3 import (ShockParams, _j_band, _k_band, _k_gap, _j_gap,
-                            build_geometry, curvature_at_one, g0_limit,
-                            h1_limit, periods, theta_hat)
+                           BranchError, ConventionError, DomainError,
+                           RegionError, WindowError)
+from mchasy.region3 import (ShockParams, _band_z2, _j_band, _k_band, _k_gap,
+                            _j_gap, _seg_inv_w, build_geometry, curvature_at_one,
+                            g0_limit, h1_limit, periods)
 
-from conftest import ellipk, richardson_limit
+from conftest import (band_quad, ellipk, j_band_quad, j_gap_quad,
+                      k_band_quad, k_gap_quad, richardson_limit)
 
 CBRT3 = 3.0 ** (1 / 3)
 T0 = 1e6
@@ -128,6 +131,16 @@ class TestPeriods:
         with pytest.raises(DomainError):
             periods(0.9, 0.4, 1.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(ratio=st.floats(1e-9, 1 - 1e-6), b=st.floats(0.05, 20.0))
+    @example(ratio=1e-9, b=math.sqrt(2 / 3))
+    @example(ratio=1 - 1e-6, b=math.sqrt(2 / 3))
+    def test_closed_forms_match_quadrature(self, ratio, b):
+        a = ratio * b
+        for closed, oracle in ((_k_band, k_band_quad), (_k_gap, k_gap_quad),
+                               (_j_band, j_band_quad), (_j_gap, j_gap_quad)):
+            assert closed(a, b) == pytest.approx(oracle(a, b), rel=1e-12, abs=0.0)
+
 
 class TestAbel:
     def test_base_point(self, geom):
@@ -155,6 +168,12 @@ class TestAbel:
     def test_infinity_is_quarter_period(self, geom):
         assert abs(geom.A_inf - (-geom.varkappa / 4)) < 1e-9
 
+    def test_axis_closed_form_matches_quadrature(self, geom):
+        a, b = geom.a, geom.b
+        for k in (1.01 * b, 1.0, 3.0, 10.0, 1e2, 1e3, 1e4):
+            by_quad = -1j * _seg_inv_w(a, b, b, k) / (2 * geom.K_band)
+            assert abs(abel(geom, k) - by_quad) < 1e-12
+
     def test_boundary_ambiguity(self, geom):
         with pytest.raises(BoundaryAmbiguityError):
             abel(geom, 0.5 * (geom.a + geom.b))
@@ -170,7 +189,7 @@ class TestDelta0:
         d1 = delta0(a, b, geom.C_R, geom.K_band)
         lam = 7.5
         d2 = delta0(a, b, geom.C_R * lam, geom.K_band)
-        shift = -math.log(lam) * geom.K_gap / (2 * geom.K_band)
+        shift = -math.log(lam) * _k_gap(a, b) / (2 * geom.K_band)
         assert d2 - d1 == pytest.approx(shift, abs=1e-9)
 
     def test_sign_change_inside(self, geom):
@@ -209,6 +228,11 @@ class TestH:
     def test_decay(self, geom):
         h1 = h1_limit(geom)
         assert abs(h_eval(geom, 1e3)) < 10 * abs(h1) / 1e3
+
+    def test_band_moment_closed_form(self, geom):
+        a, b = geom.a, geom.b
+        oracle = band_quad(a, b, lambda lo, hi, z: z * z / np.sqrt((z + a) * (z + b)))
+        assert _band_z2(a, b) == pytest.approx(oracle, rel=1e-13)
 
     def test_h1_limit(self, geom):
         # k*h = h1 + O(1/k^2); moderate k keeps the k^3 amplification of
@@ -254,6 +278,9 @@ class TestG:
         assert abs(d_a) < 1e-2
 
     def test_matches_cubic_phase_at_infinity(self, geom):
+        def theta_hat(geom, k):
+            return geom.p * k - geom.q * k ** 3
+
         g0 = g0_limit(geom)
         for k in (40.0, 80.0):
             gap = g_eval(geom, k) - theta_hat(geom, k)
@@ -307,6 +334,23 @@ class TestNr7:
         for k in ks:
             M = nr7_matrix(geom, k)
             assert abs(M[1, 0] + M[0, 1]) < abs(M[0, 1]) * 0.01 + 5e-7
+
+    @pytest.mark.parametrize("field", ["cA", "A_inf"])
+    def test_gate_rejects_broken_convention(self, geom, field):
+        broken = dataclasses.replace(geom, **{field: -getattr(geom, field)})
+        with pytest.raises(ConventionError):
+            nr7_coeffs(broken)
+
+    def test_theta_calls_per_point(self, gen_data, monkeypatch):
+        # theta(0) once per geometry, the gate's 8 samples in one call, and
+        # the expansion terms once although both the gate and u need them
+        calls = []
+        real = region3.jacobi_theta
+        monkeypatch.setattr(region3, "jacobi_theta",
+                            lambda s, p, order=0: calls.append(s) or real(s, p, order))
+        u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data)
+        assert sum(np.ndim(s) == 0 for s in calls) == 1
+        assert len(calls) <= 4
 
     def test_phase_shift_invariance(self, geom):
         shifted = dataclasses.replace(geom, phi=geom.phi + 2 * math.pi)
