@@ -48,9 +48,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -300,8 +298,7 @@ def _eval_point(cfg, data, cache, constants, spec, point):
             res = u_region2(point, data, cache, constants, spec,
                             tol=cfg.tolerances["pii_tol"])
         elif tag is RegionTag.R_III:
-            res = u_region3(point, data, cfg.shock["p"], cfg.shock["q"],
-                            constants, spec)
+            res = u_region3(point, data, cfg.shock["p"], cfg.shock["q"], constants)
         else:
             return row
         row["u"] = res.u
@@ -321,17 +318,7 @@ def run_scan(cfg: RunConfig) -> list[dict]:
     cache = SolutionCache()
     points = [SpaceTimePoint(_grid_to_x(cfg, t, v), t)
               for t in cfg.scan["t"] for v in cfg.scan["grid"]]
-    try:
-        workers = max(1, int(os.environ.get("MCH_ASY_THREADS", "1")))
-    except ValueError as exc:
-        raise ConfigError("not an integer", key="MCH_ASY_THREADS") from exc
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda pt: _eval_point(cfg, data, cache, constants, spec, pt), points))
-    else:
-        rows = [_eval_point(cfg, data, cache, constants, spec, pt) for pt in points]
-    return rows
+    return [_eval_point(cfg, data, cache, constants, spec, pt) for pt in points]
 
 
 def _fmt(v) -> str:
@@ -396,11 +383,7 @@ def _run_region(args, force_kind=None) -> int:
         cfg.shock["p"] = args.p
     if getattr(args, "q", None) is not None:
         cfg.shock["q"] = args.q
-    try:
-        table = run_scan(cfg)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 1
+    table = run_scan(cfg)
     meta = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()}
     try:
         write_output(table, cfg.output["format"], cfg.output["path"], meta)
@@ -463,14 +446,13 @@ def _run_pq_invariance(args) -> int:
         return 1
     data = cfg.data()
     constants = cfg.constants()
-    spec = cfg.quad_spec()
     worst, used = 0.0, 0
     for t in cfg.scan["t"]:
         for v in cfg.scan["grid"]:
             pt = SpaceTimePoint(_grid_to_x(cfg, t, v), t)
             try:
-                u1 = u_region3(pt, data, 1.0, 1.0, constants, spec).u
-                u2 = u_region3(pt, data, 3.0, 2.0, constants, spec).u
+                u1 = u_region3(pt, data, 1.0, 1.0, constants).u
+                u2 = u_region3(pt, data, 3.0, 2.0, constants).u
             except MchasyError as exc:
                 print("x=%r t=%r skipped (%s)" % (pt.x, t, exc))
                 continue

@@ -164,12 +164,6 @@ def _w_abs(z, a, b):
     return np.sqrt(np.abs(z * z - a * a) * np.abs(z * z - b * b))
 
 
-def _seg_inv_w(a, b, lo, hi, spec=_TIGHT) -> float:
-    """Positive integral of 1/|w| over [lo, hi] avoiding the 1/sqrt endpoints."""
-    return float(np.real(quad_band(
-        lambda z: np.sqrt((z - lo) * (hi - z)) / _w_abs(z, a, b), lo, hi, spec).value))
-
-
 def _seg_w(a, b, lo, hi, spec=_TIGHT) -> float:
     """Positive integral of |w| over [lo, hi]."""
     return float(np.real(quad_band(
@@ -218,6 +212,22 @@ def _band_z2(a, b) -> float:
 def _tail_inv_w(a, b, x):
     """int_x^inf dz/|w| for real x >= b, elementwise (Carlson R_F, DLMF 19.29)."""
     return elliprf(x * x, (x - a) * (x + a), (x - b) * (x + b))
+
+
+def _inv_w_on(a, b, lo, hi) -> float:
+    """int_lo^hi dz/|w| for real lo <= hi with no branch point inside (lo, hi).
+
+    DLMF 19.29.4: with x_i = |hi - r_i|^(1/2), y_i = |lo - r_i|^(1/2) over the
+    branch points r = (a, -a, b, -b), it is 2 R_F(U12^2, U13^2, U14^2), U_ij =
+    (x_i x_j y_k y_l + y_i y_j x_k x_l)/(hi - lo); no term cancels at a branch point.
+    """
+    if hi == lo:
+        return 0.0
+    x1, x2, x3, x4 = (math.sqrt(abs(hi - r)) for r in (a, -a, b, -b))
+    y1, y2, y3, y4 = (math.sqrt(abs(lo - r)) for r in (a, -a, b, -b))
+    u = np.array([x1 * x2 * y3 * y4 + y1 * y2 * x3 * x4, x1 * x3 * y2 * y4 + y1 * y3 * x2 * x4,
+                  x1 * x4 * y2 * y3 + y1 * y4 * x2 * x3]) / (hi - lo)
+    return 2.0 * float(elliprf(*(u * u)))
 
 
 # ----------------------------------------------------------------------
@@ -329,9 +339,9 @@ def abel(geom: ShockGeometry, k, side: str | None = None,
          spec: QuadratureSpec = _TIGHT) -> complex:
     """Normalized Abel integral A(k) with base point b on the first sheet.
 
-    ``side`` ('+'/'-') selects the boundary value for real k on the cuts;
-    such evaluations use exact one-sided segment reductions.  Paths for
-    off-axis k are straight segments from b (they meet the axis only at b).
+    ``side`` ('+'/'-') selects the boundary value for real k on the cuts.
+    Real k takes the closed form (Carlson R_F); off-axis k is a quadrature
+    along the straight segment from b (it meets the axis only at b).
     """
     a, b = geom.a, geom.b
     norm = 2j * geom.K_band
@@ -344,9 +354,9 @@ def abel(geom: ShockGeometry, k, side: str | None = None,
     if x > b:
         return complex(_abel_axis(geom, x))
     if x < -b:
-        return (_k_gap(a, b) - _seg_inv_w(a, b, x, -b, spec)) / norm
+        return (_k_gap(a, b) - _inv_w_on(a, b, x, -b)) / norm
     if abs(x) < a:
-        g0 = _seg_inv_w(a, b, x, a, spec)
+        g0 = _inv_w_on(a, b, x, a)
         val = 0.5 - 1j * g0 / (2.0 * geom.K_band)
         if side == "-":
             return val - 1.0
@@ -357,10 +367,10 @@ def abel(geom: ShockGeometry, k, side: str | None = None,
             "A(k) on a cut needs side='+' or side='-', got %r" % side)
     sgn = 1.0 if side == "+" else -1.0
     if x >= a:   # [a, b]
-        frac = _seg_inv_w(a, b, min(x, b), b, spec) / (2.0 * geom.K_band)
+        frac = _inv_w_on(a, b, min(x, b), b) / (2.0 * geom.K_band)
         return sgn * frac
     # [-b, -a]
-    pfrac = _seg_inv_w(a, b, x, -a, spec) / (2.0 * geom.K_band)
+    pfrac = _inv_w_on(a, b, x, -a) / (2.0 * geom.K_band)
     return sgn * 0.5 - geom.varkappa / 2.0 - sgn * pfrac
 
 
@@ -370,34 +380,55 @@ def _abel_axis(geom: ShockGeometry, x):
     return -1j * (_tail_inv_w(a, b, b) - _tail_inv_w(a, b, x)) / (2.0 * geom.K_band)
 
 
-def delta0(a: float, b: float, C_R: float, K_band: float | None = None,
-           spec: QuadratureSpec = _TIGHT) -> float:
-    """Gap-average of log(C_R z^2), normalized by the full band period.
+def delta0(a: float, b: float, C_R: float) -> float:
+    """-int_0^a log(C_R z^2)/|w| dz / K_band = pi/2 - ln(C_R a b) K(m)/K(1-m).
 
-    This is the unique constant for which the auxiliary scalar h decays at
-    infinity; the endpoint log singularity at 0 is integrable.
+    The constant for which h decays at infinity (L_K of ``_gap_z2_log_moment``).
     """
     if C_R <= 0:
         raise AdmissibilityError("C_R must be positive")
     if not 0.0 < a < b:
         raise DomainError("delta0 needs 0 < a < b")
-    kb = K_band if K_band is not None else _k_band(a, b)
-    return -_gap_log_moment(a, b, C_R, 0, spec) / kb
+    return 0.5 * math.pi - math.log(C_R * a * b) * _k_gap(a, b) / (2.0 * _k_band(a, b))
 
 
-def _gap_log_moment(a, b, C_R, power, spec=_TIGHT) -> float:
-    """int_0^a z^power * log(C_R z^2) / sqrt((a^2-z^2)(b^2-z^2)) dz."""
-
-    def f(th):
-        z = a * np.sin(th)
-        lg = math.log(C_R) + 2.0 * np.log(np.maximum(z, 1e-300))
-        return z ** power * lg / np.sqrt(b * b - z * z)
-
-    return float(np.real(quad(f, 0.0, 0.5 * math.pi, spec).value))
+# Taylor coefficients in m of (2/pi)(K - E)/m, h_n h_(n+1) with h_n = (1/2)_n/n!,
+# and of (2/pi)(L_K - L_E)/m, that times A_(2n+2) - ln 2; see _gap_z2_log_moment
+_J = np.arange(1.0, 25.0)
+_H = np.cumprod(np.r_[1.0, (_J - 0.5) / _J])
+_KE_SERIES = _H[:-1] * _H[1:]
+_LOG_SERIES = _KE_SERIES * (np.cumsum(1.0 / ((2.0 * _J - 1.0) * 2.0 * _J)) - math.log(2.0))
 
 
-def build_geometry(params: ShockParams, spec: QuadratureSpec = _TIGHT,
-                   validate: bool = True) -> ShockGeometry:
+def _gap_z2_log_moment(a, b, C_R) -> float:
+    """int_0^a z^2 log(C_R z^2)/|w| dz in closed form.
+
+    Under z = a sin(t), with m = a^2/b^2 and D = sqrt(1 - m sin^2 t), the
+    weight z^2/sqrt(b^2 - z^2) is b(1/D - D); with
+        L_K = int_0^{pi/2} ln(sin t)/D dt = -(pi/4) K(1-m) - ln(m) K(m)/4,
+        L_E = int_0^{pi/2} ln(sin t) D dt
+            = (pi/4)(E(1-m) - K(1-m)) - ln(m) E(m)/4 + (1-m) K(m)/2 - E(m)
+    the moment is b[ln(C_R a^2)(K - E) + 2(L_K - L_E)]
+    = b[ln(C_R a b)(K - E) - (pi/2) E(1-m) + 2E - (1-m) K].  L_E follows
+    from L_K: by -m sin^2 t = D^2 - 1, dL_E/dm = (L_E - L_K)/(2m), whose
+    solutions differ by multiples of sqrt(m); L_E and the right side (DLMF
+    19.4.1, 19.12.1) are both power series in m solving it, equal to
+    -(pi/2) ln 2 at m = 0.  For m < 1/4 the closed form is O(m ln m) from
+    O(1) terms; 24 terms of 1/D - D = sum_n (1/2)_n/n! m^(n+1) sin^(2n+2) t
+    with int_0^{pi/2} sin^(2k) t ln(sin t) dt = (pi/2) (1/2)_k/k! (A_(2k) -
+    ln 2), A_j the j-th alternating harmonic sum, reach double precision.
+    """
+    m = (a / b) ** 2
+    if m < 0.25:
+        powers = m ** np.arange(_KE_SERIES.size)
+        return 0.5 * math.pi * b * m * (math.log(C_R * a * a) * (_KE_SERIES @ powers)
+                                        + 2.0 * (_LOG_SERIES @ powers))
+    m1 = _m1(a, b)
+    k, e, e1 = float(ellipkm1(m1)), float(ellipe(m)), float(ellipe(m1))
+    return b * (math.log(C_R * a * b) * (k - e) - 0.5 * math.pi * e1 + 2.0 * e - m1 * k)
+
+
+def build_geometry(params: ShockParams, validate: bool = True) -> ShockGeometry:
     """Solve the band equations and assemble all derived constants."""
     a, b = solve_band(params)
     B1, A1, varkappa = periods(a, b, params.q)
@@ -408,7 +439,7 @@ def build_geometry(params: ShockParams, spec: QuadratureSpec = _TIGHT,
     if abs(A_inf - (-varkappa / 4.0)) > 1e-9:
         raise BranchError("A(inf) disagrees with -varkappa/4: %r vs %r"
                           % (A_inf, -varkappa / 4.0))
-    d0 = delta0(a, b, params.C_R, kb, spec)
+    d0 = delta0(a, b, params.C_R)
     tau = params.tau
     phi = tau * B1 / 2.0 - 1j * d0
     geom = ShockGeometry(a=a, b=b, B1=B1, A1=A1, varkappa=varkappa,
@@ -508,11 +539,10 @@ def h_eval(geom: ShockGeometry, k, side: str | None = None,
     return geom.w(k) / (2j * math.pi) * (i_right + i_left + i_gap)
 
 
-def h1_limit(geom: ShockGeometry, spec: QuadratureSpec = _TIGHT) -> float:
-    """lim k*h(k): (Delta0 * int_band z^2/w + int_gap z^2 log(C_R z^2)/|w|) / pi."""
+def h1_limit(geom: ShockGeometry) -> float:
+    """lim k*h(k) = (Delta0 * int_a^b z^2/|w| + int_0^a z^2 log(C_R z^2)/|w|) / pi."""
     a, b = geom.a, geom.b
-    l2 = _gap_log_moment(a, b, geom.C_R, 2, spec)
-    return (geom.Delta0 * _band_z2(a, b) + l2) / math.pi
+    return (geom.Delta0 * _band_z2(a, b) + _gap_z2_log_moment(a, b, geom.C_R)) / math.pi
 
 
 def g0_limit(geom: ShockGeometry) -> float:
@@ -616,7 +646,6 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
 def u_region3(point: SpaceTimePoint, data: ScatteringData,
               p: float = 1.0, q: float = 1.0,
               constants: RegionConstants = RegionConstants(),
-              spec: QuadratureSpec = _TIGHT,
               validate: bool = True) -> AsymptoticValue:
     """Theta-modulated wave form in the collisionless-shock zone.
 
@@ -635,11 +664,11 @@ def u_region3(point: SpaceTimePoint, data: ScatteringData,
     curv = curvature_at_one(data)
     params = ShockParams(p=p, q=q, xi=point.xi, t=point.t,
                          C_R=(q / (12.0 * p)) * curv)
-    geom = build_geometry(params, spec, validate=validate)
+    geom = build_geometry(params, validate=validate)
     g_inf, x_tilde = geom.expansion_terms
     z1 = cmath.exp(1j * geom.phi) * g_inf
     z2 = cmath.exp(1j * geom.phi) * x_tilde
-    h1 = h1_limit(geom, spec)
+    h1 = h1_limit(geom)
     g0 = g0_limit(geom)
     pref = (2.0 - point.xi) * (geom.b - geom.a) * q / (12.0 * p)
     u = 1.0 - pref * (2.0 * (h1 + geom.tau * g0) * z1.real - z2.imag)

@@ -156,21 +156,10 @@ class ScatteringData:
 
     r: ReflectionCoefficient
     spectrum: DiscreteSpectrum = field(default_factory=DiscreteSpectrum)
-    norming_constants: tuple = ()   # stored, never evaluated
 
     def __post_init__(self):
-        if self.norming_constants and len(self.norming_constants) != len(self.spectrum):
-            raise DomainError("one norming constant per spectrum representative")
-        self.norming_constants = tuple(self.norming_constants)
         self._cache = {}
         self._lock = threading.Lock()
-
-    def is_generic(self, tol: float = 1e-10) -> bool:
-        """Generic case: |r(+-1)| = 1 (within tol)."""
-        m = abs(self.r(1.0))
-        if m > 1 + 1e-12:
-            raise AdmissibilityError("|r(1)| exceeds 1")
-        return abs(m - 1.0) <= tol
 
     def _memo(self, key, fn):
         with self._lock:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -76,6 +77,73 @@ def k_gap_quad(a, b):
 
 def j_gap_quad(a, b):
     return gap_quad(a, b, lambda da, db: da * np.sqrt(db))
+
+
+def axis_inv_w_quad(a, b, x):
+    """int_b^x dz/|w| for x > b, the factor sqrt(z - b) cancelled analytically."""
+    return band_quad(b, x, lambda lo, hi, z: np.sqrt(hi / ((z + b) * (z - a) * (z + a))))
+
+
+_GAP_SPEC = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=6000)
+
+
+def gap_log_moment_quad(a, b, C_R, power):
+    """int_0^a z^power log(C_R z^2)/|w| dz by adaptive quadrature under z = a sin."""
+
+    def f(th):
+        z = a * np.sin(th)
+        lg = math.log(C_R) + 2.0 * np.log(np.maximum(z, 1e-300))
+        return z ** power * lg / np.sqrt(b * b - z * z)
+
+    return float(np.real(quad(f, 0.0, 0.5 * math.pi, _GAP_SPEC).value))
+
+
+def delta0_quad(a, b, C_R):
+    return -gap_log_moment_quad(a, b, C_R, 0) / k_band_quad(a, b)
+
+
+def gap_log_moment_mp(a, b, C_R, power, dps=40):
+    """The two parts of int_0^a z^power log(C_R z^2)/|w| dz at ``dps`` digits
+    under z = a sin(t): the constant log(C_R a^2) times the plain moment, and
+    the 2 log(sin t) part.  Tanh-sinh nodes are graded towards t = pi/2,
+    where 1/sqrt(b^2 - z^2) peaks as a -> b."""
+    with mp.workdps(dps):
+        a, b, C_R = mp.mpf(a), mp.mpf(b), mp.mpf(C_R)
+        half = mp.pi / 2
+        cuts = [mp.mpf(0)] + [half - mp.mpf(10) ** -j for j in range(8)] + [half]
+
+        def weight(t):
+            z = a * mp.sin(t)
+            return z ** power / mp.sqrt((b - z) * (b + z))
+
+        const = mp.log(C_R * a * a) * mp.quad(weight, cuts)
+        log_sin = mp.quad(lambda t: 2 * mp.log(mp.sin(t)) * weight(t), cuts)
+        return const, log_sin
+
+
+def k_band_mp(a, b, dps=40):
+    """K(1 - a^2/b^2)/b at ``dps`` digits."""
+    with mp.workdps(dps):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return mp.ellipk((b - a) * (b + a) / (b * b)) / b
+
+
+def inv_w_mp(a, b, lo, hi, dps=30):
+    """int_lo^hi dz/|w| for a real segment without inner branch points, under
+    z = lo + (hi - lo) sin^2; distances to the segment ends are formed from
+    the angle, so a branch point there cancels against dz."""
+    with mp.workdps(dps):
+        a, b, lo, hi = (mp.mpf(v) for v in (a, b, lo, hi))
+        span = hi - lo
+
+        def f(phi):
+            s2, c2 = mp.sin(phi) ** 2, mp.cos(phi) ** 2
+            dist = [span * s2 if r == lo else span * c2 if r == hi
+                    else abs(lo + span * s2 - r) for r in (a, -a, b, -b)]
+            return 2 * span * mp.sin(phi) * mp.cos(phi) / mp.sqrt(
+                dist[0] * dist[1] * dist[2] * dist[3])
+
+        return float(mp.quad(f, [0, mp.pi / 4, mp.pi / 2]))
 
 
 def richardson_derivative(f, x, h=1e-3):

@@ -249,19 +249,21 @@ class TestMain:
         assert main(["check", "--config", str(cfg_path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_threads_env_preserves_order(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MCH_ASY_THREADS", "4")
+    def test_rows_in_grid_order(self):
         cfg = parse_config(R1_SCAN.format(path="-", fmt="csv"))
         rows = run_scan(cfg)
         assert [r["s"] for r in rows] == sorted(r["s"] for r in rows)
 
-    def test_threads_env_not_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MCH_ASY_THREADS", "abc")
+    def test_threads_env_ignored(self, tmp_path, monkeypatch):
+        # scans run on one thread; MCH_ASY_THREADS is no longer read
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(R1_SCAN.format(path=tmp_path / "o.csv", fmt="csv"))
-        assert main(["scan", "--config", str(cfg_path)]) == 1
-        assert "config error: MCH_ASY_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
+        monkeypatch.delenv("MCH_ASY_THREADS", raising=False)
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        plain = (tmp_path / "o.csv").read_bytes()
+        monkeypatch.setenv("MCH_ASY_THREADS", "abc")
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "o.csv").read_bytes() == plain
 
 
 class TestPiiInput:

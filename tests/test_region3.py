@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mchasy import (QuadratureSpec, ReflectionCoefficient, ScatteringData,
+from mchasy import (ReflectionCoefficient, ScatteringData,
                     SpaceTimePoint, abel, delta0, g_eval, h_eval, nr7_coeffs,
                     nr7_matrix, region3, solve_band, u_region3)
 from mchasy.errors import (AdmissibilityError, BoundaryAmbiguityError,
                            BranchError, ConventionError, DomainError,
                            RegionError, WindowError)
-from mchasy.region3 import (ShockParams, _band_z2, _j_band, _k_band, _k_gap,
-                            _j_gap, _seg_inv_w, build_geometry, curvature_at_one,
-                            g0_limit, h1_limit, periods)
+from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
+                            _k_band, _k_gap, _j_gap, build_geometry,
+                            curvature_at_one, g0_limit, h1_limit, periods)
 
-from conftest import (band_quad, ellipk, j_band_quad, j_gap_quad,
-                      k_band_quad, k_gap_quad, richardson_limit)
+from conftest import (axis_inv_w_quad, band_quad, delta0_quad, ellipk,
+                      gap_log_moment_mp, gap_log_moment_quad, inv_w_mp,
+                      j_band_quad, j_gap_quad, k_band_mp, k_band_quad,
+                      k_gap_quad, richardson_limit)
 
 CBRT3 = 3.0 ** (1 / 3)
 T0 = 1e6
@@ -171,7 +173,7 @@ class TestAbel:
     def test_axis_closed_form_matches_quadrature(self, geom):
         a, b = geom.a, geom.b
         for k in (1.01 * b, 1.0, 3.0, 10.0, 1e2, 1e3, 1e4):
-            by_quad = -1j * _seg_inv_w(a, b, b, k) / (2 * geom.K_band)
+            by_quad = -1j * axis_inv_w_quad(a, b, k) / (2 * geom.K_band)
             assert abs(abel(geom, k) - by_quad) < 1e-12
 
     def test_boundary_ambiguity(self, geom):
@@ -182,20 +184,59 @@ class TestAbel:
         x = 0.3 * geom.a
         assert abel(geom, x) - abel(geom, x, side="-") == pytest.approx(1.0)
 
+    def test_axis_off_the_tail_matches_mpmath(self, geom):
+        a, b = geom.a, geom.b
+        kb2 = 2 * geom.K_band
+        x = 0.4 * a
+        assert abs(abel(geom, x) - (0.5 - 1j * inv_w_mp(a, b, x, a) / kb2)) < 1e-13
+        x = 0.3 * a + 0.7 * b
+        assert abs(abel(geom, x, side="+") - inv_w_mp(a, b, x, b) / kb2) < 1e-13
+        x = -(0.6 * a + 0.4 * b)
+        assert abs(abel(geom, x, side="-")
+                   - (-0.5 - geom.varkappa / 2 + inv_w_mp(a, b, x, -a) / kb2)) < 1e-13
+        x = -3.0 * b
+        assert abs(abel(geom, x)
+                   - (_k_gap(a, b) - inv_w_mp(a, b, x, -b)) / (1j * kb2)) < 1e-13
+
+    def test_nearly_closed_band(self, geom):
+        # a = b(1 - 1e-4): the former quadrature met 0/0 at the segment ends
+        # and raised ConvergenceError on the gap, on the cuts and beyond -b
+        b = geom.b
+        a = b * (1 - 1e-4)
+        near = dataclasses.replace(geom, a=a, K_band=_k_band(a, b),
+                                   varkappa=periods(a, b, 1.0)[2])
+        kb2 = 2 * near.K_band
+        x = 0.5 * a
+        assert abs(abel(near, x) - (0.5 - 1j * inv_w_mp(a, b, x, a) / kb2)) < 1e-12
+        x = 0.5 * (a + b)
+        assert abs(abel(near, x, side="+") - inv_w_mp(a, b, x, b) / kb2) < 1e-12
+        x = -0.9
+        assert abs(abel(near, x)
+                   - (_k_gap(a, b) - inv_w_mp(a, b, x, -b)) / (1j * kb2)) < 1e-12
+
+    def test_left_cut_end_exactly(self, geom):
+        # at x = -a the left-cut branch integrates over an empty segment;
+        # the value continues the gap value 0.5 - varkappa/2
+        a = geom.a
+        plus = abel(geom, -a, side="+")
+        assert plus == pytest.approx(0.5 - geom.varkappa / 2, abs=1e-15)
+        assert abel(geom, -a, side="-") == pytest.approx(-0.5 - geom.varkappa / 2, abs=1e-15)
+        assert abs(plus - abel(geom, -a * (1 - 1e-12))) < 1e-5
+
 
 class TestDelta0:
     def test_real_and_affine_in_log_scale(self, geom):
         a, b = geom.a, geom.b
-        d1 = delta0(a, b, geom.C_R, geom.K_band)
+        d1 = delta0(a, b, geom.C_R)
         lam = 7.5
-        d2 = delta0(a, b, geom.C_R * lam, geom.K_band)
+        d2 = delta0(a, b, geom.C_R * lam)
         shift = -math.log(lam) * _k_gap(a, b) / (2 * geom.K_band)
         assert d2 - d1 == pytest.approx(shift, abs=1e-9)
 
     def test_sign_change_inside(self, geom):
         # choose C_R so log(C_R z^2) changes sign inside (0, a): finite result
         a, b = geom.a, geom.b
-        val = delta0(a, b, 4.0 / (a * a), geom.K_band)
+        val = delta0(a, b, 4.0 / (a * a))
         assert math.isfinite(val)
 
     def test_admissibility(self, geom):
@@ -208,6 +249,21 @@ class TestDelta0:
         vals = [delta0(a, 1.0, 0.7) for a in (1e-3, 1e-5)]
         assert abs(vals[1] - math.pi) < abs(vals[0] - math.pi)
         assert abs(vals[1] - math.pi) < 0.2
+
+    @settings(max_examples=15, deadline=None)
+    @given(ratio=st.floats(1e-9, 1 - 1e-6), log_c=st.floats(-4.0, 2.0),
+           b=st.floats(0.05, 20.0))
+    @example(ratio=1e-4, log_c=-1.0, b=math.sqrt(2 / 3))
+    @example(ratio=1 - 1e-6, log_c=-1.0, b=math.sqrt(2 / 3))
+    def test_closed_form_matches_mpmath(self, ratio, log_c, b):
+        # Delta0 = pi/2 - ln(C_R a b) K(m)/K(1-m) crosses zero, so the error
+        # is measured against the larger of its two terms
+        a, c = ratio * b, 10.0 ** log_c
+        const, log_sin = gap_log_moment_mp(a, b, c, 0)
+        kb = k_band_mp(a, b)
+        ref = float(-(const + log_sin) / kb)
+        scale = max(abs(ref), math.pi / 2, abs(ref - math.pi / 2))
+        assert abs(delta0(a, b, c) - ref) <= 1e-13 * scale
 
 
 class TestH:
@@ -233,6 +289,20 @@ class TestH:
         a, b = geom.a, geom.b
         oracle = band_quad(a, b, lambda lo, hi, z: z * z / np.sqrt((z + a) * (z + b)))
         assert _band_z2(a, b) == pytest.approx(oracle, rel=1e-13)
+
+    @settings(max_examples=15, deadline=None)
+    @given(ratio=st.floats(1e-9, 1 - 1e-6), log_c=st.floats(-4.0, 2.0),
+           b=st.floats(0.05, 20.0))
+    @example(ratio=1e-4, log_c=-1.0, b=math.sqrt(2 / 3))
+    @example(ratio=1 - 1e-6, log_c=-1.0, b=math.sqrt(2 / 3))
+    def test_gap_moment_matches_mpmath(self, ratio, log_c, b):
+        # the moment crosses zero as C_R varies; where its two parts cancel
+        # the error is measured against their sizes
+        a, c = ratio * b, 10.0 ** log_c
+        const, log_sin = gap_log_moment_mp(a, b, c, 2)
+        ref = float(const + log_sin)
+        scale = max(abs(ref), float(abs(const) + abs(log_sin)))
+        assert abs(_gap_z2_log_moment(a, b, c) - ref) <= 1e-12 * scale
 
     def test_h1_limit(self, geom):
         # k*h = h1 + O(1/k^2); moderate k keeps the k^3 amplification of
@@ -376,12 +446,15 @@ class TestURegion3:
         u32 = u_region3(pt, gen_data, 3.0, 2.0).u
         assert abs(u11 - u32) < 1e-8 * max(1.0, abs(u11 - 1))
 
-    def test_self_convergence(self, gen_data):
+    def test_self_convergence(self, gen_data, monkeypatch):
+        # the closed forms against the gap quadratures they replaced
         pt = SpaceTimePoint(XI0 * T0, T0)
         u1 = u_region3(pt, gen_data).u
-        tight = QuadratureSpec(1e-15, 1e-14, 12000)
-        u2 = u_region3(pt, gen_data, spec=tight).u
-        assert abs(u1 - u2) < 1e-6
+        monkeypatch.setattr(region3, "delta0", delta0_quad)
+        monkeypatch.setattr(region3, "_gap_z2_log_moment",
+                            lambda a, b, c: gap_log_moment_quad(a, b, c, 2))
+        u2 = u_region3(pt, gen_data).u
+        assert abs(u1 - u2) < 1e-11
 
     def test_bounded_oscillation_with_fixed_window(self, gen_data):
         # vary t at a fixed window ratio: phi moves, u stays bounded by the
