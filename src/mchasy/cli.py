@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import io
 import json
@@ -466,7 +467,9 @@ def _run_pq_invariance(args) -> int:
     return 0 if worst < 1e-8 else 2
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(prog="mchasy",
                                  description="transition-zone wave asymptotics")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -490,7 +493,11 @@ def main(argv=None) -> int:
 
     pc = sub.add_parser("check", help="symmetry and invariant report")
     _add_config_arg(pc)
+    return ap
 
+
+def main(argv=None) -> int:
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.cmd == "pii":
         return _run_pii(args)

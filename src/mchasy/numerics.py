@@ -2,7 +2,7 @@
 
 Airy Ai/Ai' (series + asymptotic hybrid), the Jacobi theta series, adaptive
 Gauss-Kronrod quadrature with principal-value and inverse-square-root band
-variants, truncated real-line integrals, and a safeguarded root finder.
+variants, truncated real-line integrals, and a bracketed Newton root finder.
 All quadratures accept complex-valued integrands.
 """
 
@@ -55,18 +55,15 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Period ratio and truncation order for the theta series."""
+    """Period ratio and absolute tail tolerance for the theta series."""
 
     varkappa: complex = 1j
-    truncation: int = 32
     abs_tol: float = 1e-15
 
     def __post_init__(self):
         if not np.imag(self.varkappa) > 0:
             raise DivergentSeriesError(
                 "theta series needs Im(varkappa) > 0, got %r" % (self.varkappa,))
-        if self.truncation < 1:
-            raise DomainError("truncation must be >= 1")
 
 
 class QuadResult(NamedTuple):
@@ -183,43 +180,44 @@ def airy(s: float):
 # Jacobi theta series
 # ----------------------------------------------------------------------
 
-def _theta_truncation(s, params: ThetaParams) -> int:
-    y0 = float(np.imag(params.varkappa))
-    im = float(np.max(np.abs(np.imag(s))))
-    # beyond n*, exp(-pi*y0*n^2 + 2*pi*n*|Im s|) < abs_tol
-    budget = -math.log(max(params.abs_tol, 1e-300)) / math.pi
-    n_star = (im + math.sqrt(im * im + y0 * budget)) / y0
-    return max(params.truncation, int(math.ceil(n_star)) + 4)
-
-
 def jacobi_theta(s, params: ThetaParams, order: int = 0):
     """Theta series sum(exp(2*pi*i*n*s + pi*i*varkappa*n^2), n in Z).
 
-    Truncated symmetric sum over |n| <= N with N auto-enlarged so that the
-    dropped tail is below ``params.abs_tol``; for real s the tail obeys
-    |tail| < 3*|nome|**(N**2) / (1 - |nome|) with nome = exp(pi*i*varkappa).
-    ``order=1`` evaluates the derivative d/ds.  A scalar ``s`` gives a
-    ``complex``, an array a complex array of its shape (one exponential over
-    s x (2N+1) terms, N set by the largest |Im s|).
+    Double precision after reduction into the fundamental strip (DLMF
+    20.2(ii)): s = s0 + m*varkappa + j with m, j integers and |Im s0| <=
+    Im(varkappa)/2, and Theta(s) = F*Theta(s0) with F = exp(-pi*i*m^2*varkappa
+    - 2*pi*i*m*s0).  Theta(s0) sums |n| <= N, N the smallest order whose
+    dropped terms are below ``params.abs_tol`` anywhere in the strip
+    (Deconinck et al. 2004, Math. Comp. 73).  ``order=1`` evaluates the
+    derivative d/ds, F*(Theta'(s0) - 2*pi*i*m*Theta(s0)).  A scalar ``s`` gives
+    a ``complex``, an array a complex array of its shape (one exponential
+    over s x (2N+1) terms).
     """
-    if not np.imag(params.varkappa) > 0:
+    vk = complex(params.varkappa)
+    if not vk.imag > 0:
         raise DivergentSeriesError("Im(varkappa) must be positive")
     if order not in (0, 1):
         raise DomainError("order must be 0 or 1")
-    trunc = _theta_truncation(s, params)
-    n = np.arange(-trunc, trunc + 1, dtype=np.clongdouble)
-    s_l = np.asarray(s, dtype=np.clongdouble)[..., np.newaxis]
-    # extended precision: the quasi-periodicity identities are checked to
-    # 1e-12 absolute on values of size O(10)
-    pi_l = np.longdouble("3.14159265358979323846264338328")
-    arg = 2j * pi_l * n * s_l + 1j * pi_l * np.clongdouble(params.varkappa) * n * n
-    terms = np.exp(arg)
+    s = np.asarray(s, dtype=complex)
+    s = s - np.round(s.real)   # exact: Theta has period 1
+    m = np.round(s.imag / vk.imag)
+    s0, factor = s, 1.0
+    if m.any():
+        s0 = s - m * vk
+        factor = np.exp((-1j * np.pi * m) * (s + s0))   # log F = -pi*i*m*(s + s0)
+        s0 = s0 - np.round(s0.real)
+    # with y0 = Im(varkappa), |Im s0| <= y0/2 bounds |term n| by exp(-pi*y0*(n^2 - |n|)),
+    # which is below abs_tol beyond n* = 1/2 + sqrt(1/4 + budget/y0)
+    budget = -math.log(max(params.abs_tol, 1e-300)) / math.pi
+    big_n = math.ceil(0.5 + math.sqrt(0.25 + budget / vk.imag)) + 1
+    n = np.arange(-big_n, big_n + 1, dtype=float)
+    z = np.exp(np.multiply.outer(2j * np.pi * s0, n))
+    q = np.exp((1j * np.pi * vk) * (n * n))
+    total = z @ q
     if order == 1:
-        terms = terms * (2j * pi_l * n)
-    total = terms.sum(axis=-1)
-    if np.ndim(s) == 0:
-        return complex(total)
-    return total.astype(complex)
+        total = z @ (2j * np.pi * n * q) - (2j * np.pi * m) * total
+    total = factor * total
+    return complex(total) if total.ndim == 0 else total
 
 
 # ----------------------------------------------------------------------
@@ -403,12 +401,14 @@ def quad_pv(f: Callable, c: float, spec: QuadratureSpec = QuadratureSpec(),
 # Root finding
 # ----------------------------------------------------------------------
 
-def find_root(g: Callable, lo: float, hi: float, tol: float = 1e-13,
+def find_root(g: Callable, dg: Callable, lo: float, hi: float, tol: float = 1e-13,
               max_iter: int = 200) -> float:
-    """Safeguarded secant/bisection root of ``g`` on [lo, hi].
+    """Bracketed Newton root of ``g`` on [lo, hi]; ``dg`` is its derivative.
 
-    Requires a sign change; stops when |g(root)| <= tol or the bracket
-    width falls below tol (absolute).
+    Requires a sign change.  A Newton step is taken when it lands strictly
+    inside the current bracket, a bisection otherwise; stops when
+    |g(root)| <= tol or the bracket width or the step falls below tol
+    (absolute).
     """
     glo, ghi = g(lo), g(hi)
     if glo == 0.0:
@@ -417,21 +417,19 @@ def find_root(g: Callable, lo: float, hi: float, tol: float = 1e-13,
         return hi
     if glo * ghi > 0:
         raise BracketError("no sign change on [%r, %r]" % (lo, hi))
-    a, b, ga, gb = lo, hi, glo, ghi
-    x, gx = a, ga
+    a, b, ga = lo, hi, glo
+    x, gx = (lo, glo) if abs(glo) < abs(ghi) else (hi, ghi)
     for _ in range(max_iter):
-        if gb != ga:
-            x_sec = b - gb * (b - a) / (gb - ga)
-        else:
-            x_sec = 0.5 * (a + b)
-        mid = 0.5 * (a + b)
-        # accept the secant step only if it lands safely inside the bracket
-        x = x_sec if (a + 0.01 * (b - a)) < x_sec < (b - 0.01 * (b - a)) else mid
+        d = dg(x)
+        x_new = x - gx / d if d != 0.0 else math.nan   # a flat slope bisects
+        if not a < x_new < b:
+            x_new = 0.5 * (a + b)
+        step, x = abs(x_new - x), x_new
         gx = g(x)
-        if abs(gx) <= tol or (b - a) <= tol:
+        if abs(gx) <= tol or (b - a) <= tol or step <= tol:
             return x
         if ga * gx <= 0:
-            b, gb = x, gx
+            b = x
         else:
             a, ga = x, gx
     if abs(gx) <= 100 * tol or (b - a) <= 100 * tol:

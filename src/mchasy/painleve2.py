@@ -79,25 +79,30 @@ def _solve_bvp_branch(k, s_min, s_max, tol):
     sgn = math.copysign(1.0, k)
     ai_r, aip_r = airy(s_max)
 
-    def bc(ya, yb, k_right):
+    def bc(ya, yb, k_right, q_right):
         return np.array([
             ya[0] - sgn * math.sqrt(-s_min / 2.0),
             yb[0] - k_right * ai_r,
-            yb[2] - _airy_tail_q(k_right, s_max),
+            yb[2] - q_right,
         ])
 
     mesh = np.linspace(s_min, s_max, 801)
+    s_pos = np.maximum(mesh, 0.0)
+    # Ai, Ai' once per distinct node: every node s < 0 shares s_pos = 0
+    nodes, inverse = np.unique(s_pos, return_inverse=True)
+    ai, aip = np.array([airy(s) for s in nodes])[inverse].T
     guess = np.zeros((3, mesh.size))
     guess[0] = sgn * np.sqrt(np.maximum(-mesh, 0.0) / 2.0) \
-        + np.array([abs(k) * airy(min(s, 30.0))[0] if s >= 0 else 0.0 for s in mesh]) * sgn
+        + np.where(mesh >= 0, abs(k) * ai, 0.0) * sgn
     guess[1] = np.gradient(guess[0], mesh)
-    guess[2] = np.array([_airy_tail_q(k, max(s, 0.0)) for s in mesh])
+    guess[2] = k * k * (aip * aip - s_pos * ai * ai)   # _airy_tail_q(k, max(s, 0))
 
     last_err = None
     for k_step in (0.95 * abs(k), abs(k)):
         k_signed = sgn * k_step
+        q_right = _airy_tail_q(k_signed, s_max)
         sol = solve_bvp(lambda s, y: _rhs(s, y),
-                        lambda ya, yb: bc(ya, yb, k_signed),
+                        lambda ya, yb: bc(ya, yb, k_signed, q_right),
                         mesh, guess, tol=min(tol, 1e-10), max_nodes=200000)
         if not sol.status == 0:
             last_err = sol.message

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,30 +59,9 @@ __all__ = [
     "nr7_matrix",
     "nr7_coeffs",
     "u_region3",
-    "geometry_build_count",
-    "reset_geometry_counter",
 ]
 
 _TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=6000)
-
-_counter_lock = threading.Lock()
-_geometry_builds = 0
-
-
-def geometry_build_count() -> int:
-    return _geometry_builds
-
-
-def reset_geometry_counter() -> None:
-    global _geometry_builds
-    with _counter_lock:
-        _geometry_builds = 0
-
-
-def _count_build():
-    global _geometry_builds
-    with _counter_lock:
-        _geometry_builds += 1
 
 
 # ----------------------------------------------------------------------
@@ -237,8 +215,10 @@ def _inv_w_on(a, b, lo, hi) -> float:
 def solve_band(params: ShockParams) -> tuple[float, float]:
     """Solve a^2 + b^2 = 2p/(3q) together with the band-area equation.
 
-    One-parameter bracketed root in a on the closed-form band integral,
-    whose monotonicity in a is spot-checked.
+    One-parameter bracketed Newton root in a on the closed-form band
+    integral, whose monotonicity in a is spot-checked.  Along the circle,
+    dJ_band/da = -a (b^2 - a^2) K_band: the integrand's derivative is
+    -a (b^2 - a^2)/|w| and it vanishes at both ends.
     """
     p, q = params.p, params.q
     a_max = math.sqrt(p / (3.0 * q))
@@ -250,8 +230,13 @@ def solve_band(params: ShockParams) -> tuple[float, float]:
     def area(a):
         return _j_band(a, b_of(a))
 
+    def slope(a):
+        b = b_of(a)
+        return -a * (b - a) * (b + a) * _k_band(a, b)
+
     rhs = params.band_rhs
-    samples = [area(f * a_max) for f in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-9)]
+    ends = [f * a_max for f in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-9)] + [a_max * (1 - 1e-12)]
+    samples = [area(a) for a in ends[:5]]
     attainable = samples[0]
     if any(s1 <= s2 for s1, s2 in zip(samples, samples[1:])):
         raise BranchError("band integral is not decreasing in a: %r" % samples)
@@ -259,13 +244,13 @@ def solve_band(params: ShockParams) -> tuple[float, float]:
         raise WindowError(
             "band equation RHS %.6g outside attainable range (0, %.6g); the "
             "point is not in a valid shock regime for this data" % (rhs, attainable))
-    a = find_root(lambda x: area(x) - rhs, 1e-9 * a_max, a_max * (1 - 1e-12),
-                  tol=1e-15)
+    # the root lies past the last sample above rhs and before the next one
+    i = sum(v > rhs for v in samples) - 1
+    a = find_root(lambda x: area(x) - rhs, slope, ends[i], ends[i + 1], tol=1e-15)
     b = b_of(a)
     resid = abs(area(a) - rhs)
     if resid > 1e-12:
         raise ConvergenceError("band residual %.3g above 1e-12" % resid, best=(a, b))
-    _count_build()
     return a, b
 
 
@@ -609,6 +594,12 @@ def _expansion_terms(geom: ShockGeometry):
     return complex(g_inf), complex(c_inf * f1)
 
 
+# the gate's sample points and the pseudo-inverse of its cubic Laurent design
+_NR7_KS = np.array([1e2, 2e2, 3e2, 5e2, 1e3, 2e3, 5e3, 1e4])
+_NR7_PINV = np.linalg.pinv(np.vstack([np.ones_like(_NR7_KS), 1.0 / _NR7_KS,
+                                      1.0 / _NR7_KS ** 2, 1.0 / _NR7_KS ** 3]).T)
+
+
 def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     """Closed-form 1/k and 1/k^2 coefficients of the (1,2) entry.
 
@@ -624,13 +615,12 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     n2_12 = pref * x_tilde
     # the (1,2) entry of nr7_matrix at each sample k: row-1 theta ratios at
     # -A(k), normalized by the one at A_inf
-    ks = np.array([1e2, 2e2, 3e2, 5e2, 1e3, 2e3, 5e3, 1e4])
+    ks = _NR7_KS
     nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
     kap4 = geom.varkappa / 4
     r = _theta_ratios(geom, np.append(-_abel_axis(geom, ks) - kap4, geom.A_inf - kap4))
     vals = -cmath.exp(1j * geom.phi) * (nu - 1.0 / nu) / 2j * r[:-1] / r[-1]
-    design = np.vstack([np.ones_like(ks), 1.0 / ks, 1.0 / ks ** 2, 1.0 / ks ** 3]).T
-    coef, *_ = np.linalg.lstsq(design, vals * ks, rcond=None)
+    coef = _NR7_PINV @ (vals * ks)
     scale = max(1.0, abs(n1_12))
     if abs(coef[0] - n1_12) > 1e-5 * scale or abs(coef[1] - n2_12) > 1e-5 * max(1.0, abs(n2_12)):
         raise ConventionError(
@@ -642,6 +632,16 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
 # ----------------------------------------------------------------------
 # Wave form
 # ----------------------------------------------------------------------
+
+def _generic_curvature(data: ScatteringData) -> float:
+    """``curvature_at_one`` of data in the generic case |r(+-1)| = 1."""
+    m1, mm1 = abs(data.r(1.0)), abs(data.r(-1.0))
+    if abs(m1 - 1.0) > 1e-10 or abs(mm1 - 1.0) > 1e-10:
+        raise AdmissibilityError(
+            "shock asymptotics need the generic case |r(+-1)| = 1; got %r, %r"
+            % (m1, mm1))
+    return curvature_at_one(data)
+
 
 def u_region3(point: SpaceTimePoint, data: ScatteringData,
               p: float = 1.0, q: float = 1.0,
@@ -656,12 +656,7 @@ def u_region3(point: SpaceTimePoint, data: ScatteringData,
     if classify(point, constants) is not RegionTag.R_III:
         raise RegionError("point (x=%g, t=%g) is not in the shock zone"
                           % (point.x, point.t))
-    m1, mm1 = abs(data.r(1.0)), abs(data.r(-1.0))
-    if abs(m1 - 1.0) > 1e-10 or abs(mm1 - 1.0) > 1e-10:
-        raise AdmissibilityError(
-            "shock asymptotics need the generic case |r(+-1)| = 1; got %r, %r"
-            % (m1, mm1))
-    curv = curvature_at_one(data)
+    curv = data._memo("shock_curvature", lambda: _generic_curvature(data))
     params = ShockParams(p=p, q=q, xi=point.xi, t=point.t,
                          C_R=(q / (12.0 * p)) * curv)
     geom = build_geometry(params, validate=validate)

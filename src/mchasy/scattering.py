@@ -52,6 +52,7 @@ class ReflectionCoefficient:
                 raise AdmissibilityError("|kappa_r| <= 1 required, got %r" % self.kappa_r)
             if self.beta <= 0:
                 raise DomainError("family width beta must be positive")
+            self.z_min = 0.0
         else:
             grid = np.asarray(kw.pop("grid"), dtype=float)
             values = np.asarray(kw.pop("values"), dtype=complex)
@@ -62,6 +63,7 @@ class ReflectionCoefficient:
             if np.any(np.abs(values) > 1 + 1e-12):
                 raise AdmissibilityError("|r| <= 1 violated on the table")
             self.grid = grid
+            self.z_min = grid[0]   # smallest |z| > 0 where r is defined
             self.values = values
             self.tail_rate = float(kw.pop("tail_rate", 1.0))
             if self.tail_rate <= 0:
@@ -90,7 +92,24 @@ class ReflectionCoefficient:
             return complex(self._re(z), self._im(z))
         return complex(self.values[-1]) * math.exp(-self.tail_rate * (z - self.grid[-1]))
 
-    def __call__(self, z: float) -> complex:
+    def _positive_array(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == "family":
+            lg = np.log(x)
+            return self.kappa_r * np.exp(-self.beta * lg * lg) * np.exp(1j * self.alpha * lg)
+        if np.any(x < self.grid[0]):
+            raise DomainError("tabulated r queried below grid start %r" % self.grid[0])
+        tail = self.values[-1] * np.exp(-self.tail_rate * np.maximum(x - self.grid[-1], 0.0))
+        return np.where(x <= self.grid[-1], self._re(x) + 1j * self._im(x), tail)
+
+    def __call__(self, z):
+        """r(z) for a real ``z``; an ndarray ``z`` gives an array of its shape
+        in one evaluation (a float takes the scalar path, faster for one z)."""
+        if isinstance(z, np.ndarray):
+            if not np.all(np.isfinite(z)):
+                raise DomainError("r evaluated at a non-finite point")
+            vals = np.zeros(z.shape, dtype=complex)
+            vals[z != 0] = self._positive_array(np.abs(z[z != 0]))
+            return np.where(z < 0, -vals.conj(), vals)
         z = float(z)
         if not math.isfinite(z):
             raise DomainError("r evaluated at non-finite point %r" % z)
@@ -192,17 +211,19 @@ class SymmetryReport:
 
 
 def check_symmetries(data: ScatteringData, tol: float = 1e-12) -> SymmetryReport:
-    """Sample a fixed grid and report the worst violation of each symmetry."""
+    """Sample a fixed grid and report the worst violation of each symmetry.
+
+    Tabulated grids may not cover the whole probe range: r(z) and r(-z) are
+    compared where z is covered, r(1/z) and |r(z)| where 1/z is too.
+    """
+    r = data.r
     zs = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 2.0, 2 + math.sqrt(3)]])
-    neg = inv = mod = 0.0
-    for z in zs:
-        try:
-            rz = data.r(z)
-            neg = max(neg, abs(data.r(-z) + rz.conjugate()))
-            inv = max(inv, abs(data.r(1.0 / z) - rz.conjugate()))
-            mod = max(mod, abs(rz) - 1.0)
-        except DomainError:
-            continue   # tabulated grids may not cover the whole probe range
+    zs = zs[zs >= r.z_min]
+    rz = r(zs)
+    both = 1.0 / zs >= r.z_min
+    neg = float(np.max(np.abs(r(-zs) + rz.conj()), initial=0.0))
+    inv = float(np.max(np.abs(r(1.0 / zs[both]) - rz[both].conj()), initial=0.0))
+    mod = float(np.max(np.abs(rz[both]) - 1.0, initial=0.0))
     spec_v = {}
     for z in data.spectrum.representatives:
         spec_v["unit circle"] = max(spec_v.get("unit circle", 0.0), abs(abs(z) - 1.0))
@@ -213,14 +234,11 @@ def check_symmetries(data: ScatteringData, tol: float = 1e-12) -> SymmetryReport
     if len(data.spectrum):
         spec_v["separation"] = 0.0 if data.spectrum.varrho() > 0 else 1.0
     # crude integrability probe of log(1-|r|^2) against 1/(1+|z|)
-    total = 0.0
-    for z in np.geomspace(1e-3, 1e3, 200):
-        try:
-            m2 = abs(data.r(z)) ** 2
-        except DomainError:
-            continue
-        total += abs(math.log(max(1.0 - m2, 1e-300))) / (1.0 + z)
-    return SymmetryReport(neg, inv, max(0.0, mod), spec_v, total, tol)
+    zs = np.geomspace(1e-3, 1e3, 200)
+    zs = zs[zs >= r.z_min]
+    m2 = np.abs(r(zs)) ** 2
+    total = float(np.sum(np.abs(np.log(np.maximum(1.0 - m2, 1e-300))) / (1.0 + zs)))
+    return SymmetryReport(neg, inv, mod, spec_v, total, tol)
 
 
 def _pole_guard(data: ScatteringData, z: complex):
@@ -240,7 +258,7 @@ def _log_one_minus_r2(data: ScatteringData):
     r = data.r
     def f(z):
         z = np.asarray(z, dtype=float)
-        vals = np.array([abs(r(zi)) ** 2 for zi in np.atleast_1d(z)])
+        vals = np.abs(r(np.atleast_1d(z))) ** 2
         vals = np.minimum(vals, 1.0 - 1e-300)
         out = np.log1p(-vals)
         return out if z.ndim else out[0]

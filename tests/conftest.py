@@ -4,9 +4,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
                     ScatteringData, SolutionCache, quad)
+from mchasy.errors import DomainError
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, so that a
+# property failure reproduces (replaces hypothesis' built-in "ci" profile,
+# which directories without this conftest, such as bench/, still get)
+settings.register_profile("ci", derandomize=True)
 
 
 def agm(x, y):
@@ -144,6 +151,63 @@ def inv_w_mp(a, b, lo, hi, dps=30):
                 dist[0] * dist[1] * dist[2] * dist[3])
 
         return float(mp.quad(f, [0, mp.pi / 4, mp.pi / 2]))
+
+
+def theta_longdouble(s, params, order=0, truncation=32):
+    """Theta series summed directly in long double over |n| <= N, N at least
+    ``truncation`` and enlarged until the dropped tail at the largest |Im s|
+    is below ``params.abs_tol``; no strip reduction."""
+    y0 = float(np.imag(params.varkappa))
+    im = float(np.max(np.abs(np.imag(s))))
+    budget = -math.log(params.abs_tol) / math.pi
+    trunc = max(truncation, int(math.ceil((im + math.sqrt(im * im + y0 * budget)) / y0)) + 4)
+    n = np.arange(-trunc, trunc + 1, dtype=np.clongdouble)
+    s_l = np.asarray(s, dtype=np.clongdouble)[..., np.newaxis]
+    arg = 2j * _PI_L * n * s_l + 1j * _PI_L * np.clongdouble(params.varkappa) * n * n
+    terms = np.exp(arg)
+    if order == 1:
+        terms = terms * (2j * _PI_L * n)
+    total = terms.sum(axis=-1)
+    return complex(total) if np.ndim(s) == 0 else total.astype(complex)
+
+
+def secant_root(g, lo, hi, tol=1e-13, max_iter=200):
+    """Safeguarded secant/bisection root of g on a sign-changing [lo, hi]."""
+    a, b, ga, gb = lo, hi, g(lo), g(hi)
+    for _ in range(max_iter):
+        x_sec = b - gb * (b - a) / (gb - ga) if gb != ga else 0.5 * (a + b)
+        x = x_sec if (a + 0.01 * (b - a)) < x_sec < (b - 0.01 * (b - a)) else 0.5 * (a + b)
+        gx = g(x)
+        if abs(gx) <= tol or (b - a) <= tol:
+            return x
+        if ga * gx <= 0:
+            b, gb = x, gx
+        else:
+            a, ga = x, gx
+    return x
+
+
+def symmetry_loop(r):
+    """(negation, inversion, modulus excess, integrability) of
+    ``check_symmetries`` from scalar r calls, skipping a probe at the first
+    ``DomainError`` as a try/except per probe does."""
+    neg = inv = mod = 0.0
+    for z in np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 2.0, 2 + math.sqrt(3)]]):
+        try:
+            rz = r(z)
+            neg = max(neg, abs(r(-z) + rz.conjugate()))
+            inv = max(inv, abs(r(1.0 / z) - rz.conjugate()))
+            mod = max(mod, abs(rz) - 1.0)
+        except DomainError:
+            continue
+    total = 0.0
+    for z in np.geomspace(1e-3, 1e3, 200):
+        try:
+            m2 = abs(r(z)) ** 2
+        except DomainError:
+            continue
+        total += abs(math.log(max(1.0 - m2, 1e-300))) / (1.0 + z)
+    return neg, inv, max(0.0, mod), total
 
 
 def richardson_derivative(f, x, h=1e-3):

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -123,10 +124,10 @@ class TestScan:
         assert all(r["region"] == "outside" and r["u"] is None for r in rows)
 
     def test_laziness_no_shock_geometry(self):
-        region3.reset_geometry_counter()
         cfg = parse_config(R1_SCAN.format(path="-", fmt="csv"))
-        run_scan(cfg)
-        assert region3.geometry_build_count() == 0
+        with mock.patch.object(region3, "solve_band", wraps=region3.solve_band) as band:
+            run_scan(cfg)
+        assert band.call_count == 0
 
     def test_deterministic_rows(self):
         cfg = parse_config(R1_SCAN.format(path="-", fmt="csv"))
@@ -210,6 +211,14 @@ class TestWrite:
 
 
 class TestMain:
+    def test_parser_built_once(self, tmp_path):
+        assert cli._parser() is cli._parser()
+        with pytest.raises(SystemExit):
+            main(["region9"])
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(R1_SCAN.format(path=tmp_path / "out.csv", fmt="csv"))
+        assert main(["check", "--config", str(cfg_path)]) == 0   # parses after an error
+
     def test_region1_end_to_end_deterministic(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
         out = tmp_path / "out.csv"

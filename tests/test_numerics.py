@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mchasy import (QuadratureSpec, ThetaParams, airy, find_root, jacobi_theta,
@@ -12,7 +12,7 @@ from mchasy.errors import (BracketError, DivergentSeriesError, DomainError,
                            RangeError)
 from mchasy.numerics import quad_real_line
 
-from conftest import ellipk, richardson_derivative
+from conftest import ellipk, richardson_derivative, theta_longdouble
 
 
 class TestAiry:
@@ -22,7 +22,8 @@ class TestAiry:
         assert aip == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3), abs=1e-15)
 
     def test_root_by_bisection_on_series(self):
-        root = find_root(lambda s: airy(s)[0], -2.5, -2.0, tol=1e-14)
+        root = find_root(lambda s: airy(s)[0], lambda s: airy(s)[1], -2.5, -2.0,
+                         tol=1e-14)
         assert root == pytest.approx(-2.338107410459767, abs=1e-10)
 
     def test_absolute_accuracy_against_scipy(self):
@@ -105,6 +106,22 @@ class TestJacobiTheta:
         assert type(jacobi_theta(complex(s[0, 0]), params, order=order)) is complex
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1, 1), st.floats(0.3, 5), st.floats(-2, 2), st.floats(-3, 3),
+           st.sampled_from([0, 1]))
+    @example(0.0, 1.0, 1.5, 2.5, 0)    # a zero, 2.5 periods off the axis
+    def test_strip_reduction_matches_long_double(self, vk_re, vk_im, s_re, frac, order):
+        # |Theta| along Im s = y is at most the envelope exp(pi y^2/Im varkappa),
+        # and near a zero the rounding of s itself is of that size, so the
+        # error is measured against |Theta(0)| times it (1 on the real axis)
+        params = ThetaParams(varkappa=complex(vk_re, vk_im))
+        s = complex(s_re, frac * vk_im)
+        want = theta_longdouble(s, params, order)
+        envelope = math.exp(math.pi * s.imag ** 2 / vk_im)
+        scale = max(abs(want), abs(theta_longdouble(0.0, params)) * envelope)
+        assert abs(jacobi_theta(s, params, order) - want) <= 1e-13 * scale
+
+
 class TestQuad:
     def test_constant(self):
         assert quad(lambda x: np.ones_like(x), 0.0, 1.0).value == pytest.approx(1.0, abs=1e-14)
@@ -174,23 +191,30 @@ class TestRealLine:
 
 class TestFindRoot:
     def test_linear(self):
-        assert find_root(lambda x: x - 1, 0.0, 2.0) == pytest.approx(1.0, abs=1e-13)
+        assert find_root(lambda x: x - 1, lambda x: 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_sqrt2(self):
-        assert find_root(lambda x: x * x - 2, 1.0, 2.0, tol=1e-15) == \
+        assert find_root(lambda x: x * x - 2, lambda x: 2 * x, 1.0, 2.0, tol=1e-15) == \
             pytest.approx(math.sqrt(2), abs=1e-14)
 
     def test_cos(self):
-        assert find_root(lambda x: math.cos(x), 1.0, 2.0, tol=1e-14) == \
+        assert find_root(math.cos, lambda x: -math.sin(x), 1.0, 2.0, tol=1e-14) == \
             pytest.approx(math.pi / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("g, dg, hi, root", [
+        (math.atan, lambda x: 1 / (1 + x * x), 30.0, 0.0),    # Newton steps leave the bracket
+        (lambda x: x ** 3 + 8, lambda x: 3 * x * x, 0.0, -2.0),  # flat slope at the start
+    ])
+    def test_bisects_when_newton_fails(self, g, dg, hi, root):
+        assert find_root(g, dg, -20.0, hi, tol=1e-14) == pytest.approx(root, abs=1e-13)
 
     def test_bracket_error(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1, -1.0, 1.0)
+            find_root(lambda x: x * x + 1, lambda x: 2 * x, -1.0, 1.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-5, 5), st.floats(0.1, 3))
     def test_recovers_planted_root(self, r, w):
         got = find_root(lambda x: (x - r) * (1 + 0.1 * (x - r) ** 2),
-                        r - w, r + w, tol=1e-13)
+                        lambda x: 1 + 0.3 * (x - r) ** 2, r - w, r + w, tol=1e-13)
         assert abs(got - r) < 1e-9

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
 from conftest import (axis_inv_w_quad, band_quad, delta0_quad, ellipk,
                       gap_log_moment_mp, gap_log_moment_quad, inv_w_mp,
                       j_band_quad, j_gap_quad, k_band_mp, k_band_quad,
-                      k_gap_quad, richardson_limit)
+                      k_gap_quad, richardson_limit, secant_root)
 
 CBRT3 = 3.0 ** (1 / 3)
 T0 = 1e6
@@ -89,6 +90,22 @@ class TestSolveBand:
         bad = ShockParams(p=1.0, q=1.0, xi=-10.0, t=2.0, C_R=1.0)
         with pytest.raises(WindowError):
             solve_band(bad)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(4.0, 10.0), st.floats(2.95, 5.7))
+    @example(4.0, 2.95)
+    @example(10.0, 5.7)
+    def test_newton_matches_secant_root(self, log_t, w):
+        t = 10.0 ** log_t
+        params = ShockParams(p=1.0, q=1.0, xi=2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3),
+                             t=t, C_R=1.0)
+        with mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
+            a, b = solve_band(params)
+        assert counted.call_count <= 15
+        a_max, rhs = math.sqrt(1 / 3), params.band_rhs
+        want = secant_root(lambda x: _j_band(x, math.sqrt(2 / 3 - x * x)) - rhs,
+                           1e-9 * a_max, a_max * (1 - 1e-12), tol=1e-15)
+        assert abs(a - want) <= 1e-14
 
     def test_pq_covariance(self, geom):
         t, xi = T0, XI0
@@ -439,6 +456,21 @@ class TestURegion3:
         pt = SpaceTimePoint(XI0 * T0, T0)
         with pytest.raises(AdmissibilityError):
             u_region3(pt, family_half)
+
+    def test_data_checks_once_per_data(self, monkeypatch):
+        # |r(+-1)| = 1 and the curvature at 1 depend on the data alone
+        data = ScatteringData(ReflectionCoefficient.family(-1.0, 0.0, 0.5))
+        calls = []
+        real = region3.curvature_at_one
+        monkeypatch.setattr(region3, "curvature_at_one", lambda d: calls.append(d) or real(d))
+        for t in (T0, 2 * T0):
+            xi = 2 - 3 * CBRT3 * math.log(t) ** (2 / 3) * t ** (-2 / 3)
+            u_region3(SpaceTimePoint(xi * t, t), data)
+        assert len(calls) == 1
+        nongeneric = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 1.0))
+        for _ in range(2):
+            with pytest.raises(AdmissibilityError):
+                u_region3(SpaceTimePoint(XI0 * T0, T0), nongeneric)
 
     def test_pq_invariance(self, gen_data):
         pt = SpaceTimePoint(XI0 * T0, T0)

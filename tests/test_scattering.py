@@ -10,6 +10,8 @@ from mchasy import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
                     check_symmetries, eval_r, log_T_i, t_function, t_i_and_t1)
 from mchasy.errors import DomainError, PoleError
 
+from conftest import symmetry_loop
+
 SQ3 = math.sqrt(3.0)
 
 
@@ -52,7 +54,66 @@ class TestEvalR:
             r(0.1)
 
 
+def _table(lo=0.5, hi=4.0, n=30, tail_rate=1.5):
+    grid = np.geomspace(lo, hi, n)
+    vals = 0.3 * np.exp(-np.log(grid) ** 2) * np.exp(0.4j * grid)
+    return ReflectionCoefficient.tabulated(grid, vals, tail_rate=tail_rate)
+
+
+_SIGNED = st.tuples(st.floats(0.5, 12), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+class TestArrayR:
+    """An ndarray argument is evaluated at once and equals the scalar path."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-1, 1), st.floats(-3, 3), st.floats(0.05, 4),
+           st.lists(st.floats(-50, 50), min_size=1, max_size=12))
+    def test_family_matches_scalar(self, kappa, alpha, beta, zs):
+        r = ReflectionCoefficient.family(kappa, alpha, beta)
+        z = np.array(zs + [0.0, -1.0, 1.0])
+        got = r(z)
+        assert got.shape == z.shape and got.dtype == complex
+        assert np.abs(got - [r(float(v)) for v in z]).max() <= 1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_SIGNED, min_size=1, max_size=12))
+    def test_tabulated_matches_scalar(self, zs):
+        r = _table()
+        # 0, both grid ends, past the end (the exponential tail) and z < 0
+        z = np.array(zs + [0.0, 0.5, -0.5, 4.0, 4.5, -9.0])
+        assert np.abs(r(z) - [r(float(v)) for v in z]).max() <= 1e-15
+
+    def test_shape_kept(self):
+        z = np.linspace(-3, 3, 12).reshape(3, 4)
+        got = ReflectionCoefficient.family(0.5, 1.0, 0.5)(z)
+        assert got.shape == (3, 4) and got[1, 2] == ReflectionCoefficient.family(
+            0.5, 1.0, 0.5)(z[1, 2])
+
+    def test_domain_errors(self):
+        r = _table()
+        with pytest.raises(DomainError):
+            r(np.array([2.0, -0.1, 3.0]))    # |z| below the grid start, as r(-0.1)
+        with pytest.raises(DomainError):
+            ReflectionCoefficient.family(0.5)(np.array([1.0, np.inf]))
+
+
 class TestCheckSymmetries:
+    @pytest.mark.parametrize("r", [
+        ReflectionCoefficient.family(0.5, 0.0, 1.0),
+        ReflectionCoefficient.family(-1.0, 0.7, 0.05),
+        _table(0.01, 100.0, 200),     # covers every probe
+        _table(0.1, 4.0, 40),         # probes below 0.1 and past 10 lose r(1/z)
+        _table(0.2, 30.0, 50, tail_rate=0.3),
+    ])
+    def test_matches_scalar_loop(self, r):
+        report = check_symmetries(ScatteringData(r), tol=1e-12)
+        neg, inv, mod, total = symmetry_loop(r)
+        assert report.max_negation_violation == pytest.approx(neg, rel=1e-12, abs=1e-16)
+        assert report.max_inversion_violation == pytest.approx(inv, rel=1e-12, abs=1e-16)
+        assert report.max_modulus_excess == pytest.approx(mod, rel=1e-12, abs=1e-16)
+        assert report.log_integrability == pytest.approx(total, rel=1e-12)
+
     def test_family_passes_to_machine(self):
         for kappa, alpha, beta in ((0.5, 0.0, 1.0), (-1.0, 0.0, 0.5), (0.9, 2.0, 0.2)):
             data = ScatteringData(ReflectionCoefficient.family(kappa, alpha, beta))
