@@ -79,17 +79,24 @@ class RunConfig:
     tolerances: dict
     output: dict
     warnings: list = field(default_factory=list)
+    _data: ScatteringData | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def data(self) -> ScatteringData:
-        sc = self.scattering
-        if sc.get("table_path"):
-            import numpy as np
-            raw = np.loadtxt(sc["table_path"], delimiter=",", dtype=float)
-            r = ReflectionCoefficient.tabulated(raw[:, 0], raw[:, 1] + 1j * raw[:, 2],
-                                                tail_rate=sc.get("tail_rate", 1.0))
-        else:
-            r = ReflectionCoefficient.family(sc["kappa_r"], sc["alpha"], sc["beta"])
-        return ScatteringData(r, DiscreteSpectrum(sc["spectrum"]))
+        """The scattering data, built on the first call and shared after, so
+        the checks of ``parse_config`` and the scan use one object (and its
+        memo)."""
+        if self._data is None:
+            sc = self.scattering
+            if sc.get("table_path"):
+                import numpy as np
+                raw = np.loadtxt(sc["table_path"], delimiter=",", dtype=float)
+                r = ReflectionCoefficient.tabulated(raw[:, 0], raw[:, 1] + 1j * raw[:, 2],
+                                                    tail_rate=sc.get("tail_rate", 1.0))
+            else:
+                r = ReflectionCoefficient.family(sc["kappa_r"], sc["alpha"], sc["beta"])
+            self._data = ScatteringData(r, DiscreteSpectrum(sc["spectrum"]))
+        return self._data
 
     def constants(self) -> RegionConstants:
         return RegionConstants(self.regions["c1"], self.regions["c2"],

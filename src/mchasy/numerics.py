@@ -1,6 +1,6 @@
 """Shared numerical kernels.
 
-Airy Ai/Ai' (series + asymptotic hybrid), the Jacobi theta series, adaptive
+Airy Ai/Ai' (Cephes, through scipy), the Jacobi theta series, adaptive
 Gauss-Kronrod quadrature with principal-value and inverse-square-root band
 variants, truncated real-line integrals, and a bracketed Newton root finder.
 All quadratures accept complex-valued integrands.
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import airy as _sp_airy
 
 from .errors import (
     BracketError,
@@ -81,99 +82,27 @@ class QuadResult(NamedTuple):
 # Airy functions
 # ----------------------------------------------------------------------
 
-_AI0 = np.longdouble("0.3550280538878172392600631860")    # 3^(-2/3)/Gamma(2/3)
-_AIP0 = np.longdouble("-0.2588194037928067984051835601")  # -3^(-1/3)/Gamma(1/3)
-# Overlap-validated switch points.  The positive side leaves the series early:
-# c1*f and c2*g both grow like exp(zeta) there while Ai decays, so the series
-# loses ~zeta/ln(10) digits to cancellation.
-_SERIES_SWITCH_POS = 6.0
-_SERIES_SWITCH_NEG = -9.0
 _AIRY_RANGE = 30.0
 
 
-def _airy_series(s: float):
-    # Maclaurin solutions of y'' = s*y: f(0)=1,f'(0)=0 and g(0)=0,g'(0)=1.
-    # Extended precision: partial sums reach ~3e6 at |s|=9 while the result
-    # is O(1), so double alone cannot hold 1e-12 absolute.
-    x = np.longdouble(s)
-    x3 = x * x * x
-    f_term = np.longdouble(1.0)
-    g_term = x
-    f_sum, g_sum = f_term, g_term
-    fp_sum = np.longdouble(0.0)
-    gp_sum = np.longdouble(1.0)
-    for k in range(80):
-        f_term = f_term * x3 / ((3 * k + 2) * (3 * k + 3))
-        g_term = g_term * x3 / ((3 * k + 3) * (3 * k + 4))
-        f_sum += f_term
-        g_sum += g_term
-        if x != 0.0:
-            fp_sum += (3 * (k + 1)) * f_term / x
-            gp_sum += (3 * (k + 1) + 1) * g_term / x
-        if abs(f_term) < 1e-26 * abs(f_sum) and abs(g_term) < 1e-26 * (abs(g_sum) + 1):
-            break
-    ai = _AI0 * f_sum + _AIP0 * g_sum
-    aip = _AI0 * fp_sum + _AIP0 * gp_sum
-    return float(ai), float(aip)
+def airy(s):
+    """Return (Ai(s), Ai'(s)) for |s| <= 30 (Cephes, through scipy).
 
-
-def _uv_coeffs(nmax=40):
-    u = [1.0]
-    v = [1.0]
-    for k in range(1, nmax):
-        u.append(u[-1] * (6 * k - 5) * (6 * k - 1) / (72.0 * k))
-        v.append(u[-1] * (6 * k + 1) / (1.0 - 6 * k))
-    return np.array(u), np.array(v)
-
-
-_U_COEF, _V_COEF = _uv_coeffs()
-
-
-def _asym_sum(coef, zeta, alternate):
-    # optimal truncation: stop before terms grow
-    total = 0.0
-    prev = math.inf
-    for k, c in enumerate(coef):
-        term = c / zeta ** k
-        if abs(term) > prev:
-            break
-        total += (-1.0) ** k * term if alternate else term
-        prev = abs(term)
-    return total
-
-
-def _airy_asymptotic_pos(s: float):
-    zeta = (2.0 / 3.0) * s ** 1.5
-    pre = math.exp(-zeta) / (2.0 * math.sqrt(math.pi) * s ** 0.25)
-    ai = pre * _asym_sum(_U_COEF, zeta, alternate=True)
-    aip = -(s ** 0.25) * math.exp(-zeta) / (2.0 * math.sqrt(math.pi)) \
-        * _asym_sum(_V_COEF, zeta, alternate=True)
+    Against 40-digit mpmath on [-30, 30] the absolute error is below 1e-13,
+    and on s >= 0, where Ai decays, the relative error is below 1e-12.  A
+    scalar ``s`` gives two floats, an ndarray two arrays of its shape.
+    """
+    if not isinstance(s, np.ndarray):
+        s = float(s)
+        if not math.isfinite(s) or abs(s) > _AIRY_RANGE:
+            raise RangeError("airy accuracy range is |s| <= %g, got %r" % (_AIRY_RANGE, s))
+        ai, aip, _bi, _bip = _sp_airy(s)
+        return float(ai), float(aip)
+    if not np.all(np.abs(s) <= _AIRY_RANGE):   # also catches NaN
+        raise RangeError("airy accuracy range is |s| <= %g, got values outside it"
+                         % _AIRY_RANGE)
+    ai, aip, _bi, _bip = _sp_airy(s)
     return ai, aip
-
-
-def _airy_asymptotic_neg(s: float):
-    x = -s
-    zeta = (2.0 / 3.0) * x ** 1.5
-    w = zeta - math.pi / 4.0
-    even_u = _asym_sum(_U_COEF[0::2], zeta * zeta, alternate=True)
-    odd_u = _asym_sum(_U_COEF[1::2], zeta * zeta, alternate=True) / zeta
-    even_v = _asym_sum(_V_COEF[0::2], zeta * zeta, alternate=True)
-    odd_v = _asym_sum(_V_COEF[1::2], zeta * zeta, alternate=True) / zeta
-    ai = (math.cos(w) * even_u + math.sin(w) * odd_u) / (math.sqrt(math.pi) * x ** 0.25)
-    aip = (x ** 0.25 / math.sqrt(math.pi)) * (math.sin(w) * even_v - math.cos(w) * odd_v)
-    return ai, aip
-
-
-def airy(s: float):
-    """Return (Ai(s), Ai'(s)) to 1e-12 absolute accuracy for |s| <= 30."""
-    s = float(s)
-    if not math.isfinite(s) or abs(s) > _AIRY_RANGE:
-        raise RangeError("airy accuracy range is |s| <= %g, got %r" % (_AIRY_RANGE, s))
-    if _SERIES_SWITCH_NEG <= s <= _SERIES_SWITCH_POS:
-        return _airy_series(s)
-    if s > 0:
-        return _airy_asymptotic_pos(s)
-    return _airy_asymptotic_neg(s)
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,15 @@
 
 Ablowitz-Segur range |k| < 1 is integrated backward from the Airy data; the
 Hastings-McLeod edge k = +-1 is a separatrix and is solved as a two-point
-boundary value problem with continuation in k.  Solutions carry dense output
-for (v, v', Q) with Q(s) the tail integral of v^2.
+boundary value problem from an Airy/square-root guess.  Solutions carry
+dense output for (v, v', Q) with Q(s) the tail integral of v^2.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_bvp, solve_ivp
@@ -32,10 +32,11 @@ _S_MIN_HARD = -12.0
 _S_MAX_REQ = 8.0
 
 
-def _airy_tail_q(k: float, s: float) -> float:
-    # int_s^inf Ai^2 = Ai'(s)^2 - s*Ai(s)^2
+def _airy_data(k, s):
+    """(v, v', Q) of v = k*Ai at s, scalar or array: Q(s) = int_s^inf v^2
+    = k^2 (Ai'(s)^2 - s*Ai(s)^2)."""
     ai, aip = airy(s)
-    return k * k * (aip * aip - s * ai * ai)
+    return k * ai, k * aip, k * k * (aip * aip - s * ai * ai)
 
 
 @dataclass(frozen=True)
@@ -55,20 +56,24 @@ class PIISolution:
 
 def _rhs(s, y):
     v, vp, _q = y
-    return np.vstack((vp, s * v + 2.0 * v ** 3, -v * v)) if y.ndim == 2 \
-        else np.array([vp, s * v + 2.0 * v ** 3, -v * v])
+    return np.vstack((vp, s * v + 2.0 * v ** 3, -v * v))
+
+
+def _rhs_scalar(s, y):
+    # solve_ivp calls one point at a time: Python floats beat array arithmetic
+    v, vp, _q = y.tolist()
+    return [vp, s * v + 2.0 * v ** 3, -v * v]
 
 
 def _solve_ivp_branch(k, s_min, s_max, tol):
-    ai, aip = airy(s_max)
-    y0 = np.array([k * ai, k * aip, _airy_tail_q(k, s_max)])
+    y0 = np.array(_airy_data(k, s_max))
     # atol must sit far below the tiny Airy data at s_max, else the quiet
     # start is resolved only in absolute terms and the relative accuracy of
     # the s > 0 wing is lost; rtol sits a notch below the requested tol so
     # the dense output stays within it
     rtol = max(min(0.1 * tol, 1e-10), 1e-13)
-    atol = max(abs(k) * ai, 1e-30) * rtol * 1e-2
-    sol = solve_ivp(lambda s, y: _rhs(s, y), (s_max, s_min), y0, method="DOP853",
+    atol = max(abs(y0[0]), 1e-30) * rtol * 1e-2
+    sol = solve_ivp(_rhs_scalar, (s_max, s_min), y0, method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise ConvergenceError("Painleve II integration failed: %s" % sol.message)
@@ -77,40 +82,32 @@ def _solve_ivp_branch(k, s_min, s_max, tol):
 
 def _solve_bvp_branch(k, s_min, s_max, tol):
     sgn = math.copysign(1.0, k)
-    ai_r, aip_r = airy(s_max)
+    v_right, _vp_right, q_right = _airy_data(k, s_max)
 
-    def bc(ya, yb, k_right, q_right):
+    def bc(ya, yb):
         return np.array([
             ya[0] - sgn * math.sqrt(-s_min / 2.0),
-            yb[0] - k_right * ai_r,
+            yb[0] - v_right,
             yb[2] - q_right,
         ])
 
     mesh = np.linspace(s_min, s_max, 801)
-    s_pos = np.maximum(mesh, 0.0)
-    # Ai, Ai' once per distinct node: every node s < 0 shares s_pos = 0
-    nodes, inverse = np.unique(s_pos, return_inverse=True)
-    ai, aip = np.array([airy(s) for s in nodes])[inverse].T
+    v_pos, _vp_pos, q_pos = _airy_data(abs(k), np.maximum(mesh, 0.0))
     guess = np.zeros((3, mesh.size))
     guess[0] = sgn * np.sqrt(np.maximum(-mesh, 0.0) / 2.0) \
-        + np.where(mesh >= 0, abs(k) * ai, 0.0) * sgn
+        + np.where(mesh >= 0, v_pos, 0.0) * sgn
     guess[1] = np.gradient(guess[0], mesh)
-    guess[2] = k * k * (aip * aip - s_pos * ai * ai)   # _airy_tail_q(k, max(s, 0))
-
-    last_err = None
-    for k_step in (0.95 * abs(k), abs(k)):
-        k_signed = sgn * k_step
-        q_right = _airy_tail_q(k_signed, s_max)
-        sol = solve_bvp(lambda s, y: _rhs(s, y),
-                        lambda ya, yb: bc(ya, yb, k_signed, q_right),
-                        mesh, guess, tol=min(tol, 1e-10), max_nodes=200000)
-        if not sol.status == 0:
-            last_err = sol.message
-            continue
-        mesh, guess = sol.x, sol.y
-    if last_err is not None and sol.status != 0:
-        raise ConvergenceError("Hastings-McLeod BVP failed: %s" % last_err)
+    guess[2] = q_pos
+    sol = solve_bvp(_rhs, bc, mesh, guess, tol=min(tol, 1e-10), max_nodes=200000)
+    if sol.status != 0:
+        raise ConvergenceError("Hastings-McLeod BVP failed: %s" % sol.message)
     return sol.sol
+
+
+def s_min_for(s: float) -> float:
+    """Left end of the solution domain a lookup at s asks for: -10, or half a
+    unit below s when s is deeper, never below ``_S_MIN_HARD``."""
+    return -10.0 if s >= -10.0 else max(_S_MIN_HARD, s - 0.5)
 
 
 def solve_pii(k: float, s_min: float = -10.0, s_max: float = 10.0,
@@ -144,10 +141,8 @@ def eval_pii(sol: PIISolution, s: float):
     if s > sol.s_max:
         if s > 30.0:
             return 0.0, 0.0, 0.0
-        ai, aip = airy(s)
-        return sol.k * ai, sol.k * aip, _airy_tail_q(sol.k, s)
-    v, vp, q = (float(c) for c in sol._dense(s))
-    return v, vp, q
+        return _airy_data(sol.k, s)
+    return tuple(sol._dense(s).tolist())
 
 
 def parametrix_m1(sol: PIISolution, s: float) -> np.ndarray:
@@ -165,7 +160,17 @@ def parametrix_m2(sol: PIISolution, s: float) -> np.ndarray:
 
 
 class SolutionCache:
-    """Thread-safe memo of PIISolution keyed by (k, domain, tol)."""
+    """Thread-safe memo of PIISolution keyed by (k, domain, tol).
+
+    Ablowitz-Segur solutions (|k| <= ``_BVP_EDGE``) nest: backward
+    integration from s_max takes the same steps whatever s_min is, and only
+    the last, clipped step differs.  So each (k, s_max, tol) is integrated
+    once, down to ``_S_MIN_HARD``, and every s_min gets a PIISolution that
+    shares that dense output but keeps its own s_min, below which
+    ``eval_pii`` still raises.  Hastings-McLeod solutions do not nest: the
+    BVP puts its left boundary condition at s_min, so they are solved per
+    s_min.
+    """
 
     def __init__(self):
         self._store = {}
@@ -178,6 +183,16 @@ class SolutionCache:
             sol = self._store.get(key)
         if sol is not None:
             return sol
-        sol = solve_pii(k, s_min, s_max, tol)
+        if abs(k) <= _BVP_EDGE and s_min > _S_MIN_HARD:
+            floor_key = (key[0], _S_MIN_HARD, s_max, tol)
+            with self._lock:
+                floor = self._store.get(floor_key)
+            if floor is None:
+                floor = solve_pii(k, _S_MIN_HARD, s_max, tol)
+                with self._lock:
+                    floor = self._store.setdefault(floor_key, floor)
+            sol = replace(floor, s_min=s_min)
+        else:
+            sol = solve_pii(k, s_min, s_max, tol)
         with self._lock:
             return self._store.setdefault(key, sol)

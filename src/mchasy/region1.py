@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import RealityError, RegionError
-from .painleve2 import SolutionCache, eval_pii
+from .painleve2 import SolutionCache, eval_pii, s_min_for
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
 from .scattering import ScatteringData, eval_r, log_T_i
 
@@ -30,11 +30,20 @@ class AsymptoticValue:
             raise RealityError("error order must be negative when quantified")
 
 
-def _airy_multiplier(data: ScatteringData) -> float:
+def _pii_at(point: SpaceTimePoint, data: ScatteringData,
+            sol_cache: SolutionCache | None, constants: RegionConstants, tol: float):
+    """(s, k, v, v', Q) of the zone-I transcendent, matched to k*Ai with
+    k = r(1), at the point's s."""
+    if classify(point, constants) is not RegionTag.R_I:
+        raise RegionError("point (x=%g, t=%g) is not in the first zone"
+                          % (point.x, point.t))
     k = eval_r(data, 1.0)
     if abs(k.imag) > 1e-12:
         raise RealityError("r(1) must be real, got %r" % k)
-    return k.real
+    cache = sol_cache if sol_cache is not None else SolutionCache()
+    s = scaled_s(point, RegionTag.R_I)
+    sol = cache.get(k.real, s_min=s_min_for(s), tol=tol)
+    return (s, k.real) + eval_pii(sol, s)
 
 
 def u_region1(point: SpaceTimePoint, data: ScatteringData,
@@ -43,15 +52,7 @@ def u_region1(point: SpaceTimePoint, data: ScatteringData,
               tol: float = 1e-10) -> AsymptoticValue:
     """u = 1 - (81/2)^(1/3) t^(-2/3) v'(s) with v the Painleve II
     transcendent matched to r(1)*Ai."""
-    if classify(point, constants) is not RegionTag.R_I:
-        raise RegionError("point (x=%g, t=%g) is not in the first zone"
-                          % (point.x, point.t))
-    cache = sol_cache if sol_cache is not None else SolutionCache()
-    k = _airy_multiplier(data)
-    s = scaled_s(point, RegionTag.R_I)
-    s_min = -10.0 if s >= -10.0 else max(-12.0, s - 0.5)
-    sol = cache.get(k, s_min=s_min, tol=tol)
-    v, vp, q = eval_pii(sol, s)
+    s, k, v, vp, q = _pii_at(point, data, sol_cache, constants, tol)
     u = 1.0 - _AMPL * point.t ** (-2.0 / 3.0) * vp
     return AsymptoticValue(u, RegionTag.R_I, _ERROR_ORDER,
                            {"s": s, "k": k, "v": v, "v_prime": vp, "Q": q})
@@ -67,13 +68,6 @@ def x_minus_y_region1(point: SpaceTimePoint, data: ScatteringData,
     variable of the spectral frame is replaced by s, which preserves the
     reported error order.
     """
-    if classify(point, constants) is not RegionTag.R_I:
-        raise RegionError("point (x=%g, t=%g) is not in the first zone"
-                          % (point.x, point.t))
-    cache = sol_cache if sol_cache is not None else SolutionCache()
-    k = _airy_multiplier(data)
-    s = scaled_s(point, RegionTag.R_I)
-    sol = cache.get(k, s_min=-10.0 if s >= -10.0 else max(-12.0, s - 0.5), tol=tol)
-    v, _vp, q = eval_pii(sol, s)
+    _s, _k, v, _vp, q = _pii_at(point, data, sol_cache, constants, tol)
     return -2.0 * log_T_i(data, "no-integral") \
         - point.t ** (-1.0 / 3.0) * 36.0 ** (-1.0 / 3.0) * (v + q)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, RealityError, RegionError
 from .numerics import QuadratureSpec, quad_pv
-from .painleve2 import SolutionCache, eval_pii
+from .painleve2 import SolutionCache, eval_pii, s_min_for
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
 from .region1 import AsymptoticValue
 from .scattering import ScatteringData, _log_one_minus_r2, eval_r, log_T_i, t_i_and_t1
@@ -142,8 +142,7 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
     if consts is None:
         consts = region2_constants(data, spec)
     cache = sol_cache if sol_cache is not None else SolutionCache()
-    sol = cache.get(consts.k_ampl,
-                    s_min=-10.0 if s >= -10.0 else max(-12.0, s - 0.5), tol=tol)
+    sol = cache.get(consts.k_ampl, s_min=s_min_for(s), tol=tol)
     v, vp, q = eval_pii(sol, s)
     f = f_II(s, point.t, consts)
     u = 1.0 + 3.0 ** (-2.0 / 3.0) * point.t ** (-1.0 / 3.0) * f * v

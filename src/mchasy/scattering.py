@@ -259,7 +259,7 @@ def _log_one_minus_r2(data: ScatteringData):
     def f(z):
         z = np.asarray(z, dtype=float)
         vals = np.abs(r(np.atleast_1d(z))) ** 2
-        vals = np.minimum(vals, 1.0 - 1e-300)
+        vals = np.minimum(vals, np.nextafter(1.0, 0.0))
         out = np.log1p(-vals)
         return out if z.ndim else out[0]
     return f

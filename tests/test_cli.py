@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from mchasy import cli, region3
+from mchasy import cli, painleve2, region3
 from mchasy.cli import (RunConfig, emit_config, main, parse_config, run_scan,
                         write_output)
 from mchasy.errors import ConfigError
@@ -128,6 +128,30 @@ class TestScan:
         with mock.patch.object(region3, "solve_band", wraps=region3.solve_band) as band:
             run_scan(cfg)
         assert band.call_count == 0
+
+    def test_one_pii_solve_per_transcendent(self):
+        # zone-I points on both sides of s = -10 share one Ablowitz-Segur solve
+        cfg = parse_config("[scattering]\nkappa_r = 0.5\n[regions]\nc1 = 48\n"
+                           "[scan]\nt = 1e6\ns = -11.75, -10.25, 0\ngrid_region = 1\n")
+        with mock.patch.object(painleve2, "solve_pii", wraps=painleve2.solve_pii) as solve:
+            rows = run_scan(cfg)
+        assert solve.call_count == 1
+        assert [r["region"] for r in rows] == ["I"] * 3
+        assert all(math.isfinite(r["u"]) for r in rows)
+
+    def test_table_loaded_once_per_scan(self, tmp_path, capsys):
+        import numpy as np
+        grid = np.geomspace(0.05, 20, 120)
+        vals = 0.3 * np.exp(-np.log(grid) ** 2)
+        table = tmp_path / "r.csv"
+        np.savetxt(table, np.column_stack([grid, vals, 0 * vals]), delimiter=",")
+        cfg_path = tmp_path / "scan.ini"
+        cfg_path.write_text("[scattering]\ntable_path = %s\n[scan]\nt = 1e6\n"
+                            "s = -1:1:3\ngrid_region = 1\n" % table)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as load:
+            assert main(["scan", "--config", str(cfg_path)]) == 0
+        assert load.call_count == 1
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
     def test_deterministic_rows(self):
         cfg = parse_config(R1_SCAN.format(path="-", fmt="csv"))

@@ -1,8 +1,8 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,24 +26,20 @@ class TestAiry:
                          tol=1e-14)
         assert root == pytest.approx(-2.338107410459767, abs=1e-10)
 
-    def test_absolute_accuracy_against_scipy(self):
-        for s in np.linspace(-30, 30, 241):
-            ai, aip = airy(float(s))
-            ref_ai, ref_aip, _, _ = scipy.special.airy(float(s))
-            assert abs(ai - ref_ai) < 1e-12
-            assert abs(aip - ref_aip) < 1e-12
-
-    def test_branch_overlap(self):
-        from mchasy.numerics import (_airy_asymptotic_neg, _airy_asymptotic_pos,
-                                     _airy_series)
-        for s in (5.8, 6.0, 6.2):
-            a1, b1 = _airy_series(s)
-            a2, b2 = _airy_asymptotic_pos(s)
-            assert abs(a1 - a2) < 1e-13 and abs(b1 - b2) < 1e-13
-        for s in (-8.8, -9.0):
-            a1, b1 = _airy_series(s)
-            a2, b2 = _airy_asymptotic_neg(s)
-            assert abs(a1 - a2) < 1e-12 and abs(b1 - b2) < 1e-12
+    def test_accuracy_against_mpmath(self):
+        s = np.linspace(-30, 30, 606)
+        with mp.workdps(40):
+            ref_ai = np.array([float(mp.airyai(x)) for x in s])
+            ref_aip = np.array([float(mp.airyai(x, derivative=1)) for x in s])
+        ai, aip = airy(s)
+        assert np.abs(ai - ref_ai).max() < 1e-13
+        assert np.abs(aip - ref_aip).max() < 1e-13
+        pos = s >= 0
+        assert (np.abs(ai - ref_ai) / np.abs(ref_ai))[pos].max() < 1e-12
+        assert (np.abs(aip - ref_aip) / np.abs(ref_aip))[pos].max() < 1e-12
+        # the array call agrees with scalar calls elementwise
+        scalar = np.array([airy(float(x)) for x in s])
+        assert np.array_equal(scalar[:, 0], ai) and np.array_equal(scalar[:, 1], aip)
 
     def test_airy_equation_by_finite_differences(self):
         # no Bi available, so the Wronskian check is replaced by Ai'' = s*Ai
@@ -54,6 +50,8 @@ class TestAiry:
     def test_range_error(self):
         with pytest.raises(RangeError):
             airy(31.0)
+        with pytest.raises(RangeError):
+            airy(np.array([0.0, math.nan]))
 
 
 class TestJacobiTheta:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mchasy import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
                     check_symmetries, eval_r, log_T_i, t_function, t_i_and_t1)
 from mchasy.errors import DomainError, PoleError
+from mchasy.scattering import _log_one_minus_r2
 
 from conftest import symmetry_loop
 
@@ -163,6 +164,16 @@ class TestTFunction:
     def test_full_line_needs_offaxis(self, family_half):
         with pytest.raises(DomainError):
             t_function(family_half, 2.0, "full-line")
+
+
+class TestLogOneMinusR2:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa_r", [1.0, -1.0])
+    def test_finite_where_r_has_unit_modulus(self, kappa_r):
+        lg = _log_one_minus_r2(ScatteringData(ReflectionCoefficient.family(kappa_r)))
+        assert abs(ReflectionCoefficient.family(kappa_r)(1.0)) == 1.0
+        assert math.isfinite(lg(1.0))
+        assert np.all(np.isfinite(lg(np.array([0.5, 1.0, 2.0]))))
 
 
 class TestLogTi:
