@@ -37,7 +37,7 @@ Config files are flat INI-style key/value text with typed sections::
 CSV columns are exactly ``x,t,region,s,u,err_order,error`` with empty fields
 for nulls; JSON mirrors the rows and adds a ``meta`` header with the config
 hash and library version.  Exit codes: 0 ok, 1 config error, 2 hard per-point
-failure under --strict, 3 I/O error.
+failure under --strict or a failed ``pii`` solve, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -437,6 +437,9 @@ def _run_pii(args) -> int:
     except (ConfigError, DomainError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
+    except MchasyError as exc:
+        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
     print("s,v,v_prime,Q")
     s = lo
     while s <= hi + 1e-12:

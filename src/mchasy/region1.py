@@ -32,8 +32,8 @@ class AsymptoticValue:
 
 def _pii_at(point: SpaceTimePoint, data: ScatteringData,
             sol_cache: SolutionCache | None, constants: RegionConstants, tol: float):
-    """(s, k, v, v', Q) of the zone-I transcendent, matched to k*Ai with
-    k = r(1), at the point's s."""
+    """(s, k, err_est, v, v', Q) of the zone-I transcendent, matched to k*Ai
+    with k = r(1), at the point's s."""
     if classify(point, constants) is not RegionTag.R_I:
         raise RegionError("point (x=%g, t=%g) is not in the first zone"
                           % (point.x, point.t))
@@ -43,7 +43,7 @@ def _pii_at(point: SpaceTimePoint, data: ScatteringData,
     cache = sol_cache if sol_cache is not None else SolutionCache()
     s = scaled_s(point, RegionTag.R_I)
     sol = cache.get(k.real, s_min=s_min_for(s), tol=tol)
-    return (s, k.real) + eval_pii(sol, s)
+    return (s, k.real, sol.err_est) + eval_pii(sol, s)
 
 
 def u_region1(point: SpaceTimePoint, data: ScatteringData,
@@ -52,10 +52,11 @@ def u_region1(point: SpaceTimePoint, data: ScatteringData,
               tol: float = 1e-10) -> AsymptoticValue:
     """u = 1 - (81/2)^(1/3) t^(-2/3) v'(s) with v the Painleve II
     transcendent matched to r(1)*Ai."""
-    s, k, v, vp, q = _pii_at(point, data, sol_cache, constants, tol)
+    s, k, err, v, vp, q = _pii_at(point, data, sol_cache, constants, tol)
     u = 1.0 - _AMPL * point.t ** (-2.0 / 3.0) * vp
     return AsymptoticValue(u, RegionTag.R_I, _ERROR_ORDER,
-                           {"s": s, "k": k, "v": v, "v_prime": vp, "Q": q})
+                           {"s": s, "k": k, "v": v, "v_prime": vp, "Q": q,
+                            "pii_err_est": err})
 
 
 def x_minus_y_region1(point: SpaceTimePoint, data: ScatteringData,
@@ -68,6 +69,6 @@ def x_minus_y_region1(point: SpaceTimePoint, data: ScatteringData,
     variable of the spectral frame is replaced by s, which preserves the
     reported error order.
     """
-    _s, _k, v, _vp, q = _pii_at(point, data, sol_cache, constants, tol)
+    _s, _k, _err, v, _vp, q = _pii_at(point, data, sol_cache, constants, tol)
     return -2.0 * log_T_i(data, "no-integral") \
         - point.t ** (-1.0 / 3.0) * 36.0 ** (-1.0 / 3.0) * (v + q)

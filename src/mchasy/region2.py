@@ -149,5 +149,6 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
     psi_a, psi_b = psi_ab(s, point.t, consts)
     return AsymptoticValue(u, RegionTag.R_II, _ERROR_ORDER,
                            {"s": s, "k": consts.k_ampl, "v": v, "v_prime": vp,
-                            "Q": q, "f_II": f, "psi_a": psi_a, "psi_b": psi_b,
+                            "Q": q, "pii_err_est": sol.err_est, "f_II": f,
+                            "psi_a": psi_a, "psi_b": psi_b,
                             "Lambda_a": consts.Lambda_a, "Lambda_b": consts.Lambda_b})

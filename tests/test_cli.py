@@ -318,3 +318,20 @@ class TestPiiInput:
 
     def test_k_outside_unit_interval(self, capsys):
         self.check_config_error(["--k", "1.5", "--s=0:1:0.5"], capsys)
+
+    def test_failed_solve_is_one_line(self, capsys):
+        # the error estimate 1e-11/(1-|k|) is 1e-5 here, above the 1e-6 bound
+        assert main(["pii", "--k", "0.999999", "--s=-1:0:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ConvergenceError: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # solve_bvp is imported only when a Hastings-McLeod solution is needed
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mchasy.cli; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -5,7 +5,7 @@ import pytest
 
 from mchasy import (ReflectionCoefficient, RegionConstants, ScatteringData,
                     SpaceTimePoint, airy, eval_pii, u_region1, x_minus_y_region1)
-from mchasy.errors import RegionError
+from mchasy.errors import ConvergenceError, RegionError
 
 AMPL = (81 / 2) ** (1 / 3)
 WIDE = RegionConstants(c1=30.0)
@@ -38,6 +38,16 @@ class TestURegion1:
     def test_region_error(self, family_half, cache):
         with pytest.raises(RegionError):
             u_region1(SpaceTimePoint(0.0, 1e6), family_half, cache)
+
+    def test_painleve_error_estimate(self, family_half, cache):
+        res = u_region1(SpaceTimePoint(2e6, 1e6), family_half, cache)
+        assert res.diagnostics["pii_err_est"] == pytest.approx(2e-11)
+
+    def test_near_hastings_mcleod_raises(self, cache):
+        # k = r(1) = 0.999999: the transcendent's estimated error is 1e-5
+        data = ScatteringData(ReflectionCoefficient.family(0.999999))
+        with pytest.raises(ConvergenceError):
+            u_region1(SpaceTimePoint(2e6, 1e6), data, cache)
 
     def test_sign_symmetry(self, cache):
         plus = ScatteringData(ReflectionCoefficient.family(0.4))

@@ -128,6 +128,8 @@ class TestURegion2:
                               tol=1e-11)
         assert res.u == pytest.approx(res_tight.u, abs=1e-6)
         assert res.error_order == pytest.approx(-14 / 27)
+        k = res.diagnostics["k"]
+        assert res.diagnostics["pii_err_est"] == pytest.approx(1e-11 / (1 - abs(k)))
 
     def test_constants_reality(self, family_wide, one_pair_spectrum):
         data = ScatteringData(family_wide.r, one_pair_spectrum)
