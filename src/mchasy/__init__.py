@@ -9,24 +9,22 @@ __version__ = "0.1.0"
 
 from .errors import MchasyError
 from .numerics import QuadratureSpec, ThetaParams, airy, find_root, jacobi_theta, quad, quad_band, quad_pv
-from .painleve2 import PIISolution, SolutionCache, eval_pii, parametrix_m1, parametrix_m2, solve_pii
-from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, saddles_region1, saddles_region2, scaled_s, theta
-from .region1 import AsymptoticValue, u_region1, x_minus_y_region1
+from .painleve2 import PIISolution, SolutionCache, eval_pii, solve_pii
+from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
+from .region1 import AsymptoticValue, u_region1
 from .region2 import Region2Constants, f_II, lambda_ab, psi_ab, region2_constants, u_region2
 from .region3 import ShockGeometry, ShockParams, abel, build_geometry, delta0, g_eval, h_eval, nr7_coeffs, nr7_matrix, solve_band, u_region3
-from .scattering import DiscreteSpectrum, ReflectionCoefficient, ScatteringData, check_symmetries, eval_r, log_T_i, t_function, t_i_and_t1
+from .scattering import DiscreteSpectrum, ReflectionCoefficient, ScatteringData, check_symmetries, log_T_i, t_i_and_t1
 
 __all__ = [
     "__version__", "MchasyError",
     "QuadratureSpec", "ThetaParams", "airy", "jacobi_theta", "quad", "quad_pv",
     "quad_band", "find_root",
-    "PIISolution", "SolutionCache", "solve_pii", "eval_pii", "parametrix_m1",
-    "parametrix_m2",
-    "SpaceTimePoint", "RegionTag", "RegionConstants", "theta",
-    "saddles_region1", "saddles_region2", "scaled_s", "classify",
+    "PIISolution", "SolutionCache", "solve_pii", "eval_pii",
+    "SpaceTimePoint", "RegionTag", "RegionConstants", "scaled_s", "classify",
     "ReflectionCoefficient", "DiscreteSpectrum", "ScatteringData",
-    "eval_r", "check_symmetries", "t_function", "log_T_i", "t_i_and_t1",
-    "AsymptoticValue", "u_region1", "x_minus_y_region1",
+    "check_symmetries", "log_T_i", "t_i_and_t1",
+    "AsymptoticValue", "u_region1",
     "Region2Constants", "region2_constants", "lambda_ab", "psi_ab", "f_II",
     "u_region2",
     "ShockParams", "ShockGeometry", "solve_band", "build_geometry", "abel",

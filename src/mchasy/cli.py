@@ -85,17 +85,27 @@ class RunConfig:
     def data(self) -> ScatteringData:
         """The scattering data, built on the first call and shared after, so
         the checks of ``parse_config`` and the scan use one object (and its
-        memo)."""
+        memo).  A spectrum or table the data refuses raises ``ConfigError``
+        naming its key."""
         if self._data is None:
             sc = self.scattering
+            try:
+                spectrum = DiscreteSpectrum(sc["spectrum"])
+            except DomainError as exc:
+                raise ConfigError(str(exc), key="scattering.spectrum") from exc
             if sc.get("table_path"):
                 import numpy as np
-                raw = np.loadtxt(sc["table_path"], delimiter=",", dtype=float)
-                r = ReflectionCoefficient.tabulated(raw[:, 0], raw[:, 1] + 1j * raw[:, 2],
-                                                    tail_rate=sc.get("tail_rate", 1.0))
+                try:
+                    raw = np.loadtxt(sc["table_path"], delimiter=",", dtype=float,
+                                     ndmin=2, usecols=(0, 1, 2))
+                    r = ReflectionCoefficient.tabulated(
+                        raw[:, 0], raw[:, 1] + 1j * raw[:, 2],
+                        tail_rate=sc.get("tail_rate", 1.0))
+                except ValueError as exc:   # np.loadtxt, or the checks of the table
+                    raise ConfigError(str(exc), key="scattering.table_path") from exc
             else:
                 r = ReflectionCoefficient.family(sc["kappa_r"], sc["alpha"], sc["beta"])
-            self._data = ScatteringData(r, DiscreteSpectrum(sc["spectrum"]))
+            self._data = ScatteringData(r, spectrum)
         return self._data
 
     def constants(self) -> RegionConstants:
@@ -278,10 +288,10 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def _grid_to_x(cfg: RunConfig, t: float, v: float) -> float:
-    kind = cfg.scan["grid_kind"]
-    if kind == "xi":
+    axis = cfg.scan["grid_kind"]
+    if axis == "xi":
         return v * t
-    if kind == "w":
+    if axis == "w":
         xi = 2.0 - v * math.log(t) ** (2.0 / 3.0) * t ** (-2.0 / 3.0)
         return xi * t
     if cfg.scan["grid_region"] == 1:
@@ -441,11 +451,11 @@ def _run_pii(args) -> int:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
     print("s,v,v_prime,Q")
-    s = lo
-    while s <= hi + 1e-12:
+    # s_i = lo + i*step, not a running sum, so that rows do not drift
+    for i in range(math.floor((hi - lo) / step + 1e-9) + 1):
+        s = lo + i * step
         v, vp, q = eval_pii(sol, s)
         print("%s,%s,%s,%s" % (repr(s), repr(v), repr(vp), repr(q)))
-        s += step
     return 0
 
 

@@ -9,10 +9,6 @@ class DomainError(MchasyError, ValueError):
     """Input outside the documented domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested exactly at (or too close to) a pole."""
-
-
 class RangeError(DomainError):
     """Argument outside the documented accuracy/stability range."""
 

@@ -27,13 +27,11 @@ from .errors import (
 __all__ = [
     "QuadratureSpec",
     "ThetaParams",
-    "QuadResult",
     "airy",
     "jacobi_theta",
     "quad",
     "quad_pv",
     "quad_band",
-    "quad_real_line",
     "find_root",
 ]
 
@@ -70,12 +68,6 @@ class ThetaParams:
 class QuadResult(NamedTuple):
     value: complex
     error: float
-
-    def __complex__(self):
-        return complex(self.value)
-
-    def __float__(self):
-        return float(np.real(self.value))
 
 
 # ----------------------------------------------------------------------
@@ -186,13 +178,15 @@ _G7_W[1:14:2] = _GK_WG[:-1] + [_GK_WG[-1]] + _GK_WG[-2::-1]
 
 
 def _eval_nodes(f, x):
+    """f at an array of nodes in one call; integrands must be vectorized."""
     try:
         fx = np.asarray(f(x))
-        if fx.shape != x.shape:
-            raise ValueError
-        return fx
-    except Exception:
-        return np.array([f(xi) for xi in x])
+    except TypeError as exc:    # a scalar-only function such as math.exp
+        raise DomainError("integrand does not take an array of nodes: %s" % exc) from exc
+    if fx.shape != x.shape:
+        raise DomainError("integrand gave shape %r for nodes of shape %r"
+                          % (fx.shape, x.shape))
+    return fx
 
 
 def _gk_panel(f, a, b):

@@ -32,8 +32,6 @@ __all__ = [
     "SolutionCache",
     "solve_pii",
     "eval_pii",
-    "parametrix_m1",
-    "parametrix_m2",
 ]
 
 _HM_EDGE = 1e-12    # |k| within this of 1 is Hastings-McLeod
@@ -109,9 +107,6 @@ class PIISolution:
     kind: str
     err_est: float
     _dense: _Pieces = field(repr=False)
-
-    def __call__(self, s: float):
-        return eval_pii(self, s)
 
 
 def _rhs(s, y):
@@ -260,20 +255,6 @@ def eval_pii(sol: PIISolution, s: float):
             return 0.0, 0.0, 0.0
         return _airy_data(sol.k, s)
     return sol._dense.at(s)
-
-
-def parametrix_m1(sol: PIISolution, s: float) -> np.ndarray:
-    """Leading expansion matrix: off-diagonal v, diagonal -+ i*Q, halved."""
-    v, _vp, q = eval_pii(sol, s)
-    return 0.5 * np.array([[-1j * q, v], [v, 1j * q]])
-
-
-def parametrix_m2(sol: PIISolution, s: float) -> np.ndarray:
-    """Second expansion matrix (v^2 - Q^2 diagonal, +-2i(vQ + v') off-diagonal, /8)."""
-    v, vp, q = eval_pii(sol, s)
-    d = v * v - q * q
-    o = 2j * (v * q + vp)
-    return 0.125 * np.array([[d, o], [-o, d]])
 
 
 class SolutionCache:

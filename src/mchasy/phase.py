@@ -1,4 +1,4 @@
-"""Phase function, saddle points, similarity variables, region classification."""
+"""Space-time points, the Painleve similarity variable, zone classification."""
 
 from __future__ import annotations
 
@@ -6,15 +6,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PoleError, RegionError
+from .errors import DomainError, RegionError
 
 __all__ = [
     "SpaceTimePoint",
     "RegionTag",
     "RegionConstants",
-    "theta",
-    "saddles_region1",
-    "saddles_region2",
     "scaled_s",
     "classify",
 ]
@@ -56,54 +53,6 @@ class RegionConstants:
             raise DomainError("region half-widths must be positive")
         if self.c3 <= 2.0 * _CBRT3:
             raise DomainError("c3 must exceed 2*3**(1/3)")
-
-
-def theta(z: complex, xi: float, t: float) -> complex:
-    """Oscillation phase -t/4 * (z - 1/z) * (xi - 8/(z + 1/z)**2)."""
-    z = complex(z)
-    if abs(z) < 1e-14 or abs(z - 1j) < 1e-14 or abs(z + 1j) < 1e-14:
-        raise PoleError("phase is singular at z in {0, i, -i}")
-    w = z + 1.0 / z
-    return -(t / 4.0) * (z - 1.0 / z) * (xi - 8.0 / (w * w))
-
-
-def _s_plus(xi: float) -> float:
-    return (-xi - 1.0 + math.sqrt(1.0 + 4.0 * xi)) / (4.0 * xi)
-
-
-def _s_minus(xi: float) -> float:
-    return (-xi - 1.0 - math.sqrt(1.0 + 4.0 * xi)) / (4.0 * xi)
-
-
-def saddles_region1(xi: float):
-    """Four real saddle points of the phase for 0 < xi <= 2.
-
-    Returns (k1, k2, k3, k4, s_plus) with k1 = 1/k2 = -1/k3 = -k4.
-    """
-    if not 0.0 < xi <= 2.0:
-        raise DomainError("saddles_region1 needs 0 < xi <= 2, got %r" % xi)
-    sp = max(_s_plus(xi), 0.0)
-    root = math.sqrt(4.0 * sp + 1.0)
-    k1 = 2.0 * math.sqrt(sp) + root
-    k2 = -2.0 * math.sqrt(sp) + root
-    return k1, k2, -k2, -k1, sp
-
-
-def saddles_region2(xi: float):
-    """Eight real saddle points for -1/4 <= xi < 0.
-
-    Returns (k1..k8, s_plus, s_minus); k1 = 1/k4 = -1/k5 = -k8 and
-    k2 = 1/k3 = -1/k6 = -k7.
-    """
-    if not -0.25 <= xi < 0.0:
-        raise DomainError("saddles_region2 needs -1/4 <= xi < 0, got %r" % xi)
-    sp, sm = max(_s_plus(xi), 0.0), max(_s_minus(xi), 0.0)
-    rp, rm = math.sqrt(4.0 * sp + 1.0), math.sqrt(4.0 * sm + 1.0)
-    k1 = 2.0 * math.sqrt(sp) + rp
-    k4 = -2.0 * math.sqrt(sp) + rp
-    k2 = 2.0 * math.sqrt(sm) + rm
-    k3 = -2.0 * math.sqrt(sm) + rm
-    return k1, k2, k3, k4, -k4, -k3, -k2, -k1, sp, sm
 
 
 def scaled_s(point: SpaceTimePoint, region: RegionTag) -> float:

@@ -18,7 +18,7 @@ from .numerics import QuadratureSpec, quad_pv
 from .painleve2 import SolutionCache, eval_pii, s_min_for
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
 from .region1 import AsymptoticValue
-from .scattering import ScatteringData, _log_one_minus_r2, eval_r, log_T_i, t_i_and_t1
+from .scattering import ScatteringData, log_T_i, t_i_and_t1
 
 __all__ = ["Region2Constants", "region2_constants", "lambda_ab", "psi_ab",
            "f_II", "u_region2"]
@@ -55,10 +55,8 @@ class Region2Constants:
 
 
 def _pv_log_transform(data: ScatteringData, c: float, spec: QuadratureSpec) -> float:
-    lg = _log_one_minus_r2(data)
-    key = ("pv_log", c, spec.abs_tol, spec.tail_cutoff)
-    return data._memo(key, lambda: float(np.real(
-        quad_pv(lg, c, spec, tail=data.r.log_one_minus_r2_tail).value)))
+    return data._memo(("pv_log", c, spec), lambda: float(np.real(quad_pv(
+        data.r.log_one_minus_r2, c, spec, tail=data.r.log_one_minus_r2_tail).value)))
 
 
 def lambda_ab(data: ScatteringData,
@@ -72,11 +70,11 @@ def lambda_ab(data: ScatteringData,
     boundary value of the Cauchy integral of T, so the symmetric limit
     is the meaningful one.
     """
-    ra, rb = eval_r(data, _ZA), eval_r(data, _ZB)
+    ra, rb = data.r(_ZA), data.r(_ZB)
     if ra == 0 or rb == 0:
         raise DomainError("arg r(2 +- sqrt(3)) undefined: amplitude vanishes;"
                           " the wave reduces to the background u = 1")
-    logt = log_T_i(data, "full-line", spec)
+    logt = log_T_i(data, spec)
     pv_a = _pv_log_transform(data, _ZA, spec)
     pv_b = _pv_log_transform(data, _ZB, spec)
     arg_sum_a = sum(cmath.phase(_ZA - z) for z in data.spectrum.representatives)
@@ -88,7 +86,7 @@ def lambda_ab(data: ScatteringData,
 
 def region2_constants(data: ScatteringData,
                       spec: QuadratureSpec = QuadratureSpec()) -> Region2Constants:
-    ka = abs(eval_r(data, _ZA))
+    ka = abs(data.r(_ZA))
     if ka >= 1.0:
         raise AdmissibilityError("second zone needs |r(2+sqrt(3))| < 1, got %r" % ka)
 
@@ -98,7 +96,7 @@ def region2_constants(data: ScatteringData,
         return Region2Constants(Lambda_a=la, Lambda_b=lb, gamma_a=_GAMMA_A,
                                 gamma_b=_GAMMA_B, T_i=t_i, T_1=t_1, k_ampl=-ka)
 
-    return data._memo(("r2consts", spec.abs_tol, spec.tail_cutoff), build)
+    return data._memo(("r2consts", spec), build)
 
 
 def psi_ab(s: float, t: float, consts: Region2Constants) -> tuple[float, float]:
@@ -126,21 +124,19 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
               sol_cache: SolutionCache | None = None,
               constants: RegionConstants = RegionConstants(),
               spec: QuadratureSpec = QuadratureSpec(),
-              tol: float = 1e-10,
-              consts: Region2Constants | None = None) -> AsymptoticValue:
+              tol: float = 1e-10) -> AsymptoticValue:
     """u = 1 + 3^(-2/3) t^(-1/3) f_II(s, t) v_II(s)."""
     if classify(point, constants) is not RegionTag.R_II:
         raise RegionError("point (x=%g, t=%g) is not in the second zone"
                           % (point.x, point.t))
-    ka = abs(eval_r(data, _ZA))
+    ka = abs(data.r(_ZA))
     s = scaled_s(point, RegionTag.R_II)
     if ka == 0.0:
         return AsymptoticValue(1.0, RegionTag.R_II, _ERROR_ORDER,
                                {"s": s, "short_circuit": True})
     if ka >= 1.0:
         raise AdmissibilityError("second zone needs |r(2+sqrt(3))| < 1, got %r" % ka)
-    if consts is None:
-        consts = region2_constants(data, spec)
+    consts = region2_constants(data, spec)
     cache = sol_cache if sol_cache is not None else SolutionCache()
     sol = cache.get(consts.k_ampl, s_min=s_min_for(s), tol=tol)
     v, vp, q = eval_pii(sol, s)

@@ -49,9 +49,8 @@ from .scattering import ScatteringData
 __all__ = [
     "ShockParams",
     "ShockGeometry",
-    "curvature_at_one",
     "solve_band",
-    "periods",
+    "build_geometry",
     "abel",
     "delta0",
     "h_eval",
@@ -96,37 +95,8 @@ class ShockParams:
 
 
 def curvature_at_one(data: ScatteringData) -> float:
-    """Quadratic coefficient of 1 - |r|^2 at z = 1.
-
-    Closed form 2*beta*kappa_r^2 for the builtin family; a centered 5-point
-    stencil with step 1e-3 (Richardson-checked against half the step) for
-    tabulated data.
-    """
-    r = data.r
-    if r.kind == "family":
-        return 2.0 * r.beta * r.kappa_r ** 2
-
-    # |r| peaks at z = 1, where the shape-preserving global interpolant
-    # deliberately damps curvature; use an unconstrained C^2 spline on a
-    # local window of raw table values instead
-    from scipy.interpolate import CubicSpline
-    lo = np.searchsorted(r.grid, 1.0) - 25
-    sel = slice(max(lo, 0), min(lo + 50, r.grid.size))
-    if r.grid[sel].size < 8 or not (r.grid[sel][0] < 0.99 and r.grid[sel][-1] > 1.01):
-        raise DomainError("table too sparse around z = 1 for a curvature fit")
-    local = CubicSpline(r.grid[sel], 1.0 - np.abs(r.values[sel]) ** 2)
-
-    def second(h):
-        f = local
-        return (-f(1 + 2 * h) + 16 * f(1 + h) - 30 * f(1.0)
-                + 16 * f(1 - h) - f(1 - 2 * h)) / (12.0 * h * h)
-
-    d2, d2h = second(1e-3), second(5e-4)
-    # interpolants are only piecewise smooth; allow a loose consistency band
-    if abs(d2 - d2h) > 5e-2 * max(abs(d2), 1e-12):
-        raise ConvergenceError("stencil for the curvature of 1-|r|^2 did not settle",
-                               best=d2h, estimate_error=abs(d2 - d2h))
-    return 0.5 * d2h
+    """Quadratic coefficient of 1 - |r|^2 at z = 1."""
+    return data.r.curvature_at_one()
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Scattering data: reflection coefficient, discrete spectrum, T-function.
+"""Scattering data: reflection coefficient and discrete spectrum, and the
+expansion of T at z = i that the second zone needs.
 
 The reflection coefficient is either the builtin closed-form family
 
     r(z) = kappa_r * exp(-beta*log(z)**2) * z**(i*alpha),   z > 0,
 
-extended to z < 0 by r(-z) = -conj(r(z)), or a tabulated grid with monotone
-cubic interpolation and an exponential tail model.  The discrete spectrum is
-stored through its fourth-quadrant representatives on the unit circle.
+or a tabulated grid with monotone cubic interpolation and an exponential tail
+model; both are extended to z < 0 by r(-z) = -conj(r(z)).  The discrete
+spectrum is stored through its fourth-quadrant representatives on the unit
+circle.
 """
 
 from __future__ import annotations
@@ -18,88 +20,39 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import erfc
 
-from .errors import AdmissibilityError, DomainError, PoleError, RealityError
-from .numerics import QuadratureSpec, quad_pv, quad_real_line
+from .errors import AdmissibilityError, ConvergenceError, DomainError, RealityError
+from .numerics import QuadratureSpec, quad_real_line
 
 __all__ = [
     "ReflectionCoefficient",
     "DiscreteSpectrum",
     "ScatteringData",
-    "SymmetryReport",
-    "eval_r",
     "check_symmetries",
-    "t_function",
     "log_T_i",
     "t_i_and_t1",
 ]
 
 
 class ReflectionCoefficient:
-    """Reflection coefficient on the real line; |r| <= 1 everywhere."""
+    """Reflection coefficient on the real line; |r| <= 1 everywhere.
 
-    def __init__(self, kind, **kw):
-        if kind not in ("family", "tabulated"):
-            raise DomainError("unknown reflection kind %r" % kind)
-        self.kind = kind
-        if kind == "family":
-            self.kappa_r = float(kw.pop("kappa_r"))
-            self.alpha = float(kw.pop("alpha", 0.0))
-            self.beta = float(kw.pop("beta", 1.0))
-            if abs(self.kappa_r) > 1.0 + 1e-14:
-                raise AdmissibilityError("|kappa_r| <= 1 required, got %r" % self.kappa_r)
-            if self.beta <= 0:
-                raise DomainError("family width beta must be positive")
-            self.z_min = 0.0
-        else:
-            grid = np.asarray(kw.pop("grid"), dtype=float)
-            values = np.asarray(kw.pop("values"), dtype=complex)
-            if grid.ndim != 1 or grid.size < 4 or np.any(np.diff(grid) <= 0):
-                raise DomainError("tabulated grid must be sorted with >= 4 points")
-            if grid[0] <= 0:
-                raise DomainError("tabulated grid covers positive z only")
-            if np.any(np.abs(values) > 1 + 1e-12):
-                raise AdmissibilityError("|r| <= 1 violated on the table")
-            self.grid = grid
-            self.z_min = grid[0]   # smallest |z| > 0 where r is defined
-            self.values = values
-            self.tail_rate = float(kw.pop("tail_rate", 1.0))
-            if self.tail_rate <= 0:
-                raise DomainError("tail decay rate must be positive")
-            self._re = PchipInterpolator(grid, values.real, extrapolate=False)
-            self._im = PchipInterpolator(grid, values.imag, extrapolate=False)
-        if kw:
-            raise DomainError("unexpected arguments: %s" % sorted(kw))
+    Built by ``family`` or ``tabulated``.  Each kind gives r for z > 0, the
+    tail mass of log(1-|r|^2) and its curvature at z = 1; the odd extension
+    to z < 0 and the array path are shared.
+    """
+
+    z_min = 0.0   # smallest |z| > 0 where r is defined
 
     @classmethod
     def family(cls, kappa_r, alpha=0.0, beta=1.0):
-        return cls("family", kappa_r=kappa_r, alpha=alpha, beta=beta)
+        return _Family(kappa_r, alpha, beta)
 
     @classmethod
     def tabulated(cls, grid, values, tail_rate=1.0):
-        return cls("tabulated", grid=grid, values=values, tail_rate=tail_rate)
-
-    def _positive(self, z: float) -> complex:
-        if self.kind == "family":
-            lg = math.log(z)
-            return self.kappa_r * math.exp(-self.beta * lg * lg) * cmath.exp(1j * self.alpha * lg)
-        if z < self.grid[0]:
-            raise DomainError("tabulated r queried at %r below grid start %r"
-                              % (z, self.grid[0]))
-        if z <= self.grid[-1]:
-            return complex(self._re(z), self._im(z))
-        return complex(self.values[-1]) * math.exp(-self.tail_rate * (z - self.grid[-1]))
-
-    def _positive_array(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "family":
-            lg = np.log(x)
-            return self.kappa_r * np.exp(-self.beta * lg * lg) * np.exp(1j * self.alpha * lg)
-        if np.any(x < self.grid[0]):
-            raise DomainError("tabulated r queried below grid start %r" % self.grid[0])
-        tail = self.values[-1] * np.exp(-self.tail_rate * np.maximum(x - self.grid[-1], 0.0))
-        return np.where(x <= self.grid[-1], self._re(x) + 1j * self._im(x), tail)
+        return _Table(grid, values, tail_rate)
 
     def __call__(self, z):
         """r(z) for a real ``z``; an ndarray ``z`` gives an array of its shape
@@ -119,23 +72,113 @@ class ReflectionCoefficient:
             return self._positive(z)
         return -self._positive(-z).conjugate()
 
-    def log_one_minus_r2_tail(self, lo: float, hi: float) -> float:
-        """Analytic estimate of the dropped integral of log(1-|r|^2).
+    def log_one_minus_r2(self, z):
+        """log(1-|r(z)|^2) at a float or an array, kept finite where |r| = 1."""
+        z = np.asarray(z, dtype=float)
+        vals = np.abs(self(np.atleast_1d(z))) ** 2
+        vals = np.minimum(vals, np.nextafter(1.0, 0.0))
+        out = np.log1p(-vals)
+        return out if z.ndim else out[0]
 
-        Uses log(1-x) ~ -x and, for the family, the exact Gaussian-in-log
-        tail integral; tabulated data uses its exponential tail model.
-        """
-        if self.kind == "family":
-            def mass(x):
-                # integral_x^inf kappa^2 exp(-2 beta log(t)^2) dt/t
-                return self.kappa_r ** 2 * math.sqrt(math.pi / (8 * self.beta)) \
-                    * float(erfc(math.sqrt(2 * self.beta) * math.log(x)))
-            return -(mass(hi) + mass(abs(lo)))
-        amp = abs(self.values[-1]) ** 2
+    def log_one_minus_r2_tail(self, lo: float, hi: float) -> float:
+        """Analytic estimate of the dropped integral of log(1-|r|^2) outside
+        [lo, hi], from log(1-x) ~ -x and the tail mass of |r|^2."""
+        return -(self._tail_mass(hi) + self._tail_mass(abs(lo)))
+
+
+class _Family(ReflectionCoefficient):
+    """The closed form kappa_r * exp(-beta*log(z)**2) * z**(i*alpha), z > 0."""
+
+    def __init__(self, kappa_r, alpha, beta):
+        self.kappa_r = float(kappa_r)
+        self.alpha = float(alpha)
+        self.beta = float(beta)
+        if abs(self.kappa_r) > 1.0 + 1e-14:
+            raise AdmissibilityError("|kappa_r| <= 1 required, got %r" % self.kappa_r)
+        if self.beta <= 0:
+            raise DomainError("family width beta must be positive")
+
+    def _positive(self, z: float) -> complex:
+        lg = math.log(z)
+        return self.kappa_r * math.exp(-self.beta * lg * lg) * cmath.exp(1j * self.alpha * lg)
+
+    def _positive_array(self, x: np.ndarray) -> np.ndarray:
+        lg = np.log(x)
+        return self.kappa_r * np.exp(-self.beta * lg * lg) * np.exp(1j * self.alpha * lg)
+
+    def _tail_mass(self, x: float) -> float:
+        # integral_x^inf kappa^2 exp(-2 beta log(t)^2) dt/t, exact
+        return self.kappa_r ** 2 * math.sqrt(math.pi / (8 * self.beta)) \
+            * float(erfc(math.sqrt(2 * self.beta) * math.log(x)))
+
+    def curvature_at_one(self) -> float:
+        """Quadratic coefficient of 1 - |r|^2 at z = 1, in closed form."""
+        return 2.0 * self.beta * self.kappa_r ** 2
+
+
+class _Table(ReflectionCoefficient):
+    """Monotone cubic interpolation of a table on positive z, continued past
+    its end by an exponential tail."""
+
+    def __init__(self, grid, values, tail_rate):
+        grid = np.asarray(grid, dtype=float)
+        values = np.asarray(values, dtype=complex)
+        if grid.ndim != 1 or grid.size < 4 or np.any(np.diff(grid) <= 0):
+            raise DomainError("tabulated grid must be sorted with >= 4 points")
+        if grid[0] <= 0:
+            raise DomainError("tabulated grid covers positive z only")
+        if np.any(np.abs(values) > 1 + 1e-12):
+            raise AdmissibilityError("|r| <= 1 violated on the table")
+        self.grid = grid
+        self.z_min = grid[0]
+        self.values = values
+        self.tail_rate = float(tail_rate)
+        if self.tail_rate <= 0:
+            raise DomainError("tail decay rate must be positive")
+        self._re = PchipInterpolator(grid, values.real, extrapolate=False)
+        self._im = PchipInterpolator(grid, values.imag, extrapolate=False)
+
+    def _positive(self, z: float) -> complex:
+        if z < self.grid[0]:
+            raise DomainError("tabulated r queried at %r below grid start %r"
+                              % (z, self.grid[0]))
+        if z <= self.grid[-1]:
+            return complex(self._re(z), self._im(z))
+        return complex(self.values[-1]) * math.exp(-self.tail_rate * (z - self.grid[-1]))
+
+    def _positive_array(self, x: np.ndarray) -> np.ndarray:
+        if np.any(x < self.grid[0]):
+            raise DomainError("tabulated r queried below grid start %r" % self.grid[0])
+        tail = self.values[-1] * np.exp(-self.tail_rate * np.maximum(x - self.grid[-1], 0.0))
+        return np.where(x <= self.grid[-1], self._re(x) + 1j * self._im(x), tail)
+
+    def _tail_mass(self, x: float) -> float:
         lam = 2 * self.tail_rate
-        def mass(x):
-            return amp * math.exp(-lam * (x - self.grid[-1])) / lam
-        return -(mass(hi) + mass(abs(lo)))
+        return abs(self.values[-1]) ** 2 * math.exp(-lam * (x - self.grid[-1])) / lam
+
+    def curvature_at_one(self) -> float:
+        """Quadratic coefficient of 1 - |r|^2 at z = 1: a centered 5-point
+        stencil with step 1e-3, Richardson-checked against half the step."""
+        # |r| peaks at z = 1, where the shape-preserving global interpolant
+        # deliberately damps curvature; use an unconstrained C^2 spline on a
+        # local window of raw table values instead
+        lo = np.searchsorted(self.grid, 1.0) - 25
+        sel = slice(max(lo, 0), min(lo + 50, self.grid.size))
+        grid = self.grid[sel]
+        if grid.size < 8 or not (grid[0] < 0.99 and grid[-1] > 1.01):
+            raise DomainError("table too sparse around z = 1 for a curvature fit")
+        f = CubicSpline(grid, 1.0 - np.abs(self.values[sel]) ** 2)
+
+        def second(h):
+            return (-f(1 + 2 * h) + 16 * f(1 + h) - 30 * f(1.0)
+                    + 16 * f(1 - h) - f(1 - 2 * h)) / (12.0 * h * h)
+
+        d2, d2h = second(1e-3), second(5e-4)
+        # interpolants are only piecewise smooth; allow a loose consistency band
+        if abs(d2 - d2h) > 5e-2 * max(abs(d2), 1e-12):
+            raise ConvergenceError("stencil for the curvature of 1-|r|^2 did not settle",
+                                   best=d2h, estimate_error=abs(d2 - d2h))
+        return 0.5 * d2h
 
 
 class DiscreteSpectrum:
@@ -190,10 +233,6 @@ class ScatteringData:
             return self._cache[key]
 
 
-def eval_r(data: ScatteringData, z: float) -> complex:
-    return data.r(z)
-
-
 @dataclass
 class SymmetryReport:
     max_negation_violation: float
@@ -241,12 +280,6 @@ def check_symmetries(data: ScatteringData, tol: float = 1e-12) -> SymmetryReport
     return SymmetryReport(neg, inv, mod, spec_v, total, tol)
 
 
-def _pole_guard(data: ScatteringData, z: complex):
-    for p in data.spectrum.full:
-        if abs(z - p) < 1e-13 * (1 + abs(z)) or abs(z - p.conjugate()) < 1e-13 * (1 + abs(z)):
-            raise PoleError("T evaluated at a pole/zero %r" % (z,))
-
-
 def _blaschke(data: ScatteringData, z: complex) -> complex:
     out = 1.0 + 0.0j
     for p in data.spectrum.full:
@@ -254,47 +287,12 @@ def _blaschke(data: ScatteringData, z: complex) -> complex:
     return out
 
 
-def _log_one_minus_r2(data: ScatteringData):
-    r = data.r
-    def f(z):
-        z = np.asarray(z, dtype=float)
-        vals = np.abs(r(np.atleast_1d(z))) ** 2
-        vals = np.minimum(vals, np.nextafter(1.0, 0.0))
-        out = np.log1p(-vals)
-        return out if z.ndim else out[0]
-    return f
-
-
-def t_function(data: ScatteringData, z: complex, mode: str = "no-integral",
-               spec: QuadratureSpec = QuadratureSpec()) -> complex:
-    """T(z): Blaschke-type product over the spectrum, optionally times the
-    exponential of the full-line Cauchy transform of log(1-|r|^2)."""
-    z = complex(z)
-    _pole_guard(data, z)
-    if mode == "no-integral":
-        return _blaschke(data, z)
-    if mode != "full-line":
-        raise DomainError("mode must be 'no-integral' or 'full-line'")
-    if z.imag == 0.0:
-        raise DomainError("full-line T needs z off the real axis")
-    lg = _log_one_minus_r2(data)
-    cauchy = quad_real_line(lambda x: lg(x) / (x - z), spec,
-                            tail=data.r.log_one_minus_r2_tail)
-    return _blaschke(data, z) * cmath.exp(-cauchy.value / (2j * math.pi))
-
-
-def log_T_i(data: ScatteringData, mode: str = "no-integral",
-            spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """log T(i).  Without the integral term this is the closed-form sum
-    over fourth-quadrant representatives; the full-line variant adds the
-    (real) integral contribution."""
+def log_T_i(data: ScatteringData, spec: QuadratureSpec = QuadratureSpec()) -> float:
+    """log T(i): the closed-form sum over the fourth-quadrant representatives
+    plus the (real) full-line integral of log(1-|r|^2)."""
     total = 0.0
     for z in data.spectrum.representatives:
         total += math.log((1.0 + z.imag) / (1.0 - z.imag))
-    if mode == "no-integral":
-        return total
-    if mode != "full-line":
-        raise DomainError("mode must be 'no-integral' or 'full-line'")
     expo = _cauchy_at_i(data, spec, power=1) / (-2j * math.pi)
     if abs(expo.imag) > 1e-8 * (1 + abs(expo)):
         raise RealityError("integral part of log T(i) is not real: %r" % expo)
@@ -302,11 +300,10 @@ def log_T_i(data: ScatteringData, mode: str = "no-integral",
 
 
 def _cauchy_at_i(data: ScatteringData, spec: QuadratureSpec, power: int) -> complex:
-    lg = _log_one_minus_r2(data)
+    lg = data.r.log_one_minus_r2
     def f(x):
         return lg(x) / (x - 1j) ** power
-    key = ("cauchy_i", power, spec.abs_tol, spec.tail_cutoff)
-    return data._memo(key, lambda: quad_real_line(f, spec).value)
+    return data._memo(("cauchy_i", power, spec), lambda: quad_real_line(f, spec).value)
 
 
 def t_i_and_t1(data: ScatteringData,

@@ -210,6 +210,19 @@ def symmetry_loop(r):
     return neg, inv, max(0.0, mod), total
 
 
+def full_line_t_at_i(data):
+    """T(i) from its definition: the Blaschke product over the spectrum times
+    exp(-(1/(2 pi i)) int_R log(1-|r(x)|^2)/(x-i) dx).  As |r| is even on the
+    real line, the integral is 2i int_0^inf log(1-|r(x)|^2)/(1+x^2) dx, taken
+    here by mpmath's tanh-sinh rule, not by the package's quadrature."""
+    prod = 1.0 + 0.0j
+    for p in data.spectrum.full:
+        prod *= (1j - p.conjugate()) / (1j - p)
+    integral = mp.quad(lambda x: math.log1p(-abs(data.r(float(x))) ** 2) / (1 + x * x),
+                       [0, 1, mp.inf])
+    return prod * math.exp(-float(integral) / math.pi)
+
+
 def richardson_derivative(f, x, h=1e-3):
     """First derivative with O(h^4) Richardson-extrapolated central stencils."""
     d1 = (f(x + h) - f(x - h)) / (2 * h)

@@ -13,7 +13,7 @@ import pytest
 
 from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
                     RegionConstants, ScatteringData, SolutionCache,
-                    SpaceTimePoint, ThetaParams, airy, eval_pii, eval_r,
+                    SpaceTimePoint, ThetaParams, airy, eval_pii,
                     jacobi_theta, nr7_coeffs, nr7_matrix, quad_pv, solve_band,
                     solve_pii, u_region1, u_region2, u_region3)
 from mchasy.cli import main, parse_config
@@ -264,7 +264,7 @@ def test_14_symmetry_suite():
         worst = max(worst, rep.max_negation_violation,
                     rep.max_inversion_violation, rep.max_modulus_excess)
         za, zb = 2 + math.sqrt(3), 2 - math.sqrt(3)
-        worst = max(worst, abs(abs(eval_r(data, za)) - abs(eval_r(data, zb))))
+        worst = max(worst, abs(abs(data.r(za)) - abs(data.r(zb))))
     report(14, worst < 1e-12, "max violation %.2e" % worst)
 
 

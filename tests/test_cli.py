@@ -299,6 +299,34 @@ class TestMain:
         assert (tmp_path / "o.csv").read_bytes() == plain
 
 
+class TestBadScattering:
+    """Scattering data the library refuses is one config error, exit 1."""
+
+    COMMANDS = (["scan"], ["check"], ["region1"], ["region2"], ["region3"],
+                ["region3", "--check-pq-invariance"])
+
+    @pytest.mark.parametrize("spectrum, table, key", [
+        ("[0.5-0.5i]", None, "scattering.spectrum"),
+        ("[]", "0.5,0.1,0\n2.0,0.1,0\n", "scattering.table_path"),
+        ("[]", "a,b,c\nd,e,f\n", "scattering.table_path"),
+    ], ids=["off_circle", "two_rows", "non_numeric"])
+    def test_one_line_exit_1(self, tmp_path, capsys, spectrum, table, key):
+        body = "spectrum = %s\n" % spectrum
+        if table is not None:
+            (tmp_path / "r.csv").write_text(table)
+            body += "table_path = %s\n" % (tmp_path / "r.csv")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scattering]\n" + body + "[output]\npath = %s\n"
+                            % (tmp_path / "o.csv"))
+        for cmd in self.COMMANDS:
+            assert main([cmd[0], "--config", str(cfg_path)] + cmd[1:]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error: %s: " % key)
+            assert captured.err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+
 class TestPiiInput:
     def check_config_error(self, argv, capsys):
         assert main(["pii"] + argv) == 1
@@ -318,6 +346,14 @@ class TestPiiInput:
 
     def test_k_outside_unit_interval(self, capsys):
         self.check_config_error(["--k", "1.5", "--s=0:1:0.5"], capsys)
+
+    def test_rows_without_drift(self, capsys):
+        # s_i = lo + i*step: 8,001 rows ending at 8.0, none drifted
+        assert main(["pii", "--k", "0.5", "--s=0:8:0.001"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 8001
+        assert rows[-1].startswith("8.0,")
+        assert rows[300].startswith("0.3,")
 
     def test_failed_solve_is_one_line(self, capsys):
         # the error estimate 1e-11/(1-|k|) is 1e-5 here, above the 1e-6 bound

@@ -133,6 +133,13 @@ class TestQuad:
         val = quad(lambda x: np.exp(-x * x), -8.0, 8.0).value
         assert val == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
+    def test_scalar_only_integrand_rejected(self):
+        # integrands take the array of a panel's nodes in one call
+        with pytest.raises(DomainError):
+            quad(math.exp, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            quad(lambda x: 1.0, 0.0, 1.0)
+
     def test_budget_error_carries_best(self):
         from mchasy.errors import ConvergenceError
         spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2)

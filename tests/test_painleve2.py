@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_bvp, solve_ivp
 
-from mchasy import (SolutionCache, airy, eval_pii, parametrix_m1, parametrix_m2,
-                    solve_pii)
+from mchasy import SolutionCache, airy, eval_pii, solve_pii
 from mchasy.errors import ConvergenceError, DomainError, RangeError
 from mchasy.painleve2 import _airy_data, _rhs, _solve_ivp_branch
 
@@ -298,32 +297,19 @@ class TestEval:
 
 
 class TestParametrix:
+    """Identities of (v, v', Q), the entries of the Painleve II parametrix."""
+
     def test_zero_solution(self):
-        sol = solve_pii(0.0)
-        assert np.abs(parametrix_m1(sol, -2.0)).max() == 0.0
-        assert np.abs(parametrix_m2(sol, -2.0)).max() == 0.0
-
-    def test_m1_structure(self, cache):
-        m1 = parametrix_m1(cache.get(0.5), 0.0)
-        assert m1[0, 0] + m1[1, 1] == 0
-        v = eval_pii(cache.get(0.5), 0.0)[0]
-        assert m1[0, 1] == pytest.approx(v / 2)
-        assert m1[1, 0] == m1[0, 1]
-
-    def test_m2_structure(self, cache):
-        m2 = parametrix_m2(cache.get(0.5), 0.0)
-        assert m2[0, 0] == m2[1, 1]
-        assert m2[0, 1] == pytest.approx(-m2[1, 0], abs=1e-15)
+        assert eval_pii(solve_pii(0.0), -2.0) == (0.0, 0.0, 0.0)
 
     def test_m1_derivative_identity(self, cache):
-        # d/ds of the (1,1) entry equals i v^2 / 2
+        # Q' = -v^2: the derivative identity of the diagonal entry -iQ/2 of M1
         for k in (0.3, 0.9):
             sol = cache.get(k)
             for s in np.linspace(-5, 5, 9):
-                d = richardson_derivative(lambda x: parametrix_m1(sol, x)[0, 0],
-                                          float(s), h=1e-3)
+                d = richardson_derivative(lambda x: eval_pii(sol, x)[2], float(s), h=1e-3)
                 v = eval_pii(sol, float(s))[0]
-                assert abs(d - 0.5j * v * v) < 1e-7
+                assert abs(d + v * v) < 2e-7
 
     def test_hamiltonian_identity(self, cache):
         # H = v'^2 - s v^2 - v^4 obeys dH/ds = -v^2 along solutions

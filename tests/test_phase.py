@@ -1,104 +1,11 @@
-import cmath
 import math
 
-import numpy as np
 import pytest
 
-from mchasy import (RegionConstants, RegionTag, SpaceTimePoint, classify,
-                    saddles_region1, saddles_region2, scaled_s, theta)
-from mchasy.errors import DomainError, PoleError, RegionError
-
-from conftest import richardson_derivative
+from mchasy import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
+from mchasy.errors import DomainError, RegionError
 
 CBRT3 = 3.0 ** (1 / 3)
-
-
-class TestTheta:
-    def test_zero_at_unit_points(self):
-        assert theta(1.0, 1.3, 7.0) == 0
-        assert theta(-1.0, -0.2, 3.0) == 0
-
-    def test_arithmetic_value(self):
-        # -(1/4)(2 - 1/2)(2 - 8/(2.5)^2) = -0.27
-        assert theta(2.0, 2.0, 1.0).real == pytest.approx(-0.27, abs=1e-15)
-
-    def test_inversion_antisymmetry(self):
-        # z - 1/z flips and z + 1/z is invariant under z -> 1/z
-        assert theta(0.5, 2.0, 1.0) == pytest.approx(-theta(2.0, 2.0, 1.0), abs=1e-14)
-        for z in (0.3, 1.7, -2.2):
-            assert theta(1 / z, 0.7, 5.0) == pytest.approx(-theta(z, 0.7, 5.0), abs=1e-12)
-
-    def test_pure_imaginary_on_unit_circle(self):
-        for phi in np.linspace(0.03, 2 * math.pi - 0.03, 50):
-            if abs(abs(phi) - math.pi / 2) < 0.05 or abs(phi - 3 * math.pi / 2) < 0.05:
-                continue
-            val = theta(cmath.exp(1j * phi), 1.1, 3.0)
-            assert abs(val.real) < 1e-12 * (1 + abs(val))
-
-    def test_singular_points(self):
-        for z in (0.0, 1j, -1j):
-            with pytest.raises(PoleError):
-                theta(z, 1.0, 1.0)
-
-
-class TestSaddlesRegion1:
-    def test_degenerate_at_two(self):
-        k1, k2, k3, k4, sp = saddles_region1(2.0)
-        assert sp == 0.0
-        assert (k1, k2, k3, k4) == (1.0, 1.0, -1.0, -1.0)
-
-    def test_identities(self):
-        k1, k2, k3, k4, _ = saddles_region1(1.9)
-        assert k1 * k2 == pytest.approx(1.0, abs=1e-15)
-        assert k3 == -k2 and k4 == -k1
-
-    def test_phase_derivative_vanishes(self):
-        ks = saddles_region1(1.9)[:4]
-        for k in ks:
-            d = richardson_derivative(lambda z: theta(z, 1.9, 1.0), k, h=1e-4)
-            assert abs(d) < 1e-10
-
-    def test_collapse_rate_bound(self):
-        # |k1 - 1| <= sqrt(2C) t^(-1/3) when (2 - xi) t^(2/3) <= C
-        C = 1.0
-        for t in (1e3, 1e6):
-            xi = 2.0 - C * t ** (-2 / 3)
-            k1 = saddles_region1(xi)[0]
-            assert abs(k1 - 1.0) <= math.sqrt(2 * C) * t ** (-1 / 3)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            saddles_region1(2.5)
-        with pytest.raises(DomainError):
-            saddles_region1(0.0)
-
-
-class TestSaddlesRegion2:
-    def test_limits_at_quarter(self):
-        ks = saddles_region2(-0.25)
-        assert ks[0] == pytest.approx(2 + math.sqrt(3), abs=1e-12)
-        assert ks[2] == pytest.approx(2 - math.sqrt(3), abs=1e-12)
-        assert ks[4] == pytest.approx(-2 + math.sqrt(3), abs=1e-12)
-        assert ks[6] == pytest.approx(-2 - math.sqrt(3), abs=1e-12)
-
-    def test_reciprocal_identities(self):
-        k = saddles_region2(-0.24)
-        k1, k2, k3, k4 = k[:4]
-        assert k1 * k4 == pytest.approx(1.0, abs=1e-14)
-        assert k2 * k3 == pytest.approx(1.0, abs=1e-14)
-        assert k[4] == -k4 and k[5] == -k3 and k[6] == -k2 and k[7] == -k1
-
-    def test_phase_derivative_vanishes(self):
-        ks = saddles_region2(-0.24)[:8]
-        for k in ks:
-            d = richardson_derivative(lambda z: theta(z, -0.24, 1.0), k, h=1e-4)
-            assert abs(d) < 1e-10
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            saddles_region2(0.0)
-        with pytest.raises(DomainError):
-            saddles_region2(-0.3)
 
 
 class TestScaledS:

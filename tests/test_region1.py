@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from mchasy import (ReflectionCoefficient, RegionConstants, ScatteringData,
-                    SpaceTimePoint, airy, eval_pii, u_region1, x_minus_y_region1)
+                    SpaceTimePoint, airy, eval_pii, u_region1)
 from mchasy.errors import ConvergenceError, RegionError
 
 AMPL = (81 / 2) ** (1 / 3)
@@ -69,21 +67,3 @@ class TestURegion1:
         jumps = np.abs(np.diff(us))
         assert jumps.max() < 1e-9
 
-
-class TestXMinusY:
-    def test_flat_data(self, cache):
-        data = ScatteringData(ReflectionCoefficient.family(0.0))
-        assert x_minus_y_region1(SpaceTimePoint(2e6, 1e6), data, cache) == 0.0
-
-    def test_reflectionless_offset(self, reflectionless, cache):
-        val = x_minus_y_region1(SpaceTimePoint(2e6, 1e6), reflectionless, cache)
-        assert val == pytest.approx(-2 * math.log(7 - 4 * math.sqrt(3)), abs=1e-3)
-        assert val == pytest.approx(5.268, abs=2e-3)
-
-    def test_limit_along_similarity_curve(self, family_half, cache):
-        # v + Q term decays like t^(-1/3); the sum formula has no spectrum here
-        vals = [x_minus_y_region1(point_at(0.0, t), family_half, cache)
-                for t in (1e4, 1e6, 1e8)]
-        gaps = [abs(v - 0.0) for v in vals]
-        assert gaps[0] > gaps[1] > gaps[2]
-        assert gaps[2] < 1e-3

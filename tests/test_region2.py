@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
-                    RegionConstants, ScatteringData, SpaceTimePoint, eval_r,
+                    RegionConstants, ScatteringData, SpaceTimePoint,
                     f_II, lambda_ab, psi_ab, region2_constants, u_region2)
 from mchasy.errors import DomainError, RegionError
 from mchasy.region2 import Region2Constants
@@ -40,12 +40,12 @@ class TestLambdaAB:
         assert la == pytest.approx(-lb, abs=1e-9)
 
     def test_spectrum_additivity(self, family_wide, one_pair_spectrum):
-        from mchasy import log_T_i
         la0, lb0 = lambda_ab(family_wide)
         with_spec = ScatteringData(family_wide.r, one_pair_spectrum)
         la1, lb1 = lambda_ab(with_spec)
         z1 = one_pair_spectrum.representatives[0]
-        dlog = log_T_i(with_spec) - 0.0   # sum part of log T(i) for one pair
+        # the pair's term of log T(i); the integral term is the same for both
+        dlog = math.log((1 + z1.imag) / (1 - z1.imag))
         assert la1 - la0 == pytest.approx(
             4 * cmath.phase(ZA - z1) - 2 * SQ3 * dlog, abs=1e-9)
         assert lb1 - lb0 == pytest.approx(
@@ -114,8 +114,8 @@ class TestURegion2:
             u_region2(SpaceTimePoint(2e6, 1e6), family_wide, cache)
 
     def test_modulus_symmetry(self, family_wide):
-        assert abs(eval_r(family_wide, ZA)) == pytest.approx(
-            abs(eval_r(family_wide, 2 - SQ3)), abs=1e-12)
+        assert abs(family_wide.r(ZA)) == pytest.approx(
+            abs(family_wide.r(2 - SQ3)), abs=1e-12)
 
     def test_full_pipeline_self_convergence(self, one_pair_spectrum, cache):
         data = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 0.05),
@@ -136,6 +136,17 @@ class TestURegion2:
         c = region2_constants(data)
         assert abs(c.T_i.imag) < 1e-8 * abs(c.T_i)
         assert c.it1_over_ti == pytest.approx(-1.0, abs=1e-8)
+
+    def test_memo_keyed_on_whole_spec(self, one_pair_spectrum):
+        # a loose rel_tol first must not be returned for a tight one after
+        r = ReflectionCoefficient.family(0.5, 0.0, 0.05)
+        loose, tight = QuadratureSpec(rel_tol=1e-4), QuadratureSpec(rel_tol=1e-13)
+        data = ScatteringData(r, one_pair_spectrum)
+        first = region2_constants(data, loose)
+        second = region2_constants(data, tight)
+        fresh = region2_constants(ScatteringData(r, one_pair_spectrum), tight)
+        assert second == fresh
+        assert first != fresh
 
     def test_gamma_complement(self):
         c = make_consts()

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mchasy import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
-                    check_symmetries, eval_r, log_T_i, t_function, t_i_and_t1)
-from mchasy.errors import DomainError, PoleError
-from mchasy.scattering import _log_one_minus_r2
+                    check_symmetries, log_T_i, t_i_and_t1)
+from mchasy.errors import DomainError
+from mchasy.scattering import _blaschke
 
-from conftest import symmetry_loop
+from conftest import full_line_t_at_i, symmetry_loop
 
 SQ3 = math.sqrt(3.0)
 
@@ -19,22 +19,22 @@ SQ3 = math.sqrt(3.0)
 class TestEvalR:
     def test_family_at_one(self):
         data = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 1.0))
-        assert eval_r(data, 1.0) == pytest.approx(0.5)
+        assert data.r(1.0) == pytest.approx(0.5)
 
     def test_family_negation(self):
         data = ScatteringData(ReflectionCoefficient.family(0.5, 2.0, 1.0))
-        assert eval_r(data, -1.0) == pytest.approx(-0.5)
+        assert data.r(-1.0) == pytest.approx(-0.5)
 
     def test_family_direct_substitution(self):
         data = ScatteringData(ReflectionCoefficient.family(0.8, 1.0, 0.5))
         expected = 0.8 * math.exp(-0.5) * cmath.exp(1j)
-        assert eval_r(data, math.e) == pytest.approx(expected, abs=1e-15)
+        assert data.r(math.e) == pytest.approx(expected, abs=1e-15)
 
     def test_zero_and_nonfinite(self):
         data = ScatteringData(ReflectionCoefficient.family(0.5))
-        assert eval_r(data, 0.0) == 0.0
+        assert data.r(0.0) == 0.0
         with pytest.raises(DomainError):
-            eval_r(data, math.inf)
+            data.r(math.inf)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-1, 1), st.floats(-3, 3), st.floats(0.05, 4),
@@ -139,41 +139,36 @@ class TestCheckSymmetries:
 
 
 class TestTFunction:
+    """The Blaschke product over the spectrum, the factor of T that carries
+    its poles and zeros."""
+
     def test_trivial_empty(self):
         data = ScatteringData(ReflectionCoefficient.family(0.0))
-        assert t_function(data, 0.3 + 2j) == pytest.approx(1.0)
-        assert t_function(data, 5.0 + 2j, "full-line") == pytest.approx(1.0)
+        assert _blaschke(data, 0.3 + 2j) == 1.0
+        assert _blaschke(data, 5.0 + 2j) == 1.0
 
     def test_value_at_origin_is_one(self, reflectionless):
-        assert t_function(reflectionless, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert _blaschke(reflectionless, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_conjugate_pair_value_at_i(self, reflectionless):
         # direct product oracle collapses to (1+Im z)/(1-Im z) = 7 - 4*sqrt(3)
-        val = t_function(reflectionless, 1j)
+        val = _blaschke(reflectionless, 1j)
         assert val.imag == pytest.approx(0.0, abs=1e-14)
         assert val.real == pytest.approx(7 - 4 * SQ3, abs=1e-13)
 
     def test_unit_modulus_on_reals(self, reflectionless):
         for x in (0.3, 1.7, 5.0):
-            assert abs(abs(t_function(reflectionless, x)) - 1) < 1e-12
-
-    def test_pole_error(self, reflectionless):
-        with pytest.raises(PoleError):
-            t_function(reflectionless, cmath.exp(-1j * math.pi / 3))
-
-    def test_full_line_needs_offaxis(self, family_half):
-        with pytest.raises(DomainError):
-            t_function(family_half, 2.0, "full-line")
+            assert abs(abs(_blaschke(reflectionless, x)) - 1) < 1e-12
 
 
 class TestLogOneMinusR2:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kappa_r", [1.0, -1.0])
     def test_finite_where_r_has_unit_modulus(self, kappa_r):
-        lg = _log_one_minus_r2(ScatteringData(ReflectionCoefficient.family(kappa_r)))
-        assert abs(ReflectionCoefficient.family(kappa_r)(1.0)) == 1.0
-        assert math.isfinite(lg(1.0))
-        assert np.all(np.isfinite(lg(np.array([0.5, 1.0, 2.0]))))
+        r = ReflectionCoefficient.family(kappa_r)
+        assert abs(r(1.0)) == 1.0
+        assert math.isfinite(r.log_one_minus_r2(1.0))
+        assert np.all(np.isfinite(r.log_one_minus_r2(np.array([0.5, 1.0, 2.0]))))
 
 
 class TestLogTi:
@@ -196,11 +191,12 @@ class TestLogTi:
 
     def test_matches_product_modulus(self, reflectionless):
         assert log_T_i(reflectionless) == pytest.approx(
-            math.log(abs(t_function(reflectionless, 1j))), abs=1e-12)
+            math.log(abs(t_i_and_t1(reflectionless)[0])), abs=1e-12)
 
     def test_full_line_real(self, family_half):
-        val = log_T_i(family_half, "full-line")
+        val = log_T_i(family_half)
         assert isinstance(val, float)
+        assert val == pytest.approx(math.log(t_i_and_t1(family_half)[0].real), abs=1e-12)
 
 
 class TestTiAndT1:
@@ -226,5 +222,5 @@ class TestTiAndT1:
 
     def test_consistency_with_full_line_t(self, family_half):
         ti, _ = t_i_and_t1(family_half)
-        direct = t_function(family_half, 1j, "full-line")
+        direct = full_line_t_at_i(family_half)
         assert ti == pytest.approx(direct, abs=1e-11)
