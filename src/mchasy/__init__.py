@@ -14,7 +14,7 @@ from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_
 from .region1 import AsymptoticValue, u_region1
 from .region2 import Region2Constants, f_II, lambda_ab, psi_ab, region2_constants, u_region2
 from .region3 import ShockGeometry, ShockParams, abel, build_geometry, delta0, g_eval, h_eval, nr7_coeffs, nr7_matrix, solve_band, u_region3
-from .scattering import DiscreteSpectrum, ReflectionCoefficient, ScatteringData, check_symmetries, log_T_i, t_i_and_t1
+from .scattering import DiscreteSpectrum, ReflectionCoefficient, ScatteringData, check_symmetries, log_T_i, log_transforms, t_i_and_t1
 
 __all__ = [
     "__version__", "MchasyError",
@@ -23,7 +23,7 @@ __all__ = [
     "PIISolution", "SolutionCache", "solve_pii", "eval_pii",
     "SpaceTimePoint", "RegionTag", "RegionConstants", "scaled_s", "classify",
     "ReflectionCoefficient", "DiscreteSpectrum", "ScatteringData",
-    "check_symmetries", "log_T_i", "t_i_and_t1",
+    "check_symmetries", "log_T_i", "log_transforms", "t_i_and_t1",
     "AsymptoticValue", "u_region1",
     "Region2Constants", "region2_constants", "lambda_ab", "psi_ab", "f_II",
     "u_region2",

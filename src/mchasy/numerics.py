@@ -189,6 +189,17 @@ def _eval_nodes(f, x):
     return fx
 
 
+def gauss_kronrod_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Gauss7-Kronrod15 rule on the panels between sorted ``edges``:
+    the nodes, the K15 weights and the weights of the embedded G7 rule (zero
+    at the Kronrod-only nodes), so that one set of function values gives both
+    sums."""
+    half = 0.5 * np.diff(edges)[:, np.newaxis]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, np.newaxis]
+    return ((mid + half * _GK_X).ravel(), (half * _K15_W).ravel(),
+            (half * _G7_W).ravel())
+
+
 def _gk_panel(f, a, b):
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _GK_X

@@ -3,6 +3,17 @@
 The two phase offsets combine the argument of r at the limiting saddles
 2 +- sqrt(3), argument sums over the discrete spectrum, a principal-value
 transform of log(1-|r|^2), and log T(i).
+
+All four integrals of lg = log(1-|r|^2) behind the constants (the Cauchy
+transforms at i with powers 1 and 2, which give T(i) and T_1, and the two
+principal values) come from ``scattering.log_transforms``, one rule per
+``ScatteringData`` and ``QuadratureSpec``.  As lg is even, each folds onto
+x = e^y > 0: the Cauchy kernels become 1/(2 cosh y) (times 2i) and
+sinh y / cosh^2 y, the principal value at c becomes PV int lg(c e^u)/sinh u du
+with u = y - ln c, and the poles at c = 2 +- sqrt(3) sit at
+y = +-ln(2+sqrt(3)).  Subtracting lg(c) removes the pole, and the exact term
+lg(c) ln|tanh(B/2)/tanh(A/2)| restores it on a rule over [A, B] in u; see the
+``scattering`` module docstring for the derivation.
 """
 
 from __future__ import annotations
@@ -11,14 +22,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AdmissibilityError, DomainError, RealityError, RegionError
-from .numerics import QuadratureSpec, quad_pv
+from .numerics import QuadratureSpec
 from .painleve2 import SolutionCache, eval_pii, s_min_for
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
 from .region1 import AsymptoticValue
-from .scattering import ScatteringData, log_T_i, t_i_and_t1
+from .scattering import ScatteringData, log_T_i, log_transforms, t_i_and_t1
 
 __all__ = ["Region2Constants", "region2_constants", "lambda_ab", "psi_ab",
            "f_II", "u_region2"]
@@ -45,18 +54,15 @@ class Region2Constants:
     T_i: complex
     T_1: complex
     k_ampl: float
+    quad_err_est: float = 0.0   # largest error estimate of the four integrals
 
     @property
     def it1_over_ti(self) -> float:
+        """i*T_1/T(i), checked to be real; the one place the ratio is formed."""
         ratio = 1j * self.T_1 / self.T_i
         if abs(ratio.imag) > 1e-6 * (1.0 + abs(ratio)):
             raise RealityError("i*T1/T(i) not real: %r" % ratio)
         return ratio.real
-
-
-def _pv_log_transform(data: ScatteringData, c: float, spec: QuadratureSpec) -> float:
-    return data._memo(("pv_log", c, spec), lambda: float(np.real(quad_pv(
-        data.r.log_one_minus_r2, c, spec, tail=data.r.log_one_minus_r2_tail).value)))
 
 
 def lambda_ab(data: ScatteringData,
@@ -75,12 +81,11 @@ def lambda_ab(data: ScatteringData,
         raise DomainError("arg r(2 +- sqrt(3)) undefined: amplitude vanishes;"
                           " the wave reduces to the background u = 1")
     logt = log_T_i(data, spec)
-    pv_a = _pv_log_transform(data, _ZA, spec)
-    pv_b = _pv_log_transform(data, _ZB, spec)
+    pv = log_transforms(data, spec)
     arg_sum_a = sum(cmath.phase(_ZA - z) for z in data.spectrum.representatives)
     arg_sum_b = sum(cmath.phase(_ZB - z) for z in data.spectrum.representatives)
-    la = cmath.phase(ra) + 4.0 * arg_sum_a - pv_a / math.pi - 2.0 * _SQ3 * logt
-    lb = cmath.phase(rb) + 4.0 * arg_sum_b - pv_b / math.pi + 2.0 * _SQ3 * logt
+    la = cmath.phase(ra) + 4.0 * arg_sum_a - pv.pv_a / math.pi - 2.0 * _SQ3 * logt
+    lb = cmath.phase(rb) + 4.0 * arg_sum_b - pv.pv_b / math.pi + 2.0 * _SQ3 * logt
     return la, lb
 
 
@@ -94,7 +99,8 @@ def region2_constants(data: ScatteringData,
         t_i, t_1 = t_i_and_t1(data, spec)
         la, lb = lambda_ab(data, spec)
         return Region2Constants(Lambda_a=la, Lambda_b=lb, gamma_a=_GAMMA_A,
-                                gamma_b=_GAMMA_B, T_i=t_i, T_1=t_1, k_ampl=-ka)
+                                gamma_b=_GAMMA_B, T_i=t_i, T_1=t_1, k_ampl=-ka,
+                                quad_err_est=log_transforms(data, spec).err_est)
 
     return data._memo(("r2consts", spec), build)
 
@@ -108,16 +114,13 @@ def psi_ab(s: float, t: float, consts: Region2Constants) -> tuple[float, float]:
 def f_II(s: float, t: float, consts: Region2Constants) -> float:
     """Modulation factor multiplying the Painleve II amplitude."""
     psi_a, psi_b = psi_ab(s, t, consts)
-    ratio = 1j * consts.T_1 / consts.T_i
-    val = 2.0 * math.sqrt(_ZA) * (math.sin(psi_a) * math.cos(consts.gamma_a)
-                                  - ratio * math.cos(psi_a) * math.sin(consts.gamma_a)) \
+    ratio = consts.it1_over_ti
+    return 2.0 * math.sqrt(_ZA) * (math.sin(psi_a) * math.cos(consts.gamma_a)
+                                   - ratio * math.cos(psi_a) * math.sin(consts.gamma_a)) \
         + 2.0 * math.sqrt(_ZB) * (math.sin(psi_b) * math.cos(consts.gamma_b)
                                   - ratio * math.cos(psi_b) * math.sin(consts.gamma_b)) \
         + _SQ3 * math.cos(0.5 * (consts.Lambda_a + consts.Lambda_b)) \
         * math.sin(0.5 * (consts.Lambda_a + consts.Lambda_b))
-    if abs(val.imag) > 1e-6 * (1.0 + abs(val)):
-        raise RealityError("modulation factor came out complex: %r" % val)
-    return val.real
 
 
 def u_region2(point: SpaceTimePoint, data: ScatteringData,
@@ -145,6 +148,7 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
     psi_a, psi_b = psi_ab(s, point.t, consts)
     return AsymptoticValue(u, RegionTag.R_II, _ERROR_ORDER,
                            {"s": s, "k": consts.k_ampl, "v": v, "v_prime": vp,
-                            "Q": q, "pii_err_est": sol.err_est, "f_II": f,
+                            "Q": q, "pii_err_est": sol.err_est,
+                            "quad_err_est": consts.quad_err_est, "f_II": f,
                             "psi_a": psi_a, "psi_b": psi_b,
                             "Lambda_a": consts.Lambda_a, "Lambda_b": consts.Lambda_b})

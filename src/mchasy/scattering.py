@@ -1,5 +1,5 @@
 """Scattering data: reflection coefficient and discrete spectrum, and the
-expansion of T at z = i that the second zone needs.
+transforms of log(1-|r|^2) that the second zone needs.
 
 The reflection coefficient is either the builtin closed-form family
 
@@ -9,22 +9,47 @@ or a tabulated grid with monotone cubic interpolation and an exponential tail
 model; both are extended to z < 0 by r(-z) = -conj(r(z)).  The discrete
 spectrum is stored through its fourth-quadrant representatives on the unit
 circle.
+
+The transforms.  lg(x) = log(1-|r(x)|^2) is even in x, so every integral
+over the real line folds onto x > 0, and in y = ln x each kernel becomes
+smooth and decays like exp(-|y|):
+
+    int lg/(x-i) dx     = int_0^inf lg (1/(x-i) - 1/(x+i)) dx
+                        = 2i int lg(e^y) / (2 cosh y) dy,
+    int lg/(x-i)^2 dx   = int_0^inf lg 2(x^2-1)/(x^2+1)^2 dx
+                        = int lg(e^y) sinh y / cosh^2 y dy,
+    PV int lg/(x-c) dx  = PV int_0^inf lg 2c/(x^2-c^2) dx
+                        = PV int lg(c e^u) / sinh u du,   u = y - ln c,
+
+for c > 0.  The saddles c = 2 +- sqrt(3) are reciprocal, so the two poles
+sit at y = +-ln(2+sqrt(3)).  A principal value on an interval rule over
+[y_lo, y_hi] subtracts lg(c), which leaves an integrand without a pole, and
+adds back the exact term
+
+    lg(c) * PV int_A^B du / sinh u = lg(c) * ln|tanh(B/2) / tanh(A/2)|,
+
+with A = y_lo - ln c and B = y_hi - ln c.  On the uniform grid y_k = k*h,
+h = ln(2+sqrt(3))/(m+1/2), both poles lie midway between two nodes, the
+nodes pair up as u = +-(j+1/2)h around each pole, and the grid sum of the
+odd 1/sinh u vanishes, as its principal value over the line does; there the
+plain grid sum of lg/sinh u is the principal value, and the trapezoid rule
+converges exponentially in 1/h (Trefethen & Weideman 2014, SIAM Rev. 56).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.special import erfc
 
 from .errors import AdmissibilityError, ConvergenceError, DomainError, RealityError
-from .numerics import QuadratureSpec, quad_real_line
+from .numerics import QuadratureSpec, gauss_kronrod_rule
 
 __all__ = [
     "ReflectionCoefficient",
@@ -32,16 +57,37 @@ __all__ = [
     "ScatteringData",
     "check_symmetries",
     "log_T_i",
+    "log_transforms",
     "t_i_and_t1",
 ]
+
+# y = ln|z| of the zone-II saddle 2 + sqrt(3); 2 - sqrt(3) sits at -_Y_SADDLE
+_Y_SADDLE = math.log(2.0 + math.sqrt(3.0))
+# a refinement that would need more nodes than this raises ConvergenceError
+_MAX_NODES = 200_000
+# the rules in y = ln|z| stop short of where e^y overflows
+_MAX_LOG_Z = 700.0
+
+
+class _LogGrid(NamedTuple):
+    """A rule in y = ln|z| for the integrals of log(1-|r|^2): nodes, weights,
+    the weights of an embedded coarser rule on the same nodes, and the
+    interval [y_lo, y_hi] the rule covers; ``span`` is None for the uniform
+    grid on the whole line, whose nodes straddle both poles symmetrically."""
+
+    y: np.ndarray
+    w: np.ndarray
+    w_coarse: np.ndarray
+    span: tuple | None
 
 
 class ReflectionCoefficient:
     """Reflection coefficient on the real line; |r| <= 1 everywhere.
 
     Built by ``family`` or ``tabulated``.  Each kind gives r for z > 0, the
-    tail mass of log(1-|r|^2) and its curvature at z = 1; the odd extension
-    to z < 0 and the array path are shared.
+    curvature of 1-|r|^2 at z = 1 and its rule in y = ln|z| for the
+    transforms of log(1-|r|^2); the odd extension to z < 0 and the array path
+    are shared.
     """
 
     z_min = 0.0   # smallest |z| > 0 where r is defined
@@ -80,10 +126,15 @@ class ReflectionCoefficient:
         out = np.log1p(-vals)
         return out if z.ndim else out[0]
 
-    def log_one_minus_r2_tail(self, lo: float, hi: float) -> float:
-        """Analytic estimate of the dropped integral of log(1-|r|^2) outside
-        [lo, hi], from log(1-x) ~ -x and the tail mass of |r|^2."""
-        return -(self._tail_mass(hi) + self._tail_mass(abs(lo)))
+    def _log_one_minus_r2_in_y(self, y: np.ndarray) -> np.ndarray:
+        """log(1-|r|^2) at z = e^y in one array evaluation; below ``z_min`` it
+        is taken at 1/z, as |r(1/z)| = |r(z)|."""
+        if self.z_min > 0:
+            y = np.where(y < math.log(self.z_min), -y, y)
+        if np.max(np.abs(y)) > _MAX_LOG_Z:
+            raise DomainError("log(1-|r|^2) is not negligible within |ln z| <= %g"
+                              % _MAX_LOG_Z)
+        return self.log_one_minus_r2(np.exp(y))
 
 
 class _Family(ReflectionCoefficient):
@@ -106,10 +157,22 @@ class _Family(ReflectionCoefficient):
         lg = np.log(x)
         return self.kappa_r * np.exp(-self.beta * lg * lg) * np.exp(1j * self.alpha * lg)
 
-    def _tail_mass(self, x: float) -> float:
-        # integral_x^inf kappa^2 exp(-2 beta log(t)^2) dt/t, exact
-        return self.kappa_r ** 2 * math.sqrt(math.pi / (8 * self.beta)) \
-            * float(erfc(math.sqrt(2 * self.beta) * math.log(x)))
+    def _log_grid(self, level: int, cutoff: float) -> _LogGrid:
+        """The uniform grid y_k = k*h, h = ln(2+sqrt(3))/(m+1/2), out to where
+        |r|^2 = kappa^2 exp(-2 beta y^2) falls below ``cutoff``.  Level 0 has
+        m = 4 and each level refines h by a third (m -> 3m+1), which keeps
+        both poles midway between nodes; the coarse rule is every third node
+        with weight 3h, the grid of the level before."""
+        m = 4
+        for _ in range(level):
+            m = 3 * m + 1
+        h = _Y_SADDLE / (m + 0.5)
+        k2 = self.kappa_r ** 2
+        y_max = math.sqrt(math.log(k2 / cutoff) / (2.0 * self.beta)) if k2 > cutoff else 0.0
+        n = 3 * (int(y_max / h) // 3 + 1)
+        k = np.arange(-n, n + 1)
+        y = h * k
+        return _LogGrid(y, np.full(y.shape, h), np.where(k % 3 == 0, 3.0 * h, 0.0), None)
 
     def curvature_at_one(self) -> float:
         """Quadratic coefficient of 1 - |r|^2 at z = 1, in closed form."""
@@ -152,9 +215,41 @@ class _Table(ReflectionCoefficient):
         tail = self.values[-1] * np.exp(-self.tail_rate * np.maximum(x - self.grid[-1], 0.0))
         return np.where(x <= self.grid[-1], self._re(x) + 1j * self._im(x), tail)
 
-    def _tail_mass(self, x: float) -> float:
-        lam = 2 * self.tail_rate
-        return abs(self.values[-1]) ** 2 * math.exp(-lam * (x - self.grid[-1])) / lam
+    def _log_grid(self, level: int, cutoff: float) -> _LogGrid:
+        """Composite Gauss-Kronrod in y on the knot intervals (Pchip is only
+        C^1, so its knots must be panel edges), on the exponential tail out to
+        where |r|^2 falls below ``cutoff``, and on the mirror images of both
+        below ``z_min``, where |r(1/z)| = |r(z)| stands in.  Both poles are
+        panel edges.  Each level splits every panel into three; the coarse rule
+        is the embedded Gauss rule."""
+        y0 = math.log(self.grid[0])
+        if y0 > 0.0:
+            raise DomainError("the transforms of log(1-|r|^2) need a table that"
+                              " starts at or below z = 1, got %r" % self.grid[0])
+        end, v2 = self.grid[-1], abs(self.values[-1]) ** 2
+        decay = max(math.log(v2 / cutoff), 0.0) if v2 > 0.0 else 0.0
+        # tail panels two e-folds of |r|^2 wide, uniform in z
+        tail = np.linspace(end, end + decay / (2.0 * self.tail_rate),
+                           int(math.ceil(decay / 2.0)) + 1)
+        pos = np.concatenate([np.log(self.grid), np.log(tail[1:])])
+        edges = np.unique(np.concatenate([-pos[-pos < y0], pos]))
+        # Each pole is an edge.  A knot at distance d from it leaves the
+        # subtracted integrand of the next panel a near pole (its cubic piece
+        # differs from the pole's at the pole), so the panels are graded
+        # geometrically from the pole outwards, each as wide as about its
+        # distance to the pole.
+        lo, hi = edges[0], edges[-1]
+        for p in (-_Y_SADDLE, _Y_SADDLE):
+            if lo < p < hi:
+                d = max(np.min(np.abs(edges - p)), 1e-9)
+                grade = d * 2.0 ** np.arange(int(math.log2(1.0 / d)) + 1)
+                edges = np.concatenate([edges, [p], p - grade, p + grade])
+        edges = np.unique(np.clip(edges, lo, hi))
+        split = 3 ** level
+        edges = np.interp(np.arange((edges.size - 1) * split + 1) / split,
+                          np.arange(edges.size), edges)
+        y, w, w_coarse = gauss_kronrod_rule(edges)
+        return _LogGrid(y, w, w_coarse, (edges[0], edges[-1]))
 
     def curvature_at_one(self) -> float:
         """Quadratic coefficient of 1 - |r|^2 at z = 1: a centered 5-point
@@ -287,23 +382,95 @@ def _blaschke(data: ScatteringData, z: complex) -> complex:
     return out
 
 
+class LogTransforms(NamedTuple):
+    """The transforms of lg = log(1-|r|^2) that the second zone needs, with
+    the largest error estimate among them."""
+
+    cauchy_1: complex   # int lg(x)/(x-i) dx over the real line
+    cauchy_2: complex   # int lg(x)/(x-i)^2 dx
+    pv_a: float         # PV int lg(x)/(x-(2+sqrt(3))) dx
+    pv_b: float         # PV int lg(x)/(x-(2-sqrt(3))) dx
+    err_est: float
+
+
+def _csch(u):
+    """1/sinh u as 2 e^-|u| / (1 - e^-2|u|) with the sign of u: no overflow
+    at large |u|."""
+    e = np.exp(-np.abs(u))
+    return np.sign(u) * 2.0 * e / -np.expm1(-2.0 * np.abs(u))
+
+
+def _integrands(grid: _LogGrid, lg: np.ndarray, lg_poles: np.ndarray):
+    """The four folded integrands (module docstring) at the nodes, one row
+    each, and the exact terms their weighted sums take; the kernels are
+    written with exp(-|y|), so none overflows far out."""
+    y = grid.y
+    e = np.exp(-np.abs(y))
+    sech = 2.0 * e / (1.0 + e * e)
+    rows = [1j * lg * sech, lg * np.tanh(y) * sech]
+    exact = [0.0, 0.0]
+    for pole, lg_c in zip((_Y_SADDLE, -_Y_SADDLE), lg_poles):
+        kernel = _csch(y - pole)
+        if grid.span is None:
+            rows.append(lg * kernel)
+            exact.append(0.0)
+            continue
+        lo, hi = grid.span
+        rows.append((lg - lg_c) * kernel)
+        exact.append(lg_c * math.log(abs(math.tanh(0.5 * (hi - pole))
+                                         / math.tanh(0.5 * (lo - pole)))) if lg_c else 0.0)
+    return np.array(rows), np.array(exact)
+
+
+def log_transforms(data: ScatteringData,
+                   spec: QuadratureSpec = QuadratureSpec()) -> LogTransforms:
+    """The Cauchy transforms of log(1-|r|^2) at i (powers 1 and 2) and its
+    principal-value transforms at 2 +- sqrt(3), from one rule in y = ln|z|
+    per refinement level and one array evaluation of log(1-|r|^2) on it.
+
+    The error estimate of each is the gap between the rule and its embedded
+    coarse rule, which bounds the coarse rule's error and so, conservatively,
+    the rule's; levels are refined until every estimate is within
+    max(abs_tol, rel_tol*|value|).  A level past ``_MAX_NODES`` nodes raises
+    ``ConvergenceError`` with the last values and their estimate.  Memoized
+    per ``spec``.
+    """
+    r = data.r
+
+    def build():
+        best = None
+        for level in itertools.count():
+            grid = r._log_grid(level, spec.tail_cutoff)
+            if grid.y.size > _MAX_NODES:
+                err = math.inf if best is None else best.err_est
+                raise ConvergenceError(
+                    "transforms of log(1-|r|^2) not converged within %d nodes"
+                    " (err=%.3g)" % (_MAX_NODES, err), best=best, estimate_error=err)
+            # lg at both poles rides along in the same evaluation; the
+            # whole-line grid does not subtract it
+            poles = [_Y_SADDLE, -_Y_SADDLE]
+            vals = r._log_one_minus_r2_in_y(np.concatenate([grid.y, poles]))
+            rows, exact = _integrands(grid, vals[:-2], vals[-2:])
+            fine = rows @ grid.w + exact
+            gaps = np.abs(fine - (rows @ grid.w_coarse + exact))
+            best = LogTransforms(complex(fine[0]), complex(fine[1]), float(fine[2].real),
+                                 float(fine[3].real), float(gaps.max()))
+            if np.all(gaps <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))):
+                return best
+
+    return data._memo(("log_transforms", spec), build)
+
+
 def log_T_i(data: ScatteringData, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """log T(i): the closed-form sum over the fourth-quadrant representatives
     plus the (real) full-line integral of log(1-|r|^2)."""
     total = 0.0
     for z in data.spectrum.representatives:
         total += math.log((1.0 + z.imag) / (1.0 - z.imag))
-    expo = _cauchy_at_i(data, spec, power=1) / (-2j * math.pi)
+    expo = log_transforms(data, spec).cauchy_1 / (-2j * math.pi)
     if abs(expo.imag) > 1e-8 * (1 + abs(expo)):
         raise RealityError("integral part of log T(i) is not real: %r" % expo)
     return total + expo.real
-
-
-def _cauchy_at_i(data: ScatteringData, spec: QuadratureSpec, power: int) -> complex:
-    lg = data.r.log_one_minus_r2
-    def f(x):
-        return lg(x) / (x - 1j) ** power
-    return data._memo(("cauchy_i", power, spec), lambda: quad_real_line(f, spec).value)
 
 
 def t_i_and_t1(data: ScatteringData,
@@ -315,12 +482,11 @@ def t_i_and_t1(data: ScatteringData,
     downstream formula relies on that symmetry.
     """
     prod = _blaschke(data, 1j)
-    i1 = _cauchy_at_i(data, spec, power=1)
-    i2 = _cauchy_at_i(data, spec, power=2)
-    expf = cmath.exp(-i1 / (2j * math.pi))
+    tr = log_transforms(data, spec)
+    expf = cmath.exp(-tr.cauchy_1 / (2j * math.pi))
     t_i = prod * expf
     pole_sum = sum(1.0 / (p - 1j) for p in data.spectrum.full)
-    t_1 = t_i * (-i2 / (2j * math.pi) + pole_sum)
+    t_1 = t_i * (-tr.cauchy_2 / (2j * math.pi) + pole_sum)
     if abs(t_i.imag) > 1e-10 * abs(t_i):
         raise RealityError("T(i) not real: %r" % t_i)
     ratio = 1j * t_1 / t_i

@@ -1,19 +1,38 @@
 import cmath
+import contextlib
 import math
+import signal
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.special import erfc
 
 from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
-                    ScatteringData, SolutionCache, quad)
+                    ScatteringData, SolutionCache, quad, quad_pv)
 from mchasy.errors import DomainError
+from mchasy.numerics import quad_real_line
 
 # `pytest --hypothesis-profile=ci`: the same examples on every run, so that a
 # property failure reproduces (replaces hypothesis' built-in "ci" profile,
 # which directories without this conftest, such as bench/, still get)
 settings.register_profile("ci", derandomize=True)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread if the block outlives ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def agm(x, y):
@@ -221,6 +240,41 @@ def full_line_t_at_i(data):
     integral = mp.quad(lambda x: math.log1p(-abs(data.r(float(x))) ** 2) / (1 + x * x),
                        [0, 1, mp.inf])
     return prod * math.exp(-float(integral) / math.pi)
+
+
+def region2_constants_adaptive(data, spec=QuadratureSpec()):
+    """Zone-II constants by adaptive Gauss-Kronrod on the real line: the two
+    Cauchy transforms of lg = log(1-|r|^2) at i through ``quad_real_line``,
+    the principal values at 2 +- sqrt(3) through ``quad_pv`` plus the exact
+    tail mass of the family, then T(i), T_1 and Lambda_a, Lambda_b as in
+    ``region2``.  Family data only."""
+    r = data.r
+    lg = r.log_one_minus_r2
+
+    def tail_mass(x):
+        # int_x^inf kappa^2 exp(-2 beta log(t)^2) dt/t
+        return r.kappa_r ** 2 * math.sqrt(math.pi / (8 * r.beta)) \
+            * float(erfc(math.sqrt(2 * r.beta) * math.log(x)))
+
+    def tail(lo, hi):
+        return -(tail_mass(hi) + tail_mass(abs(lo)))
+
+    i1, i2 = (quad_real_line(lambda x, p=p: lg(x) / (x - 1j) ** p, spec).value
+              for p in (1, 2))
+    za, zb = 2 + math.sqrt(3), 2 - math.sqrt(3)
+    pv_a, pv_b = (float(np.real(quad_pv(lg, c, spec, tail=tail).value)) for c in (za, zb))
+    prod = 1.0 + 0.0j
+    for p in data.spectrum.full:
+        prod *= (1j - p.conjugate()) / (1j - p)
+    t_i = prod * cmath.exp(-i1 / (2j * math.pi))
+    t_1 = t_i * (-i2 / (2j * math.pi) + sum(1.0 / (p - 1j) for p in data.spectrum.full))
+    reps = data.spectrum.representatives
+    logt = sum(math.log((1 + z.imag) / (1 - z.imag)) for z in reps) \
+        + (i1 / (-2j * math.pi)).real
+    lam = [cmath.phase(r(c)) + 4 * sum(cmath.phase(c - z) for z in reps) - pv / math.pi
+           + sign * 2 * math.sqrt(3) * logt
+           for c, pv, sign in ((za, pv_a, -1), (zb, pv_b, +1))]
+    return {"Lambda_a": lam[0], "Lambda_b": lam[1], "T_i": t_i, "T_1": t_1}
 
 
 def richardson_derivative(f, x, h=1e-3):

@@ -1,8 +1,6 @@
-import contextlib
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 from unittest import mock
@@ -13,6 +11,8 @@ from mchasy import cli, painleve2, region3
 from mchasy.cli import (RunConfig, emit_config, main, parse_config, run_scan,
                         write_output)
 from mchasy.errors import ConfigError
+
+from conftest import deadline
 
 MINIMAL = """
 [scattering]
@@ -32,21 +32,6 @@ w = 3.0:3.4:2
 [output]
 path = {path}
 """
-
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the main thread if the block outlives ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError("still running after %g s" % seconds)
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 R1_SCAN = """
@@ -152,6 +137,38 @@ class TestScan:
             assert main(["scan", "--config", str(cfg_path)]) == 0
         assert load.call_count == 1
         assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_zone_ii_table_scan(self, tmp_path, capsys):
+        import numpy as np
+        from mchasy import ReflectionCoefficient
+        grid = np.geomspace(1e-4, 1e4, 400)
+        vals = ReflectionCoefficient.family(0.5, 0.3, 0.5)(grid)
+        table = tmp_path / "r.csv"
+        np.savetxt(table, np.column_stack([grid, vals.real, vals.imag]), delimiter=",")
+        cfg_path = tmp_path / "scan.ini"
+        cfg_path.write_text("[scattering]\ntable_path = %s\n[regions]\nc2 = 5\n"
+                            "[scan]\nt = 1e6\ns = -1:1:5\ngrid_region = 2\n" % table)
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            x, t, region, s, u, order, error = row.split(",")
+            assert region == "II" and error == "" and math.isfinite(float(u))
+
+    def test_zone_ii_near_unit_kappa_is_one_row_error(self, tmp_path, capsys):
+        # |kappa_r| = 1 - 1e-9 leaves log(1-|r|^2) nearly singular at z = 1;
+        # each point answers or names ConvergenceError, and nothing hangs
+        cfg_path = tmp_path / "scan.ini"
+        cfg_path.write_text("[scattering]\nkappa_r = 0.999999999\nbeta = 0.5\n"
+                            "[regions]\nc2 = 5\n"
+                            "[scan]\nt = 1e6\ns = -1:1:3\ngrid_region = 2\n")
+        with deadline(5.0):
+            assert main(["scan", "--config", str(cfg_path)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        for row in captured.out.splitlines()[1:]:
+            u, error = row.split(",")[4], row.split(",", 6)[6]
+            assert (u and math.isfinite(float(u))) or error.startswith("ConvergenceError: ")
 
     def test_deterministic_rows(self):
         cfg = parse_config(R1_SCAN.format(path="-", fmt="csv"))

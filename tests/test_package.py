@@ -2,6 +2,8 @@
 re-exports exactly what its library modules declare."""
 
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
 import types
 
@@ -32,3 +34,22 @@ def test_package_all_is_the_library_api():
     declared = set().union(*(m.__all__ for m in MODULES
                              if m.__name__ not in ("mchasy.cli", "mchasy.errors")))
     assert set(mchasy.__all__) == declared | {"__version__", "MchasyError"}
+
+
+def test_bench_traced_names_resolve():
+    # bench/run.py --trace 1 getattr()s every name in tracing.TRACED, so a
+    # name pruned from the package must also leave that table
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, names in tracing.TRACED.items():
+        mod = importlib.import_module("mchasy." + mod_name)
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            # a method must be the class's own, as Tracer.install wraps it there
+            found = attr in vars(getattr(mod, owner)) if owner else hasattr(mod, attr)
+            if not found:
+                missing.append("%s.%s" % (mod_name, name))
+    assert missing == []

@@ -1,14 +1,21 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
                     RegionConstants, ScatteringData, SpaceTimePoint,
-                    f_II, lambda_ab, psi_ab, region2_constants, u_region2)
-from mchasy.errors import DomainError, RegionError
+                    f_II, lambda_ab, log_transforms, psi_ab, region2_constants,
+                    u_region2)
+from mchasy import numerics
+from mchasy.errors import ConvergenceError, DomainError, RegionError
 from mchasy.region2 import Region2Constants
+
+from conftest import deadline, region2_constants_adaptive
 
 SQ3 = math.sqrt(3)
 ZA = 2 + SQ3
@@ -162,3 +169,75 @@ class TestURegion2:
                        for t in ts])
         spread = (us - 1) * ts ** (1 / 3)
         assert spread.max() - spread.min() > 1e-2   # genuine oscillation
+
+
+def _spectrum(thetas):
+    return DiscreteSpectrum([cmath.exp(-1j * th) for th in thetas])
+
+
+class TestLogTransforms:
+    """The zone-II integrals from one rule in y = ln|z| per ScatteringData."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-0.99, 0.99).filter(lambda k: k != 0.0), st.floats(-2, 2),
+           st.floats(0.05, 2), st.lists(st.floats(0.1, 1.4), max_size=2).filter(
+               lambda th: len(th) < 2 or abs(th[0] - th[1]) > 0.05))
+    def test_matches_adaptive_oracle(self, kappa, alpha, beta, thetas):
+        data = ScatteringData(ReflectionCoefficient.family(kappa, alpha, beta),
+                              _spectrum(thetas))
+        got = region2_constants(data)
+        # the oracle runs tighter than the default spec: at the default one its
+        # principal values alone are off by up to 3e-11
+        want = region2_constants_adaptive(ScatteringData(data.r, data.spectrum),
+                                          QuadratureSpec(1e-14, 1e-14, 20000, 1e-20))
+        for name, value in want.items():
+            assert abs(getattr(got, name) - value) <= 1e-10, name
+
+    def test_no_adaptive_quadrature_and_one_evaluation_per_level(self, one_pair_spectrum):
+        data = ScatteringData(ReflectionCoefficient.family(0.6, 0.7, 0.25),
+                              one_pair_spectrum)
+        kind = type(data.r)
+        with mock.patch.object(numerics, "quad", wraps=numerics.quad) as quad, \
+                mock.patch.object(kind, "log_one_minus_r2", autospec=True,
+                                  side_effect=kind.log_one_minus_r2) as lg, \
+                mock.patch.object(kind, "_log_grid", autospec=True,
+                                  side_effect=kind._log_grid) as levels:
+            region2_constants(data)
+        assert quad.call_count == 0
+        assert 1 <= lg.call_count <= levels.call_count
+
+    def test_error_estimate_within_tolerance(self, one_pair_spectrum, cache):
+        spec = QuadratureSpec()
+        data = ScatteringData(ReflectionCoefficient.family(0.8, 0.0, 0.08),
+                              one_pair_spectrum)
+        tr = log_transforms(data, spec)
+        scale = max(abs(tr.cauchy_1), abs(tr.cauchy_2), abs(tr.pv_a), abs(tr.pv_b))
+        assert 0.0 < tr.err_est <= max(spec.abs_tol, spec.rel_tol * scale)
+        res = u_region2(point_at(0.5, 1e6), data, cache)
+        assert res.diagnostics["quad_err_est"] == tr.err_est
+
+    def test_near_unit_kappa_answers_or_refuses(self, cache):
+        data = ScatteringData(ReflectionCoefficient.family(1 - 1e-9, 0.0, 0.5))
+        with deadline(5.0):
+            try:
+                res = u_region2(point_at(0.5, 1e6), data, cache)
+            except ConvergenceError as exc:
+                assert exc.best is not None and exc.estimate_error > 0
+            else:
+                assert math.isfinite(res.u)
+
+    # Tables sampled from family(0.5, 0.3, 0.5) against the family itself: the
+    # gap is the error of the Pchip interpolant (measured 1.7e-6, 1.1e-6 and
+    # 1.2e-6 in Lambda, 4e-8 in T(i); it falls as the table is refined), not
+    # of the quadrature, whose estimate stays below 1e-12.
+    @pytest.mark.parametrize("lo, hi, n", [(1e-4, 1e4, 400), (0.05, 20.0, 200),
+                                           (1e-3, 30.0, 300)])
+    def test_tabulated_matches_family(self, lo, hi, n, one_pair_spectrum):
+        fam = ReflectionCoefficient.family(0.5, 0.3, 0.5)
+        grid = np.geomspace(lo, hi, n)
+        table = ReflectionCoefficient.tabulated(grid, fam(grid))
+        got = region2_constants(ScatteringData(table, one_pair_spectrum))
+        want = region2_constants(ScatteringData(fam, one_pair_spectrum))
+        for name in ("Lambda_a", "Lambda_b", "T_i", "T_1"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 3e-6, name
+        assert got.quad_err_est <= 1e-12
