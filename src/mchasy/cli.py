@@ -173,7 +173,8 @@ def _getfloat(sec, name, default, key, positive=False):
 
 def parse_config(text: str, strict: bool = False) -> RunConfig:
     """Parse and validate the key-value config document."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal: a '%' is not interpolation syntax
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -101,7 +101,7 @@ def airy(s):
 # Jacobi theta series
 # ----------------------------------------------------------------------
 
-def jacobi_theta(s, params: ThetaParams, order: int = 0):
+def jacobi_theta(s, params: ThetaParams, order: int | tuple[int, int] = 0):
     """Theta series sum(exp(2*pi*i*n*s + pi*i*varkappa*n^2), n in Z).
 
     Double precision after reduction into the fundamental strip (DLMF
@@ -110,15 +110,17 @@ def jacobi_theta(s, params: ThetaParams, order: int = 0):
     - 2*pi*i*m*s0).  Theta(s0) sums |n| <= N, N the smallest order whose
     dropped terms are below ``params.abs_tol`` anywhere in the strip
     (Deconinck et al. 2004, Math. Comp. 73).  ``order=1`` evaluates the
-    derivative d/ds, F*(Theta'(s0) - 2*pi*i*m*Theta(s0)).  A scalar ``s`` gives
+    derivative d/ds, F*(Theta'(s0) - 2*pi*i*m*Theta(s0)), and ``order=(0, 1)``
+    the pair (Theta, Theta') from the same exponentials.  A scalar ``s`` gives
     a ``complex``, an array a complex array of its shape (one exponential
     over s x (2N+1) terms).
     """
     vk = complex(params.varkappa)
     if not vk.imag > 0:
         raise DivergentSeriesError("Im(varkappa) must be positive")
-    if order not in (0, 1):
-        raise DomainError("order must be 0 or 1")
+    pair = order == (0, 1)
+    if not pair and order not in (0, 1):
+        raise DomainError("order must be 0, 1 or (0, 1)")
     s = np.asarray(s, dtype=complex)
     s = s - np.round(s.real)   # exact: Theta has period 1
     m = np.round(s.imag / vk.imag)
@@ -135,9 +137,13 @@ def jacobi_theta(s, params: ThetaParams, order: int = 0):
     z = np.exp(np.multiply.outer(2j * np.pi * s0, n))
     q = np.exp((1j * np.pi * vk) * (n * n))
     total = z @ q
-    if order == 1:
-        total = z @ (2j * np.pi * n * q) - (2j * np.pi * m) * total
-    total = factor * total
+    if order == 0:
+        return _theta_out(factor * total)
+    deriv = _theta_out(factor * (z @ (2j * np.pi * n * q) - (2j * np.pi * m) * total))
+    return (_theta_out(factor * total), deriv) if pair else deriv
+
+
+def _theta_out(total):
     return complex(total) if total.ndim == 0 else total
 
 

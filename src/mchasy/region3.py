@@ -264,9 +264,21 @@ class ShockGeometry:
         return ThetaParams(varkappa=self.varkappa)
 
     @cached_property
+    def theta_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s, Theta(s), Theta'(s)) at the points every shock point needs,
+        from one theta-series call: 0, the four expansion points (``_EXPANSION``)
+        and the gate's nine sample pairs (``_GATE``).  Nothing here is tested
+        for poles: each reader tests the values it uses."""
+        kap4, shift = self.varkappa / 4, self.phi / math.pi
+        expansion = np.array([self.A_inf - kap4, -self.A_inf - kap4])
+        gate = np.append(-_abel_axis(self, _NR7_KS) - kap4, self.A_inf - kap4)
+        s = np.concatenate([[0.0], expansion, expansion + shift, gate + shift, gate])
+        return (s, *jacobi_theta(s, self.theta_params, order=(0, 1)))
+
+    @cached_property
     def theta0(self) -> float:
         """|Theta(0)|, the scale of the pole test on theta values."""
-        return abs(jacobi_theta(0.0, self.theta_params))
+        return abs(self.theta_pass[1][0])
 
     @cached_property
     def expansion_terms(self) -> tuple[complex, complex]:
@@ -519,12 +531,16 @@ def _nu(geom: ShockGeometry, k: complex, side: str | None) -> complex:
     return complex(((k - a) * (k + b) / ((k + a) * (k - b))) ** 0.25)
 
 
-def _theta(geom: ShockGeometry, s, order=0):
-    val = jacobi_theta(s, geom.theta_params, order=order)
+def _check_poles(geom: ShockGeometry, s, val) -> None:
     small = np.flatnonzero(np.abs(val) < 1e-12 * geom.theta0)
-    if order == 0 and small.size:
+    if small.size:
         raise PoleOfSolutionError("theta denominator vanished",
                                   point=complex(np.ravel(s)[small[0]]))
+
+
+def _theta(geom: ShockGeometry, s):
+    val = jacobi_theta(s, geom.theta_params)
+    _check_poles(geom, s, val)
     return val
 
 
@@ -552,30 +568,35 @@ def nr7_matrix(geom: ShockGeometry, k, side: str | None = None,
                      [cmath.exp(-1j * phi) * p2 * r[3] / r[5], p1 * r[4] / r[5]]])
 
 
-def _expansion_terms(geom: ShockGeometry):
-    kap4, shift = geom.varkappa / 4, geom.phi / math.pi
-    s = np.array([geom.A_inf - kap4, -geom.A_inf - kap4])
-    den_p, den_m, num_p, num_m = _theta(geom, np.concatenate([s, s + shift]))
-    g_inf = den_p * num_m / (den_m * num_p)
-    c_inf = den_p / num_p
-    # d/d(1/k) at infinity of the ratio evaluated along -A(k)
-    dnum, dden = _theta(geom, np.array([s[1] + shift, s[1]]), order=1)
-    f1 = -geom.cA * (dnum * den_m - num_m * dden) / (den_m * den_m)
-    return complex(g_inf), complex(c_inf * f1)
-
-
+# the slices of ``ShockGeometry.theta_pass``: Theta at A_inf - kap/4 and
+# -A_inf - kap/4 and at both shifted by phi/pi; then the gate's nine sample
+# pairs, shifted first
+_EXPANSION = slice(1, 5)
+_GATE = slice(5, 23)
 # the gate's sample points and the pseudo-inverse of its cubic Laurent design
 _NR7_KS = np.array([1e2, 2e2, 3e2, 5e2, 1e3, 2e3, 5e3, 1e4])
 _NR7_PINV = np.linalg.pinv(np.vstack([np.ones_like(_NR7_KS), 1.0 / _NR7_KS,
                                       1.0 / _NR7_KS ** 2, 1.0 / _NR7_KS ** 3]).T)
 
 
+def _expansion_terms(geom: ShockGeometry):
+    s, th, dth = geom.theta_pass
+    _check_poles(geom, s[_EXPANSION], th[_EXPANSION])
+    den_p, den_m, num_p, num_m = th[_EXPANSION]
+    g_inf = den_p * num_m / (den_m * num_p)
+    c_inf = den_p / num_p
+    # d/d(1/k) at infinity of the ratio evaluated along -A(k)
+    dden, dnum = dth[2], dth[4]
+    f1 = -geom.cA * (dnum * den_m - num_m * dden) / (den_m * den_m)
+    return complex(g_inf), complex(c_inf * f1)
+
+
 def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     """Closed-form 1/k and 1/k^2 coefficients of the (1,2) entry.
 
     Validated against a Laurent fit of the (1,2) entry of ``nr7_matrix`` at
-    eight real k > b, all from one theta-series call; disagreement beyond
-    1e-5 signals a broken derivative-at-infinity convention and is a hard
+    eight real k > b, read from the geometry's ``theta_pass``; disagreement
+    beyond 1e-5 signals a broken derivative-at-infinity convention and is a hard
     failure.
     """
     a, b = geom.a, geom.b
@@ -587,8 +608,10 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     # -A(k), normalized by the one at A_inf
     ks = _NR7_KS
     nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
-    kap4 = geom.varkappa / 4
-    r = _theta_ratios(geom, np.append(-_abel_axis(geom, ks) - kap4, geom.A_inf - kap4))
+    s, th, _ = geom.theta_pass
+    _check_poles(geom, s[_GATE], th[_GATE])
+    num, den = np.split(th[_GATE], 2)
+    r = num / den
     vals = -cmath.exp(1j * geom.phi) * (nu - 1.0 / nu) / 2j * r[:-1] / r[-1]
     coef = _NR7_PINV @ (vals * ks)
     scale = max(1.0, abs(n1_12))

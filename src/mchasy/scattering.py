@@ -48,7 +48,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import AdmissibilityError, ConvergenceError, DomainError, RealityError
+from .errors import (AdmissibilityError, ConvergenceError, DomainError, MchasyError,
+                     RealityError)
 from .numerics import QuadratureSpec, gauss_kronrod_rule
 
 __all__ = [
@@ -319,13 +320,23 @@ class ScatteringData:
         self._lock = threading.Lock()
 
     def _memo(self, key, fn):
+        """fn() once per key.  A ``MchasyError`` from it is kept as well, and
+        raised again with a fresh traceback at every later call."""
         with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        val = fn()
-        with self._lock:
-            self._cache.setdefault(key, val)
-            return self._cache[key]
+            hit = key in self._cache
+            val = self._cache.get(key)
+        if not hit:
+            try:
+                val = fn()
+            except MchasyError as exc:
+                with self._lock:
+                    self._cache.setdefault(key, exc)
+                raise
+            with self._lock:
+                val = self._cache.setdefault(key, val)
+        if isinstance(val, MchasyError):
+            raise val.with_traceback(None)
+        return val
 
 
 @dataclass
@@ -344,20 +355,30 @@ class SymmetryReport:
         return worst <= self.tol and math.isfinite(self.log_integrability)
 
 
+# probes of check_symmetries: the symmetries of r, and the integrability of
+# log(1-|r|^2) against 1/(1+|z|)
+_SYMMETRY_PROBES = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 2.0, 2 + math.sqrt(3)]])
+_INTEGRABILITY_PROBES = np.geomspace(1e-3, 1e3, 200)
+
+
 def check_symmetries(data: ScatteringData, tol: float = 1e-12) -> SymmetryReport:
     """Sample a fixed grid and report the worst violation of each symmetry.
 
     Tabulated grids may not cover the whole probe range: r(z) and r(-z) are
-    compared where z is covered, r(1/z) and |r(z)| where 1/z is too.
+    compared where z is covered, r(1/z) and |r(z)| where 1/z is too.  r is
+    evaluated once, on all probes together.
     """
     r = data.r
-    zs = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 2.0, 2 + math.sqrt(3)]])
-    zs = zs[zs >= r.z_min]
-    rz = r(zs)
+    zs = _SYMMETRY_PROBES[_SYMMETRY_PROBES >= r.z_min]
     both = 1.0 / zs >= r.z_min
-    neg = float(np.max(np.abs(r(-zs) + rz.conj()), initial=0.0))
-    inv = float(np.max(np.abs(r(1.0 / zs[both]) - rz[both].conj()), initial=0.0))
-    mod = float(np.max(np.abs(rz[both]) - 1.0, initial=0.0))
+    inv_zs = 1.0 / zs[both]
+    probes = _INTEGRABILITY_PROBES[_INTEGRABILITY_PROBES >= r.z_min]
+    vals = r(np.concatenate([zs, -zs, inv_zs, probes]))
+    n, n_inv = zs.size, 2 * zs.size + inv_zs.size
+    rz, r_neg, r_inv, r_probes = vals[:n], vals[n:2 * n], vals[2 * n:n_inv], vals[n_inv:]
+    neg = float(np.abs(r_neg + rz.conj()).max(initial=0.0))
+    inv = float(np.abs(r_inv - rz[both].conj()).max(initial=0.0))
+    mod = float((np.abs(rz[both]) - 1.0).max(initial=0.0))
     spec_v = {}
     for z in data.spectrum.representatives:
         spec_v["unit circle"] = max(spec_v.get("unit circle", 0.0), abs(abs(z) - 1.0))
@@ -368,10 +389,8 @@ def check_symmetries(data: ScatteringData, tol: float = 1e-12) -> SymmetryReport
     if len(data.spectrum):
         spec_v["separation"] = 0.0 if data.spectrum.varrho() > 0 else 1.0
     # crude integrability probe of log(1-|r|^2) against 1/(1+|z|)
-    zs = np.geomspace(1e-3, 1e3, 200)
-    zs = zs[zs >= r.z_min]
-    m2 = np.abs(r(zs)) ** 2
-    total = float(np.sum(np.abs(np.log(np.maximum(1.0 - m2, 1e-300))) / (1.0 + zs)))
+    m2 = np.abs(r_probes) ** 2
+    total = float((np.abs(np.log(np.maximum(1.0 - m2, 1e-300))) / (1.0 + probes)).sum())
     return SymmetryReport(neg, inv, mod, spec_v, total, tol)
 
 

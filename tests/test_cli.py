@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from mchasy import cli, painleve2, region3
+from mchasy import cli, painleve2, region3, scattering
 from mchasy.cli import (RunConfig, emit_config, main, parse_config, run_scan,
                         write_output)
 from mchasy.errors import ConfigError
@@ -169,6 +169,25 @@ class TestScan:
         for row in captured.out.splitlines()[1:]:
             u, error = row.split(",")[4], row.split(",", 6)[6]
             assert (u and math.isfinite(float(u))) or error.startswith("ConvergenceError: ")
+
+    def test_failed_transforms_built_once_per_scan(self, tmp_path, capsys):
+        # the ConvergenceError of the transforms is kept per data and spec:
+        # the refinement runs once (levels 0-8), not once per point
+        cfg_path = tmp_path / "scan.ini"
+        cfg_path.write_text("[scattering]\nkappa_r = 0.999999999\nbeta = 0.5\n"
+                            "[regions]\nc2 = 5\n"
+                            "[scan]\nt = 1e6\ns = -1:1:3\ngrid_region = 2\n")
+        real = scattering._Family._log_grid
+        with mock.patch.object(scattering._Family, "_log_grid", autospec=True,
+                               side_effect=real) as spy:
+            assert main(["scan", "--config", str(cfg_path)]) == 0
+        assert spy.call_count == 9
+        error = ("ConvergenceError: transforms of log(1-|r|^2) not converged"
+                 " within 200000 nodes (err=0.000516)")
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "-249895.99580884742,1000000.0,II,-0.9999999999998979,,," + error,
+            "-250000.0,1000000.0,II,-0.0,,," + error,
+            "-250104.00419115258,1000000.0,II,0.9999999999998979,,," + error]
 
     def test_deterministic_rows(self):
         cfg = parse_config(R1_SCAN.format(path="-", fmt="csv"))
@@ -342,6 +361,25 @@ class TestBadScattering:
             assert captured.err.startswith("config error: %s: " % key)
             assert captured.err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
+
+
+class TestLiteralValues:
+    """Config values are literal: '%' is not interpolation syntax."""
+
+    def test_percent_in_number_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scattering]\nkappa_r = 50%\n")
+        assert main(["scan", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: scattering.kappa_r: ")
+        assert captured.err.count("\n") == 1
+
+    def test_percent_in_path_is_literal(self, tmp_path):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(R1_SCAN.format(path=tmp_path / "out%(x)s.csv", fmt="csv"))
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "out%(x)s.csv").read_text().startswith("x,t,region,")
 
 
 class TestPiiInput:

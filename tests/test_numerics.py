@@ -103,6 +103,26 @@ class TestJacobiTheta:
         assert np.abs(got - want).max() < 1e-14
         assert type(jacobi_theta(complex(s[0, 0]), params, order=order)) is complex
 
+    def test_pair_matches_separate_orders(self):
+        params = ThetaParams(varkappa=0.3 + 0.8j)
+        rng = np.random.default_rng(5)
+        # Im s up to 2.5 periods off the axis, so most points are strip-reduced
+        s = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-2, 2, (4, 5))
+        th, dth = jacobi_theta(s, params, order=(0, 1))
+        assert th.shape == dth.shape == s.shape
+        assert np.abs(th - jacobi_theta(s, params)).max() < 1e-14 * np.abs(th).max()
+        assert np.abs(dth - jacobi_theta(s, params, order=1)).max() < 1e-14 * np.abs(dth).max()
+        for v in (0.0, 0.3 - 0.2j, complex(s[1, 2])):
+            th, dth = jacobi_theta(v, params, order=(0, 1))
+            assert type(th) is complex and type(dth) is complex
+            assert abs(th - jacobi_theta(v, params)) < 1e-14 * max(1.0, abs(th))
+            assert abs(dth - jacobi_theta(v, params, order=1)) < 1e-14 * max(1.0, abs(dth))
+
+    @pytest.mark.parametrize("order", [2, (1, 0), (0, 1, 2)])
+    def test_unknown_order_rejected(self, order):
+        with pytest.raises(DomainError):
+            jacobi_theta(0.1, ThetaParams(varkappa=1j), order=order)
+
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-1, 1), st.floats(0.3, 5), st.floats(-2, 2), st.floats(-3, 3),

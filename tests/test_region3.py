@@ -12,7 +12,7 @@ from mchasy import (ReflectionCoefficient, ScatteringData,
                     nr7_matrix, region3, solve_band, u_region3)
 from mchasy.errors import (AdmissibilityError, BoundaryAmbiguityError,
                            BranchError, ConventionError, DomainError,
-                           RegionError, WindowError)
+                           PoleOfSolutionError, RegionError, WindowError)
 from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
                             _k_band, _k_gap, _j_gap, build_geometry,
                             curvature_at_one, g0_limit, h1_limit, periods)
@@ -429,15 +429,49 @@ class TestNr7:
             nr7_coeffs(broken)
 
     def test_theta_calls_per_point(self, gen_data, monkeypatch):
-        # theta(0) once per geometry, the gate's 8 samples in one call, and
-        # the expansion terms once although both the gate and u need them
+        # theta(0), the expansion terms and the gate's samples all come from
+        # one theta-series call per geometry, read by both the gate and u
         calls = []
         real = region3.jacobi_theta
         monkeypatch.setattr(region3, "jacobi_theta",
                             lambda s, p, order=0: calls.append(s) or real(s, p, order))
         u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data)
-        assert sum(np.ndim(s) == 0 for s in calls) == 1
-        assert len(calls) <= 4
+        assert len(calls) == 1
+        assert np.shape(calls[0]) == (23,)
+
+    def test_gate_points_only_tested_by_gate(self, gen_data, params, monkeypatch):
+        # a theta value that vanishes at a gate sample is a pole for the gate
+        # alone: without validation the gate is not evaluated and u is the same
+        pt = SpaceTimePoint(XI0 * T0, T0)
+        want = u_region3(pt, gen_data).u
+        real = region3.jacobi_theta
+
+        def zero_at_gate(s, p, order=0):
+            th, dth = real(s, p, order)
+            th[region3._GATE] = 0.0
+            return th, dth
+
+        monkeypatch.setattr(region3, "jacobi_theta", zero_at_gate)
+        gate = mock.Mock(wraps=region3.nr7_coeffs)
+        monkeypatch.setattr(region3, "nr7_coeffs", gate)
+        assert u_region3(pt, gen_data, validate=False).u == want
+        build_geometry(params, validate=False).expansion_terms
+        assert gate.call_count == 0
+        with pytest.raises(PoleOfSolutionError):
+            u_region3(pt, gen_data)
+        assert gate.call_count == 1
+
+    def test_expansion_points_tested_without_validation(self, gen_data, monkeypatch):
+        real = region3.jacobi_theta
+
+        def zero_at_expansion(s, p, order=0):
+            th, dth = real(s, p, order)
+            th[region3._EXPANSION] = 0.0
+            return th, dth
+
+        monkeypatch.setattr(region3, "jacobi_theta", zero_at_expansion)
+        with pytest.raises(PoleOfSolutionError):
+            u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data, validate=False)
 
     def test_phase_shift_invariance(self, geom):
         shifted = dataclasses.replace(geom, phi=geom.phi + 2 * math.pi)

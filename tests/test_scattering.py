@@ -1,5 +1,7 @@
 import cmath
 import math
+import traceback
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from mchasy import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
                     check_symmetries, log_T_i, t_i_and_t1)
-from mchasy.errors import DomainError
+from mchasy.errors import ConvergenceError, DomainError
 from mchasy.scattering import _blaschke
 
 from conftest import full_line_t_at_i, symmetry_loop
@@ -115,6 +117,18 @@ class TestCheckSymmetries:
         assert report.max_modulus_excess == pytest.approx(mod, rel=1e-12, abs=1e-16)
         assert report.log_integrability == pytest.approx(total, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [
+        ReflectionCoefficient.family(-1.0, 0.7, 0.05),
+        _table(0.1, 4.0, 40),
+    ])
+    def test_one_r_evaluation(self, r):
+        real = ReflectionCoefficient.__call__
+        with mock.patch.object(ReflectionCoefficient, "__call__", autospec=True,
+                               side_effect=real) as spy:
+            check_symmetries(ScatteringData(r), tol=1e-12)
+        assert spy.call_count == 1
+        assert isinstance(spy.call_args.args[1], np.ndarray)
+
     def test_family_passes_to_machine(self):
         for kappa, alpha, beta in ((0.5, 0.0, 1.0), (-1.0, 0.0, 0.5), (0.9, 2.0, 0.2)):
             data = ScatteringData(ReflectionCoefficient.family(kappa, alpha, beta))
@@ -136,6 +150,37 @@ class TestCheckSymmetries:
     def test_spectrum_invariant_named(self):
         with pytest.raises(DomainError, match="unit circle"):
             DiscreteSpectrum([0.9 * cmath.exp(-1j * math.pi / 3)])
+
+
+class TestMemo:
+    def test_error_kept_and_raised_again(self):
+        data = ScatteringData(ReflectionCoefficient.family(0.5))
+        calls, depths = [], []
+
+        def fail():
+            calls.append(None)
+            raise ConvergenceError("no", best=1.0)
+
+        for _ in range(3):
+            with pytest.raises(ConvergenceError) as info:
+                data._memo("key", fail)
+            depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+            assert info.value.best == 1.0
+        assert len(calls) == 1
+        assert depths[1] == depths[2]
+
+    def test_other_errors_not_kept(self):
+        data = ScatteringData(ReflectionCoefficient.family(0.5))
+        calls = []
+
+        def fail():
+            calls.append(None)
+            raise KeyError("no")
+
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                data._memo("key", fail)
+        assert len(calls) == 2
 
 
 class TestTFunction:
