@@ -61,7 +61,7 @@ from .region1 import u_region1
 from .region2 import u_region2
 from .region3 import u_region3
 from .scattering import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
-                         check_symmetries)
+                         SymmetryReport, check_symmetries)
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "run_scan",
            "write_output", "main"]
@@ -79,14 +79,17 @@ class RunConfig:
     tolerances: dict
     output: dict
     warnings: list = field(default_factory=list)
+    # the report of check_symmetries that parse_config computed
+    symmetry: SymmetryReport | None = field(default=None, init=False, repr=False,
+                                           compare=False)
     _data: ScatteringData | None = field(default=None, init=False, repr=False,
                                          compare=False)
 
     def data(self) -> ScatteringData:
         """The scattering data, built on the first call and shared after, so
         the checks of ``parse_config`` and the scan use one object (and its
-        memo).  A spectrum or table the data refuses raises ``ConfigError``
-        naming its key."""
+        memo).  A spectrum, table or family the data refuses raises
+        ``ConfigError`` naming its key."""
         if self._data is None:
             sc = self.scattering
             try:
@@ -104,7 +107,10 @@ class RunConfig:
                 except ValueError as exc:   # np.loadtxt, or the checks of the table
                     raise ConfigError(str(exc), key="scattering.table_path") from exc
             else:
-                r = ReflectionCoefficient.family(sc["kappa_r"], sc["alpha"], sc["beta"])
+                try:
+                    r = ReflectionCoefficient.family(sc["kappa_r"], sc["alpha"], sc["beta"])
+                except DomainError as exc:
+                    raise ConfigError(str(exc), key="scattering") from exc
             self._data = ScatteringData(r, spectrum)
         return self._data
 
@@ -146,16 +152,19 @@ def _parse_grid(text: str, key: str) -> list[float]:
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
             if n < 1 or not hi >= lo:
                 raise ValueError
-            if n == 1:
-                return [lo]
-            return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        vals = [float(t) for t in text.split(",") if t.strip()]
-        if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
+            vals = [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        else:
+            vals = [float(t) for t in text.split(",") if t.strip()]
+        # strictly increasing in both forms, so that a grid written back as
+        # a comma list (emit_config) parses to the same points
+        if not vals or any(not b > a for a, b in zip(vals, vals[1:])):
             raise ValueError
-        return vals
     except ValueError as exc:
         raise ConfigError("grid must be lo:hi:n or a sorted comma list, got %r"
                           % text, key=key) from exc
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError("grid values must be finite, got %r" % text, key=key)
+    return vals
 
 
 def _getfloat(sec, name, default, key, positive=False):
@@ -166,6 +175,8 @@ def _getfloat(sec, name, default, key, positive=False):
         val = float(raw)
     except ValueError as exc:
         raise ConfigError("not a number: %r" % raw, key=key) from exc
+    if not math.isfinite(val):
+        raise ConfigError("must be finite, got %r" % raw, key=key)
     if positive and not val > 0:
         raise ConfigError("must be positive, got %r" % val, key=key)
     return val
@@ -227,9 +238,10 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     kind = kinds[0] if kinds else "s"
     scan["grid_kind"] = kind
     scan["grid"] = _parse_grid(sn.get(kind, "-1:1:5"), "scan." + kind)
-    scan["grid_region"] = int(sn.get("grid_region", "1"))
-    if scan["grid_region"] not in (1, 2):
+    grid_region = sn.get("grid_region", "1")
+    if grid_region not in ("1", "2"):
         raise ConfigError("grid_region must be 1 or 2", key="scan.grid_region")
+    scan["grid_region"] = int(grid_region)
 
     tl = cp["tolerances"] if cp.has_section("tolerances") else {}
     tolerances = {
@@ -241,6 +253,8 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
                                  positive=True),
         "pii_tol": _getfloat(tl, "pii_tol", 1e-10, "tolerances.pii_tol", positive=True),
     }
+    if tolerances["max_subdivisions"] < 1:
+        raise ConfigError("must be at least 1", key="tolerances.max_subdivisions")
 
     ot = cp["output"] if cp.has_section("output") else {}
     output = {"path": ot.get("path", "-"), "format": ot.get("format", "csv")}
@@ -248,7 +262,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         raise ConfigError("format must be csv or json", key="output.format")
 
     cfg = RunConfig(scattering, regions, shock, scan, tolerances, output)
-    report = check_symmetries(cfg.data(), tol=1e-10)
+    report = cfg.symmetry = check_symmetries(cfg.data(), tol=1e-10)
     if not report.passed:
         msg = ("scattering symmetries violated: negation %.3g, inversion %.3g, "
                "modulus excess %.3g, spectrum %r"
@@ -266,12 +280,7 @@ def emit_config(cfg: RunConfig) -> str:
     spectrum = "[" + ", ".join(
         "%r%+ri" % (z.real, z.imag) for z in cfg.scattering["spectrum"]) + "]"
     sections = {
-        "scattering": {**{k: cfg.scattering[k] for k in
-                          ("family", "kappa_r", "alpha", "beta")},
-                       **({"table_path": cfg.scattering["table_path"],
-                           "tail_rate": cfg.scattering["tail_rate"]}
-                          if cfg.scattering["table_path"] else {}),
-                       "spectrum": spectrum},
+        "scattering": {**cfg.scattering, "spectrum": spectrum},
         "regions": cfg.regions,
         "shock": cfg.shock,
         "scan": {"t": ", ".join(repr(t) for t in cfg.scan["t"]),
@@ -302,10 +311,10 @@ def _grid_to_x(cfg: RunConfig, t: float, v: float) -> float:
     return xi * t
 
 
-def _eval_point(cfg, data, cache, constants, spec, point):
-    row = {"x": point.x, "t": point.t, "s": None, "u": None,
-           "err_order": None, "error": ""}
+def _eval_point(cfg, data, cache, constants, spec, x, t):
+    row = {"x": x, "t": t, "s": None, "u": None, "err_order": None, "error": ""}
     try:
+        point = SpaceTimePoint(x, t)   # x = xi*t can overflow at a finite t
         tag = classify(point, constants)
         row["region"] = tag.value
         if tag in (RegionTag.R_I, RegionTag.R_II):
@@ -335,9 +344,8 @@ def run_scan(cfg: RunConfig) -> list[dict]:
     constants = cfg.constants()
     spec = cfg.quad_spec()
     cache = SolutionCache()
-    points = [SpaceTimePoint(_grid_to_x(cfg, t, v), t)
-              for t in cfg.scan["t"] for v in cfg.scan["grid"]]
-    return [_eval_point(cfg, data, cache, constants, spec, pt) for pt in points]
+    return [_eval_point(cfg, data, cache, constants, spec, _grid_to_x(cfg, t, v), t)
+            for t in cfg.scan["t"] for v in cfg.scan["grid"]]
 
 
 def _fmt(v) -> str:
@@ -420,7 +428,7 @@ def _run_check(args) -> int:
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    report = check_symmetries(cfg.data(), tol=1e-10)
+    report = cfg.symmetry
     print("negation symmetry violation: %.3e" % report.max_negation_violation)
     print("inversion symmetry violation: %.3e" % report.max_inversion_violation)
     print("modulus excess: %.3e" % report.max_modulus_excess)
@@ -471,12 +479,13 @@ def _run_pq_invariance(args) -> int:
     worst, used = 0.0, 0
     for t in cfg.scan["t"]:
         for v in cfg.scan["grid"]:
-            pt = SpaceTimePoint(_grid_to_x(cfg, t, v), t)
+            x = _grid_to_x(cfg, t, v)
             try:
+                pt = SpaceTimePoint(x, t)
                 u1 = u_region3(pt, data, 1.0, 1.0, constants).u
                 u2 = u_region3(pt, data, 3.0, 2.0, constants).u
-            except MchasyError as exc:
-                print("x=%r t=%r skipped (%s)" % (pt.x, t, exc))
+            except Exception as exc:   # as in a scan, one bad point is skipped
+                print("x=%r t=%r skipped (%s)" % (x, t, exc))
                 continue
             used += 1
             worst = max(worst, abs(u1 - u2))

@@ -101,6 +101,10 @@ def airy(s):
 # Jacobi theta series
 # ----------------------------------------------------------------------
 
+# largest log|F| that jacobi_theta accepts; doubles end at about exp(709.78)
+_LOG_THETA_MAX = 700.0
+
+
 def jacobi_theta(s, params: ThetaParams, order: int | tuple[int, int] = 0):
     """Theta series sum(exp(2*pi*i*n*s + pi*i*varkappa*n^2), n in Z).
 
@@ -127,7 +131,12 @@ def jacobi_theta(s, params: ThetaParams, order: int | tuple[int, int] = 0):
     s0, factor = s, 1.0
     if m.any():
         s0 = s - m * vk
-        factor = np.exp((-1j * np.pi * m) * (s + s0))   # log F = -pi*i*m*(s + s0)
+        log_f = (-1j * np.pi * m) * (s + s0)
+        # F*Theta(s0) would overflow to inf, and a quotient of two to nan
+        if log_f.real.max() > _LOG_THETA_MAX:
+            raise RangeError("Theta(s) overflows double precision at Im(s)/Im(varkappa)"
+                             " = %.3g" % np.abs(m).max())
+        factor = np.exp(log_f)
         s0 = s0 - np.round(s0.real)
     # with y0 = Im(varkappa), |Im s0| <= y0/2 bounds |term n| by exp(-pi*y0*(n^2 - |n|)),
     # which is below abs_tol beyond n* = 1/2 + sqrt(1/4 + budget/y0)

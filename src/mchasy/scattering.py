@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (AdmissibilityError, ConvergenceError, DomainError, MchasyError,
                      RealityError)
@@ -147,8 +146,12 @@ class _Family(ReflectionCoefficient):
         self.beta = float(beta)
         if abs(self.kappa_r) > 1.0 + 1e-14:
             raise AdmissibilityError("|kappa_r| <= 1 required, got %r" % self.kappa_r)
-        if self.beta <= 0:
-            raise DomainError("family width beta must be positive")
+        # |ln z| < 745 for every positive double: these bounds keep beta*ln(z)^2
+        # and alpha*ln(z) finite
+        if not 0 < self.beta <= 1e300:
+            raise DomainError("family width beta must be in (0, 1e300], got %r" % self.beta)
+        if not abs(self.alpha) <= 1e300:
+            raise DomainError("family phase |alpha| <= 1e300 required, got %r" % self.alpha)
 
     def _positive(self, z: float) -> complex:
         lg = math.log(z)
@@ -170,7 +173,8 @@ class _Family(ReflectionCoefficient):
         h = _Y_SADDLE / (m + 0.5)
         k2 = self.kappa_r ** 2
         y_max = math.sqrt(math.log(k2 / cutoff) / (2.0 * self.beta)) if k2 > cutoff else 0.0
-        n = 3 * (int(y_max / h) // 3 + 1)
+        # a grid past _MAX_NODES is refused unused: allocate no more than that
+        n = min(3 * (int(y_max / h) // 3 + 1), _MAX_NODES)
         k = np.arange(-n, n + 1)
         y = h * k
         return _LogGrid(y, np.full(y.shape, h), np.where(k % 3 == 0, 3.0 * h, 0.0), None)
@@ -199,6 +203,9 @@ class _Table(ReflectionCoefficient):
         self.tail_rate = float(tail_rate)
         if self.tail_rate <= 0:
             raise DomainError("tail decay rate must be positive")
+        # imported here: scipy.interpolate pulls in scipy.linalg, .optimize and
+        # .sparse, which family data never needs
+        from scipy.interpolate import PchipInterpolator
         self._re = PchipInterpolator(grid, values.real, extrapolate=False)
         self._im = PchipInterpolator(grid, values.imag, extrapolate=False)
 
@@ -263,6 +270,7 @@ class _Table(ReflectionCoefficient):
         grid = self.grid[sel]
         if grid.size < 8 or not (grid[0] < 0.99 and grid[-1] > 1.01):
             raise DomainError("table too sparse around z = 1 for a curvature fit")
+        from scipy.interpolate import CubicSpline
         f = CubicSpline(grid, 1.0 - np.abs(self.values[sel]) ** 2)
 
         def second(h):

@@ -235,6 +235,24 @@ class TestScan:
         assert main(["scan", "--config", str(cfg_path)]) == 0
         assert "ZeroDivisionError" in out.read_text()
 
+    def test_stray_exception_skips_pq_point(self, tmp_path, monkeypatch, capsys):
+        # --check-pq-invariance skips a point that raises, as a scan records it
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SHOCK_SCAN.format(path=tmp_path / "o.csv"))
+        x_split = cli._grid_to_x(parse_config(cfg_path.read_text()), 1e6, 3.2)
+        real = cli.u_region3
+
+        def flaky(point, *args, **kwargs):
+            if point.x > x_split:
+                raise ZeroDivisionError("float division by zero")
+            return real(point, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "u_region3", flaky)
+        assert main(["region3", "--config", str(cfg_path), "--check-pq-invariance"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(" skipped (float division by zero)")
+        assert out[-1].startswith("max |u(1,1) - u(3,2)| = ")
+
 
 class TestWrite:
     def test_csv_single_row(self, tmp_path):
@@ -419,10 +437,110 @@ class TestPiiInput:
         assert captured.err.count("\n") == 1
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # solve_bvp is imported only when a Hastings-McLeod solution is needed
+class TestNonFinite:
+    """A non-finite number in a config is one config error naming its key."""
+
+    @pytest.mark.parametrize("body, key", [
+        ("[scan]\nt = nan\n", "scan.t"),
+        ("[scan]\nt = 1e6\ns = 0, inf\n", "scan.s"),
+        ("[scan]\nt = 1e6\nw = -inf:3:2\n", "scan.w"),
+        ("[scan]\nt = 1e6\nxi = 1e999\n", "scan.xi"),
+        ("[scattering]\nkappa_r = nan\n", "scattering.kappa_r"),
+        ("[scattering]\nalpha = nan\n", "scattering.alpha"),
+        ("[scattering]\nbeta = inf\n", "scattering.beta"),
+        ("[regions]\nc2 = inf\n", "regions.c2"),
+        ("[shock]\nq = nan\n", "shock.q"),
+        ("[tolerances]\nmax_subdivisions = inf\n", "tolerances.max_subdivisions"),
+        ("[tolerances]\npii_tol = nan\n", "tolerances.pii_tol"),
+        ("[scattering]\nbeta = 1e308\n", "scattering"),   # the family's own bound
+    ], ids=["t_nan", "s_inf", "w_minus_inf", "xi_overflow", "kappa_r_nan",
+            "alpha_nan", "beta_inf", "c2_inf", "q_nan", "max_subdivisions_inf",
+            "pii_tol_nan", "beta_huge"])
+    def test_one_line_exit_1(self, tmp_path, capsys, body, key):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(body)
+        assert main(["scan", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: %s: " % key)
+        assert captured.err.count("\n") == 1
+
+    def test_overflowing_x_is_an_error_row(self):
+        # finite t and s, but x = xi*t overflows: the point is a row error
+        cfg = parse_config(MINIMAL + "\n[scan]\nt = 1e308\ns = 0\n")
+        [row] = run_scan(cfg)
+        assert row["u"] is None and row["error"].startswith("DomainError: ")
+
+
+def test_check_runs_symmetry_check_once(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL)
+    with mock.patch.object(cli, "check_symmetries", wraps=cli.check_symmetries) as spy:
+        assert main(["check", "--config", str(cfg_path)]) == 0
+    assert spy.call_count == 1
+    assert capsys.readouterr().out == (
+        "negation symmetry violation: 0.000e+00\n"
+        "inversion symmetry violation: 0.000e+00\n"
+        "modulus excess: 0.000e+00\n"
+        "log(1-|r|^2) integrability proxy: 0\n"
+        "PASS\n")
+
+
+# scipy.interpolate and scipy.integrate each pull in scipy.linalg, .optimize
+# and .sparse: tables import the first on construction, Hastings-McLeod
+# solves the second, and nothing else loads either
+_DEFERRED = ("scipy.interpolate", "scipy.integrate")
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this mchasy; return
+    its stdout."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, mchasy.cli; assert 'scipy.integrate' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = ("import sys, mchasy.cli; loaded = [m for m in %r if m in sys.modules]; "
+            "assert not loaded, loaded" % (_DEFERRED,))
+    _run_fresh(code)
+
+
+def test_family_scan_loads_neither_deferred_module(tmp_path):
+    # xi = -0.25, 2 - 3.2 log(t)^(2/3) t^(-2/3), 2 at t = 1e6: zones II, III, I
+    out = tmp_path / "o.csv"
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[scattering]\nkappa_r = 0.5\n[scan]\nt = 1e6\n"
+                        "xi = -0.25, 1.9981577, 2.0\n[output]\npath = %s\n" % out)
+    code = ("import sys; from mchasy.cli import main; "
+            "assert main(['scan', '--config', %r]) == 0; "
+            "print(sorted(m for m in %r if m in sys.modules))" % (str(cfg_path), _DEFERRED))
+    assert _run_fresh(code).strip() == "[]"
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert [r[2] for r in rows] == ["II", "III", "I"]
+    assert math.isfinite(float(rows[0][4])) and math.isfinite(float(rows[2][4]))
+    assert rows[1][6].startswith("AdmissibilityError: ")   # |kappa_r| < 1: no shock
+
+
+def test_table_scan_imports_interpolation_on_demand(tmp_path):
+    import numpy as np
+    grid = np.geomspace(0.05, 20, 120)
+    vals = 0.3 * np.exp(-np.log(grid) ** 2)
+    table = tmp_path / "r.csv"
+    np.savetxt(table, np.column_stack([grid, vals, 0 * vals]), delimiter=",")
+    out = tmp_path / "o.csv"
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[scattering]\ntable_path = %s\n[regions]\nc1 = 5\n"
+                        "[scan]\nt = 1e6\ns = -0.5:0.5:3\ngrid_region = 1\n"
+                        "[output]\npath = %s\n"
+                        % (table, out))
+    code = ("import sys; from mchasy.cli import main; "
+            "assert 'scipy.interpolate' not in sys.modules; "
+            "assert main(['scan', '--config', %r]) == 0; "
+            "print('scipy.interpolate' in sys.modules)" % str(cfg_path))
+    assert _run_fresh(code).strip() == "True"
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(r[2] == "I" and math.isfinite(float(r[4])) and r[6] == "" for r in rows)

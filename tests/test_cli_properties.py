@@ -1,0 +1,151 @@
+"""Properties of the CLI over the config space: configs with NaN, +-inf and
+malformed numbers, and short grids in each zone."""
+
+import contextlib
+import io
+import math
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mchasy.cli import emit_config, main, parse_config
+from mchasy.errors import ConfigError
+
+BAD_NUMBERS = ("nan", "-nan", "inf", "-inf", "1e999", "-1e999", "abc", "",
+               "1,5", "0x10", "--1", "1e", "50%", "1 2")
+COMMANDS = (["scan"], ["check"], ["region1"], ["region2"], ["region3"],
+            ["region3", "--check-pq-invariance"])
+# 1-3 points in each zone at the default half-widths and t = 1e6 (other
+# half-widths and times move some of them outside, which a scan reports)
+ZONES = {"I": ("s", 1, -0.3, 0.3), "II": ("s", 2, -0.9, 0.9),
+         "III": ("w", 1, 2.9, 5.7), "any": ("xi", 1, -1.0, 3.0)}
+
+bad_number = st.one_of(st.sampled_from(BAD_NUMBERS),
+                       st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# the valid values of each key, and what a malformed one looks like
+VALID = {
+    ("scattering", "kappa_r"): st.sampled_from((0.0, 0.5, -0.7, 1.0, -1.0)).map(repr),
+    ("scattering", "alpha"): floats(-2, 2),
+    ("scattering", "beta"): floats(0.3, 2),
+    ("scattering", "spectrum"): st.sampled_from(
+        ("[]", "[0.5-0.8660254037844386i]", "[0.6-0.8i, 0.8-0.6i]")),
+    ("regions", "c1"): floats(0.5, 3),
+    ("regions", "c2"): floats(0.5, 3),
+    ("regions", "c3"): floats(5, 8),
+    ("shock", "p"): floats(0.5, 3),
+    ("shock", "q"): floats(0.5, 3),
+    ("scan", "t"): st.sampled_from(("1e6", "1e4, 1e8", "1e12")),
+    ("tolerances", "abs_tol"): st.sampled_from(("1e-12", "1e-10")),
+    ("tolerances", "max_subdivisions"): st.sampled_from(("4000", "200")),
+    ("tolerances", "pii_tol"): st.sampled_from(("1e-10", "1e-8")),
+    ("output", "format"): st.sampled_from(("csv", "json")),
+}
+MALFORMED = {
+    ("scattering", "spectrum"): st.sampled_from(
+        ("[nan-nani]", "[inf]", "[0.5-0.8660254037844386]", "[0.5-0.8660254037844386i")),
+    ("output", "format"): st.just("xml"),
+}
+
+
+def short_grid(zone):
+    kind, grid_region, lo, hi = ZONES[zone]
+    values = st.lists(st.floats(lo, hi), min_size=1, max_size=3, unique=True)
+    return values.map(lambda vs: (kind, ", ".join(map(repr, sorted(vs))), grid_region))
+
+
+zone_grid = st.one_of(*map(short_grid, ZONES))
+malformed_grid = st.tuples(
+    st.sampled_from(("s", "xi", "w")),
+    st.one_of(bad_number, st.tuples(bad_number, bad_number,
+                                    st.sampled_from(("0", "1", "2", "x"))).map(":".join)),
+    st.sampled_from((1, 2, "3", "x")))
+
+
+@st.composite
+def configs(draw, malformed=True):
+    """Config text with output to ``{out}``: each key omitted or valid, and
+    with ``malformed`` up to two keys, or the grid, malformed."""
+    sections = {name: {} for name in
+                ("scattering", "regions", "shock", "scan", "tolerances", "output")}
+    for (name, key), valid in VALID.items():
+        sections[name][key] = draw(st.one_of(st.none(), valid))
+    if malformed:
+        for name, key in draw(st.lists(st.sampled_from(sorted(VALID)), max_size=2,
+                                       unique=True)):
+            sections[name][key] = draw(MALFORMED.get((name, key), bad_number))
+    kind, text, grid_region = draw(st.one_of(zone_grid, malformed_grid) if malformed
+                                   else zone_grid)
+    sections["scan"].update({kind: text, "grid_region": grid_region})
+    if kind == "w" and draw(st.booleans()):   # data that has a shock
+        sections["scattering"]["kappa_r"] = draw(st.sampled_from(("1.0", "-1.0")))
+    sections["output"]["path"] = "{out}"
+    return "".join("[%s]\n%s" % (name, "".join("%s = %s\n" % kv for kv in body.items()
+                                                if kv[1] is not None))
+                   for name, body in sections.items())
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(), st.sampled_from(COMMANDS))
+def test_exit_code_documented_and_no_traceback(text, command):
+    # an exception escaping main is what prints a traceback in a shell
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.ini")
+        with open(cfg_path, "w") as fh:
+            fh.write(text.replace("{out}", os.path.join(tmp, "out")))
+        code, _, err = run_main([command[0], "--config", cfg_path] + command[1:])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    for line in err.splitlines():
+        assert line.startswith(("config error: ", "warning: ", "i/o error: ")), line
+    if code == 1:
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs(malformed=False))
+def test_every_row_answers_or_names_its_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        cfg_path = os.path.join(tmp, "cfg.ini")
+        with open(cfg_path, "w") as fh:
+            fh.write(text.replace("{out}", out).replace("format = json", "format = csv"))
+        code, _, err = run_main(["scan", "--config", cfg_path])
+        assert code == 0, err
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+    assert lines[0] == "x,t,region,s,u,err_order,error"
+    assert len(lines) > 1
+    for line in lines[1:]:
+        x, t, region, s, u, err_order, error = line.split(",", 6)
+        if error:
+            assert u == "" and error.split(": ")[0].isidentifier(), line
+        elif region == "outside":
+            assert u == "", line
+        else:
+            assert region in ("I", "II", "III") and math.isfinite(float(u)), line
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_parse_emit_parse_is_identity(text):
+    text = text.replace("{out}", "out.csv")
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert parse_config(emit_config(cfg)) == cfg

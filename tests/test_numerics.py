@@ -86,6 +86,14 @@ class TestJacobiTheta:
         with pytest.raises(DivergentSeriesError):
             ThetaParams(varkappa=-1j)
 
+    def test_overflow_is_range_error(self):
+        # Theta grows like exp(pi*(Im s)^2/Im varkappa): past exp(700) it is
+        # refused, not returned as inf (or a quotient of two as nan)
+        params = ThetaParams(varkappa=1j)
+        assert np.isfinite(jacobi_theta(14j, params))   # log|Theta| about 616
+        with pytest.raises(RangeError):
+            jacobi_theta(np.array([0.0, 16j]), params, order=(0, 1))
+
     def test_derivative(self):
         params = ThetaParams(varkappa=1j)
         d = richardson_derivative(lambda x: jacobi_theta(x, params), 0.3, h=1e-4)

@@ -234,6 +234,14 @@ class TestLogTransforms:
             else:
                 assert math.isfinite(res.u)
 
+    def test_narrow_family_refused_without_allocating(self):
+        # beta = 1e-12 puts the cutoff of |r|^2 at |ln z| ~ 4e6, about 3e7
+        # nodes at level 0: the rule stops at its node limit before
+        # allocating them
+        data = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 1e-12))
+        with deadline(2.0), pytest.raises(ConvergenceError, match="200000 nodes"):
+            log_transforms(data, QuadratureSpec())
+
     # Tables sampled from family(0.5, 0.3, 0.5) against the family itself: the
     # gap is the error of the Pchip interpolant (measured 1.7e-6, 1.1e-6 and
     # 1.2e-6 in Lambda, 4e-8 in T(i); it falls as the table is refined), not

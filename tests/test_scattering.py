@@ -47,6 +47,18 @@ class TestEvalR:
         assert abs(r(1 / z) - r(z).conjugate()) < 1e-13
         assert abs(r(z)) <= 1 + 1e-13
 
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.0, 2e300), (-2e300, 1.0),
+                                             (math.nan, 1.0), (0.0, math.inf)])
+    def test_family_parameters_outside_domain(self, alpha, beta):
+        # beyond 1e300, beta*ln(z)^2 or alpha*ln(z) overflows for some double z
+        with pytest.raises(DomainError):
+            ReflectionCoefficient.family(0.5, alpha, beta)
+
+    def test_family_at_parameter_bounds_is_finite(self):
+        r = ReflectionCoefficient.family(-1.0, 1e300, 1e300)
+        z = np.array([1e-300, 0.5, 1.0, 2.0, 1e300])
+        assert np.all(np.isfinite(r(z)))
+
     def test_tabulated_out_of_domain(self):
         grid = np.linspace(0.5, 4.0, 30)
         vals = 0.3 * np.exp(-((np.log(grid)) ** 2))
