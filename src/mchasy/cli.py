@@ -68,6 +68,7 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "run_scan",
 
 _CBRT3 = 3.0 ** (1.0 / 3.0)
 _COLUMNS = ("x", "t", "region", "s", "u", "err_order", "error")
+_MAX_GRID = 10 ** 6     # points of a lo:hi:n grid, as many as `mchasy pii` has rows
 
 
 @dataclass
@@ -152,6 +153,9 @@ def _parse_grid(text: str, key: str) -> list[float]:
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
             if n < 1 or not hi >= lo:
                 raise ValueError
+            if n > _MAX_GRID:
+                raise ConfigError("grid of %d points, at most %d allowed" % (n, _MAX_GRID),
+                                  key=key)
             vals = [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
         else:
             vals = [float(t) for t in text.split(",") if t.strip()]
@@ -159,6 +163,8 @@ def _parse_grid(text: str, key: str) -> list[float]:
         # a comma list (emit_config) parses to the same points
         if not vals or any(not b > a for a, b in zip(vals, vals[1:])):
             raise ValueError
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError("grid must be lo:hi:n or a sorted comma list, got %r"
                           % text, key=key) from exc

@@ -312,17 +312,33 @@ def quad_pv(f: Callable, c: float, spec: QuadratureSpec = QuadratureSpec(),
     quotient (f(z)-f(c))/(z-c) is integrated there), integrates the plain
     quotient outside, and adds the exact log term f(c)*log((hi-c)/(c-lo))
     for the truncated, generally asymmetric, domain.
+
+    The error adds to the quadrature estimates the gap to a second
+    evaluation on a window of half the width, with twice the difference
+    step for the slope f'(c) that the quotient takes at c.  The gap carries
+    what those estimates miss: the error of the slope, the cancellation in
+    f(z)-f(c), and an outer integrand they under-resolve.
     """
     fc = f(c)
-    h = 1e-6 * (1.0 + abs(c))
-    dfc = (f(c + h) - f(c - h)) / (2.0 * h)
     if hi is None:
         hi = _truncation_point(lambda x: f(x) / (x - c), max(8.0, 2 * abs(c) + 2),
                                spec.tail_cutoff, +1)
     if lo is None:
         lo = _truncation_point(lambda x: f(x) / (x - c), max(8.0, 2 * abs(c) + 2),
                                spec.tail_cutoff, -1)
-    w = max(1.0, 0.1 * (1.0 + abs(c)))
+    value, err = _pv_window(f, c, fc, lo, hi, 1.0, spec)
+    value_half, err_half = _pv_window(f, c, fc, lo, hi, 0.5, spec)
+    if tail is not None:
+        value += tail(lo, hi)
+    return QuadResult(value, err + err_half + abs(value - value_half))
+
+
+def _pv_window(f, c, fc, lo, hi, scale, spec):
+    """(value, error) of the principal value over [lo, hi], the subtraction
+    window scaled by ``scale`` and the slope's difference step by 1/scale."""
+    h = 1e-6 * (1.0 + abs(c)) / scale
+    dfc = (f(c + h) - f(c - h)) / (2.0 * h)
+    w = scale * max(1.0, 0.1 * (1.0 + abs(c)))
     w_hi = min(w, 0.5 * (hi - c))
     w_lo = min(w, 0.5 * (c - lo))
     if w_hi <= 0 or w_lo <= 0:
@@ -340,10 +356,7 @@ def quad_pv(f: Callable, c: float, spec: QuadratureSpec = QuadratureSpec(),
     outer_r = quad(lambda x: f(x) / (x - c), c + w_hi, hi, spec)
     # exact kernel term on the (possibly clipped, hence asymmetric) window
     value = inner.value + outer_l.value + outer_r.value + fc * math.log(w_hi / w_lo)
-    if tail is not None:
-        value += tail(lo, hi)
-    err = inner.error + outer_l.error + outer_r.error
-    return QuadResult(value, err)
+    return value, inner.error + outer_l.error + outer_r.error
 
 
 # ----------------------------------------------------------------------

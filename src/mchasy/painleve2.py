@@ -2,14 +2,14 @@
 
 Ablowitz-Segur solutions (|k| < 1) are integrated backward from the Airy
 data at s_max by a fixed-order Taylor method (Fornberg & Weideman 2011,
-J. Comput. Phys. 230).  The problem is ill-conditioned as |k| -> 1: the
-error grows like 1e-11/(1-|k|), which each solution carries as
-``err_est``, and a solve whose estimate exceeds 1e-6 raises
-``ConvergenceError``.  The Hastings-McLeod edge |k| = 1 is a separatrix,
-solved as a two-point boundary value problem from an Airy/square-root
-guess and memoized per process.  Both carry dense output for (v, v', Q),
-Q(s) the tail integral of v^2, as one polynomial per piece: the Taylor
-step polynomials, or the BVP's cubic spline.
+J. Comput. Phys. 230), only as deep as their lookups reach.  The problem
+is ill-conditioned as |k| -> 1: the error grows like 1e-11/(1-|k|), which
+each solution carries as ``err_est``, and a solve whose estimate exceeds
+1e-6 raises ``ConvergenceError``.  The Hastings-McLeod edge |k| = 1 is a
+separatrix, solved as a two-point boundary value problem from an
+Airy/square-root guess and memoized per process.  Both carry dense output
+for (v, v', Q), Q(s) the tail integral of v^2, as one polynomial per
+piece: the Taylor step polynomials, or the BVP's cubic spline.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import math
 import threading
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import mul
 
@@ -63,32 +63,86 @@ def _horner(row, t):
     return v, vp, q
 
 
-class _Pieces:
-    """Dense (v, v', Q) as one polynomial per piece.
+class _Taylor:
+    """Dense (v, v', Q) of an Ablowitz-Segur solution, integrated on demand.
 
-    Piece i covers [edges[i], edges[i+1]] and is a polynomial in the offset
-    from its center; ``row(i)`` gives its coefficient triples (v, v', Q),
-    highest power first.  The center is the right end of the piece
-    (``right``, backward Taylor steps) or the left end (a spline), and a
-    joint is evaluated on the piece centered there.  ``rows`` is a list of
-    rows, or an array of shape (pieces, degree+1, 3) that stays compact and
-    gives a row as floats when it is used.
+    Backward Taylor steps start from the Airy data at s_max and are taken
+    only when a lookup reaches below the last one, the last step clipped to
+    end on ``_S_MIN_HARD``: whatever the order of lookups, the steps are
+    those of one integration down to ``_S_MIN_HARD``.  Step i is the
+    polynomial ``rows[i]`` (coefficient triples (v, v', Q), highest power
+    first) in the offset from its right end, and ``neg_ends`` holds the
+    negated step ends, -s_max first, so that it increases for ``bisect``.
+    A joint is evaluated on the step centered there.
+
+    Steps are appended under a lock, each row before its left end, so that
+    a lookup that finds its step built needs no lock.  A step that fails
+    is not tried again: its ``ConvergenceError`` is raised again for every
+    lookup at or below its right end.
     """
 
-    def __init__(self, edges, rows, right):
-        self.edges = array("d", edges)
-        self._last = len(rows) - 1
-        self._right = int(right)
-        self._find = bisect_left if right else bisect_right
-        if isinstance(rows, np.ndarray):
-            self.row = lambda i: rows[i].tolist()
-        else:
-            self.row = rows.__getitem__
+    def __init__(self, k, s_max, tol):
+        self._k = k
+        # adding 0.0 turns a signed zero of k = 0 into +0.0
+        self._state = tuple(x + 0.0 for x in _airy_data(k, s_max))
+        self._rtol = max(1e-6 * tol, 1e-16)
+        self._error = None
+        self._lock = threading.Lock()
+        self.rows = []
+        self.neg_ends = array("d", [-s_max])
 
     def at(self, s: float) -> tuple:
         """(v, v', Q) at a float s."""
-        i = min(max(self._find(self.edges, s) - 1, 0), self._last)
-        return _horner(self.row(i), s - self.edges[i + self._right])
+        i = bisect_right(self.neg_ends, -s) - 1
+        if not 0 <= i < len(self.rows):
+            i = self.reach(s)
+        return _horner(self.rows[i], s + self.neg_ends[i])
+
+    def reach(self, s: float) -> int:
+        """Index of the step that holds s, stepping back to it first."""
+        with self._lock:
+            while self._error is None and _S_MIN_HARD < -self.neg_ends[-1] >= s:
+                self._step()
+            if self._error is not None and -self.neg_ends[-1] >= s:
+                raise self._error.with_traceback(None)
+        return min(max(bisect_right(self.neg_ends, -s) - 1, 0), len(self.rows) - 1)
+
+    def _step(self):
+        s0 = -self.neg_ends[-1]
+        a, qc = _taylor_coeffs(s0, *self._state)
+        h = _step_size(a, qc, self._rtol)
+        if h < _H_MIN:
+            self._error = ConvergenceError(
+                "Painleve II (k=%r): a pole near s=%.6g shrinks the Taylor "
+                "step to %.2g" % (self._k, s0, h))
+            return
+        dv = [j * a[j] for j in range(1, _ORDER + 1)] + [0.0]
+        row = list(zip(a[::-1], dv[::-1], qc[::-1]))
+        s1 = max(s0 - h, _S_MIN_HARD)
+        self._state = _horner(row, s1 - s0)
+        self.rows.append(row)
+        self.neg_ends.append(-s1)
+
+
+class _Pieces:
+    """Dense (v, v', Q) of a Hastings-McLeod spline, one cubic per piece.
+
+    Piece i covers [edges[i], edges[i+1]] and is a polynomial in the offset
+    from its left end; ``coeffs[i]`` holds its coefficient triples (v, v',
+    Q), highest power first, in an array of shape (pieces, 4, 3) that stays
+    compact and gives a row as floats when it is used.  A joint is
+    evaluated on the piece that starts there.
+    """
+
+    def __init__(self, edges, coeffs):
+        self.edges = array("d", edges)
+        self._coeffs = coeffs
+        self._last = len(coeffs) - 1
+
+    def at(self, s: float) -> tuple:
+        """(v, v', Q) at a float s."""
+        i = min(max(bisect_right(self.edges, s) - 1, 0), self._last)
+        return _horner(self._coeffs[i].tolist(), s - self.edges[i])
 
 
 @dataclass(frozen=True)
@@ -106,7 +160,7 @@ class PIISolution:
     tol: float
     kind: str
     err_est: float
-    _dense: _Pieces = field(repr=False)
+    _dense: _Taylor | _Pieces = field(repr=False)
 
 
 def _rhs(s, y):
@@ -149,28 +203,9 @@ def _step_size(a, qc, rtol):
 
 
 def _solve_ivp_branch(k, s_min, s_max, tol):
-    # adding 0.0 turns a signed zero of k = 0 into +0.0
-    v, vp, q = (x + 0.0 for x in _airy_data(k, s_max))
-    rtol = max(1e-6 * tol, 1e-16)
-    s0 = s_max
-    edges, rows = [], []
-    while s0 > s_min:
-        a, qc = _taylor_coeffs(s0, v, vp, q)
-        h = _step_size(a, qc, rtol)
-        if h < _H_MIN:
-            raise ConvergenceError("Painleve II (k=%r): a pole near s=%.6g "
-                                   "shrinks the Taylor step to %.2g" % (k, s0, h))
-        dv = [j * a[j] for j in range(1, _ORDER + 1)] + [0.0]
-        row = list(zip(a[::-1], dv[::-1], qc[::-1]))
-        s1 = max(s0 - h, s_min)
-        v, vp, q = _horner(row, s1 - s0)
-        edges.append(s0)
-        rows.append(row)
-        s0 = s1
-    edges.append(s_min)
-    edges.reverse()
-    rows.reverse()
-    return _Pieces(edges, rows, right=True)
+    dense = _Taylor(k, s_max, tol)
+    dense.reach(s_min)
+    return dense
 
 
 @functools.lru_cache(maxsize=32)
@@ -201,7 +236,7 @@ def _solve_bvp_branch(sgn, s_min, s_max, tol):
     if sol.status != 0:
         raise ConvergenceError("Hastings-McLeod BVP failed: %s" % sol.message)
     # solve_bvp's spline is a PPoly with coefficients (power, piece, component)
-    return _Pieces(sol.x, np.transpose(sol.sol.c, (1, 0, 2)).copy(), right=False)
+    return _Pieces(sol.x, np.transpose(sol.sol.c, (1, 0, 2)).copy())
 
 
 def _is_ablowitz_segur(k: float) -> bool:
@@ -216,7 +251,11 @@ def s_min_for(s: float) -> float:
 
 def solve_pii(k: float, s_min: float = -10.0, s_max: float = 10.0,
               tol: float = 1e-10) -> PIISolution:
-    """Painleve II solution with v ~ k*Ai(s) as s -> +inf, k in [-1, 1]."""
+    """Painleve II solution with v ~ k*Ai(s) as s -> +inf, k in [-1, 1].
+
+    An Ablowitz-Segur solution is integrated down to s_min before it is
+    returned, so that a pole in [s_min, s_max] raises here.
+    """
     k = float(k)
     if abs(k) > 1.0 + _HM_EDGE:
         raise DomainError("|k| <= 1 required (pole fields beyond), got %r" % k)
@@ -246,6 +285,8 @@ def eval_pii(sol: PIISolution, s: float):
 
     Beyond s_max the defining Airy asymptote k*Ai is used (the cubic term is
     below solver tolerance there); below s_min the solution is undefined.
+    An Ablowitz-Segur lookup below the steps taken so far takes the steps
+    down to s first, and raises their ``ConvergenceError`` if one fails.
     """
     s = float(s)
     if s < sol.s_min:
@@ -260,14 +301,15 @@ def eval_pii(sol: PIISolution, s: float):
 class SolutionCache:
     """Thread-safe memo of PIISolution keyed by (k, domain, tol).
 
-    Ablowitz-Segur solutions (every |k| < 1) nest: backward integration
-    from s_max takes the same steps whatever s_min is, and only the last,
-    clipped step differs.  So each (k, s_max, tol) is integrated once, down
-    to ``_S_MIN_HARD``, and every s_min gets a PIISolution that shares that
-    dense output but keeps its own s_min, below which ``eval_pii`` still
-    raises.  Hastings-McLeod solutions do not nest: the BVP puts its left
-    boundary condition at s_min, so they are looked up per s_min, from the
-    process-wide memo of BVP solutions.
+    Ablowitz-Segur solutions (every |k| < 1) nest: their dense output steps
+    back from s_max only as deep as lookups reach, and takes the same steps
+    whatever s_min is.  So each (k, s_max, tol) is solved once with s_min =
+    s_max, which takes one step, and every s_min gets a PIISolution that
+    shares that dense output but keeps its own s_min, below which
+    ``eval_pii`` still raises.  A scan whose deepest point is at s = -6
+    never integrates [-12, -6].  Hastings-McLeod solutions do not nest: the
+    BVP puts its left boundary condition at s_min, so they are looked up
+    per s_min, from the process-wide memo of BVP solutions.
     """
 
     def __init__(self):
@@ -281,15 +323,15 @@ class SolutionCache:
             sol = self._store.get(key)
         if sol is not None:
             return sol
-        if _is_ablowitz_segur(k) and s_min > _S_MIN_HARD:
-            floor_key = (key[0], _S_MIN_HARD, s_max, tol)
+        if _is_ablowitz_segur(k) and s_min >= _S_MIN_HARD:
+            start_key = (key[0], s_max, s_max, tol)
             with self._lock:
-                floor = self._store.get(floor_key)
-            if floor is None:
-                floor = solve_pii(k, _S_MIN_HARD, s_max, tol)
+                start = self._store.get(start_key)
+            if start is None:
+                start = solve_pii(k, s_max, s_max, tol)
                 with self._lock:
-                    floor = self._store.setdefault(floor_key, floor)
-            sol = replace(floor, s_min=s_min)
+                    start = self._store.setdefault(start_key, start)
+            sol = replace(start, s_min=s_min)
         else:
             sol = solve_pii(k, s_min, s_max, tol)
         with self._lock:

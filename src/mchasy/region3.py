@@ -82,6 +82,17 @@ class ShockParams:
             raise AdmissibilityError("C_R must be positive, got %r" % self.C_R)
         if not self.xi < 2.0:
             raise DomainError("shock parametrization needs xi < 2")
+        # extreme p, q overflow or underflow the scale tau, the right side of
+        # the band equation (its sign is solve_band's check) or the size
+        # q*(2p/3q)^2 of g0_limit, as the band radius^2 is 2p/3q
+        try:
+            tau, rhs = self.tau, self.band_rhs
+            g0 = self.q * (2.0 * self.p / (3.0 * self.q)) ** 2
+        except (OverflowError, ZeroDivisionError):
+            tau = rhs = g0 = math.nan
+        if not (0.0 < tau < math.inf and math.isfinite(rhs) and 0.0 < g0 < math.inf):
+            raise DomainError("p=%r, q=%r over- or underflow the shock scales at "
+                              "xi=%r, t=%r" % (self.p, self.q, self.xi, self.t))
 
     @property
     def tau(self) -> float:
@@ -600,6 +611,10 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     failure.
     """
     a, b = geom.a, geom.b
+    if not b < _NR7_KS[0]:
+        # extreme p/q put the band over the samples, where A(k) is undefined
+        raise DomainError("the convention gate samples k >= %g, beyond the band "
+                          "end b; got b = %r" % (_NR7_KS[0], b))
     g_inf, x_tilde = geom.expansion_terms
     pref = -cmath.exp(1j * geom.phi) * (b - a) / 2j
     n1_12 = pref * g_inf

@@ -472,6 +472,54 @@ class TestNonFinite:
         assert row["u"] is None and row["error"].startswith("DomainError: ")
 
 
+class TestExtremeShockConstants:
+    """p, q that overflow or underflow the shock scale tau or the band
+    equation are a named DomainError in the row, from a config or a flag."""
+
+    @pytest.mark.parametrize("key, value", [("p", "1e300"), ("q", "1e-300")])
+    def test_config_value(self, tmp_path, key, value):
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SHOCK_SCAN.format(path=out) + "[shock]\n%s = %s\n" % (key, value))
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        rows = [r.split(",", 6) for r in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        assert all(r[2] == "III" and r[4] == "" and r[6].startswith("DomainError: ")
+                   for r in rows), rows
+
+    @pytest.mark.parametrize("flag, value", [("--p", "1e300"), ("--q", "1e-300")])
+    def test_region3_flag(self, tmp_path, flag, value):
+        out = tmp_path / "o.csv"
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SHOCK_SCAN.format(path=out))
+        assert main(["region3", "--config", str(cfg_path), flag, value]) == 0
+        rows = [r.split(",", 6) for r in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(r[6].startswith("DomainError: ") for r in rows), rows
+
+
+def test_huge_grid_refused_before_allocation(tmp_path):
+    # under a 1 GiB address-space limit, so that a grid built before the
+    # check ends in MemoryError instead of taking the host's memory
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[scan]\nt = 1e6\ns = 0:1:%d\n" % 10 ** 9)
+    code = ("import sys, tracemalloc; from mchasy.cli import main; "
+            "tracemalloc.start(); code = main(['scan', '--config', %r]); "
+            "print(tracemalloc.get_traced_memory()[1]); sys.exit(code)" % str(cfg_path))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    proc = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: scan.s: ") and proc.stderr.count("\n") == 1
+    assert int(proc.stdout) < 2 ** 20       # bytes allocated at the peak
+
+
 def test_check_runs_symmetry_check_once(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(MINIMAL)

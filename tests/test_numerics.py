@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mchasy import (QuadratureSpec, ThetaParams, airy, find_root, jacobi_theta,
+from mchasy import (QuadratureSpec, ReflectionCoefficient, ScatteringData,
+                    ThetaParams, airy, find_root, jacobi_theta, log_transforms,
                     quad, quad_band, quad_pv)
 from mchasy.errors import (BracketError, DivergentSeriesError, DomainError,
                            RangeError)
@@ -193,6 +194,22 @@ class TestQuadPV:
         lhs = quad_pv(both, 1.3).value
         rhs = 2 * quad_pv(f1, 1.3).value + 3 * quad_pv(f2, 1.3).value
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_error_bounds_actual_error(self):
+        # the outer quadrature of log(1-|r|^2) reports about 100 times less
+        # than its error here; the reported error must still bound it
+        r = ReflectionCoefficient.family(0.012, 1.14, 0.625)
+        lg, c = r.log_one_minus_r2, 2 + math.sqrt(3)
+        got = quad_pv(lg, c)
+        fine = quad_pv(lg, c, QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15))
+        assert 1e-11 < abs(got.value - fine.value) <= got.error - fine.error
+        # the same against the transform rule, with the family's exact tail
+        # mass int_x^inf kappa^2 exp(-2 beta log(z)^2) dz/z beyond [lo, hi]
+        mass = lambda x: r.kappa_r ** 2 * math.sqrt(math.pi / (8 * r.beta)) \
+            * math.erfc(math.sqrt(2 * r.beta) * math.log(x))
+        full = quad_pv(lg, c, tail=lambda lo, hi: -(mass(hi) + mass(-lo)))
+        tr = log_transforms(ScatteringData(r))
+        assert abs(full.value - tr.pv_a) <= full.error - tr.err_est
 
 
 class TestQuadBand:

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,8 @@ from scipy.integrate import solve_bvp, solve_ivp
 
 from mchasy import SolutionCache, airy, eval_pii, solve_pii
 from mchasy.errors import ConvergenceError, DomainError, RangeError
-from mchasy.painleve2 import _airy_data, _rhs, _solve_ivp_branch
+from mchasy.painleve2 import (_airy_data, _rhs, _solve_ivp_branch, _step_size,
+                              _taylor_coeffs, s_min_for)
 
 from conftest import richardson_derivative
 
@@ -162,10 +166,8 @@ class TestCache:
         got = cache.get(k, s_min)
         assert got.s_min == s_min and got.kind == "ivp"
         s = np.linspace(s_min, got.s_max, 801)
-        ref = dense(solve_pii(k, s_min), s)
-        # relative to each component's scale, since v, v' and Q pass through zero
-        scale = np.abs(ref).max(axis=1, keepdims=True)
-        assert np.all(np.abs(dense(got, s) - ref) <= 1e-10 * scale)
+        # the same steps, whether the lookups or the solve take them
+        assert np.array_equal(dense(got, s), dense(solve_pii(k, s_min), s))
 
     def test_one_solve_serves_every_s_min(self):
         cache = SolutionCache()
@@ -235,28 +237,34 @@ class TestStepper:
     @pytest.mark.parametrize("k", [0.5, -0.99])
     def test_continuous_across_step_joints(self, k):
         sol = solve_pii(k, -12.0)
-        pieces = sol._dense
-        joints = pieces.edges[1:-1]
+        steps = sol._dense
+        ends = [-e for e in steps.neg_ends]     # s_max first, down to -12
+        joints = ends[1:-1]
         scale = np.abs(dense(sol, np.linspace(-12.0, 10.0, 441))).max(axis=1)
         for i, e in enumerate(joints):
-            # a Taylor piece is centered on its right end: piece i ends at
-            # joint e with offset 0, piece i+1 starts there
-            ends = [np.polyval(np.array(pieces.row(j)), e - pieces.edges[j + 1])
-                    for j in (i, i + 1)]
-            assert np.all(np.abs(ends[0] - ends[1]) <= 1e-14 * scale)
+            # a Taylor step is centered on its right end: step i ends at
+            # joint e, and step i+1 starts there with offset 0
+            vals = [np.polyval(np.array(steps.rows[j]), e - ends[j]) for j in (i, i + 1)]
+            assert np.all(np.abs(vals[0] - vals[1]) <= 1e-14 * scale)
         near = np.add.outer(joints, [-1e-9, 1e-9]).ravel()
         assert np.all(np.abs(dense(sol, near) - dense(sol, np.repeat(joints, 2)))
                       <= 1e-8 * scale[:, None])
 
     def test_exact_at_both_ends(self):
+        # the integration starts on the Airy data at s_max, and its last
+        # step is clipped to land on -12
+        full = solve_pii(0.5, -12.0)
+        assert full._dense.neg_ends[-1] == 12.0
+        assert eval_pii(full, 10.0) == tuple(float(x) for x in _airy_data(0.5, 10.0))
+        # a solve to s_min stops at the step that holds s_min, one of the
+        # steps of the integration down to -12
         sol = solve_pii(0.5, -11.25)
-        assert sol._dense.edges[0] == -11.25
-        assert eval_pii(sol, 10.0) == tuple(float(x) for x in _airy_data(0.5, 10.0))
-        # the last step is clipped to land on s_min, on the polynomial that
-        # the unclipped step of the integration down to -12 uses there
+        ends = [-e for e in sol._dense.neg_ends]
+        assert ends[-1] < -11.25 <= ends[-2]
+        assert sol._dense.rows == full._dense.rows[:len(ends) - 1]
+        assert eval_pii(sol, 10.0) == eval_pii(full, 10.0)
         nested = SolutionCache().get(0.5, -11.25)
-        assert nested._dense.edges[0] == -12.0
-        assert eval_pii(nested, -11.25) == eval_pii(sol, -11.25)
+        assert eval_pii(nested, -11.25) == eval_pii(sol, -11.25) == eval_pii(full, -11.25)
         assert eval_pii(nested, 10.0) == eval_pii(sol, 10.0)
         with pytest.raises(RangeError):
             eval_pii(nested, math.nextafter(-11.25, -math.inf))
@@ -273,6 +281,105 @@ class TestStepper:
         # beyond |k| = 1 the solution has a pole on the real axis
         with pytest.raises(ConvergenceError, match="pole"):
             _solve_ivp_branch(1.5, -12.0, 10.0, 1e-10)
+
+
+class TestOnDemand:
+    """Ablowitz-Segur dense output is integrated only as deep as lookups
+    reach, and gives the values of the eager integration down to -12."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(-0.999, 0.999),
+           st.lists(st.floats(-12.0, 10.0), min_size=1, max_size=8))
+    def test_any_lookup_order_matches_eager_solve(self, k, ss):
+        eager = solve_pii(k, -12.0)
+        cache = SolutionCache()
+        for s in ss:
+            assert eval_pii(cache.get(k, s_min_for(s)), s) == eval_pii(eager, s)
+
+    def test_steps_only_as_deep_as_lookups(self):
+        with mock.patch("mchasy.painleve2._taylor_coeffs", wraps=_taylor_coeffs) as coeffs:
+            eval_pii(solve_pii(0.5, -12.0), -12.0)
+            eager = coeffs.call_count
+            coeffs.reset_mock()
+            cache = SolutionCache()
+            for s in (0.0, -4.0, 3.0, -2.5):
+                eval_pii(cache.get(0.5), s)
+            shallow = coeffs.call_count
+            eval_pii(cache.get(0.5, -12.0), -12.0)
+            deep = coeffs.call_count
+            eval_pii(cache.get(0.5, -11.0), -10.5)
+            assert coeffs.call_count == deep
+        assert 0 < shallow < deep == eager
+
+    def test_threads_share_one_integration(self):
+        ks = (0.3, -0.7, 0.95)
+        grid = [float(s) for s in np.linspace(-12.0, 10.0, 45)]
+        eager = {k: solve_pii(k, -12.0) for k in ks}
+        cache = SolutionCache()
+        start = threading.Barrier(4, timeout=30)
+        results, errors = {}, []
+
+        def lookups(seed):
+            order = [(k, s) for k in ks for s in grid]
+            random.Random(seed).shuffle(order)
+            try:
+                start.wait()
+                results[seed] = [(k, s, eval_pii(cache.get(k, s_min_for(s)), s))
+                                 for k, s in order]
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookups, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 4
+        for rows in results.values():
+            for k, s, got in rows:
+                assert got == eval_pii(eager[k], s)
+        # each step taken once: a step appended twice would shift every row after it
+        for k in ks:
+            assert cache.get(k, -12.0)._dense.rows == eager[k]._dense.rows
+
+    def test_failed_step_raises_again_without_stepping(self):
+        eager = solve_pii(0.5, -12.0)
+        ref = eval_pii(eager, -4.0)
+        depth = []
+
+        def coeffs(s0, *state):
+            depth.append(s0)
+            return _taylor_coeffs(s0, *state)
+
+        def size(a, qc, rtol):
+            # a step from below s = -5 shrinks as if a pole were near
+            return 0.0 if depth[-1] < -5.0 else _step_size(a, qc, rtol)
+
+        with mock.patch("mchasy.painleve2._taylor_coeffs", side_effect=coeffs), \
+                mock.patch("mchasy.painleve2._step_size", side_effect=size):
+            cache = SolutionCache()
+            assert eval_pii(cache.get(0.5), -4.0) == ref
+            with pytest.raises(ConvergenceError, match="pole"):
+                eval_pii(cache.get(0.5), -8.0)
+            tried = len(depth)
+            assert depth[-1] < -5.0 <= depth[-2]
+            for s in (-8.0, depth[-1], -11.0):
+                with pytest.raises(ConvergenceError, match="pole"):
+                    eval_pii(cache.get(0.5, s_min_for(s)), s)
+            assert len(depth) == tried
+            # the steps built before the failure still serve
+            assert eval_pii(cache.get(0.5), -4.0) == ref
+            above = math.nextafter(depth[-1], 0.0)
+            assert eval_pii(cache.get(0.5), above) == eval_pii(eager, above)
+            # the eager solve raises for a pole in its domain
+            with pytest.raises(ConvergenceError, match="pole"):
+                solve_pii(0.5, -8.0)
 
 
 class TestEval:

@@ -63,6 +63,21 @@ class TestCurvature:
         with pytest.raises(AdmissibilityError):
             params_bad()
 
+    @pytest.mark.parametrize("p, q", [(1e300, 1.0), (1.0, 1e-300), (5e-324, 1.0),
+                                      (1.0, 1e-200)])
+    def test_extreme_p_q_rejected(self, p, q):
+        # tau or the band equation overflows or underflows, or with q = 1e-200
+        # the band radius^2 2p/3q does in g0_limit
+        with pytest.raises(DomainError, match="shock scales"):
+            ShockParams(p=p, q=q, xi=XI0, t=T0, C_R=1.0)
+
+    def test_band_beyond_gate_samples_rejected(self):
+        # p/q = 1e5 puts the band end b near 240, among the gate's samples
+        # k >= 100, where the Abel map is undefined: named, not a NaN warning
+        params = ShockParams(p=1e5, q=1.0, xi=XI0, t=T0, C_R=1.0)
+        with pytest.raises(DomainError, match="convention gate"):
+            build_geometry(params)
+
 
 class TestSolveBand:
     def test_residuals(self, params, geom):
