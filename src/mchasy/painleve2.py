@@ -19,7 +19,7 @@ import math
 import threading
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -73,16 +73,17 @@ class _Taylor:
     polynomial ``rows[i]`` (coefficient triples (v, v', Q), highest power
     first) in the offset from its right end, and ``neg_ends`` holds the
     negated step ends, -s_max first, so that it increases for ``bisect``.
-    A joint is evaluated on the step centered there.
+    A joint is evaluated on the step centered there, the last end on the
+    step that ends there.
 
     Steps are appended under a lock, each row before its left end, so that
-    a lookup that finds its step built needs no lock.  A step that fails
-    is not tried again: its ``ConvergenceError`` is raised again for every
-    lookup at or below its right end.
+    a lookup that finds its step among the ends it read first needs no
+    lock.  A step that fails is not tried again: its ``ConvergenceError``
+    is raised again for every lookup below its right end.
     """
 
     def __init__(self, k, s_max, tol):
-        self._k = k
+        self.k = k
         # adding 0.0 turns a signed zero of k = 0 into +0.0
         self._state = tuple(x + 0.0 for x in _airy_data(k, s_max))
         self._rtol = max(1e-6 * tol, 1e-16)
@@ -93,18 +94,20 @@ class _Taylor:
 
     def at(self, s: float) -> tuple:
         """(v, v', Q) at a float s."""
-        i = bisect_right(self.neg_ends, -s) - 1
-        if not 0 <= i < len(self.rows):
+        # ends read first: the rows of the steps they close are all built
+        n = len(self.neg_ends)
+        i = bisect_right(self.neg_ends, -s, 0, n) - 1
+        if not 0 <= i < n - 1:
             i = self.reach(s)
         return _horner(self.rows[i], s + self.neg_ends[i])
 
     def reach(self, s: float) -> int:
         """Index of the step that holds s, stepping back to it first."""
         with self._lock:
-            while self._error is None and _S_MIN_HARD < -self.neg_ends[-1] >= s:
+            while -self.neg_ends[-1] > max(s, _S_MIN_HARD) or not self.rows:
+                if self._error is not None:
+                    raise self._error.with_traceback(None)
                 self._step()
-            if self._error is not None and -self.neg_ends[-1] >= s:
-                raise self._error.with_traceback(None)
         return min(max(bisect_right(self.neg_ends, -s) - 1, 0), len(self.rows) - 1)
 
     def _step(self):
@@ -114,7 +117,7 @@ class _Taylor:
         if h < _H_MIN:
             self._error = ConvergenceError(
                 "Painleve II (k=%r): a pole near s=%.6g shrinks the Taylor "
-                "step to %.2g" % (self._k, s0, h))
+                "step to %.2g" % (self.k, s0, h))
             return
         dv = [j * a[j] for j in range(1, _ORDER + 1)] + [0.0]
         row = list(zip(a[::-1], dv[::-1], qc[::-1]))
@@ -202,12 +205,6 @@ def _step_size(a, qc, rtol):
     return h
 
 
-def _solve_ivp_branch(k, s_min, s_max, tol):
-    dense = _Taylor(k, s_max, tol)
-    dense.reach(s_min)
-    return dense
-
-
 @functools.lru_cache(maxsize=32)
 def _solve_bvp_branch(sgn, s_min, s_max, tol):
     """Hastings-McLeod solution of sign ``sgn``, memoized per process: it
@@ -249,6 +246,25 @@ def s_min_for(s: float) -> float:
     return -10.0 if s >= -10.0 else max(_S_MIN_HARD, s - 0.5)
 
 
+def _check_domain(s_min, s_max):
+    if s_max < _S_MAX_REQ:
+        raise DomainError("s_max >= %g required for trustworthy Airy data" % _S_MAX_REQ)
+    if s_min < _S_MIN_HARD:
+        raise RangeError("s_min below the documented stability range %g" % _S_MIN_HARD)
+
+
+def _as_error(k):
+    """Error estimate of the Ablowitz-Segur solution k, refused above
+    ``_AS_ERR_MAX``."""
+    err = _AS_ERR / (1.0 - abs(k))
+    if err > _AS_ERR_MAX:
+        raise ConvergenceError(
+            "Painleve II (k=%r) too close to Hastings-McLeod: estimated "
+            "error %.1e exceeds %g" % (k, err, _AS_ERR_MAX),
+            estimate_error=err)
+    return err
+
+
 def solve_pii(k: float, s_min: float = -10.0, s_max: float = 10.0,
               tol: float = 1e-10) -> PIISolution:
     """Painleve II solution with v ~ k*Ai(s) as s -> +inf, k in [-1, 1].
@@ -259,18 +275,11 @@ def solve_pii(k: float, s_min: float = -10.0, s_max: float = 10.0,
     k = float(k)
     if abs(k) > 1.0 + _HM_EDGE:
         raise DomainError("|k| <= 1 required (pole fields beyond), got %r" % k)
-    if s_max < _S_MAX_REQ:
-        raise DomainError("s_max >= %g required for trustworthy Airy data" % _S_MAX_REQ)
-    if s_min < _S_MIN_HARD:
-        raise RangeError("s_min below the documented stability range %g" % _S_MIN_HARD)
+    _check_domain(s_min, s_max)
     if _is_ablowitz_segur(k):
-        err = _AS_ERR / (1.0 - abs(k))
-        if err > _AS_ERR_MAX:
-            raise ConvergenceError(
-                "Painleve II (k=%r) too close to Hastings-McLeod: estimated "
-                "error %.1e exceeds %g" % (k, err, _AS_ERR_MAX),
-                estimate_error=err)
-        dense = _solve_ivp_branch(k, s_min, s_max, tol)
+        err = _as_error(k)
+        dense = _Taylor(k, s_max, tol)
+        dense.reach(s_min)
         kind = "ivp"
     else:
         dense = _solve_bvp_branch(math.copysign(1.0, k), s_min, s_max, tol)
@@ -303,17 +312,17 @@ class SolutionCache:
 
     Ablowitz-Segur solutions (every |k| < 1) nest: their dense output steps
     back from s_max only as deep as lookups reach, and takes the same steps
-    whatever s_min is.  So each (k, s_max, tol) is solved once with s_min =
-    s_max, which takes one step, and every s_min gets a PIISolution that
-    shares that dense output but keeps its own s_min, below which
-    ``eval_pii`` still raises.  A scan whose deepest point is at s = -6
-    never integrates [-12, -6].  Hastings-McLeod solutions do not nest: the
-    BVP puts its left boundary condition at s_min, so they are looked up
-    per s_min, from the process-wide memo of BVP solutions.
+    whatever s_min is.  So each (k, s_max, tol) gets one dense output, and
+    every s_min a PIISolution that shares it but keeps its own s_min, below
+    which ``eval_pii`` still raises.  A scan whose deepest point is at
+    s = -6 never integrates [-12, -6].  Hastings-McLeod solutions do not
+    nest: the BVP puts its left boundary condition at s_min, so they are
+    solved per s_min, from the process-wide memo of BVP solutions.
     """
 
     def __init__(self):
         self._store = {}
+        self._taylors = {}
         self._lock = threading.Lock()
 
     def get(self, k: float, s_min: float = -10.0, s_max: float = 10.0,
@@ -323,15 +332,15 @@ class SolutionCache:
             sol = self._store.get(key)
         if sol is not None:
             return sol
-        if _is_ablowitz_segur(k) and s_min >= _S_MIN_HARD:
-            start_key = (key[0], s_max, s_max, tol)
+        if _is_ablowitz_segur(k):
+            _check_domain(s_min, s_max)
             with self._lock:
-                start = self._store.get(start_key)
-            if start is None:
-                start = solve_pii(k, s_max, s_max, tol)
-                with self._lock:
-                    start = self._store.setdefault(start_key, start)
-            sol = replace(start, s_min=s_min)
+                dense = self._taylors.get((key[0], s_max, tol))
+                if dense is None:
+                    dense = self._taylors[key[0], s_max, tol] = _Taylor(float(k), s_max, tol)
+            # the k of the first lookup, whose Airy data the steps start from
+            sol = PIISolution(k=dense.k, s_min=s_min, s_max=s_max, tol=tol, kind="ivp",
+                              err_est=_as_error(dense.k), _dense=dense)
         else:
             sol = solve_pii(k, s_min, s_max, tol)
         with self._lock:

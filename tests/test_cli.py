@@ -118,9 +118,9 @@ class TestScan:
         # zone-I points on both sides of s = -10 share one Ablowitz-Segur solve
         cfg = parse_config("[scattering]\nkappa_r = 0.5\n[regions]\nc1 = 48\n"
                            "[scan]\nt = 1e6\ns = -11.75, -10.25, 0\ngrid_region = 1\n")
-        with mock.patch.object(painleve2, "solve_pii", wraps=painleve2.solve_pii) as solve:
+        with mock.patch.object(painleve2, "_Taylor", wraps=painleve2._Taylor) as taylor:
             rows = run_scan(cfg)
-        assert solve.call_count == 1
+        assert taylor.call_count == 1
         assert [r["region"] for r in rows] == ["I"] * 3
         assert all(math.isfinite(r["u"]) for r in rows)
 

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.integrate import solve_bvp, solve_ivp
 
 from mchasy import SolutionCache, airy, eval_pii, solve_pii
 from mchasy.errors import ConvergenceError, DomainError, RangeError
-from mchasy.painleve2 import (_airy_data, _rhs, _solve_ivp_branch, _step_size,
+from mchasy.painleve2 import (_Taylor, _airy_data, _horner, _rhs, _step_size,
                               _taylor_coeffs, s_min_for)
 
 from conftest import richardson_derivative
@@ -171,9 +172,11 @@ class TestCache:
 
     def test_one_solve_serves_every_s_min(self):
         cache = SolutionCache()
-        with mock.patch("mchasy.painleve2.solve_pii", wraps=solve_pii) as solve:
+        with mock.patch("mchasy.painleve2._Taylor", wraps=_Taylor) as taylor:
             sols = [cache.get(0.5, s_min) for s_min in (-10.0, -11.25, -12.0, -10.0)]
-        assert solve.call_count == 1
+        # one integration, shared by every s_min
+        assert taylor.call_count == 1
+        assert len({id(sol._dense) for sol in sols}) == 1
         assert sols[0] is sols[3]
         assert [sol.s_min for sol in sols] == [-10.0, -11.25, -12.0, -10.0]
         with pytest.raises(RangeError):
@@ -198,11 +201,14 @@ class TestCache:
 
     def test_every_ablowitz_segur_k_nests(self):
         cache = SolutionCache()
-        with mock.patch("mchasy.painleve2.solve_pii", wraps=solve_pii) as solve:
+        with mock.patch("mchasy.painleve2.solve_pii", wraps=solve_pii) as solve, \
+                mock.patch("mchasy.painleve2._Taylor", wraps=_Taylor) as taylor:
             for s_min in (-10.0, -11.0):
                 assert cache.get(0.9999, s_min).kind == "ivp"
                 assert cache.get(1.0 - 1e-13, s_min).kind == "bvp"
-        assert solve.call_count == 3
+        # one integration for 0.9999, one BVP solve per s_min at the edge
+        assert taylor.call_count == 1
+        assert solve.call_count == 2
 
 
 class TestStepper:
@@ -280,7 +286,7 @@ class TestStepper:
     def test_pole_stops_integration(self):
         # beyond |k| = 1 the solution has a pole on the real axis
         with pytest.raises(ConvergenceError, match="pole"):
-            _solve_ivp_branch(1.5, -12.0, 10.0, 1e-10)
+            _Taylor(1.5, 10.0, 1e-10).reach(-12.0)
 
 
 class TestOnDemand:
@@ -369,17 +375,73 @@ class TestOnDemand:
                 eval_pii(cache.get(0.5), -8.0)
             tried = len(depth)
             assert depth[-1] < -5.0 <= depth[-2]
-            for s in (-8.0, depth[-1], -11.0):
+            below = math.nextafter(depth[-1], -math.inf)
+            for s in (-8.0, below, -11.0):
                 with pytest.raises(ConvergenceError, match="pole"):
                     eval_pii(cache.get(0.5, s_min_for(s)), s)
             assert len(depth) == tried
-            # the steps built before the failure still serve
+            # the steps built before the failure still serve, down to the
+            # end of the last one
             assert eval_pii(cache.get(0.5), -4.0) == ref
-            above = math.nextafter(depth[-1], 0.0)
-            assert eval_pii(cache.get(0.5), above) == eval_pii(eager, above)
+            for s in (math.nextafter(depth[-1], 0.0), depth[-1]):
+                assert eval_pii(cache.get(0.5), s) == eval_pii(eager, s)
+            assert len(depth) == tried
             # the eager solve raises for a pole in its domain
             with pytest.raises(ConvergenceError, match="pole"):
                 solve_pii(0.5, -8.0)
+
+    def test_failure_below_s_min_on_a_step_end(self):
+        # s_min on a step end needs no step below it, even one that fails
+        eager = solve_pii(0.5, -12.0)
+        end = next(-e for e in eager._dense.neg_ends if -e < -5.0)
+        depth = []
+
+        def coeffs(s0, *state):
+            depth.append(s0)
+            return _taylor_coeffs(s0, *state)
+
+        def size(a, qc, rtol):
+            return 0.0 if depth[-1] <= end else _step_size(a, qc, rtol)
+
+        with mock.patch("mchasy.painleve2._taylor_coeffs", side_effect=coeffs), \
+                mock.patch("mchasy.painleve2._step_size", side_effect=size):
+            sol = solve_pii(0.5, end)
+            assert depth[-1] > end
+            assert eval_pii(sol, end) == eval_pii(eager, end)
+            cache = SolutionCache()
+            assert eval_pii(cache.get(0.5, -10.0), end) == eval_pii(eager, end)
+            with pytest.raises(ConvergenceError, match="pole"):
+                eval_pii(cache.get(0.5, -10.0), math.nextafter(end, -math.inf))
+            assert depth[-1] == end
+            with pytest.raises(ConvergenceError, match="pole"):
+                solve_pii(0.5, math.nextafter(end, -math.inf))
+
+    def test_reader_never_uses_a_step_whose_end_is_not_appended(self):
+        # a lookup between a writer's two appends (row, then its end) sees
+        # one row more than the ends close; that row must not serve an s
+        # below the last end it read
+        eager = _Taylor(0.5, 10.0, 1e-10)
+        eager.reach(-12.0)
+        m = 3
+        lazy = _Taylor(0.5, 10.0, 1e-10)
+        lazy.rows = eager.rows[:m + 1]
+        lazy.neg_ends = array("d", eager.neg_ends[:m + 1])
+        reach = lazy.reach
+
+        def writer_done(s):
+            lazy.rows = list(eager.rows)
+            lazy.neg_ends = array("d", eager.neg_ends)
+            return reach(s)
+
+        inside = -eager.neg_ends[m - 1] - 0.01
+        s = -11.0
+        with mock.patch.object(lazy, "reach", side_effect=writer_done) as waited:
+            assert lazy.at(inside) == eager.at(inside)
+            waited.assert_not_called()
+            assert lazy.at(s) == eager.at(s)
+        waited.assert_called_once_with(s)
+        # the half-appended row extrapolated to s is far off
+        assert _horner(eager.rows[m], s + eager.neg_ends[m]) != eager.at(s)
 
 
 class TestEval:
