@@ -6,10 +6,10 @@ J. Comput. Phys. 230), only as deep as their lookups reach.  The problem
 is ill-conditioned as |k| -> 1: the error grows like 1e-11/(1-|k|), which
 each solution carries as ``err_est``, and a solve whose estimate exceeds
 1e-6 raises ``ConvergenceError``.  The Hastings-McLeod edge |k| = 1 is a
-separatrix, solved as a two-point boundary value problem from an
-Airy/square-root guess and memoized per process.  Both carry dense output
-for (v, v', Q), Q(s) the tail integral of v^2, as one polynomial per
-piece: the Taylor step polynomials, or the BVP's cubic spline.
+separatrix, solved as a two-point boundary value problem by Newton multiple
+shooting on the same Taylor steps, from a square-root/Airy guess, and
+memoized per process; k = -1 is its negation.  Both carry dense output for
+(v, v', Q), Q(s) the tail integral of v^2, as the Taylor step polynomials.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ _ORDER = 24
 _H_MAX = 1.0
 _H_MIN = 0.02       # a pole near the axis shrinks the step below this
 _DEN = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(_ORDER - 1))
+_NEWTON_MAX = 12    # Newton iterations of the Hastings-McLeod shooting
+_NEWTON_TOL = 1e-8  # an update this small leaves one more at rounding level
 
 
 def _airy_data(k, s):
@@ -63,32 +65,17 @@ def _horner(row, t):
     return v, vp, q
 
 
-class _Taylor:
-    """Dense (v, v', Q) of an Ablowitz-Segur solution, integrated on demand.
+class _Steps:
+    """Dense (v, v', Q) as backward Taylor steps from s_max.
 
-    Backward Taylor steps start from the Airy data at s_max and are taken
-    only when a lookup reaches below the last one, the last step clipped to
-    end on ``_S_MIN_HARD``: whatever the order of lookups, the steps are
-    those of one integration down to ``_S_MIN_HARD``.  Step i is the
-    polynomial ``rows[i]`` (coefficient triples (v, v', Q), highest power
-    first) in the offset from its right end, and ``neg_ends`` holds the
-    negated step ends, -s_max first, so that it increases for ``bisect``.
-    A joint is evaluated on the step centered there, the last end on the
-    step that ends there.
-
-    Steps are appended under a lock, each row before its left end, so that
-    a lookup that finds its step among the ends it read first needs no
-    lock.  A step that fails is not tried again: its ``ConvergenceError``
-    is raised again for every lookup below its right end.
+    Step i is the polynomial ``rows[i]`` (coefficient triples (v, v', Q),
+    highest power first) in the offset from its right end, and ``neg_ends``
+    holds the negated step ends, -s_max first, so that it increases for
+    ``bisect``.  A joint is evaluated on the step centered there, the last
+    end on the step that ends there.
     """
 
-    def __init__(self, k, s_max, tol):
-        self.k = k
-        # adding 0.0 turns a signed zero of k = 0 into +0.0
-        self._state = tuple(x + 0.0 for x in _airy_data(k, s_max))
-        self._rtol = max(1e-6 * tol, 1e-16)
-        self._error = None
-        self._lock = threading.Lock()
+    def __init__(self, s_max):
         self.rows = []
         self.neg_ends = array("d", [-s_max])
 
@@ -102,50 +89,65 @@ class _Taylor:
         return _horner(self.rows[i], s + self.neg_ends[i])
 
     def reach(self, s: float) -> int:
+        """Index of the step that holds s."""
+        return min(max(bisect_right(self.neg_ends, -s) - 1, 0), len(self.rows) - 1)
+
+
+class _Taylor(_Steps):
+    """Dense (v, v', Q) of an Ablowitz-Segur solution, integrated on demand.
+
+    Backward Taylor steps start from the Airy data at s_max and are taken
+    only when a lookup reaches below the last one, the last step clipped to
+    end on ``_S_MIN_HARD``: whatever the order of lookups, the steps are
+    those of one integration down to ``_S_MIN_HARD``.
+
+    Steps are appended under a lock, each row before its left end, so that
+    a lookup that finds its step among the ends it read first needs no
+    lock.  A step that fails is not tried again: its ``ConvergenceError``
+    is raised again for every lookup below its right end.
+    """
+
+    def __init__(self, k, s_max, tol):
+        super().__init__(s_max)
+        self.k = k
+        # adding 0.0 turns a signed zero of k = 0 into +0.0
+        self._state = tuple(x + 0.0 for x in _airy_data(k, s_max))
+        self._rtol = max(1e-6 * tol, 1e-16)
+        self._error = None
+        self._lock = threading.Lock()
+
+    def reach(self, s: float) -> int:
         """Index of the step that holds s, stepping back to it first."""
         with self._lock:
             while -self.neg_ends[-1] > max(s, _S_MIN_HARD) or not self.rows:
                 if self._error is not None:
                     raise self._error.with_traceback(None)
                 self._step()
-        return min(max(bisect_right(self.neg_ends, -s) - 1, 0), len(self.rows) - 1)
+        return super().reach(s)
 
     def _step(self):
-        s0 = -self.neg_ends[-1]
-        a, qc = _taylor_coeffs(s0, *self._state)
-        h = _step_size(a, qc, self._rtol)
-        if h < _H_MIN:
-            self._error = ConvergenceError(
-                "Painleve II (k=%r): a pole near s=%.6g shrinks the Taylor "
-                "step to %.2g" % (self.k, s0, h))
+        try:
+            row, s1, _qc = _taylor_step(self.k, -self.neg_ends[-1], self._state,
+                                        self._rtol, _S_MIN_HARD)
+        except ConvergenceError as exc:
+            self._error = exc
             return
-        dv = [j * a[j] for j in range(1, _ORDER + 1)] + [0.0]
-        row = list(zip(a[::-1], dv[::-1], qc[::-1]))
-        s1 = max(s0 - h, _S_MIN_HARD)
-        self._state = _horner(row, s1 - s0)
+        self._state = _horner(row, s1 + self.neg_ends[-1])
         self.rows.append(row)
         self.neg_ends.append(-s1)
 
 
-class _Pieces:
-    """Dense (v, v', Q) of a Hastings-McLeod spline, one cubic per piece.
+class _Negated:
+    """Dense (v, v', Q) of -v, given that of v: the equation is odd in v, so
+    (v, v', Q) -> (-v, -v', Q) maps solutions to solutions exactly."""
 
-    Piece i covers [edges[i], edges[i+1]] and is a polynomial in the offset
-    from its left end; ``coeffs[i]`` holds its coefficient triples (v, v',
-    Q), highest power first, in an array of shape (pieces, 4, 3) that stays
-    compact and gives a row as floats when it is used.  A joint is
-    evaluated on the piece that starts there.
-    """
-
-    def __init__(self, edges, coeffs):
-        self.edges = array("d", edges)
-        self._coeffs = coeffs
-        self._last = len(coeffs) - 1
+    def __init__(self, dense):
+        self._dense = dense
 
     def at(self, s: float) -> tuple:
         """(v, v', Q) at a float s."""
-        i = min(max(bisect_right(self.edges, s) - 1, 0), self._last)
-        return _horner(self._coeffs[i].tolist(), s - self.edges[i])
+        v, vp, q = self._dense.at(s)
+        return -v, -vp, q
 
 
 @dataclass(frozen=True)
@@ -153,8 +155,8 @@ class PIISolution:
     """Dense-output Painleve II solution on [s_min, s_max].
 
     ``err_est`` is its estimated error relative to the scale of (v, v', Q):
-    1e-11/(1-|k|) for Ablowitz-Segur, the collocation tolerance for
-    Hastings-McLeod.
+    1e-11/(1-|k|) for Ablowitz-Segur, min(tol, 1e-10) for Hastings-McLeod,
+    whose shooting residual is held below it.
     """
 
     k: float
@@ -163,12 +165,7 @@ class PIISolution:
     tol: float
     kind: str
     err_est: float
-    _dense: _Taylor | _Pieces = field(repr=False)
-
-
-def _rhs(s, y):
-    v, vp, _q = y
-    return np.vstack((vp, s * v + 2.0 * v ** 3, -v * v))
+    _dense: _Steps | _Negated = field(repr=False)
 
 
 def _taylor_coeffs(s0, v, vp, q):
@@ -205,35 +202,126 @@ def _step_size(a, qc, rtol):
     return h
 
 
+def _taylor_step(k, s0, state, rtol, s_end):
+    """One backward Taylor step from the state (v, v', Q) at s0, clipped to
+    end on s_end: its row, its left end and the Q coefficients.  A pole near
+    the axis that shrinks it below ``_H_MIN`` raises ``ConvergenceError``."""
+    a, qc = _taylor_coeffs(s0, *state)
+    h = _step_size(a, qc, rtol)
+    if h < _H_MIN:
+        raise ConvergenceError(
+            "Painleve II (k=%r): a pole near s=%.6g shrinks the Taylor "
+            "step to %.2g" % (k, s0, h))
+    dv = [j * a[j] for j in range(1, _ORDER + 1)] + [0.0]
+    return list(zip(a[::-1], dv[::-1], qc[::-1])), max(s0 - h, s_end), qc
+
+
+def _variation(s0, b, t, d0, d1):
+    """(dv, dv') at offset t of the solution of dv'' = (s + 6 v^2) dv with
+    (dv, dv') = (d0, d1) at s0, b the Taylor coefficients of v^2 there:
+    (n+2)(n+1) d_{n+2} = s0 d_n + d_{n-1} + 6 (b*d)_n."""
+    d = [d0, d1]
+    rev = [d0]         # d_n, ..., d_0
+    prev = 0.0
+    for n, den in enumerate(_DEN):
+        dn = d[n]
+        d.append((s0 * dn + prev + 6.0 * sum(map(mul, b, rev))) * den)
+        prev = dn
+        rev.insert(0, d[n + 1])
+    x = dx = 0.0
+    for j in range(_ORDER, 0, -1):
+        x = x * t + d[j]
+        dx = dx * t + j * d[j]
+    return x * t + d[0], dx
+
+
+def _shoot(s0, s1, state, rtol, steps=None):
+    """Taylor steps of the k = 1 equation from the state (v, v', Q) at s0
+    back to s1, appended to ``steps`` if given: the state at s1 and the
+    Jacobian of its (v, v') in the (v, v') at s0, as its two columns."""
+    cols = ((1.0, 0.0), (0.0, 1.0))
+    while s0 > s1:
+        row, s_next, qc = _taylor_step(1.0, s0, state, rtol, s1)
+        t = s_next - s0
+        state = _horner(row, t)
+        if steps is None:
+            # Q' = -v^2 gives the coefficients b_n = -(n+1) q_{n+1} of v^2
+            b = [-n * c for n, c in enumerate(qc)][1:]
+            cols = tuple(_variation(s0, b, t, *col) for col in cols)
+        else:
+            steps.rows.append(row)
+            steps.neg_ends.append(-s_next)
+        s0 = s_next
+    return state, cols
+
+
+def _solve_hastings_mcleod(s_min, s_max, tol):
+    """Steps of the k = 1 solution with v(s_min) = sqrt(-s_min/2), v(s_max)
+    = Ai(s_max) and Q(s_max) = Ai'(s_max)^2 - s_max Ai(s_max)^2.
+
+    Newton multiple shooting: segments of length 1 back from s_max, the
+    last clipped to end on s_min, each integrated from the (v, v') at its
+    right end, with the Jacobian from the variational equation on the same
+    steps.  The unknowns are those (v, v') but v(s_max); the equations are
+    the jumps at the inner nodes and the left condition.  Once an update is
+    below ``_NEWTON_TOL``, the steps are taken once more, Q carried from
+    s_max, and their jumps must be below the error estimate.
+    """
+    rtol = max(1e-6 * tol, 1e-16)
+    err = min(tol, 1e-10)
+    nodes = [s_max]
+    while nodes[-1] > s_min:
+        nodes.append(max(nodes[-1] - 1.0, s_min))
+    m = len(nodes) - 1
+    v_left = math.sqrt(-s_min / 2.0)
+    q_right = _airy_data(1.0, s_max)[2]
+    # the guess: sqrt(-s/2) left of 0, Ai from 0 on; u[2j], u[2j+1] are
+    # (v, v') at node j, and u[0] = Ai(s_max) stays
+    u = np.array([(math.sqrt(-e / 2.0), -0.25 / math.sqrt(-e / 2.0)) if e < 0.0
+                  else airy(e) for e in nodes[:-1]], dtype=float).ravel()
+    update = math.inf
+    for _ in range(_NEWTON_MAX):
+        steps = _Steps(s_max) if update <= _NEWTON_TOL else None
+        x = u.tolist()
+        q = q_right
+        res = np.empty(2 * m - 1)
+        jac = np.zeros((2 * m - 1, 2 * m))
+        for j in range(m):
+            i = 2 * j
+            (v, vp, q), cols = _shoot(nodes[j], nodes[j + 1], (x[i], x[i + 1], q), rtol, steps)
+            if j < m - 1:
+                res[i:i + 2] = v - x[i + 2], vp - x[i + 3]
+                jac[i:i + 2, i:i + 2] = np.transpose(cols)
+                jac[i:i + 2, i + 2:i + 4] = -np.eye(2)
+            else:
+                res[i] = v - v_left
+                jac[i, i:i + 2] = cols[0][0], cols[1][0]
+        if steps is not None:
+            jump = np.abs(res).max()
+            if not jump <= err:
+                raise ConvergenceError(
+                    "Hastings-McLeod shooting: jumps of %.2g at the nodes, "
+                    "above %g" % (jump, err))
+            return steps
+        try:
+            du = np.linalg.solve(jac[:, 1:], -res)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("Hastings-McLeod shooting: singular Jacobian") from exc
+        u[1:] += du
+        update = np.abs(du).max()
+    raise ConvergenceError(
+        "Hastings-McLeod shooting: no convergence in %d Newton iterations, "
+        "last update %.2g" % (_NEWTON_MAX, update))
+
+
 @functools.lru_cache(maxsize=32)
-def _solve_bvp_branch(sgn, s_min, s_max, tol):
-    """Hastings-McLeod solution of sign ``sgn``, memoized per process: it
-    does not depend on the scattering data.  Each s_min below -10 is a key
-    of its own, and an entry is a spline of about 3,000 pieces (0.3 MB),
-    hence the bound."""
-    from scipy.integrate import solve_bvp
-
-    v_right, _vp_right, q_right = _airy_data(sgn, s_max)
-
-    def bc(ya, yb):
-        return np.array([
-            ya[0] - sgn * math.sqrt(-s_min / 2.0),
-            yb[0] - v_right,
-            yb[2] - q_right,
-        ])
-
-    mesh = np.linspace(s_min, s_max, 801)
-    v_pos, _vp_pos, q_pos = _airy_data(1.0, np.maximum(mesh, 0.0))
-    guess = np.zeros((3, mesh.size))
-    guess[0] = sgn * np.sqrt(np.maximum(-mesh, 0.0) / 2.0) \
-        + np.where(mesh >= 0, v_pos, 0.0) * sgn
-    guess[1] = np.gradient(guess[0], mesh)
-    guess[2] = q_pos
-    sol = solve_bvp(_rhs, bc, mesh, guess, tol=min(tol, 1e-10), max_nodes=200000)
-    if sol.status != 0:
-        raise ConvergenceError("Hastings-McLeod BVP failed: %s" % sol.message)
-    # solve_bvp's spline is a PPoly with coefficients (power, piece, component)
-    return _Pieces(sol.x, np.transpose(sol.sol.c, (1, 0, 2)).copy())
+def _hastings_mcleod(s_min, s_max, tol):
+    """Dense output of the Hastings-McLeod solutions k = 1 and k = -1, from
+    one solve, memoized per process: it does not depend on the scattering
+    data.  Each s_min below -10 is a key of its own, and an entry is about
+    40 steps (0.16 MB), hence the bound."""
+    steps = _solve_hastings_mcleod(s_min, s_max, tol)
+    return steps, _Negated(steps)
 
 
 def _is_ablowitz_segur(k: float) -> bool:
@@ -282,7 +370,7 @@ def solve_pii(k: float, s_min: float = -10.0, s_max: float = 10.0,
         dense.reach(s_min)
         kind = "ivp"
     else:
-        dense = _solve_bvp_branch(math.copysign(1.0, k), s_min, s_max, tol)
+        dense = _hastings_mcleod(s_min, s_max, tol)[k < 0]
         kind = "bvp"
         err = min(tol, 1e-10)
     return PIISolution(k=k, s_min=s_min, s_max=s_max, tol=tol, kind=kind,

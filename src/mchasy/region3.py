@@ -230,7 +230,7 @@ def solve_band(params: ShockParams) -> tuple[float, float]:
     a = find_root(lambda x: area(x) - rhs, slope, ends[i], ends[i + 1], tol=1e-15)
     b = b_of(a)
     resid = abs(area(a) - rhs)
-    if resid > 1e-12:
+    if not resid <= 1e-12:
         raise ConvergenceError("band residual %.3g above 1e-12" % resid, best=(a, b))
     return a, b
 
@@ -282,9 +282,15 @@ class ShockGeometry:
         for poles: each reader tests the values it uses."""
         kap4, shift = self.varkappa / 4, self.phi / math.pi
         expansion = np.array([self.A_inf - kap4, -self.A_inf - kap4])
-        gate = np.append(-_abel_axis(self, _NR7_KS) - kap4, self.A_inf - kap4)
+        gate = np.append(-_abel_axis(self, _NR7_KS * self.gate_unit) - kap4, self.A_inf - kap4)
         s = np.concatenate([[0.0], expansion, expansion + shift, gate + shift, gate])
         return (s, *jacobi_theta(s, self.theta_params, order=(0, 1)))
+
+    @property
+    def gate_unit(self) -> float:
+        """Unit of the gate's sample k, max(1, b): the samples stay as far
+        beyond the band end at any p/q, and u does not depend on p/q."""
+        return max(1.0, self.b)
 
     @cached_property
     def theta0(self) -> float:
@@ -414,7 +420,7 @@ def build_geometry(params: ShockParams, validate: bool = True) -> ShockGeometry:
     # Carlson's R_F here, while varkappa comes from ellipkm1: the check
     # A(inf) = -varkappa/4 compares two independent computations
     A_inf = -1j * float(_tail_inv_w(a, b, b)) / (2.0 * kb)
-    if abs(A_inf - (-varkappa / 4.0)) > 1e-9:
+    if not abs(A_inf - (-varkappa / 4.0)) <= 1e-9:
         raise BranchError("A(inf) disagrees with -varkappa/4: %r vs %r"
                           % (A_inf, -varkappa / 4.0))
     d0 = delta0(a, b, params.C_R)
@@ -425,7 +431,7 @@ def build_geometry(params: ShockParams, validate: bool = True) -> ShockGeometry:
                          tau=tau, C_R=params.C_R, p=params.p, q=params.q, K_band=kb)
     if validate:
         ident = (2.0 - params.xi) * cmath.exp(-1j * tau * A1)
-        if abs(ident - 1.0) > 1e-10:
+        if not abs(ident - 1.0) <= 1e-10:
             raise BranchError("(2-xi)*exp(-i*tau*A1) = %r, expected 1" % ident)
         nr7_coeffs(geom)   # hard gate on the expansion conventions
     return geom
@@ -584,7 +590,8 @@ def nr7_matrix(geom: ShockGeometry, k, side: str | None = None,
 # pairs, shifted first
 _EXPANSION = slice(1, 5)
 _GATE = slice(5, 23)
-# the gate's sample points and the pseudo-inverse of its cubic Laurent design
+# the gate's sample points, in units of ``ShockGeometry.gate_unit``, and the
+# pseudo-inverse of its cubic Laurent design in 1/k in those units
 _NR7_KS = np.array([1e2, 2e2, 3e2, 5e2, 1e3, 2e3, 5e3, 1e4])
 _NR7_PINV = np.linalg.pinv(np.vstack([np.ones_like(_NR7_KS), 1.0 / _NR7_KS,
                                       1.0 / _NR7_KS ** 2, 1.0 / _NR7_KS ** 3]).T)
@@ -606,31 +613,30 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     """Closed-form 1/k and 1/k^2 coefficients of the (1,2) entry.
 
     Validated against a Laurent fit of the (1,2) entry of ``nr7_matrix`` at
-    eight real k > b, read from the geometry's ``theta_pass``; disagreement
-    beyond 1e-5 signals a broken derivative-at-infinity convention and is a hard
-    failure.
+    eight real k from 100 ``gate_unit`` up, read from the geometry's
+    ``theta_pass``; disagreement beyond 1e-5, or a fit that is not a
+    number, signals a broken derivative-at-infinity convention and is a
+    hard failure.
     """
     a, b = geom.a, geom.b
-    if not b < _NR7_KS[0]:
-        # extreme p/q put the band over the samples, where A(k) is undefined
-        raise DomainError("the convention gate samples k >= %g, beyond the band "
-                          "end b; got b = %r" % (_NR7_KS[0], b))
     g_inf, x_tilde = geom.expansion_terms
     pref = -cmath.exp(1j * geom.phi) * (b - a) / 2j
     n1_12 = pref * g_inf
     n2_12 = pref * x_tilde
     # the (1,2) entry of nr7_matrix at each sample k: row-1 theta ratios at
     # -A(k), normalized by the one at A_inf
-    ks = _NR7_KS
+    unit = geom.gate_unit
+    ks = _NR7_KS * unit
     nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
     s, th, _ = geom.theta_pass
     _check_poles(geom, s[_GATE], th[_GATE])
     num, den = np.split(th[_GATE], 2)
     r = num / den
     vals = -cmath.exp(1j * geom.phi) * (nu - 1.0 / nu) / 2j * r[:-1] / r[-1]
-    coef = _NR7_PINV @ (vals * ks)
-    scale = max(1.0, abs(n1_12))
-    if abs(coef[0] - n1_12) > 1e-5 * scale or abs(coef[1] - n2_12) > 1e-5 * max(1.0, abs(n2_12)):
+    # the fit is in 1/k in units of ``unit``: its 1/k coefficient scales by it
+    coef = _NR7_PINV @ (vals * ks) * [1.0, unit, 1.0, 1.0]
+    if not (abs(coef[0] - n1_12) <= 1e-5 * max(1.0, abs(n1_12))
+            and abs(coef[1] - n2_12) <= 1e-5 * max(1.0, abs(n2_12))):
         raise ConventionError(
             "Laurent fit %r, %r disagrees with closed forms %r, %r"
             % (coef[0], coef[1], n1_12, n2_12))

@@ -535,8 +535,8 @@ def test_check_runs_symmetry_check_once(tmp_path, capsys):
 
 
 # scipy.interpolate and scipy.integrate each pull in scipy.linalg, .optimize
-# and .sparse: tables import the first on construction, Hastings-McLeod
-# solves the second, and nothing else loads either
+# and .sparse: tables import the first on construction, and nothing loads the
+# second (Hastings-McLeod is solved on the Taylor stepper)
 _DEFERRED = ("scipy.interpolate", "scipy.integrate")
 
 
@@ -570,6 +570,33 @@ def test_family_scan_loads_neither_deferred_module(tmp_path):
     assert [r[2] for r in rows] == ["II", "III", "I"]
     assert math.isfinite(float(rows[0][4])) and math.isfinite(float(rows[2][4]))
     assert rows[1][6].startswith("AdmissibilityError: ")   # |kappa_r| < 1: no shock
+
+
+def test_hastings_mcleod_scan_loads_neither_deferred_module(tmp_path):
+    # |kappa_r| = 1: every zone-I point reads the Hastings-McLeod solution,
+    # s = -11 from one solved down to s_min = -11.5
+    out = tmp_path / "o.csv"
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[scattering]\nkappa_r = 1.0\n[regions]\nc1 = 48\n"
+                        "[scan]\nt = 1e6\ns = -11:1:5\ngrid_region = 1\n"
+                        "[output]\npath = %s\n" % out)
+    code = ("import sys; from mchasy.cli import main; "
+            "assert main(['scan', '--config', %r]) == 0; "
+            "print(sorted(m for m in %r if m in sys.modules))" % (str(cfg_path), _DEFERRED))
+    assert _run_fresh(code).strip() == "[]"
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(r[2] == "I" and math.isfinite(float(r[4])) and r[6] == "" for r in rows)
+
+
+def test_pii_hastings_mcleod_loads_neither_deferred_module():
+    code = ("import sys; from mchasy.cli import main; "
+            "assert main(['pii', '--k', '1', '--s=-10:10:1']) == 0; "
+            "print(sorted(m for m in %r if m in sys.modules))" % (_DEFERRED,))
+    *rows, loaded = _run_fresh(code).splitlines()
+    assert loaded == "[]"
+    assert rows[0] == "s,v,v_prime,Q" and len(rows) == 22
+    assert float(rows[11].split(",")[1]) == pytest.approx(0.36706155154807, rel=1e-12)
 
 
 def test_table_scan_imports_interpolation_on_demand(tmp_path):

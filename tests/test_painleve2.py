@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_bvp, solve_ivp
+from scipy.integrate import solve_ivp
 
 from mchasy import SolutionCache, airy, eval_pii, solve_pii
 from mchasy.errors import ConvergenceError, DomainError, RangeError
-from mchasy.painleve2 import (_Taylor, _airy_data, _horner, _rhs, _step_size,
-                              _taylor_coeffs, s_min_for)
+from mchasy.painleve2 import (_Taylor, _airy_data, _hastings_mcleod, _horner,
+                              _solve_hastings_mcleod, _step_size, _taylor_coeffs,
+                              s_min_for)
 
 from conftest import richardson_derivative
 
@@ -23,35 +24,6 @@ def ode_residual(sol, s, h=1e-3):
     vpp = richardson_derivative(lambda x: eval_pii(sol, x)[1], s, h)
     v = eval_pii(sol, s)[0]
     return abs(vpp - s * v - 2 * v ** 3)
-
-
-def continuation_bvp(k, s_min, s_max=10.0, tol=1e-10):
-    """Dense (v, v', Q) of the Hastings-McLeod BVP solved with continuation in
-    k: first at 0.95|k| from the solver's guess, then at |k| from that
-    solution (the solver's former method, kept as a reference)."""
-    sgn = math.copysign(1.0, k)
-    ai_r = airy(s_max)[0]
-    mesh = np.linspace(s_min, s_max, 801)
-    s_pos = np.maximum(mesh, 0.0)
-    ai, aip = airy(s_pos)
-    guess = np.zeros((3, mesh.size))
-    guess[0] = sgn * (np.sqrt(np.maximum(-mesh, 0.0) / 2.0)
-                      + np.where(mesh >= 0, abs(k) * ai, 0.0))
-    guess[1] = np.gradient(guess[0], mesh)
-    guess[2] = k * k * (aip * aip - s_pos * ai * ai)
-    for k_step in (0.95 * abs(k), abs(k)):
-        ks = sgn * k_step
-        ai_s, aip_s = airy(s_max)
-        q_right = ks * ks * (aip_s * aip_s - s_max * ai_s * ai_s)
-
-        def bc(ya, yb, ks=ks, q_right=q_right):
-            return np.array([ya[0] - sgn * math.sqrt(-s_min / 2.0),
-                             yb[0] - ks * ai_r, yb[2] - q_right])
-
-        sol = solve_bvp(_rhs, bc, mesh, guess, tol=min(tol, 1e-10), max_nodes=200000)
-        assert sol.status == 0, sol.message
-        mesh, guess = sol.x, sol.y
-    return sol.sol
 
 
 def dense(sol, s):
@@ -102,6 +74,102 @@ MPMATH_ORACLE = [
 ]
 
 
+# (s, v, v', Q) of the k = 1 boundary value problem v(s_min) = sqrt(-s_min/2),
+# v(10) = Ai(10), Q(10) = Ai'(10)^2 - 10 Ai(10)^2, keyed by s_min: Newton
+# multiple shooting with mpmath.odefun on the reflected equation above, unit
+# segments back from s = 10 and a finite-difference Jacobian with step
+# 10^(-dps/2), until the update is below 10^(8-dps); about 20 s a pass at 40
+# digits.  Runs at 30 and 40 digits agree to all 25 digits printed, and the
+# table holds their nearest doubles, so the oracle's own error is far below
+# the 1e-12 it is used for:
+#
+#     mp.mp.dps = 40
+#     f = lambda x, y: [y[1], -x * y[0] + 2 * y[0] ** 3, y[0] ** 2]
+#     nodes = [mp.mpf(10)]
+#     while nodes[-1] > s_min:
+#         nodes.append(max(nodes[-1] - 1, mp.mpf(s_min)))
+#     def shoot(j, v, vp, q=0):  # odefun on segment j from (v, v', Q) at nodes[j]
+#         return mp.odefun(f, -nodes[j], [v, -vp, q])
+#     # unknowns u = (v, v') at nodes[:-1] but v(10) = Ai(10); the residuals
+#     # are the jumps shoot(j, ...)(-nodes[j+1]) - u at the inner nodes and
+#     # v - sqrt(-s_min/2) at s_min; Newton from the double-precision solve,
+#     # then Q carried from Q(10) through the segments: v(s), v'(s), Q(s) =
+#     # w, -w', R of shoot(j, v_j, v'_j, Q_j)(-s)
+MPMATH_HM_ORACLE = {
+    -10.0: [
+        (10.0, 1.1047532552898686e-10, -3.5206336767389247e-10, 1.9006393505261616e-21),
+        (7.5, 1.9172560675134332e-07, -5.312713959720565e-07, 6.558984046815633e-15),
+        (5.0, 0.00010834442819420452, -0.00024741389127691554, 2.521057855346946e-09),
+        (2.5, 0.01572623632006511, -0.026252540999089437, 7.084847245627387e-05),
+        (1.0, 0.1356435435044716, -0.16055871475984104, 0.00704140050127936),
+        (0.0, 0.3670615515480785, -0.2953721054475501, 0.06909138070892343),
+        (-1.5, 0.8435338539145321, -0.2963530348433117, 0.6488466697520575),
+        (-3.0, 1.2179531462532598, -0.2102282489816472, 2.293920684139287),
+        (-4.5, 1.4978071600808927, -0.16799439762521384, 5.09067890395438),
+        (-6.0, 1.7310249588695947, -0.14477828438653417, 9.02094813072162),
+        (-7.5, 1.935911400364157, -0.1292956454871339, 14.079212314708501),
+        (-9.0, 2.1209579634146856, -0.1179691860048275, 20.26391436550177),
+        (-9.7, 2.2020431373266933, -0.11392497529527755, 23.535477887917065),
+        (-9.75, 2.2077340102529655, -0.11371335699840018, 23.778554898476806),
+        (-10.0, 2.23606797749979, -0.11312252270541293, 25.012796705143238),
+    ],
+    -10.6: [
+        (10.0, 1.1047532552898686e-10, -3.5206336767389237e-10, 1.9006393505261616e-21),
+        (7.5, 1.917256067513433e-07, -5.312713959720564e-07, 6.5589840468156304e-15),
+        (5.0, 0.0001083444281942045, -0.0002474138912769155, 2.5210578553469452e-09),
+        (2.5, 0.015726236320065107, -0.02625254099908943, 7.084847245627385e-05),
+        (1.0, 0.1356435435044716, -0.16055871475984101, 0.007041400501279357),
+        (0.0, 0.36706155154807846, -0.29537210544755005, 0.0690913807089234),
+        (-1.5, 0.8435338539145318, -0.29635303484331127, 0.6488466697520572),
+        (-3.0, 1.217953146253254, -0.21022824898163395, 2.2939206841392807),
+        (-4.5, 1.4978071600805916, -0.16799439762433063, 5.090678903954072),
+        (-6.0, 1.7310249588339568, -0.14477828426473263, 9.020948130685476),
+        (-7.5, 1.935911392090032, -0.12929561373888507, 14.079212306354709),
+        (-9.0, 2.1209544812810917, -0.11795451491078368, 20.26391085860964),
+        (-9.75, 2.2076463086834917, -0.113328432937972, 23.778466649490262),
+        (-10.0, 2.2358033419398624, -0.11194589995972899, 25.01253048404396),
+        (-10.299999999999999, 2.269162448362201, -0.11050662157770333, 26.534710900200036),
+        (-10.6, 2.3021728866442674, -0.1097614439069367, 28.102047574568534),
+    ],
+    -11.25: [
+        (10.0, 1.1047532552898686e-10, -3.5206336767389237e-10, 1.9006393505261616e-21),
+        (7.5, 1.917256067513433e-07, -5.312713959720564e-07, 6.5589840468156304e-15),
+        (5.0, 0.0001083444281942045, -0.0002474138912769155, 2.5210578553469452e-09),
+        (2.5, 0.015726236320065107, -0.02625254099908943, 7.084847245627385e-05),
+        (1.0, 0.13564354350447158, -0.16055871475984101, 0.007041400501279357),
+        (0.0, 0.3670615515480784, -0.29537210544755005, 0.0690913807089234),
+        (-1.5, 0.8435338539145317, -0.2963530348433112, 0.6488466697520572),
+        (-3.0, 1.2179531462532538, -0.21022824898163317, 2.2939206841392807),
+        (-4.5, 1.497807160080574, -0.1679943976242789, 5.090678903954054),
+        (-6.0, 1.73102495883187, -0.1447782842576006, 9.020948130683358),
+        (-7.5, 1.9359113916055435, -0.12929561187987734, 14.079212305865555),
+        (-9.0, 2.1209542773861445, -0.1179536558514662, 20.26391065326497),
+        (-9.75, 2.2076411734590775, -0.11330589480804192, 23.778461482212034),
+        (-10.0, 2.235787847290137, -0.11187701200702337, 25.012514896553544),
+        (-10.95, 2.3396994134927604, -0.10713300782474314, 29.98710183067409),
+        (-11.25, 2.3717082451262845, -0.10644193043997296, 31.65195488455579),
+    ],
+    -12.0: [
+        (10.0, 1.1047532552898686e-10, -3.5206336767389237e-10, 1.9006393505261616e-21),
+        (7.5, 1.917256067513433e-07, -5.312713959720564e-07, 6.5589840468156304e-15),
+        (5.0, 0.0001083444281942045, -0.0002474138912769155, 2.5210578553469452e-09),
+        (2.5, 0.015726236320065107, -0.02625254099908943, 7.084847245627385e-05),
+        (1.0, 0.13564354350447158, -0.16055871475984101, 0.007041400501279357),
+        (0.0, 0.3670615515480784, -0.29537210544755005, 0.0690913807089234),
+        (-1.5, 0.8435338539145317, -0.2963530348433112, 0.6488466697520572),
+        (-3.0, 1.2179531462532538, -0.21022824898163311, 2.2939206841392807),
+        (-4.5, 1.4978071600805731, -0.1679943976242767, 5.090678903954053),
+        (-6.0, 1.7310249588317808, -0.14477828425729583, 9.020948130683268),
+        (-7.5, 1.9359113915848414, -0.1292956118004421, 14.079212305844653),
+        (-9.0, 2.1209542686737333, -0.11795361914394698, 20.26391064449061),
+        (-9.75, 2.2076409540316995, -0.11330493175827196, 23.778461261415),
+        (-10.0, 2.235787185207677, -0.11187406845300435, 25.01251423050401),
+        (-11.7, 2.4185295228968857, -0.10360275679794545, 34.2332330200671),
+        (-12.0, 2.449489742783178, -0.10296577054138609, 36.01060194990318),
+    ],
+}
+
+
 class TestSolve:
     def test_zero_multiplier(self):
         sol = solve_pii(0.0)
@@ -147,16 +215,75 @@ class TestSolve:
             assert abs(dq + v * v) < 1e-8
 
 
+class TestHastingsMcLeod:
+    """The |k| = 1 boundary value problem, solved by Newton multiple shooting
+    on the Taylor steps."""
+
     @pytest.mark.parametrize("k", [1.0, -1.0])
-    def test_single_step_bvp_matches_continuation(self, k):
-        for s_min in (-10.0, -10.6, -11.25, -12.0):
+    def test_matches_mpmath_oracle(self, k):
+        for s_min in MPMATH_HM_ORACLE:
             sol = solve_pii(k, s_min=s_min)
             assert sol.kind == "bvp"
-            s = np.linspace(s_min, sol.s_max, 1001)
-            ref = continuation_bvp(k, s_min)(s)
-            got = dense(sol, s)
-            scale = np.abs(ref).max(axis=1, keepdims=True)
+            rows = np.array(MPMATH_HM_ORACLE[s_min])
+            ref = rows[:, 1:] * [k, k, 1.0]
+            got = np.array([eval_pii(sol, s) for s in rows[:, 0]])
+            scale = np.abs(ref).max(axis=0)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("s_min", [-10.0, -11.25, -12.0])
+    def test_negative_branch_is_exact_negation(self, s_min):
+        pos, neg = solve_pii(1.0, s_min), solve_pii(-1.0, s_min)
+        assert neg.kind == "bvp" and neg.err_est == pos.err_est == 1e-10
+        for s in np.linspace(s_min, 12.0, 97):
+            v, vp, q = eval_pii(pos, s)
+            assert eval_pii(neg, s) == (-v, -vp, q)
+
+    @pytest.mark.parametrize("s_min", [-10.0, -10.6, -12.0])
+    def test_boundary_conditions_hold(self, s_min):
+        sol = solve_pii(1.0, s_min)
+        ai, _aip, q = _airy_data(1.0, sol.s_max)
+        v, _vp, q_got = eval_pii(sol, sol.s_max)
+        assert (v, q_got) == (ai, q)
+        assert eval_pii(sol, s_min)[0] == pytest.approx(math.sqrt(-s_min / 2.0), rel=1e-13, abs=0)
+
+    def test_continuous_across_step_joints(self):
+        # the node jumps are rounding errors, grown by up to e^5 over a
+        # segment near s = -12
+        sol = solve_pii(1.0, -12.0)
+        steps = sol._dense
+        ends = [-e for e in steps.neg_ends]
+        scale = np.abs(dense(sol, np.linspace(-12.0, 10.0, 441))).max(axis=1)
+        for i, e in enumerate(ends[1:-1]):
+            left = np.polyval(np.array(steps.rows[i]), e - ends[i])
+            right = np.polyval(np.array(steps.rows[i + 1]), 0.0)
+            assert np.all(np.abs(left - right) <= 1e-12 * scale)
+
+    def test_one_solve_serves_both_signs(self):
+        with mock.patch("mchasy.painleve2._solve_hastings_mcleod",
+                        wraps=_solve_hastings_mcleod) as shoot:
+            pos, neg = solve_pii(1.0, -10.45), solve_pii(-1.0, -10.45)
+        assert shoot.call_count == 1
+        assert neg._dense is _hastings_mcleod(-10.45, 10.0, 1e-10)[1]
+        assert eval_pii(neg, -3.0)[0] == -eval_pii(pos, -3.0)[0]
+
+    def test_step_failure_raises(self):
+        # a step shrunk below the floor inside a segment, as by a pole near
+        # the axis; the failure is not memoized
+        with mock.patch("mchasy.painleve2._step_size", return_value=0.0):
+            with pytest.raises(ConvergenceError, match="pole"):
+                solve_pii(1.0, -10.35)
+        assert solve_pii(1.0, -10.35).kind == "bvp"
+
+    def test_newton_iterations_are_bounded(self):
+        with mock.patch("mchasy.painleve2._NEWTON_MAX", 2):
+            with pytest.raises(ConvergenceError, match="2 Newton iterations"):
+                _solve_hastings_mcleod(-10.0, 10.0, 1e-10)
+
+    def test_jumps_above_the_estimate_raise(self):
+        # the final pass checks the joints of the converged steps against
+        # the error estimate
+        with pytest.raises(ConvergenceError, match="jumps"):
+            _solve_hastings_mcleod(-10.0, 10.0, 1e-16)
 
 
 class TestCache:
@@ -193,9 +320,9 @@ class TestCache:
 
     def test_hastings_mcleod_memo_shared(self):
         first = SolutionCache().get(-1.0, -10.0)
-        with mock.patch("scipy.integrate.solve_bvp") as bvp:
+        with mock.patch("mchasy.painleve2._solve_hastings_mcleod") as shoot:
             again = SolutionCache().get(-1.0, -10.0)
-        bvp.assert_not_called()
+        shoot.assert_not_called()
         assert again is not first and again._dense is first._dense
         assert eval_pii(again, -3.0) == eval_pii(first, -3.0)
 

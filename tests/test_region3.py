@@ -11,7 +11,7 @@ from mchasy import (ReflectionCoefficient, ScatteringData,
                     SpaceTimePoint, abel, delta0, g_eval, h_eval, nr7_coeffs,
                     nr7_matrix, region3, solve_band, u_region3)
 from mchasy.errors import (AdmissibilityError, BoundaryAmbiguityError,
-                           BranchError, ConventionError, DomainError,
+                           BranchError, ConventionError, ConvergenceError, DomainError,
                            PoleOfSolutionError, RegionError, WindowError)
 from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
                             _k_band, _k_gap, _j_gap, build_geometry,
@@ -72,11 +72,24 @@ class TestCurvature:
             ShockParams(p=p, q=q, xi=XI0, t=T0, C_R=1.0)
 
     def test_band_beyond_gate_samples_rejected(self):
-        # p/q = 1e5 puts the band end b near 240, among the gate's samples
-        # k >= 100, where the Abel map is undefined: named, not a NaN warning
-        params = ShockParams(p=1e5, q=1.0, xi=XI0, t=T0, C_R=1.0)
-        with pytest.raises(DomainError, match="convention gate"):
+        # p/q = 1e5 puts the band end b near 240; the gate's samples move
+        # out with it, but at w = 3 the band equation's absolute residual
+        # bound 1e-12 refuses the point first: named, not a NaN warning
+        xi = 2 - 3.0 * math.log(T0) ** (2 / 3) * T0 ** (-2 / 3)
+        params = ShockParams(p=1e5, q=1.0, xi=xi, t=T0, C_R=1.0)
+        with pytest.raises(ConvergenceError, match="band residual"):
             build_geometry(params)
+
+    @pytest.mark.parametrize("p", [1e2, 1e3, 1e4])
+    def test_gate_samples_scale_with_the_band(self, gen_data, p):
+        # b grows like sqrt(p/q); u is (p, q)-invariant, and with samples
+        # scaled by the band end the gate passes it unchanged
+        t, w = 1e6, 3.0
+        xi = 2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3)
+        pt = SpaceTimePoint(xi * t, t)
+        res = u_region3(pt, gen_data, p, 1.0)
+        assert res.diagnostics["b"] > 5.0
+        assert res.u == u_region3(pt, gen_data, 1.0, 1.0).u
 
 
 class TestSolveBand:
@@ -429,6 +442,20 @@ class TestNr7:
         Np2 = nr7_matrix(geom, -km, side="+")
         Nm2 = nr7_matrix(geom, -km, side="-")
         assert np.abs(Np2 - Nm2 @ V2).max() < 1e-8
+
+    def test_nan_gate_sample_refused(self, gen_data, monkeypatch):
+        # NaN compares False with any bound: the gate must refuse it
+        real = region3.jacobi_theta
+
+        def theta(s, params, order=0):
+            out = real(s, params, order=order)
+            if order == (0, 1):
+                out[0][region3._GATE.start] = math.nan
+            return out
+
+        monkeypatch.setattr(region3, "jacobi_theta", theta)
+        with pytest.raises(ConventionError, match="nan"):
+            u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data)
 
     def test_coeff_antisymmetry_and_gate(self, geom):
         n1, n2 = nr7_coeffs(geom)
