@@ -34,6 +34,18 @@ Config files are flat INI-style key/value text with typed sections::
     path = out.csv
     format = csv
 
+The grammar is a strict subset of INI.  A line is blank, a comment (its
+first non-blank character ``#`` or ``;``), a ``[name]`` section header
+(names are case-sensitive), a ``key = value`` or ``key: value`` pair split
+at the first ``=`` or ``:`` (keys stripped and lower-cased, values stripped
+and literal: ``%`` is not interpolation syntax), or a continuation: a line
+indented deeper than its key's line, joined to the value with a newline, so
+a spectrum or grid list may span lines.  A ``#`` or ``;`` after whitespace
+starts an inline comment.  A line with no delimiter, a key before any
+section, an empty key, a repeated section or a repeated key is a config
+error that gives its line number, as is an unknown section (``[DEFAULT]``
+too: it has no special meaning) or a key that its section does not read.
+
 CSV columns are exactly ``x,t,region,s,u,err_order,error`` with empty fields
 for nulls; JSON mirrors the rows and adds a ``meta`` header with the config
 hash and library version.  Exit codes: 0 ok, 1 config error, 2 hard per-point
@@ -43,12 +55,12 @@ failure under --strict or a failed ``pii`` solve, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import hashlib
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -69,6 +81,18 @@ __all__ = ["RunConfig", "parse_config", "emit_config", "run_scan",
 _CBRT3 = 3.0 ** (1.0 / 3.0)
 _COLUMNS = ("x", "t", "region", "s", "u", "err_order", "error")
 _MAX_GRID = 10 ** 6     # points of a lo:hi:n grid, as many as `mchasy pii` has rows
+# every key parse_config reads, by section
+_KEYS = {
+    "scattering": {"family", "kappa_r", "alpha", "beta", "table_path", "tail_rate",
+                   "spectrum"},
+    "regions": {"c1", "c2", "c3"},
+    "shock": {"p", "q"},
+    "scan": {"t", "s", "xi", "w", "grid_region"},
+    "tolerances": {"abs_tol", "rel_tol", "max_subdivisions", "tail_cutoff", "pii_tol"},
+    "output": {"path", "format"},
+}
+_INLINE_COMMENT = re.compile(r"\s[#;]")
+_DELIMITER = re.compile("[=:]")
 
 
 @dataclass
@@ -188,20 +212,59 @@ def _getfloat(sec, name, default, key, positive=False):
     return val
 
 
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """Read the sections of a config document in the grammar of the module
+    docstring: ``{section: {key: value}}``, in document order."""
+    sections: dict[str, dict[str, str]] = {}
+    body = key = None
+    indent = blanks = 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        value = line.strip()
+        if not value:
+            blanks += 1     # kept inside a value that a continuation extends
+            continue
+        if value[0] in "#;":
+            continue
+        comment = _INLINE_COMMENT.search(line)
+        if comment:
+            value = line[:comment.start()].strip()
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            body[key] += "\n" * (blanks + 1) + value
+            blanks = 0
+            continue
+        indent, blanks = depth, 0
+        if len(value) > 2 and value[0] == "[" and value[-1] == "]":
+            name, key = value[1:-1], None
+            if name in sections:
+                raise ConfigError("line %d: repeated section [%s]" % (lineno, name))
+            body = sections[name] = {}
+            continue
+        if body is None:
+            raise ConfigError("line %d: %r before any [section]" % (lineno, value))
+        delim = _DELIMITER.search(value)
+        if delim is None:
+            raise ConfigError("line %d: no '=' or ':' in %r" % (lineno, value))
+        key = value[:delim.start()].rstrip().lower()
+        if not key:
+            raise ConfigError("line %d: empty key in %r" % (lineno, value))
+        if key in body:
+            raise ConfigError("line %d: repeated key %s.%s" % (lineno, name, key))
+        body[key] = value[delim.end():].strip()
+    return sections
+
+
 def parse_config(text: str, strict: bool = False) -> RunConfig:
     """Parse and validate the key-value config document."""
-    # values are literal: a '%' is not interpolation syntax
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-    known = {"scattering", "regions", "shock", "scan", "tolerances", "output"}
-    for sec in cp.sections():
-        if sec not in known:
-            raise ConfigError("unknown section [%s]" % sec, key=sec)
+    sections = _read_sections(text)
+    for name, body in sections.items():
+        if name not in _KEYS:
+            raise ConfigError("unknown section [%s]" % name, key=name)
+        for key in body:
+            if key not in _KEYS[name]:
+                raise ConfigError("unknown key", key="%s.%s" % (name, key))
 
-    sc = cp["scattering"] if cp.has_section("scattering") else {}
+    sc = sections.get("scattering", {})
     scattering = {
         "family": sc.get("family", "gaussian"),
         "kappa_r": _getfloat(sc, "kappa_r", 0.5, "scattering.kappa_r"),
@@ -218,7 +281,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     if abs(scattering["kappa_r"]) > 1:
         raise ConfigError("|kappa_r| <= 1 required", key="scattering.kappa_r")
 
-    rg = cp["regions"] if cp.has_section("regions") else {}
+    rg = sections.get("regions", {})
     regions = {
         "c1": _getfloat(rg, "c1", 1.0, "regions.c1", positive=True),
         "c2": _getfloat(rg, "c2", 1.0, "regions.c2", positive=True),
@@ -227,13 +290,13 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     if regions["c3"] <= 2.0 * _CBRT3:
         raise ConfigError("c3 must exceed 2*3^(1/3)", key="regions.c3")
 
-    sh = cp["shock"] if cp.has_section("shock") else {}
+    sh = sections.get("shock", {})
     shock = {
         "p": _getfloat(sh, "p", 1.0, "shock.p", positive=True),
         "q": _getfloat(sh, "q", 1.0, "shock.q", positive=True),
     }
 
-    sn = cp["scan"] if cp.has_section("scan") else {}
+    sn = sections.get("scan", {})
     scan = {"t": _parse_grid(sn.get("t", "1e6"), "scan.t")}
     for t in scan["t"]:
         if t <= 1.0:
@@ -249,7 +312,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         raise ConfigError("grid_region must be 1 or 2", key="scan.grid_region")
     scan["grid_region"] = int(grid_region)
 
-    tl = cp["tolerances"] if cp.has_section("tolerances") else {}
+    tl = sections.get("tolerances", {})
     tolerances = {
         "abs_tol": _getfloat(tl, "abs_tol", 1e-12, "tolerances.abs_tol", positive=True),
         "rel_tol": _getfloat(tl, "rel_tol", 1e-12, "tolerances.rel_tol", positive=True),
@@ -262,7 +325,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     if tolerances["max_subdivisions"] < 1:
         raise ConfigError("must be at least 1", key="tolerances.max_subdivisions")
 
-    ot = cp["output"] if cp.has_section("output") else {}
+    ot = sections.get("output", {})
     output = {"path": ot.get("path", "-"), "format": ot.get("format", "csv")}
     if output["format"] not in ("csv", "json"):
         raise ConfigError("format must be csv or json", key="output.format")

@@ -400,6 +400,29 @@ class TestLiteralValues:
         assert (tmp_path / "out%(x)s.csv").read_text().startswith("x,t,region,")
 
 
+class TestMalformedConfig:
+    """Each refused form of the config grammar is one config error, exit 1."""
+
+    @pytest.mark.parametrize("body, message", [
+        ("kappa_r = 0.5\n", "line 1: 'kappa_r = 0.5' before any [section]"),
+        ("[scattering]\nkappa_r 0.5\n", "line 2: no '=' or ':' in 'kappa_r 0.5'"),
+        ("[scattering]\n = 0.5\n", "line 2: empty key in '= 0.5'"),
+        ("[scan]\nt = 1e6\n\n[scan]\n", "line 4: repeated section [scan]"),
+        ("[scattering]\nkappa_r = 0.5\nKappa_R = 0.6\n",
+         "line 3: repeated key scattering.kappa_r"),
+        ("[DEFAULT]\nalpha = 3\n", "DEFAULT: unknown section [DEFAULT]"),
+        ("[scattering]\nkapa_r = 0.9\n", "scattering.kapa_r: unknown key"),
+    ], ids=["key_before_section", "no_delimiter", "empty_key", "repeated_section",
+            "repeated_key", "default_section", "unknown_key"])
+    def test_one_line_exit_1(self, tmp_path, capsys, body, message):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(body)
+        assert main(["scan", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: %s\n" % message
+
+
 class TestPiiInput:
     def check_config_error(self, argv, capsys):
         assert main(["pii"] + argv) == 1
@@ -536,8 +559,9 @@ def test_check_runs_symmetry_check_once(tmp_path, capsys):
 
 # scipy.interpolate and scipy.integrate each pull in scipy.linalg, .optimize
 # and .sparse: tables import the first on construction, and nothing loads the
-# second (Hastings-McLeod is solved on the Taylor stepper)
-_DEFERRED = ("scipy.interpolate", "scipy.integrate")
+# second (Hastings-McLeod is solved on the Taylor stepper); configs are read
+# without configparser
+_DEFERRED = ("scipy.interpolate", "scipy.integrate", "configparser")
 
 
 def _run_fresh(code):

@@ -1,17 +1,20 @@
 """Properties of the CLI over the config space: configs with NaN, +-inf and
-malformed numbers, and short grids in each zone."""
+malformed numbers, and short grids in each zone; and the config reader
+against configparser."""
 
+import configparser
 import contextlib
 import io
 import math
 import os
+import string
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mchasy import errors
-from mchasy.cli import emit_config, main, parse_config
+from mchasy.cli import _read_sections, emit_config, main, parse_config
 from mchasy.errors import ConfigError, MchasyError
 
 BAD_NUMBERS = ("nan", "-nan", "inf", "-inf", "1e999", "-1e999", "abc", "",
@@ -161,3 +164,67 @@ def test_parse_emit_parse_is_identity(text):
     except ConfigError:
         return
     assert parse_config(emit_config(cfg)) == cfg
+
+
+# Documents in the reader's grammar.  A '#' or ';' inside a value follows a
+# non-blank character, and inline comments hold neither, so that the comment
+# prefix is the first one after whitespace on its line: configparser, which
+# scans each prefix separately, then cuts at the same place.  Headers sit at
+# column 0, so that none continues a value; a key line at column 1 after one
+# at column 0 does, in both readers.
+ws = st.sampled_from(("", " ", "\t", "  "))
+indent = st.sampled_from((" ", "\t", "   "))
+line_text = st.text([c for c in string.printable if c not in "#;\n\r"], max_size=12)
+value = st.one_of(line_text, st.tuples(line_text, st.sampled_from(
+    ("a#1", "b;c", "x;y#z"))).map("".join))
+inline_comment = st.one_of(st.just(""), st.tuples(
+    indent, st.sampled_from("#;"), st.text(st.characters(exclude_characters="\n\r#;"),
+                                           max_size=8)).map("".join))
+filler = st.lists(st.one_of(
+    ws,                                                    # blank line
+    st.tuples(ws, st.sampled_from("#;"), line_text).map("".join)),  # comment line
+    max_size=2)
+ident = st.text(string.ascii_letters + string.digits + "_.- ", min_size=1,
+                max_size=8).map(str.strip).filter(bool)
+
+
+@st.composite
+def ini_documents(draw):
+    lines = draw(filler)
+    for name in draw(st.lists(ident.filter(lambda n: n != "DEFAULT"), max_size=3,
+                              unique=True)):
+        lines += ["[%s]%s" % (name, draw(inline_comment))] + draw(filler)
+        for key in draw(st.lists(ident, max_size=4, unique_by=str.lower)):
+            lead = draw(st.sampled_from(("", " ")))
+            lines.append("%s%s%s%s%s%s%s" % (
+                lead, key, draw(ws), draw(st.sampled_from("=:")), draw(ws),
+                draw(value), draw(inline_comment)))
+            lines += draw(filler)
+            for _ in range(draw(st.integers(0, 2))):
+                lines.append(lead + draw(indent) + draw(value) + draw(inline_comment))
+                lines += draw(filler)
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def configparser_sections(text):
+    """What the reader replaced: configparser with the same comment rules."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    cp.read_string(text)
+    return {name: dict(cp[name]) for name in cp.sections()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ini_documents())
+def test_reader_reads_as_configparser(text):
+    assert _read_sections(text) == configparser_sections(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("[]=:#; \t\nab\x0c"), max_size=40))
+def test_reader_returns_sections_or_one_line_config_error(text):
+    try:
+        sections = _read_sections(text)
+    except ConfigError as exc:
+        assert str(exc).startswith("line ") and "\n" not in str(exc)
+    else:
+        assert all(isinstance(v, str) for body in sections.values() for v in body.values())

@@ -71,14 +71,17 @@ class TestCurvature:
         with pytest.raises(DomainError, match="shock scales"):
             ShockParams(p=p, q=q, xi=XI0, t=T0, C_R=1.0)
 
-    def test_band_beyond_gate_samples_rejected(self):
-        # p/q = 1e5 puts the band end b near 240; the gate's samples move
-        # out with it, but at w = 3 the band equation's absolute residual
-        # bound 1e-12 refuses the point first: named, not a NaN warning
-        xi = 2 - 3.0 * math.log(T0) ** (2 / 3) * T0 ** (-2 / 3)
-        params = ShockParams(p=1e5, q=1.0, xi=xi, t=T0, C_R=1.0)
-        with pytest.raises(ConvergenceError, match="band residual"):
-            build_geometry(params)
+    @pytest.mark.parametrize("p, q", [(1e5, 1.0), (1.0, 1e-4)])
+    def test_band_residual_bound_scales_with_the_rhs(self, gen_data, p, q):
+        # the band integral grows like (p/q)^(3/2): at w = 3 an absolute 1e-12
+        # bound refused these points (residuals 4.7e-10 and 5.8e-11), though
+        # u is (p, q)-invariant, within the 1e-8 of --check-pq-invariance
+        t, w = 1e6, 3.0
+        xi = 2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3)
+        pt = SpaceTimePoint(xi * t, t)
+        res = u_region3(pt, gen_data, p, q)
+        assert res.diagnostics["b"] > 70.0
+        assert abs(res.u - u_region3(pt, gen_data, 1.0, 1.0).u) <= 1e-8
 
     @pytest.mark.parametrize("p", [1e2, 1e3, 1e4])
     def test_gate_samples_scale_with_the_band(self, gen_data, p):
@@ -97,6 +100,13 @@ class TestSolveBand:
         a, b = geom.a, geom.b
         assert abs(a * a + b * b - 2 / 3) < 1e-12
         assert abs(_j_band(a, b) - params.band_rhs) < 1e-12
+
+    def test_residual_above_bound_is_named(self, params):
+        # a root off by 1e-9 of a leaves a residual far above 1e-12 x max(1, rhs)
+        a, _ = solve_band(params)
+        with mock.patch.object(region3, "find_root", return_value=a * (1 + 1e-9)):
+            with pytest.raises(ConvergenceError, match="band residual"):
+                solve_band(params)
 
     def test_degenerate_upper_endpoint(self):
         # the RHS scales like 4/(9*ratio^(3/2)); push the window ratio far
