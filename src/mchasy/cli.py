@@ -26,7 +26,6 @@ Config files are flat INI-style key/value text with typed sections::
     [tolerances]
     abs_tol = 1e-12
     rel_tol = 1e-12
-    max_subdivisions = 4000
     tail_cutoff = 1e-17
     pii_tol = 1e-10
 
@@ -49,7 +48,8 @@ too: it has no special meaning) or a key that its section does not read.
 CSV columns are exactly ``x,t,region,s,u,err_order,error`` with empty fields
 for nulls; JSON mirrors the rows and adds a ``meta`` header with the config
 hash and library version.  Exit codes: 0 ok, 1 config error, 2 hard per-point
-failure under --strict or a failed ``pii`` solve, 3 I/O error.
+failure under --strict, a failed symmetry report under ``check --strict`` or
+a failed ``pii`` solve, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -57,12 +57,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .errors import ConfigError, DomainError, MchasyError
@@ -75,8 +74,7 @@ from .region3 import u_region3
 from .scattering import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
                          SymmetryReport, check_symmetries)
 
-__all__ = ["RunConfig", "parse_config", "emit_config", "run_scan",
-           "write_output", "main"]
+__all__ = ["RunConfig", "parse_config", "run_scan", "write_output", "main"]
 
 _CBRT3 = 3.0 ** (1.0 / 3.0)
 _COLUMNS = ("x", "t", "region", "s", "u", "err_order", "error")
@@ -88,7 +86,7 @@ _KEYS = {
     "regions": {"c1", "c2", "c3"},
     "shock": {"p", "q"},
     "scan": {"t", "s", "xi", "w", "grid_region"},
-    "tolerances": {"abs_tol", "rel_tol", "max_subdivisions", "tail_cutoff", "pii_tol"},
+    "tolerances": {"abs_tol", "rel_tol", "tail_cutoff", "pii_tol"},
     "output": {"path", "format"},
 }
 _INLINE_COMMENT = re.compile(r"\s[#;]")
@@ -97,56 +95,47 @@ _DELIMITER = re.compile("[=:]")
 
 @dataclass
 class RunConfig:
-    scattering: dict
-    regions: dict
-    shock: dict
-    scan: dict
-    tolerances: dict
-    output: dict
-    warnings: list = field(default_factory=list)
-    # the report of check_symmetries that parse_config computed
-    symmetry: SymmetryReport | None = field(default=None, init=False, repr=False,
-                                           compare=False)
-    _data: ScatteringData | None = field(default=None, init=False, repr=False,
-                                         compare=False)
+    """What a scan reads, built once by ``parse_config``: one data object
+    (and its memo) serves the checks of ``parse_config`` and the scan."""
 
-    def data(self) -> ScatteringData:
-        """The scattering data, built on the first call and shared after, so
-        the checks of ``parse_config`` and the scan use one object (and its
-        memo).  A spectrum, table or family the data refuses raises
-        ``ConfigError`` naming its key."""
-        if self._data is None:
-            sc = self.scattering
-            try:
-                spectrum = DiscreteSpectrum(sc["spectrum"])
-            except DomainError as exc:
-                raise ConfigError(str(exc), key="scattering.spectrum") from exc
-            if sc.get("table_path"):
-                import numpy as np
-                try:
-                    raw = np.loadtxt(sc["table_path"], delimiter=",", dtype=float,
-                                     ndmin=2, usecols=(0, 1, 2))
-                    r = ReflectionCoefficient.tabulated(
-                        raw[:, 0], raw[:, 1] + 1j * raw[:, 2],
-                        tail_rate=sc.get("tail_rate", 1.0))
-                except ValueError as exc:   # np.loadtxt, or the checks of the table
-                    raise ConfigError(str(exc), key="scattering.table_path") from exc
-            else:
-                try:
-                    r = ReflectionCoefficient.family(sc["kappa_r"], sc["alpha"], sc["beta"])
-                except DomainError as exc:
-                    raise ConfigError(str(exc), key="scattering") from exc
-            self._data = ScatteringData(r, spectrum)
-        return self._data
+    data: ScatteringData
+    constants: RegionConstants
+    spec: QuadratureSpec
+    pii_tol: float
+    p: float
+    q: float
+    times: list[float]
+    grid_kind: str          # s, xi or w
+    grid: list[float]
+    grid_region: int        # the zone whose scaling maps s to x
+    path: str
+    format: str
+    symmetry: SymmetryReport    # the report of check_symmetries on the data
+    warnings: list[str]
 
-    def constants(self) -> RegionConstants:
-        return RegionConstants(self.regions["c1"], self.regions["c2"],
-                               self.regions["c3"])
 
-    def quad_spec(self) -> QuadratureSpec:
-        tl = self.tolerances
-        return QuadratureSpec(tl["abs_tol"], tl["rel_tol"],
-                              int(tl["max_subdivisions"]), tl["tail_cutoff"])
+def _scattering_data(spectrum, table_path, tail_rate, kappa_r, alpha, beta) -> ScatteringData:
+    """The scattering data of the ``[scattering]`` values.  A spectrum, table
+    or family the data refuses raises ``ConfigError`` naming its key."""
+    try:
+        spectrum = DiscreteSpectrum(spectrum)
+    except DomainError as exc:
+        raise ConfigError(str(exc), key="scattering.spectrum") from exc
+    if table_path:
+        import numpy as np
+        try:
+            raw = np.loadtxt(table_path, delimiter=",", dtype=float, ndmin=2,
+                             usecols=(0, 1, 2))
+            r = ReflectionCoefficient.tabulated(raw[:, 0], raw[:, 1] + 1j * raw[:, 2],
+                                                tail_rate=tail_rate)
+        except ValueError as exc:   # np.loadtxt, or the checks of the table
+            raise ConfigError(str(exc), key="scattering.table_path") from exc
+    else:
+        try:
+            r = ReflectionCoefficient.family(kappa_r, alpha, beta)
+        except DomainError as exc:
+            raise ConfigError(str(exc), key="scattering") from exc
+    return ScatteringData(r, spectrum)
 
 
 def _parse_complex(tok: str) -> complex:
@@ -183,8 +172,6 @@ def _parse_grid(text: str, key: str) -> list[float]:
             vals = [lo] if n == 1 else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
         else:
             vals = [float(t) for t in text.split(",") if t.strip()]
-        # strictly increasing in both forms, so that a grid written back as
-        # a comma list (emit_config) parses to the same points
         if not vals or any(not b > a for a, b in zip(vals, vals[1:])):
             raise ValueError
     except ConfigError:
@@ -265,73 +252,58 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
                 raise ConfigError("unknown key", key="%s.%s" % (name, key))
 
     sc = sections.get("scattering", {})
-    scattering = {
-        "family": sc.get("family", "gaussian"),
-        "kappa_r": _getfloat(sc, "kappa_r", 0.5, "scattering.kappa_r"),
-        "alpha": _getfloat(sc, "alpha", 0.0, "scattering.alpha"),
-        "beta": _getfloat(sc, "beta", 1.0, "scattering.beta", positive=True),
-        "table_path": sc.get("table_path", ""),
-        "tail_rate": _getfloat(sc, "tail_rate", 1.0, "scattering.tail_rate",
-                               positive=True),
-        "spectrum": _parse_spectrum(sc.get("spectrum", "[]")),
-    }
-    if scattering["family"] not in ("gaussian",):
-        raise ConfigError("unknown family %r" % scattering["family"],
-                          key="scattering.family")
-    if abs(scattering["kappa_r"]) > 1:
+    family = sc.get("family", "gaussian")
+    kappa_r = _getfloat(sc, "kappa_r", 0.5, "scattering.kappa_r")
+    alpha = _getfloat(sc, "alpha", 0.0, "scattering.alpha")
+    beta = _getfloat(sc, "beta", 1.0, "scattering.beta", positive=True)
+    table_path = sc.get("table_path", "")
+    tail_rate = _getfloat(sc, "tail_rate", 1.0, "scattering.tail_rate", positive=True)
+    spectrum = _parse_spectrum(sc.get("spectrum", "[]"))
+    if family not in ("gaussian",):
+        raise ConfigError("unknown family %r" % family, key="scattering.family")
+    if abs(kappa_r) > 1:
         raise ConfigError("|kappa_r| <= 1 required", key="scattering.kappa_r")
 
     rg = sections.get("regions", {})
-    regions = {
-        "c1": _getfloat(rg, "c1", 1.0, "regions.c1", positive=True),
-        "c2": _getfloat(rg, "c2", 1.0, "regions.c2", positive=True),
-        "c3": _getfloat(rg, "c3", 4.0 * _CBRT3, "regions.c3", positive=True),
-    }
-    if regions["c3"] <= 2.0 * _CBRT3:
+    c1 = _getfloat(rg, "c1", 1.0, "regions.c1", positive=True)
+    c2 = _getfloat(rg, "c2", 1.0, "regions.c2", positive=True)
+    c3 = _getfloat(rg, "c3", 4.0 * _CBRT3, "regions.c3", positive=True)
+    if c3 <= 2.0 * _CBRT3:
         raise ConfigError("c3 must exceed 2*3^(1/3)", key="regions.c3")
 
     sh = sections.get("shock", {})
-    shock = {
-        "p": _getfloat(sh, "p", 1.0, "shock.p", positive=True),
-        "q": _getfloat(sh, "q", 1.0, "shock.q", positive=True),
-    }
+    p = _getfloat(sh, "p", 1.0, "shock.p", positive=True)
+    q = _getfloat(sh, "q", 1.0, "shock.q", positive=True)
 
     sn = sections.get("scan", {})
-    scan = {"t": _parse_grid(sn.get("t", "1e6"), "scan.t")}
-    for t in scan["t"]:
+    times = _parse_grid(sn.get("t", "1e6"), "scan.t")
+    for t in times:
         if t <= 1.0:
             raise ConfigError("scan times must exceed 1", key="scan.t")
     kinds = [k for k in ("s", "xi", "w") if sn.get(k)]
     if len(kinds) > 1:
         raise ConfigError("give exactly one of s, xi, w", key="scan")
     kind = kinds[0] if kinds else "s"
-    scan["grid_kind"] = kind
-    scan["grid"] = _parse_grid(sn.get(kind, "-1:1:5"), "scan." + kind)
+    grid = _parse_grid(sn.get(kind, "-1:1:5"), "scan." + kind)
     grid_region = sn.get("grid_region", "1")
     if grid_region not in ("1", "2"):
         raise ConfigError("grid_region must be 1 or 2", key="scan.grid_region")
-    scan["grid_region"] = int(grid_region)
 
     tl = sections.get("tolerances", {})
-    tolerances = {
-        "abs_tol": _getfloat(tl, "abs_tol", 1e-12, "tolerances.abs_tol", positive=True),
-        "rel_tol": _getfloat(tl, "rel_tol", 1e-12, "tolerances.rel_tol", positive=True),
-        "max_subdivisions": int(_getfloat(tl, "max_subdivisions", 4000,
-                                          "tolerances.max_subdivisions", positive=True)),
-        "tail_cutoff": _getfloat(tl, "tail_cutoff", 1e-17, "tolerances.tail_cutoff",
-                                 positive=True),
-        "pii_tol": _getfloat(tl, "pii_tol", 1e-10, "tolerances.pii_tol", positive=True),
-    }
-    if tolerances["max_subdivisions"] < 1:
-        raise ConfigError("must be at least 1", key="tolerances.max_subdivisions")
+    abs_tol = _getfloat(tl, "abs_tol", 1e-12, "tolerances.abs_tol", positive=True)
+    rel_tol = _getfloat(tl, "rel_tol", 1e-12, "tolerances.rel_tol", positive=True)
+    tail_cutoff = _getfloat(tl, "tail_cutoff", 1e-17, "tolerances.tail_cutoff",
+                            positive=True)
+    pii_tol = _getfloat(tl, "pii_tol", 1e-10, "tolerances.pii_tol", positive=True)
 
     ot = sections.get("output", {})
-    output = {"path": ot.get("path", "-"), "format": ot.get("format", "csv")}
-    if output["format"] not in ("csv", "json"):
+    fmt = ot.get("format", "csv")
+    if fmt not in ("csv", "json"):
         raise ConfigError("format must be csv or json", key="output.format")
 
-    cfg = RunConfig(scattering, regions, shock, scan, tolerances, output)
-    report = cfg.symmetry = check_symmetries(cfg.data(), tol=1e-10)
+    data = _scattering_data(spectrum, table_path, tail_rate, kappa_r, alpha, beta)
+    report = check_symmetries(data, tol=1e-10)
+    warnings = []
     if not report.passed:
         msg = ("scattering symmetries violated: negation %.3g, inversion %.3g, "
                "modulus excess %.3g, spectrum %r"
@@ -339,63 +311,42 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
                   report.max_modulus_excess, report.spectrum_violations))
         if strict:
             raise ConfigError(msg, key="scattering")
-        cfg.warnings.append(msg)
-    return cfg
-
-
-def emit_config(cfg: RunConfig) -> str:
-    """Canonical round-trippable rendering of a RunConfig."""
-    out = io.StringIO()
-    spectrum = "[" + ", ".join(
-        "%r%+ri" % (z.real, z.imag) for z in cfg.scattering["spectrum"]) + "]"
-    sections = {
-        "scattering": {**cfg.scattering, "spectrum": spectrum},
-        "regions": cfg.regions,
-        "shock": cfg.shock,
-        "scan": {"t": ", ".join(repr(t) for t in cfg.scan["t"]),
-                 cfg.scan["grid_kind"]: ", ".join(repr(v) for v in cfg.scan["grid"]),
-                 "grid_region": cfg.scan["grid_region"]},
-        "tolerances": cfg.tolerances,
-        "output": cfg.output,
-    }
-    for name, body in sections.items():
-        out.write("[%s]\n" % name)
-        for k, v in body.items():
-            out.write("%s = %s\n" % (k, v))
-        out.write("\n")
-    return out.getvalue()
+        warnings.append(msg)
+    return RunConfig(data=data, constants=RegionConstants(c1, c2, c3),
+                     spec=QuadratureSpec(abs_tol, rel_tol, tail_cutoff=tail_cutoff),
+                     pii_tol=pii_tol, p=p, q=q, times=times, grid_kind=kind, grid=grid,
+                     grid_region=int(grid_region), path=ot.get("path", "-"), format=fmt,
+                     symmetry=report, warnings=warnings)
 
 
 def _grid_to_x(cfg: RunConfig, t: float, v: float) -> float:
-    axis = cfg.scan["grid_kind"]
+    axis = cfg.grid_kind
     if axis == "xi":
         return v * t
     if axis == "w":
         xi = 2.0 - v * math.log(t) ** (2.0 / 3.0) * t ** (-2.0 / 3.0)
         return xi * t
-    if cfg.scan["grid_region"] == 1:
+    if cfg.grid_region == 1:
         xi = 2.0 + 6.0 ** (2.0 / 3.0) * v * t ** (-2.0 / 3.0)
     else:
         xi = -0.25 - (9.0 / 8.0) ** (1.0 / 3.0) * v * t ** (-2.0 / 3.0)
     return xi * t
 
 
-def _eval_point(cfg, data, cache, constants, spec, x, t):
+def _eval_point(cfg, cache, x, t):
     row = {"x": x, "t": t, "s": None, "u": None, "err_order": None, "error": ""}
     try:
         point = SpaceTimePoint(x, t)   # x = xi*t can overflow at a finite t
-        tag = classify(point, constants)
+        tag = classify(point, cfg.constants)
         row["region"] = tag.value
         if tag in (RegionTag.R_I, RegionTag.R_II):
             row["s"] = scaled_s(point, tag)
         if tag is RegionTag.R_I:
-            res = u_region1(point, data, cache, constants,
-                            tol=cfg.tolerances["pii_tol"])
+            res = u_region1(point, cfg.data, cache, cfg.constants, tol=cfg.pii_tol)
         elif tag is RegionTag.R_II:
-            res = u_region2(point, data, cache, constants, spec,
-                            tol=cfg.tolerances["pii_tol"])
+            res = u_region2(point, cfg.data, cache, cfg.constants, cfg.spec, tol=cfg.pii_tol)
         elif tag is RegionTag.R_III:
-            res = u_region3(point, data, cfg.shock["p"], cfg.shock["q"], constants)
+            res = u_region3(point, cfg.data, cfg.p, cfg.q, cfg.constants)
         else:
             return row
         row["u"] = res.u
@@ -409,12 +360,9 @@ def _eval_point(cfg, data, cache, constants, spec, x, t):
 def run_scan(cfg: RunConfig) -> list[dict]:
     """Classify and evaluate every scan point; per-point errors are recorded
     in the ``error`` column and the scan continues."""
-    data = cfg.data()
-    constants = cfg.constants()
-    spec = cfg.quad_spec()
     cache = SolutionCache()
-    return [_eval_point(cfg, data, cache, constants, spec, _grid_to_x(cfg, t, v), t)
-            for t in cfg.scan["t"] for v in cfg.scan["grid"]]
+    return [_eval_point(cfg, cache, _grid_to_x(cfg, t, v), t)
+            for t in cfg.times for v in cfg.grid]
 
 
 def _fmt(v) -> str:
@@ -458,10 +406,10 @@ def _add_config_arg(sub):
                      help="turn symmetry warnings and per-point errors into failures")
 
 
-def _load(args):
+def _load(args, strict):
     with open(args.config) as fh:
         text = fh.read()
-    cfg = parse_config(text, strict=args.strict)
+    cfg = parse_config(text, strict=strict)
     for w in cfg.warnings:
         print("warning: %s" % w, file=sys.stderr)
     return cfg, text
@@ -469,20 +417,20 @@ def _load(args):
 
 def _run_region(args, force_kind=None) -> int:
     try:
-        cfg, text = _load(args)
+        cfg, text = _load(args, args.strict)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     if force_kind is not None:
-        cfg.scan["grid_region"] = force_kind
+        cfg.grid_region = force_kind
     if getattr(args, "p", None) is not None:
-        cfg.shock["p"] = args.p
+        cfg.p = args.p
     if getattr(args, "q", None) is not None:
-        cfg.shock["q"] = args.q
+        cfg.q = args.q
     table = run_scan(cfg)
     meta = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()}
     try:
-        write_output(table, cfg.output["format"], cfg.output["path"], meta)
+        write_output(table, cfg.format, cfg.path, meta)
     except (IOError, OSError) as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 3
@@ -492,8 +440,9 @@ def _run_region(args, force_kind=None) -> int:
 
 
 def _run_check(args) -> int:
+    # the report is printed whatever it says; --strict sets the exit code
     try:
-        cfg, _ = _load(args)
+        cfg, _ = _load(args, strict=False)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
@@ -539,20 +488,18 @@ def _run_pii(args) -> int:
 
 def _run_pq_invariance(args) -> int:
     try:
-        cfg, _ = _load(args)
+        cfg, _ = _load(args, args.strict)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    data = cfg.data()
-    constants = cfg.constants()
     worst, used = 0.0, 0
-    for t in cfg.scan["t"]:
-        for v in cfg.scan["grid"]:
+    for t in cfg.times:
+        for v in cfg.grid:
             x = _grid_to_x(cfg, t, v)
             try:
                 pt = SpaceTimePoint(x, t)
-                u1 = u_region3(pt, data, 1.0, 1.0, constants).u
-                u2 = u_region3(pt, data, 3.0, 2.0, constants).u
+                u1 = u_region3(pt, cfg.data, 1.0, 1.0, cfg.constants).u
+                u2 = u_region3(pt, cfg.data, 3.0, 2.0, cfg.constants).u
             except Exception as exc:   # as in a scan, one bad point is skipped
                 print("x=%r t=%r skipped (%s)" % (x, t, exc))
                 continue

@@ -54,10 +54,9 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Period ratio and absolute tail tolerance for the theta series."""
+    """Period ratio of the theta series."""
 
     varkappa: complex = 1j
-    abs_tol: float = 1e-15
 
     def __post_init__(self):
         if not np.imag(self.varkappa) > 0:
@@ -77,24 +76,17 @@ class QuadResult(NamedTuple):
 _AIRY_RANGE = 30.0
 
 
-def airy(s):
+def airy(s: float) -> tuple[float, float]:
     """Return (Ai(s), Ai'(s)) for |s| <= 30 (Cephes, through scipy).
 
     Against 40-digit mpmath on [-30, 30] the absolute error is below 1e-13,
-    and on s >= 0, where Ai decays, the relative error is below 1e-12.  A
-    scalar ``s`` gives two floats, an ndarray two arrays of its shape.
+    and on s >= 0, where Ai decays, the relative error is below 1e-12.
     """
-    if not isinstance(s, np.ndarray):
-        s = float(s)
-        if not math.isfinite(s) or abs(s) > _AIRY_RANGE:
-            raise RangeError("airy accuracy range is |s| <= %g, got %r" % (_AIRY_RANGE, s))
-        ai, aip, _bi, _bip = _sp_airy(s)
-        return float(ai), float(aip)
-    if not np.all(np.abs(s) <= _AIRY_RANGE):   # also catches NaN
-        raise RangeError("airy accuracy range is |s| <= %g, got values outside it"
-                         % _AIRY_RANGE)
+    s = float(s)
+    if not math.isfinite(s) or abs(s) > _AIRY_RANGE:
+        raise RangeError("airy accuracy range is |s| <= %g, got %r" % (_AIRY_RANGE, s))
     ai, aip, _bi, _bip = _sp_airy(s)
-    return ai, aip
+    return float(ai), float(aip)
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +95,7 @@ def airy(s):
 
 # largest log|F| that jacobi_theta accepts; doubles end at about exp(709.78)
 _LOG_THETA_MAX = 700.0
+_THETA_TOL = 1e-15      # absolute bound on the dropped tail of the series
 
 
 def jacobi_theta(s, params: ThetaParams, order: int | tuple[int, int] = 0):
@@ -112,19 +105,17 @@ def jacobi_theta(s, params: ThetaParams, order: int | tuple[int, int] = 0):
     20.2(ii)): s = s0 + m*varkappa + j with m, j integers and |Im s0| <=
     Im(varkappa)/2, and Theta(s) = F*Theta(s0) with F = exp(-pi*i*m^2*varkappa
     - 2*pi*i*m*s0).  Theta(s0) sums |n| <= N, N the smallest order whose
-    dropped terms are below ``params.abs_tol`` anywhere in the strip
-    (Deconinck et al. 2004, Math. Comp. 73).  ``order=1`` evaluates the
-    derivative d/ds, F*(Theta'(s0) - 2*pi*i*m*Theta(s0)), and ``order=(0, 1)``
-    the pair (Theta, Theta') from the same exponentials.  A scalar ``s`` gives
-    a ``complex``, an array a complex array of its shape (one exponential
-    over s x (2N+1) terms).
+    dropped terms are below ``_THETA_TOL`` anywhere in the strip (Deconinck
+    et al. 2004, Math. Comp. 73).  ``order=(0, 1)`` gives the pair (Theta,
+    Theta') from the same exponentials, Theta' = F*(Theta'(s0) -
+    2*pi*i*m*Theta(s0)).  A scalar ``s`` gives a ``complex``, an array a
+    complex array of its shape (one exponential over s x (2N+1) terms).
     """
     vk = complex(params.varkappa)
     if not vk.imag > 0:
         raise DivergentSeriesError("Im(varkappa) must be positive")
-    pair = order == (0, 1)
-    if not pair and order not in (0, 1):
-        raise DomainError("order must be 0, 1 or (0, 1)")
+    if order not in (0, (0, 1)):
+        raise DomainError("order must be 0 or (0, 1)")
     s = np.asarray(s, dtype=complex)
     s = s - np.round(s.real)   # exact: Theta has period 1
     m = np.round(s.imag / vk.imag)
@@ -139,8 +130,8 @@ def jacobi_theta(s, params: ThetaParams, order: int | tuple[int, int] = 0):
         factor = np.exp(log_f)
         s0 = s0 - np.round(s0.real)
     # with y0 = Im(varkappa), |Im s0| <= y0/2 bounds |term n| by exp(-pi*y0*(n^2 - |n|)),
-    # which is below abs_tol beyond n* = 1/2 + sqrt(1/4 + budget/y0)
-    budget = -math.log(max(params.abs_tol, 1e-300)) / math.pi
+    # which is below _THETA_TOL beyond n* = 1/2 + sqrt(1/4 + budget/y0)
+    budget = -math.log(_THETA_TOL) / math.pi
     big_n = math.ceil(0.5 + math.sqrt(0.25 + budget / vk.imag)) + 1
     n = np.arange(-big_n, big_n + 1, dtype=float)
     z = np.exp(np.multiply.outer(2j * np.pi * s0, n))
@@ -148,8 +139,8 @@ def jacobi_theta(s, params: ThetaParams, order: int | tuple[int, int] = 0):
     total = z @ q
     if order == 0:
         return _theta_out(factor * total)
-    deriv = _theta_out(factor * (z @ (2j * np.pi * n * q) - (2j * np.pi * m) * total))
-    return (_theta_out(factor * total), deriv) if pair else deriv
+    return (_theta_out(factor * total),
+            _theta_out(factor * (z @ (2j * np.pi * n * q) - (2j * np.pi * m) * total)))
 
 
 def _theta_out(total):
@@ -363,8 +354,10 @@ def _pv_window(f, c, fc, lo, hi, scale, spec):
 # Root finding
 # ----------------------------------------------------------------------
 
-def find_root(g: Callable, dg: Callable, lo: float, hi: float, tol: float = 1e-13,
-              max_iter: int = 200) -> float:
+_ROOT_MAX_ITER = 200
+
+
+def find_root(g: Callable, dg: Callable, lo: float, hi: float, tol: float = 1e-13) -> float:
     """Bracketed Newton root of ``g`` on [lo, hi]; ``dg`` is its derivative.
 
     Requires a sign change.  A Newton step is taken when it lands strictly
@@ -381,7 +374,7 @@ def find_root(g: Callable, dg: Callable, lo: float, hi: float, tol: float = 1e-1
         raise BracketError("no sign change on [%r, %r]" % (lo, hi))
     a, b, ga = lo, hi, glo
     x, gx = (lo, glo) if abs(glo) < abs(ghi) else (hi, ghi)
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         d = dg(x)
         x_new = x - gx / d if d != 0.0 else math.nan   # a flat slope bisects
         if not a < x_new < b:
@@ -396,4 +389,4 @@ def find_root(g: Callable, dg: Callable, lo: float, hi: float, tol: float = 1e-1
             a, ga = x, gx
     if abs(gx) <= 100 * tol or (b - a) <= 100 * tol:
         return x
-    raise ConvergenceError("find_root exhausted %d iterations" % max_iter, best=x)
+    raise ConvergenceError("find_root exhausted %d iterations" % _ROOT_MAX_ITER, best=x)

@@ -1,7 +1,7 @@
 """Painleve II transcendents v'' = s v + 2 v^3 fixed by v ~ k*Ai(s), s -> +inf.
 
 Ablowitz-Segur solutions (|k| < 1) are integrated backward from the Airy
-data at s_max by a fixed-order Taylor method (Fornberg & Weideman 2011,
+data at s = 10 by a fixed-order Taylor method (Fornberg & Weideman 2011,
 J. Comput. Phys. 230), only as deep as their lookups reach.  The problem
 is ill-conditioned as |k| -> 1: the error grows like 1e-11/(1-|k|), which
 each solution carries as ``err_est``, and a solve whose estimate exceeds
@@ -38,7 +38,7 @@ _HM_EDGE = 1e-12    # |k| within this of 1 is Hastings-McLeod
 _AS_ERR = 1e-11     # error of an Ablowitz-Segur solve is about _AS_ERR/(1-|k|)
 _AS_ERR_MAX = 1e-6
 _S_MIN_HARD = -12.0
-_S_MAX_REQ = 8.0
+_S_MAX = 10.0      # Airy data start here; k*Ai is used beyond
 _ORDER = 24
 _H_MAX = 1.0
 _H_MIN = 0.02       # a pole near the axis shrinks the step below this
@@ -66,18 +66,18 @@ def _horner(row, t):
 
 
 class _Steps:
-    """Dense (v, v', Q) as backward Taylor steps from s_max.
+    """Dense (v, v', Q) as backward Taylor steps from ``_S_MAX``.
 
     Step i is the polynomial ``rows[i]`` (coefficient triples (v, v', Q),
     highest power first) in the offset from its right end, and ``neg_ends``
-    holds the negated step ends, -s_max first, so that it increases for
+    holds the negated step ends, -_S_MAX first, so that it increases for
     ``bisect``.  A joint is evaluated on the step centered there, the last
     end on the step that ends there.
     """
 
-    def __init__(self, s_max):
+    def __init__(self):
         self.rows = []
-        self.neg_ends = array("d", [-s_max])
+        self.neg_ends = array("d", [-_S_MAX])
 
     def at(self, s: float) -> tuple:
         """(v, v', Q) at a float s."""
@@ -96,9 +96,9 @@ class _Steps:
 class _Taylor(_Steps):
     """Dense (v, v', Q) of an Ablowitz-Segur solution, integrated on demand.
 
-    Backward Taylor steps start from the Airy data at s_max and are taken
-    only when a lookup reaches below the last one, the last step clipped to
-    end on ``_S_MIN_HARD``: whatever the order of lookups, the steps are
+    Backward Taylor steps start from the Airy data at ``_S_MAX`` and are
+    taken only when a lookup reaches below the last one, the last step clipped
+    to end on ``_S_MIN_HARD``: whatever the order of lookups, the steps are
     those of one integration down to ``_S_MIN_HARD``.
 
     Steps are appended under a lock, each row before its left end, so that
@@ -107,11 +107,11 @@ class _Taylor(_Steps):
     is raised again for every lookup below its right end.
     """
 
-    def __init__(self, k, s_max, tol):
-        super().__init__(s_max)
+    def __init__(self, k, tol):
+        super().__init__()
         self.k = k
         # adding 0.0 turns a signed zero of k = 0 into +0.0
-        self._state = tuple(x + 0.0 for x in _airy_data(k, s_max))
+        self._state = tuple(x + 0.0 for x in _airy_data(k, _S_MAX))
         self._rtol = max(1e-6 * tol, 1e-16)
         self._error = None
         self._lock = threading.Lock()
@@ -152,7 +152,8 @@ class _Negated:
 
 @dataclass(frozen=True)
 class PIISolution:
-    """Dense-output Painleve II solution on [s_min, s_max].
+    """Dense-output Painleve II solution on [s_min, ``_S_MAX``], extended
+    beyond by the Airy asymptote.
 
     ``err_est`` is its estimated error relative to the scale of (v, v', Q):
     1e-11/(1-|k|) for Ablowitz-Segur, min(tol, 1e-10) for Hastings-McLeod,
@@ -161,7 +162,6 @@ class PIISolution:
 
     k: float
     s_min: float
-    s_max: float
     tol: float
     kind: str
     err_est: float
@@ -255,33 +255,33 @@ def _shoot(s0, s1, state, rtol, steps=None):
     return state, cols
 
 
-def _solve_hastings_mcleod(s_min, s_max, tol):
-    """Steps of the k = 1 solution with v(s_min) = sqrt(-s_min/2), v(s_max)
-    = Ai(s_max) and Q(s_max) = Ai'(s_max)^2 - s_max Ai(s_max)^2.
+def _solve_hastings_mcleod(s_min, tol):
+    """Steps of the k = 1 solution with v(s_min) = sqrt(-s_min/2) and, at
+    S = ``_S_MAX``, v(S) = Ai(S) and Q(S) = Ai'(S)^2 - S Ai(S)^2.
 
-    Newton multiple shooting: segments of length 1 back from s_max, the
+    Newton multiple shooting: segments of length 1 back from S, the
     last clipped to end on s_min, each integrated from the (v, v') at its
     right end, with the Jacobian from the variational equation on the same
-    steps.  The unknowns are those (v, v') but v(s_max); the equations are
+    steps.  The unknowns are those (v, v') but v(S); the equations are
     the jumps at the inner nodes and the left condition.  Once an update is
     below ``_NEWTON_TOL``, the steps are taken once more, Q carried from
-    s_max, and their jumps must be below the error estimate.
+    S, and their jumps must be below the error estimate.
     """
     rtol = max(1e-6 * tol, 1e-16)
     err = min(tol, 1e-10)
-    nodes = [s_max]
+    nodes = [_S_MAX]
     while nodes[-1] > s_min:
         nodes.append(max(nodes[-1] - 1.0, s_min))
     m = len(nodes) - 1
     v_left = math.sqrt(-s_min / 2.0)
-    q_right = _airy_data(1.0, s_max)[2]
+    q_right = _airy_data(1.0, _S_MAX)[2]
     # the guess: sqrt(-s/2) left of 0, Ai from 0 on; u[2j], u[2j+1] are
-    # (v, v') at node j, and u[0] = Ai(s_max) stays
+    # (v, v') at node j, and u[0] = Ai(_S_MAX) stays
     u = np.array([(math.sqrt(-e / 2.0), -0.25 / math.sqrt(-e / 2.0)) if e < 0.0
                   else airy(e) for e in nodes[:-1]], dtype=float).ravel()
     update = math.inf
     for _ in range(_NEWTON_MAX):
-        steps = _Steps(s_max) if update <= _NEWTON_TOL else None
+        steps = _Steps() if update <= _NEWTON_TOL else None
         x = u.tolist()
         q = q_right
         res = np.empty(2 * m - 1)
@@ -315,12 +315,12 @@ def _solve_hastings_mcleod(s_min, s_max, tol):
 
 
 @functools.lru_cache(maxsize=32)
-def _hastings_mcleod(s_min, s_max, tol):
+def _hastings_mcleod(s_min, tol):
     """Dense output of the Hastings-McLeod solutions k = 1 and k = -1, from
     one solve, memoized per process: it does not depend on the scattering
     data.  Each s_min below -10 is a key of its own, and an entry is about
     40 steps (0.16 MB), hence the bound."""
-    steps = _solve_hastings_mcleod(s_min, s_max, tol)
+    steps = _solve_hastings_mcleod(s_min, tol)
     return steps, _Negated(steps)
 
 
@@ -334,9 +334,7 @@ def s_min_for(s: float) -> float:
     return -10.0 if s >= -10.0 else max(_S_MIN_HARD, s - 0.5)
 
 
-def _check_domain(s_min, s_max):
-    if s_max < _S_MAX_REQ:
-        raise DomainError("s_max >= %g required for trustworthy Airy data" % _S_MAX_REQ)
+def _check_domain(s_min):
     if s_min < _S_MIN_HARD:
         raise RangeError("s_min below the documented stability range %g" % _S_MIN_HARD)
 
@@ -353,42 +351,40 @@ def _as_error(k):
     return err
 
 
-def solve_pii(k: float, s_min: float = -10.0, s_max: float = 10.0,
-              tol: float = 1e-10) -> PIISolution:
+def solve_pii(k: float, s_min: float = -10.0, tol: float = 1e-10) -> PIISolution:
     """Painleve II solution with v ~ k*Ai(s) as s -> +inf, k in [-1, 1].
 
     An Ablowitz-Segur solution is integrated down to s_min before it is
-    returned, so that a pole in [s_min, s_max] raises here.
+    returned, so that a pole in [s_min, ``_S_MAX``] raises here.
     """
     k = float(k)
     if abs(k) > 1.0 + _HM_EDGE:
         raise DomainError("|k| <= 1 required (pole fields beyond), got %r" % k)
-    _check_domain(s_min, s_max)
+    _check_domain(s_min)
     if _is_ablowitz_segur(k):
         err = _as_error(k)
-        dense = _Taylor(k, s_max, tol)
+        dense = _Taylor(k, tol)
         dense.reach(s_min)
         kind = "ivp"
     else:
-        dense = _hastings_mcleod(s_min, s_max, tol)[k < 0]
+        dense = _hastings_mcleod(s_min, tol)[k < 0]
         kind = "bvp"
         err = min(tol, 1e-10)
-    return PIISolution(k=k, s_min=s_min, s_max=s_max, tol=tol, kind=kind,
-                       err_est=err, _dense=dense)
+    return PIISolution(k=k, s_min=s_min, tol=tol, kind=kind, err_est=err, _dense=dense)
 
 
 def eval_pii(sol: PIISolution, s: float):
     """(v, v', Q) at s.
 
-    Beyond s_max the defining Airy asymptote k*Ai is used (the cubic term is
-    below solver tolerance there); below s_min the solution is undefined.
+    Beyond ``_S_MAX`` the defining Airy asymptote k*Ai is used (the cubic
+    term is below solver tolerance there); below s_min the solution is undefined.
     An Ablowitz-Segur lookup below the steps taken so far takes the steps
     down to s first, and raises their ``ConvergenceError`` if one fails.
     """
     s = float(s)
     if s < sol.s_min:
-        raise RangeError("s=%r below solution domain [%r, %r]" % (s, sol.s_min, sol.s_max))
-    if s > sol.s_max:
+        raise RangeError("s=%r below solution domain [%r, %r]" % (s, sol.s_min, _S_MAX))
+    if s > _S_MAX:
         if s > 30.0:
             return 0.0, 0.0, 0.0
         return _airy_data(sol.k, s)
@@ -396,11 +392,11 @@ def eval_pii(sol: PIISolution, s: float):
 
 
 class SolutionCache:
-    """Thread-safe memo of PIISolution keyed by (k, domain, tol).
+    """Thread-safe memo of PIISolution keyed by (k, s_min, tol).
 
     Ablowitz-Segur solutions (every |k| < 1) nest: their dense output steps
-    back from s_max only as deep as lookups reach, and takes the same steps
-    whatever s_min is.  So each (k, s_max, tol) gets one dense output, and
+    back from ``_S_MAX`` only as deep as lookups reach, and takes the same
+    steps whatever s_min is.  So each (k, tol) gets one dense output, and
     every s_min a PIISolution that shares it but keeps its own s_min, below
     which ``eval_pii`` still raises.  A scan whose deepest point is at
     s = -6 never integrates [-12, -6].  Hastings-McLeod solutions do not
@@ -413,23 +409,22 @@ class SolutionCache:
         self._taylors = {}
         self._lock = threading.Lock()
 
-    def get(self, k: float, s_min: float = -10.0, s_max: float = 10.0,
-            tol: float = 1e-10) -> PIISolution:
-        key = (round(float(k), 14), s_min, s_max, tol)
+    def get(self, k: float, s_min: float = -10.0, tol: float = 1e-10) -> PIISolution:
+        key = (round(float(k), 14), s_min, tol)
         with self._lock:
             sol = self._store.get(key)
         if sol is not None:
             return sol
         if _is_ablowitz_segur(k):
-            _check_domain(s_min, s_max)
+            _check_domain(s_min)
             with self._lock:
-                dense = self._taylors.get((key[0], s_max, tol))
+                dense = self._taylors.get((key[0], tol))
                 if dense is None:
-                    dense = self._taylors[key[0], s_max, tol] = _Taylor(float(k), s_max, tol)
+                    dense = self._taylors[key[0], tol] = _Taylor(float(k), tol)
             # the k of the first lookup, whose Airy data the steps start from
-            sol = PIISolution(k=dense.k, s_min=s_min, s_max=s_max, tol=tol, kind="ivp",
+            sol = PIISolution(k=dense.k, s_min=s_min, tol=tol, kind="ivp",
                               err_est=_as_error(dense.k), _dense=dense)
         else:
-            sol = solve_pii(k, s_min, s_max, tol)
+            sol = solve_pii(k, s_min, tol)
         with self._lock:
             return self._store.setdefault(key, sol)

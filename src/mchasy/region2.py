@@ -49,8 +49,6 @@ assert abs(_GAMMA_A - 5.0 * math.pi / 12.0) < 1e-15
 class Region2Constants:
     Lambda_a: float
     Lambda_b: float
-    gamma_a: float
-    gamma_b: float
     T_i: complex
     T_1: complex
     k_ampl: float
@@ -91,15 +89,16 @@ def lambda_ab(data: ScatteringData,
 
 def region2_constants(data: ScatteringData,
                       spec: QuadratureSpec = QuadratureSpec()) -> Region2Constants:
-    ka = abs(data.r(_ZA))
-    if ka >= 1.0:
-        raise AdmissibilityError("second zone needs |r(2+sqrt(3))| < 1, got %r" % ka)
+    """The zone-II constants of ``data``, memoized per data and spec together
+    with the refusal of data outside the zone's admissibility bound."""
 
     def build():
+        ka = abs(data.r(_ZA))
+        if ka >= 1.0:
+            raise AdmissibilityError("second zone needs |r(2+sqrt(3))| < 1, got %r" % ka)
         t_i, t_1 = t_i_and_t1(data, spec)
         la, lb = lambda_ab(data, spec)
-        return Region2Constants(Lambda_a=la, Lambda_b=lb, gamma_a=_GAMMA_A,
-                                gamma_b=_GAMMA_B, T_i=t_i, T_1=t_1, k_ampl=-ka,
+        return Region2Constants(Lambda_a=la, Lambda_b=lb, T_i=t_i, T_1=t_1, k_ampl=-ka,
                                 quad_err_est=log_transforms(data, spec).err_est)
 
     return data._memo(("r2consts", spec), build)
@@ -115,10 +114,10 @@ def f_II(s: float, t: float, consts: Region2Constants) -> float:
     """Modulation factor multiplying the Painleve II amplitude."""
     psi_a, psi_b = psi_ab(s, t, consts)
     ratio = consts.it1_over_ti
-    return 2.0 * math.sqrt(_ZA) * (math.sin(psi_a) * math.cos(consts.gamma_a)
-                                   - ratio * math.cos(psi_a) * math.sin(consts.gamma_a)) \
-        + 2.0 * math.sqrt(_ZB) * (math.sin(psi_b) * math.cos(consts.gamma_b)
-                                  - ratio * math.cos(psi_b) * math.sin(consts.gamma_b)) \
+    return 2.0 * math.sqrt(_ZA) * (math.sin(psi_a) * math.cos(_GAMMA_A)
+                                   - ratio * math.cos(psi_a) * math.sin(_GAMMA_A)) \
+        + 2.0 * math.sqrt(_ZB) * (math.sin(psi_b) * math.cos(_GAMMA_B)
+                                  - ratio * math.cos(psi_b) * math.sin(_GAMMA_B)) \
         + _SQ3 * math.cos(0.5 * (consts.Lambda_a + consts.Lambda_b)) \
         * math.sin(0.5 * (consts.Lambda_a + consts.Lambda_b))
 
@@ -137,8 +136,6 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
     if ka == 0.0:
         return AsymptoticValue(1.0, RegionTag.R_II, _ERROR_ORDER,
                                {"s": s, "short_circuit": True})
-    if ka >= 1.0:
-        raise AdmissibilityError("second zone needs |r(2+sqrt(3))| < 1, got %r" % ka)
     consts = region2_constants(data, spec)
     cache = sol_cache if sol_cache is not None else SolutionCache()
     sol = cache.get(consts.k_ampl, s_min=s_min_for(s), tol=tol)

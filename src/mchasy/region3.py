@@ -123,10 +123,10 @@ def _w_abs(z, a, b):
     return np.sqrt(np.abs(z * z - a * a) * np.abs(z * z - b * b))
 
 
-def _seg_w(a, b, lo, hi, spec=_TIGHT) -> float:
+def _seg_w(a, b, lo, hi) -> float:
     """Positive integral of |w| over [lo, hi]."""
     return float(np.real(quad_band(
-        lambda z: np.sqrt((z - lo) * (hi - z)) * _w_abs(z, a, b), lo, hi, spec).value))
+        lambda z: np.sqrt((z - lo) * (hi - z)) * _w_abs(z, a, b), lo, hi, _TIGHT).value))
 
 
 # Real periods as complete elliptic integrals (DLMF 19.2) of m = (a/b)^2 and
@@ -310,7 +310,7 @@ class ShockGeometry:
         return _w_sheet1(k, self.a, self.b)
 
 
-def _path_quad_inv_w(geom_ab, z1, spec=_TIGHT) -> complex:
+def _path_quad_inv_w(geom_ab, z1) -> complex:
     """Integral of 1/w from b along the straight segment to z1 (off-axis),
     regularized at b by the quadratic substitution."""
     a, b = geom_ab
@@ -320,11 +320,10 @@ def _path_quad_inv_w(geom_ab, z1, spec=_TIGHT) -> complex:
         z = b + dz * sig * sig
         return 2.0 * sig * dz / _w_sheet1(z, a, b)
 
-    return complex(quad(f, 0.0, 1.0, spec).value)
+    return complex(quad(f, 0.0, 1.0, _TIGHT).value)
 
 
-def abel(geom: ShockGeometry, k, side: str | None = None,
-         spec: QuadratureSpec = _TIGHT) -> complex:
+def abel(geom: ShockGeometry, k, side: str | None = None) -> complex:
     """Normalized Abel integral A(k) with base point b on the first sheet.
 
     ``side`` ('+'/'-') selects the boundary value for real k on the cuts.
@@ -335,7 +334,7 @@ def abel(geom: ShockGeometry, k, side: str | None = None,
     norm = 2j * geom.K_band
     k = complex(k)
     if k.imag != 0.0:
-        return _path_quad_inv_w((a, b), k, spec) / norm
+        return _path_quad_inv_w((a, b), k) / norm
     x = k.real
     if x == b:
         return 0.0 + 0.0j
@@ -416,8 +415,9 @@ def _gap_z2_log_moment(a, b, C_R) -> float:
     return b * (math.log(C_R * a * b) * (k - e) - 0.5 * math.pi * e1 + 2.0 * e - m1 * k)
 
 
-def build_geometry(params: ShockParams, validate: bool = True) -> ShockGeometry:
-    """Solve the band equations and assemble all derived constants."""
+def build_geometry(params: ShockParams) -> ShockGeometry:
+    """Solve the band equations and assemble all derived constants, gated by
+    the band-period identity and the ``nr7_coeffs`` convention check."""
     a, b = solve_band(params)
     B1, A1, varkappa = periods(a, b, params.q)
     kb = _k_band(a, b)
@@ -433,11 +433,10 @@ def build_geometry(params: ShockParams, validate: bool = True) -> ShockGeometry:
     geom = ShockGeometry(a=a, b=b, B1=B1, A1=A1, varkappa=varkappa,
                          A_inf=A_inf, cA=1j / (2.0 * kb), Delta0=d0, phi=phi,
                          tau=tau, C_R=params.C_R, p=params.p, q=params.q, K_band=kb)
-    if validate:
-        ident = (2.0 - params.xi) * cmath.exp(-1j * tau * A1)
-        if not abs(ident - 1.0) <= 1e-10:
-            raise BranchError("(2-xi)*exp(-i*tau*A1) = %r, expected 1" % ident)
-        nr7_coeffs(geom)   # hard gate on the expansion conventions
+    ident = (2.0 - params.xi) * cmath.exp(-1j * tau * A1)
+    if not abs(ident - 1.0) <= 1e-10:
+        raise BranchError("(2-xi)*exp(-i*tau*A1) = %r, expected 1" % ident)
+    nr7_coeffs(geom)   # hard gate on the expansion conventions
     return geom
 
 
@@ -452,8 +451,7 @@ def _sided(k: complex, geom: ShockGeometry, side: str, f) -> complex:
     return (8.0 * f3 - 6.0 * f2 + f1) / 3.0
 
 
-def g_eval(geom: ShockGeometry, k, side: str | None = None,
-           spec: QuadratureSpec = _TIGHT) -> complex:
+def g_eval(geom: ShockGeometry, k, side: str | None = None) -> complex:
     """g(k) = -3q * int_b^k w + B1/4 on the first sheet.
 
     Real k in [-b, b] lies on the jump contour and needs ``side``; those
@@ -469,30 +467,29 @@ def g_eval(geom: ShockGeometry, k, side: str | None = None,
             z = b + dz * sig * sig
             return 2.0 * sig * dz * _w_sheet1(z, a, b)
 
-        body = complex(quad(f, 0.0, 1.0, spec).value)
+        body = complex(quad(f, 0.0, 1.0, _TIGHT).value)
         return -3.0 * q * body + geom.B1 / 4.0
     if x >= b:
-        return -3.0 * q * _seg_w(a, b, b, x, spec) + geom.B1 / 4.0
+        return -3.0 * q * _seg_w(a, b, b, x) + geom.B1 / 4.0
     if x <= -b:
         # upper crossing: the two band legs contribute -+ i*J_band and cancel
-        body = _j_gap(a, b) - _seg_w(a, b, x, -b, spec)
+        body = _j_gap(a, b) - _seg_w(a, b, x, -b)
         return -3.0 * q * body + geom.B1 / 4.0
     if side not in ("+", "-"):
         raise BoundaryAmbiguityError("g on [-b, b] needs side='+'/'-'")
     sgn = 1.0 if side == "+" else -1.0
     if x >= a:          # on (a, b)
-        return sgn * 3j * q * _seg_w(a, b, x, b, spec) + geom.B1 / 4.0
+        return sgn * 3j * q * _seg_w(a, b, x, b) + geom.B1 / 4.0
     if x > -a:          # on the gap: values differ by the full band period
-        body = -sgn * 1j * _j_band(a, b) + _seg_w(a, b, x, a, spec)
+        body = -sgn * 1j * _j_band(a, b) + _seg_w(a, b, x, a)
         return -3.0 * q * body + geom.B1 / 4.0
     # on (-b, -a)
     body = -sgn * 1j * _j_band(a, b) + _j_gap(a, b) \
-        + sgn * 1j * _seg_w(a, b, x, -a, spec)
+        + sgn * 1j * _seg_w(a, b, x, -a)
     return -3.0 * q * body + geom.B1 / 4.0
 
 
-def h_eval(geom: ShockGeometry, k, side: str | None = None,
-           spec: QuadratureSpec = _TIGHT) -> complex:
+def h_eval(geom: ShockGeometry, k, side: str | None = None) -> complex:
     """Auxiliary scalar h(k); O(1/k) at infinity, log-singular at 0.
 
     The whole segment [-b, b] is a jump contour of h, so real k there needs
@@ -504,7 +501,7 @@ def h_eval(geom: ShockGeometry, k, side: str | None = None,
     if k.imag == 0.0 and abs(k.real) <= b:
         if side not in ("+", "-"):
             raise BoundaryAmbiguityError("h on [-b, b] needs side='+'/'-'")
-        return _sided(k, geom, side, lambda z: h_eval(geom, z, None, spec))
+        return _sided(k, geom, side, lambda z: h_eval(geom, z))
 
     def f_band_right(z):
         return 1.0 / ((z - k) * np.sqrt((z + a) * (z + b)))
@@ -512,8 +509,8 @@ def h_eval(geom: ShockGeometry, k, side: str | None = None,
     def f_band_left(z):
         return 1.0 / ((z - k) * np.sqrt((a - z) * (b - z)))
 
-    i_right = -1j * d0 * quad_band(f_band_right, a, b, spec).value
-    i_left = -1j * d0 * quad_band(f_band_left, -b, -a, spec).value
+    i_right = -1j * d0 * quad_band(f_band_right, a, b, _TIGHT).value
+    i_left = -1j * d0 * quad_band(f_band_left, -b, -a, _TIGHT).value
 
     def f_gap(th):
         z = a * math.sin(th)
@@ -522,8 +519,8 @@ def h_eval(geom: ShockGeometry, k, side: str | None = None,
 
     fv = np.vectorize(f_gap)
     # split at the log singularity so it is never a quadrature node
-    i_gap = -1j * (complex(quad(fv, -0.5 * math.pi, 0.0, spec).value)
-                   + complex(quad(fv, 0.0, 0.5 * math.pi, spec).value))
+    i_gap = -1j * (complex(quad(fv, -0.5 * math.pi, 0.0, _TIGHT).value)
+                   + complex(quad(fv, 0.0, 0.5 * math.pi, _TIGHT).value))
     return geom.w(k) / (2j * math.pi) * (i_right + i_left + i_gap)
 
 
@@ -572,12 +569,11 @@ def _theta_ratios(geom: ShockGeometry, s) -> np.ndarray:
     return th[:s.size] / th[s.size:]
 
 
-def nr7_matrix(geom: ShockGeometry, k, side: str | None = None,
-               spec: QuadratureSpec = _TIGHT) -> np.ndarray:
+def nr7_matrix(geom: ShockGeometry, k, side: str | None = None) -> np.ndarray:
     """Explicit theta-function solution of the constant-jump model problem."""
     kap4, phi = geom.varkappa / 4, geom.phi
     Ainf = geom.A_inf
-    Ak = abel(geom, k, side, spec)
+    Ak = abel(geom, k, side)
     nu = _nu(geom, complex(k), side)
     p1 = 0.5 * (nu + 1.0 / nu)
     p2 = (nu - 1.0 / nu) / 2j
@@ -663,8 +659,7 @@ def _generic_curvature(data: ScatteringData) -> float:
 
 def u_region3(point: SpaceTimePoint, data: ScatteringData,
               p: float = 1.0, q: float = 1.0,
-              constants: RegionConstants = RegionConstants(),
-              validate: bool = True) -> AsymptoticValue:
+              constants: RegionConstants = RegionConstants()) -> AsymptoticValue:
     """Theta-modulated wave form in the collisionless-shock zone.
 
     Assembled from the two expansion coefficients of the model matrix and the
@@ -677,7 +672,7 @@ def u_region3(point: SpaceTimePoint, data: ScatteringData,
     curv = data._memo("shock_curvature", lambda: _generic_curvature(data))
     params = ShockParams(p=p, q=q, xi=point.xi, t=point.t,
                          C_R=(q / (12.0 * p)) * curv)
-    geom = build_geometry(params, validate=validate)
+    geom = build_geometry(params)
     g_inf, x_tilde = geom.expansion_terms
     z1 = cmath.exp(1j * geom.phi) * g_inf
     z2 = cmath.exp(1j * geom.phi) * x_tilde

@@ -12,7 +12,7 @@ from scipy.special import erfc
 from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
                     ScatteringData, SolutionCache, quad, quad_pv)
 from mchasy.errors import DomainError
-from mchasy.numerics import quad_real_line
+from mchasy.numerics import _THETA_TOL, quad_real_line
 
 # `pytest --hypothesis-profile=ci`: the same examples on every run, so that a
 # property failure reproduces (replaces hypothesis' built-in "ci" profile,
@@ -175,10 +175,10 @@ def inv_w_mp(a, b, lo, hi, dps=30):
 def theta_longdouble(s, params, order=0, truncation=32):
     """Theta series summed directly in long double over |n| <= N, N at least
     ``truncation`` and enlarged until the dropped tail at the largest |Im s|
-    is below ``params.abs_tol``; no strip reduction."""
+    is below the library's tail tolerance; no strip reduction."""
     y0 = float(np.imag(params.varkappa))
     im = float(np.max(np.abs(np.imag(s))))
-    budget = -math.log(params.abs_tol) / math.pi
+    budget = -math.log(_THETA_TOL) / math.pi
     trunc = max(truncation, int(math.ceil((im + math.sqrt(im * im + y0 * budget)) / y0)) + 4)
     n = np.arange(-trunc, trunc + 1, dtype=np.clongdouble)
     s_l = np.asarray(s, dtype=np.clongdouble)[..., np.newaxis]

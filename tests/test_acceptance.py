@@ -127,7 +127,7 @@ def test_07_band_period_identity(generic_data):
         for ratio in (2.5, 3.0, 3.5):
             pt = shock_point(t, ratio)
             params = ShockParams(p=1.0, q=1.0, xi=pt.xi, t=pt.t, C_R=1.0)
-            geom = build_geometry(params, validate=False)
+            geom = build_geometry(params)
             ident = (2 - pt.xi) * cmath.exp(-1j * params.tau * geom.A1)
             worst = max(worst, abs(ident - 1))
     report(7, worst < 1e-10, "max |(2-xi)exp(-i tau A1) - 1| = %.2e" % worst)
@@ -204,8 +204,8 @@ def test_11_pq_invariance(generic_data):
     worst = 0.0
     for t, ratio in ((5e5, 2.6), (1e6, 3.0), (2e6, 3.4), (5e6, 2.9), (1e7, 3.1)):
         pt = shock_point(t, ratio)
-        u11 = u_region3(pt, generic_data, 1.0, 1.0, validate=False).u
-        u32 = u_region3(pt, generic_data, 3.0, 2.0, validate=False).u
+        u11 = u_region3(pt, generic_data, 1.0, 1.0).u
+        u32 = u_region3(pt, generic_data, 3.0, 2.0).u
         worst = max(worst, abs(u11 - u32))
     took = time.time() - start
     report(11, worst < 1e-8 and took < 60.0,

@@ -8,8 +8,7 @@ from unittest import mock
 import pytest
 
 from mchasy import cli, painleve2, region3, scattering
-from mchasy.cli import (RunConfig, emit_config, main, parse_config, run_scan,
-                        write_output)
+from mchasy.cli import main, parse_config, run_scan, write_output
 from mchasy.errors import ConfigError
 
 from conftest import deadline
@@ -52,11 +51,11 @@ format = {fmt}
 class TestParse:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
-        assert cfg.scattering["kappa_r"] == 0.0
-        assert cfg.regions["c1"] == 1.0
-        assert cfg.shock == {"p": 1.0, "q": 1.0}
-        assert cfg.tolerances["abs_tol"] == 1e-12
-        assert cfg.output["format"] == "csv"
+        assert cfg.data.r(1.0) == 0.0
+        assert cfg.constants.c1 == 1.0
+        assert (cfg.p, cfg.q) == (1.0, 1.0)
+        assert cfg.spec.abs_tol == 1e-12
+        assert cfg.format == "csv"
 
     def test_validation_names_key(self):
         with pytest.raises(ConfigError, match="shock.p"):
@@ -69,30 +68,27 @@ class TestParse:
     def test_spectrum_parsing(self):
         cfg = parse_config("[scattering]\nkappa_r = 0\n"
                            "spectrum = [0.5-0.8660254037844386i]\n")
-        z = cfg.scattering["spectrum"][0]
+        [z] = cfg.data.spectrum.representatives
         assert z == pytest.approx(0.5 - 0.8660254037844386j)
 
-    def test_round_trip(self):
-        text = R1_SCAN.format(path="-", fmt="csv") \
-            + "\n[shock]\np = 2.5\nq = 0.5\n"
-        cfg = parse_config(text)
-        cfg2 = parse_config(emit_config(cfg))
-        for sec in ("scattering", "regions", "shock", "scan", "tolerances", "output"):
-            assert getattr(cfg, sec) == getattr(cfg2, sec)
-
     def test_strict_symmetry_failure(self, tmp_path):
-        # a tabulated file with a broken inversion symmetry
-        import numpy as np
-        grid = np.geomspace(0.05, 20, 120)
-        vals = 0.3 * np.exp(-np.log(grid) ** 2)
-        vals[60] *= -1
-        path = tmp_path / "r.csv"
-        np.savetxt(path, np.column_stack([grid, vals, 0 * vals]), delimiter=",")
-        text = "[scattering]\ntable_path = %s\n" % path
+        text = "[scattering]\ntable_path = %s\n" % broken_table(tmp_path)
         cfg = parse_config(text)
         assert cfg.warnings
         with pytest.raises(ConfigError):
             parse_config(text, strict=True)
+
+
+def broken_table(tmp_path):
+    """A 120-knot table with one knot's sign flipped, which breaks the
+    inversion symmetry r(1/z) = conj r(z)."""
+    import numpy as np
+    grid = np.geomspace(0.05, 20, 120)
+    vals = 0.3 * np.exp(-np.log(grid) ** 2)
+    vals[60] *= -1
+    path = tmp_path / "r.csv"
+    np.savetxt(path, np.column_stack([grid, vals, 0 * vals]), delimiter=",")
+    return path
 
 
 class TestScan:
@@ -254,6 +250,52 @@ class TestScan:
         assert out[-1].startswith("max |u(1,1) - u(3,2)| = ")
 
 
+# One scan per zone on family data at t = 1e6, and its CSV as recorded
+# before RunConfig held the parsed values (emit_config, the section dicts).
+PINNED_SCANS = {
+    "I": ("[scattering]\nkappa_r = 0.5\nalpha = 0.3\nbeta = 0.5\n"
+          "spectrum = [0.6-0.8i]\n[regions]\nc1 = 5\n"
+          "[scan]\nt = 1e6\ns = -1.25, 0.0, 1.25\ngrid_region = 1\n",
+          ["1999587.259093888,1000000.0,I,-1.25000000000014,0.9999880395599678,"
+           "-0.7708333333333334,",
+           "2000000.0,1000000.0,I,0.0,1.0000459477187347,-0.7708333333333334,",
+           "2000412.740906112,1000000.0,I,1.25000000000014,1.00002174140451,"
+           "-0.7708333333333334,"]),
+    "II": ("[scattering]\nkappa_r = 0.5\nalpha = 0.3\nbeta = 0.5\n"
+           "spectrum = [0.6-0.8i]\n[regions]\nc2 = 5\n"
+           "[scan]\nt = 1e6\ns = -2.5, 0.0, 1.5\ngrid_region = 2\n",
+           ["-249739.9895221185,1000000.0,II,-2.500000000000011,1.0004958796322605,"
+            "-0.5185185185185185,",
+            "-250000.0,1000000.0,II,-0.0,1.0008569691644444,-0.5185185185185185,",
+            "-250156.0062867289,1000000.0,II,1.5000000000001137,1.0001642718114527,"
+            "-0.5185185185185185,"]),
+    "III": ("[scattering]\nkappa_r = -1.0\nalpha = 0.3\nbeta = 0.5\n"
+            "[scan]\nt = 1e6\nw = 3.0, 3.5, 4.5\n",
+            ["1998272.7075259318,1000000.0,III,,0.9999863744166393,,",
+             "1997984.8254469205,1000000.0,III,,0.9998641511844313,,",
+             "1997409.0612888974,1000000.0,III,,1.0000179823798265,,"]),
+}
+# u is O(1): 1e-14 is about 45 ulp of 1, round-off of the O(1e-4) correction
+U_ROUND_OFF = 1e-14
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("zone", sorted(PINNED_SCANS))
+    def test_scan_pinned(self, tmp_path, capsys, zone):
+        text, want = PINNED_SCANS[zone]
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text)
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "x,t,region,s,u,err_order,error"
+        assert len(rows) == len(want)
+        for row, ref in zip(rows, want):
+            got, exp = row.split(","), ref.split(",")
+            # x, t, region, s, err_order, error byte for byte; u to round-off
+            assert got[:4] + got[5:] == exp[:4] + exp[5:]
+            assert abs(float(got[4]) - float(exp[4])) <= U_ROUND_OFF
+
+
 class TestWrite:
     def test_csv_single_row(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -336,6 +378,26 @@ class TestMain:
         assert main(["check", "--config", str(cfg_path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_check_strict_prints_report_and_exits_2(self, tmp_path, capsys):
+        # check prints its report either way; --strict turns FAIL into exit
+        # 2, while a scan or zone command under --strict refuses the config
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scattering]\ntable_path = %s\n[output]\npath = %s\n"
+                            % (broken_table(tmp_path), tmp_path / "o.csv"))
+        assert main(["check", "--config", str(cfg_path)]) == 0
+        report = capsys.readouterr().out
+        assert report.startswith("negation symmetry violation: ")
+        assert report.endswith("\nFAIL\n")
+        assert main(["check", "--config", str(cfg_path), "--strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == report
+        assert captured.err.startswith("warning: scattering symmetries violated: ")
+        for cmd in ("scan", "region1"):
+            assert main([cmd, "--config", str(cfg_path), "--strict"]) == 1
+            assert capsys.readouterr().err.startswith(
+                "config error: scattering: scattering symmetries violated: ")
+        assert not (tmp_path / "o.csv").exists()
+
     def test_rows_in_grid_order(self):
         cfg = parse_config(R1_SCAN.format(path="-", fmt="csv"))
         rows = run_scan(cfg)
@@ -412,8 +474,11 @@ class TestMalformedConfig:
          "line 3: repeated key scattering.kappa_r"),
         ("[DEFAULT]\nalpha = 3\n", "DEFAULT: unknown section [DEFAULT]"),
         ("[scattering]\nkapa_r = 0.9\n", "scattering.kapa_r: unknown key"),
+        # no scan reads it: zone II's integrals are not adaptive quadratures
+        ("[tolerances]\nmax_subdivisions = 4000\n",
+         "tolerances.max_subdivisions: unknown key"),
     ], ids=["key_before_section", "no_delimiter", "empty_key", "repeated_section",
-            "repeated_key", "default_section", "unknown_key"])
+            "repeated_key", "default_section", "unknown_key", "max_subdivisions"])
     def test_one_line_exit_1(self, tmp_path, capsys, body, message):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(body)

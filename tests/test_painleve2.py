@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 
 from mchasy import SolutionCache, airy, eval_pii, solve_pii
 from mchasy.errors import ConvergenceError, DomainError, RangeError
-from mchasy.painleve2 import (_Taylor, _airy_data, _hastings_mcleod, _horner,
+from mchasy.painleve2 import (_S_MAX, _Taylor, _airy_data, _hastings_mcleod, _horner,
                               _solve_hastings_mcleod, _step_size, _taylor_coeffs,
                               s_min_for)
 
@@ -31,13 +31,13 @@ def dense(sol, s):
     return np.array([sol._dense.at(float(x)) for x in s]).T
 
 
-def dop853(k, s_min=-12.0, s_max=10.0):
+def dop853(k, s_min=-12.0):
     """Dense (v, v', Q) from DOP853 at rtol 1e-13 (the solver's former
     integrator, kept as an oracle); atol follows the Airy data, so that a
     small k is resolved in relative terms."""
-    y0 = np.array(_airy_data(k, s_max))
+    y0 = np.array(_airy_data(k, _S_MAX))
     sol = solve_ivp(lambda s, y: [y[1], s * y[0] + 2.0 * y[0] ** 3, -y[0] * y[0]],
-                    (s_max, s_min), y0, method="DOP853", rtol=1e-13,
+                    (_S_MAX, s_min), y0, method="DOP853", rtol=1e-13,
                     atol=1e-15 * np.abs(y0), dense_output=True)
     assert sol.success, sol.message
     return sol.sol
@@ -183,11 +183,11 @@ class TestSolve:
 
     def test_boundary_data(self, cache):
         sol = cache.get(0.5)
-        v, vp, q = eval_pii(sol, sol.s_max)
-        ai, aip = airy(sol.s_max)
+        v, vp, q = eval_pii(sol, _S_MAX)
+        ai, aip = airy(_S_MAX)
         assert v == pytest.approx(0.5 * ai, rel=1e-12)
         assert vp == pytest.approx(0.5 * aip, rel=1e-12)
-        assert q == pytest.approx(0.25 * (aip ** 2 - sol.s_max * ai ** 2), rel=1e-10)
+        assert q == pytest.approx(0.25 * (aip ** 2 - _S_MAX * ai ** 2), rel=1e-10)
 
     def test_hastings_mcleod_cross_check(self, cache):
         v0 = eval_pii(cache.get(1.0), 0.0)[0]
@@ -241,8 +241,8 @@ class TestHastingsMcLeod:
     @pytest.mark.parametrize("s_min", [-10.0, -10.6, -12.0])
     def test_boundary_conditions_hold(self, s_min):
         sol = solve_pii(1.0, s_min)
-        ai, _aip, q = _airy_data(1.0, sol.s_max)
-        v, _vp, q_got = eval_pii(sol, sol.s_max)
+        ai, _aip, q = _airy_data(1.0, _S_MAX)
+        v, _vp, q_got = eval_pii(sol, _S_MAX)
         assert (v, q_got) == (ai, q)
         assert eval_pii(sol, s_min)[0] == pytest.approx(math.sqrt(-s_min / 2.0), rel=1e-13, abs=0)
 
@@ -263,7 +263,7 @@ class TestHastingsMcLeod:
                         wraps=_solve_hastings_mcleod) as shoot:
             pos, neg = solve_pii(1.0, -10.45), solve_pii(-1.0, -10.45)
         assert shoot.call_count == 1
-        assert neg._dense is _hastings_mcleod(-10.45, 10.0, 1e-10)[1]
+        assert neg._dense is _hastings_mcleod(-10.45, 1e-10)[1]
         assert eval_pii(neg, -3.0)[0] == -eval_pii(pos, -3.0)[0]
 
     def test_step_failure_raises(self):
@@ -277,13 +277,13 @@ class TestHastingsMcLeod:
     def test_newton_iterations_are_bounded(self):
         with mock.patch("mchasy.painleve2._NEWTON_MAX", 2):
             with pytest.raises(ConvergenceError, match="2 Newton iterations"):
-                _solve_hastings_mcleod(-10.0, 10.0, 1e-10)
+                _solve_hastings_mcleod(-10.0, 1e-10)
 
     def test_jumps_above_the_estimate_raise(self):
         # the final pass checks the joints of the converged steps against
         # the error estimate
         with pytest.raises(ConvergenceError, match="jumps"):
-            _solve_hastings_mcleod(-10.0, 10.0, 1e-16)
+            _solve_hastings_mcleod(-10.0, 1e-16)
 
 
 class TestCache:
@@ -293,7 +293,7 @@ class TestCache:
         cache = SolutionCache()
         got = cache.get(k, s_min)
         assert got.s_min == s_min and got.kind == "ivp"
-        s = np.linspace(s_min, got.s_max, 801)
+        s = np.linspace(s_min, _S_MAX, 801)
         # the same steps, whether the lookups or the solve take them
         assert np.array_equal(dense(got, s), dense(solve_pii(k, s_min), s))
 
@@ -371,7 +371,7 @@ class TestStepper:
     def test_continuous_across_step_joints(self, k):
         sol = solve_pii(k, -12.0)
         steps = sol._dense
-        ends = [-e for e in steps.neg_ends]     # s_max first, down to -12
+        ends = [-e for e in steps.neg_ends]     # _S_MAX first, down to -12
         joints = ends[1:-1]
         scale = np.abs(dense(sol, np.linspace(-12.0, 10.0, 441))).max(axis=1)
         for i, e in enumerate(joints):
@@ -384,7 +384,7 @@ class TestStepper:
                       <= 1e-8 * scale[:, None])
 
     def test_exact_at_both_ends(self):
-        # the integration starts on the Airy data at s_max, and its last
+        # the integration starts on the Airy data at _S_MAX, and its last
         # step is clipped to land on -12
         full = solve_pii(0.5, -12.0)
         assert full._dense.neg_ends[-1] == 12.0
@@ -413,7 +413,7 @@ class TestStepper:
     def test_pole_stops_integration(self):
         # beyond |k| = 1 the solution has a pole on the real axis
         with pytest.raises(ConvergenceError, match="pole"):
-            _Taylor(1.5, 10.0, 1e-10).reach(-12.0)
+            _Taylor(1.5, 1e-10).reach(-12.0)
 
 
 class TestOnDemand:
@@ -547,10 +547,10 @@ class TestOnDemand:
         # a lookup between a writer's two appends (row, then its end) sees
         # one row more than the ends close; that row must not serve an s
         # below the last end it read
-        eager = _Taylor(0.5, 10.0, 1e-10)
+        eager = _Taylor(0.5, 1e-10)
         eager.reach(-12.0)
         m = 3
-        lazy = _Taylor(0.5, 10.0, 1e-10)
+        lazy = _Taylor(0.5, 1e-10)
         lazy.rows = eager.rows[:m + 1]
         lazy.neg_ends = array("d", eager.neg_ends[:m + 1])
         reach = lazy.reach

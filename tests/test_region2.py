@@ -12,8 +12,8 @@ from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
                     f_II, lambda_ab, log_transforms, psi_ab, region2_constants,
                     u_region2)
 from mchasy import numerics
-from mchasy.errors import ConvergenceError, DomainError, RegionError
-from mchasy.region2 import Region2Constants
+from mchasy.errors import AdmissibilityError, ConvergenceError, DomainError, RegionError
+from mchasy.region2 import _GAMMA_A, _GAMMA_B, Region2Constants
 
 from conftest import deadline, region2_constants_adaptive
 
@@ -28,9 +28,7 @@ def point_at(s, t):
 
 
 def make_consts(**kw):
-    base = dict(Lambda_a=0.0, Lambda_b=0.0, gamma_a=math.atan(ZA),
-                gamma_b=math.atan(2 - SQ3), T_i=1.0 + 0j, T_1=0.0 + 0j,
-                k_ampl=-0.5)
+    base = dict(Lambda_a=0.0, Lambda_b=0.0, T_i=1.0 + 0j, T_1=0.0 + 0j, k_ampl=-0.5)
     base.update(kw)
     return Region2Constants(**base)
 
@@ -89,8 +87,8 @@ class TestFII:
         c = make_consts(T_1=0.0 + 0j)
         s, t = 0.35, 7.0
         pa, pb = psi_ab(s, t, c)
-        oracle = (2 * math.sqrt(2 + SQ3) * math.sin(pa) * math.cos(c.gamma_a)
-                  + 2 * math.sqrt(2 - SQ3) * math.sin(pb) * math.cos(c.gamma_b))
+        oracle = (2 * math.sqrt(2 + SQ3) * math.sin(pa) * math.cos(math.atan(ZA))
+                  + 2 * math.sqrt(2 - SQ3) * math.sin(pb) * math.cos(math.atan(2 - SQ3)))
         assert f_II(s, t, c) == pytest.approx(oracle, abs=1e-12)
 
     def test_two_pi_shift_invariance(self, family_wide, one_pair_spectrum):
@@ -98,8 +96,7 @@ class TestFII:
         c = region2_constants(data)
         shifted = Region2Constants(
             Lambda_a=c.Lambda_a + 2 * math.pi, Lambda_b=c.Lambda_b - 2 * math.pi,
-            gamma_a=c.gamma_a, gamma_b=c.gamma_b, T_i=c.T_i, T_1=c.T_1,
-            k_ampl=c.k_ampl)
+            T_i=c.T_i, T_1=c.T_1, k_ampl=c.k_ampl)
         for s, t in ((0.0, 1e6), (1.2, 5e5)):
             assert f_II(s, t, c) == pytest.approx(f_II(s, t, shifted), abs=1e-7)
 
@@ -156,10 +153,36 @@ class TestURegion2:
         assert first != fresh
 
     def test_gamma_complement(self):
-        c = make_consts()
-        assert c.gamma_a + c.gamma_b == pytest.approx(math.pi / 2, abs=1e-15)
-        assert c.gamma_a == pytest.approx(5 * math.pi / 12, abs=1e-15)
-        assert c.gamma_b == pytest.approx(math.pi / 12, abs=1e-15)
+        # the saddle angles arctan(2 +- sqrt(3)) that f_II projects on
+        assert _GAMMA_A + _GAMMA_B == pytest.approx(math.pi / 2, abs=1e-15)
+        assert _GAMMA_A == pytest.approx(5 * math.pi / 12, abs=1e-15)
+        assert _GAMMA_B == pytest.approx(math.pi / 12, abs=1e-15)
+
+    def test_one_r_evaluation_per_point(self, one_pair_spectrum):
+        # after the first point, a zone-II point reads r(2+sqrt 3) once: the
+        # admissibility check is memoized with the constants
+        data = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 0.05),
+                              one_pair_spectrum)
+        u_region2(point_at(0.0, 1e6), data)
+        with mock.patch.object(type(data.r), "__call__", autospec=True,
+                               side_effect=type(data.r).__call__) as r:
+            u_region2(point_at(0.5, 1e6), data)
+        assert r.call_count == 1
+
+    def test_inadmissible_refusal_memoized(self):
+        # |r(2+sqrt 3)| >= 1 is refused by region2_constants and by
+        # u_region2, with one r evaluation for all of them
+        data = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 0.05))
+        with mock.patch.object(type(data.r), "__call__", autospec=True,
+                               return_value=1.0 + 0j) as r:
+            for _ in range(2):
+                with pytest.raises(AdmissibilityError,
+                                   match=r"second zone needs \|r\(2\+sqrt\(3\)\)\| < 1, got 1.0"):
+                    region2_constants(data)
+            assert r.call_count == 1
+            with pytest.raises(AdmissibilityError, match="second zone needs"):
+                u_region2(point_at(0.0, 1e6), data)
+            assert r.call_count == 2
 
     def test_oscillation_in_time(self, one_pair_spectrum, cache):
         data = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 0.05),

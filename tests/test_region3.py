@@ -491,11 +491,10 @@ class TestNr7:
         assert len(calls) == 1
         assert np.shape(calls[0]) == (23,)
 
-    def test_gate_points_only_tested_by_gate(self, gen_data, params, monkeypatch):
+    def test_gate_points_only_tested_by_gate(self, gen_data, geom, monkeypatch):
         # a theta value that vanishes at a gate sample is a pole for the gate
-        # alone: without validation the gate is not evaluated and u is the same
-        pt = SpaceTimePoint(XI0 * T0, T0)
-        want = u_region3(pt, gen_data).u
+        # alone: the expansion terms that u reads are the same without it
+        want = geom.expansion_terms
         real = region3.jacobi_theta
 
         def zero_at_gate(s, p, order=0):
@@ -504,16 +503,15 @@ class TestNr7:
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_gate)
-        gate = mock.Mock(wraps=region3.nr7_coeffs)
-        monkeypatch.setattr(region3, "nr7_coeffs", gate)
-        assert u_region3(pt, gen_data, validate=False).u == want
-        build_geometry(params, validate=False).expansion_terms
-        assert gate.call_count == 0
+        fresh = dataclasses.replace(geom)   # a copy without the cached theta pass
+        assert fresh.expansion_terms == want
         with pytest.raises(PoleOfSolutionError):
-            u_region3(pt, gen_data)
-        assert gate.call_count == 1
+            nr7_coeffs(fresh)
+        with pytest.raises(PoleOfSolutionError):
+            u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data)
 
-    def test_expansion_points_tested_without_validation(self, gen_data, monkeypatch):
+    def test_expansion_points_tested_without_validation(self, geom, monkeypatch):
+        # the expansion terms test their own theta values, not only the gate
         real = region3.jacobi_theta
 
         def zero_at_expansion(s, p, order=0):
@@ -523,7 +521,7 @@ class TestNr7:
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_expansion)
         with pytest.raises(PoleOfSolutionError):
-            u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data, validate=False)
+            dataclasses.replace(geom).expansion_terms
 
     def test_phase_shift_invariance(self, geom):
         shifted = dataclasses.replace(geom, phi=geom.phi + 2 * math.pi)
