@@ -3,7 +3,7 @@
 Config files are flat INI-style key/value text with typed sections::
 
     [scattering]
-    family = gaussian          # or: table_path = r.csv
+    family = gaussian          # or: table_path = r.csv, instead of these four
     kappa_r = 0.5
     alpha = 0.0
     beta = 1.0
@@ -76,7 +76,6 @@ from .scattering import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData
 
 __all__ = ["RunConfig", "parse_config", "run_scan", "write_output", "main"]
 
-_CBRT3 = 3.0 ** (1.0 / 3.0)
 _COLUMNS = ("x", "t", "region", "s", "u", "err_order", "error")
 _MAX_GRID = 10 ** 6     # points of a lo:hi:n grid, as many as `mchasy pii` has rows
 # every key parse_config reads, by section
@@ -252,11 +251,15 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
                 raise ConfigError("unknown key", key="%s.%s" % (name, key))
 
     sc = sections.get("scattering", {})
+    table_path = sc.get("table_path", "")
+    for name in ("family", "kappa_r", "alpha", "beta"):
+        if table_path and name in sc:
+            raise ConfigError("a table replaces the family; give one of them",
+                              key="scattering." + name)
     family = sc.get("family", "gaussian")
     kappa_r = _getfloat(sc, "kappa_r", 0.5, "scattering.kappa_r")
     alpha = _getfloat(sc, "alpha", 0.0, "scattering.alpha")
     beta = _getfloat(sc, "beta", 1.0, "scattering.beta", positive=True)
-    table_path = sc.get("table_path", "")
     tail_rate = _getfloat(sc, "tail_rate", 1.0, "scattering.tail_rate", positive=True)
     spectrum = _parse_spectrum(sc.get("spectrum", "[]"))
     if family not in ("gaussian",):
@@ -265,11 +268,13 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         raise ConfigError("|kappa_r| <= 1 required", key="scattering.kappa_r")
 
     rg = sections.get("regions", {})
-    c1 = _getfloat(rg, "c1", 1.0, "regions.c1", positive=True)
-    c2 = _getfloat(rg, "c2", 1.0, "regions.c2", positive=True)
-    c3 = _getfloat(rg, "c3", 4.0 * _CBRT3, "regions.c3", positive=True)
-    if c3 <= 2.0 * _CBRT3:
-        raise ConfigError("c3 must exceed 2*3^(1/3)", key="regions.c3")
+    c1 = _getfloat(rg, "c1", RegionConstants.c1, "regions.c1", positive=True)
+    c2 = _getfloat(rg, "c2", RegionConstants.c2, "regions.c2", positive=True)
+    c3 = _getfloat(rg, "c3", RegionConstants.c3, "regions.c3", positive=True)
+    try:
+        constants = RegionConstants(c1, c2, c3)
+    except DomainError as exc:      # c1 and c2 are positive: the c3 bound failed
+        raise ConfigError(str(exc), key="regions.c3") from exc
 
     sh = sections.get("shock", {})
     p = _getfloat(sh, "p", 1.0, "shock.p", positive=True)
@@ -312,7 +317,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         if strict:
             raise ConfigError(msg, key="scattering")
         warnings.append(msg)
-    return RunConfig(data=data, constants=RegionConstants(c1, c2, c3),
+    return RunConfig(data=data, constants=constants,
                      spec=QuadratureSpec(abs_tol, rel_tol, tail_cutoff=tail_cutoff),
                      pii_tol=pii_tol, p=p, q=q, times=times, grid_kind=kind, grid=grid,
                      grid_region=int(grid_region), path=ot.get("path", "-"), format=fmt,

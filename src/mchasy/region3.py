@@ -105,11 +105,6 @@ class ShockParams:
             / (3.0 * self.q ** 1.5 * g ** 1.5 * self.t)
 
 
-def curvature_at_one(data: ScatteringData) -> float:
-    """Quadratic coefficient of 1 - |r|^2 at z = 1."""
-    return data.r.curvature_at_one()
-
-
 # ----------------------------------------------------------------------
 # Curve primitives
 # ----------------------------------------------------------------------
@@ -648,13 +643,13 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
 # ----------------------------------------------------------------------
 
 def _generic_curvature(data: ScatteringData) -> float:
-    """``curvature_at_one`` of data in the generic case |r(+-1)| = 1."""
+    """The curvature of 1 - |r|^2 at z = 1 in the generic case |r(+-1)| = 1."""
     m1, mm1 = abs(data.r(1.0)), abs(data.r(-1.0))
     if abs(m1 - 1.0) > 1e-10 or abs(mm1 - 1.0) > 1e-10:
         raise AdmissibilityError(
             "shock asymptotics need the generic case |r(+-1)| = 1; got %r, %r"
             % (m1, mm1))
-    return curvature_at_one(data)
+    return data.r.curvature_at_one()
 
 
 def u_region3(point: SpaceTimePoint, data: ScatteringData,

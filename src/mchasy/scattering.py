@@ -5,10 +5,18 @@ The reflection coefficient is either the builtin closed-form family
 
     r(z) = kappa_r * exp(-beta*log(z)**2) * z**(i*alpha),   z > 0,
 
-or a tabulated grid with monotone cubic interpolation and an exponential tail
-model; both are extended to z < 0 by r(-z) = -conj(r(z)).  The discrete
-spectrum is stored through its fourth-quadrant representatives on the unit
-circle.
+or a table, interpolated by monotone cubics in y = ln z and continued past
+its last knot by an exponential tail.  Each is given on z >= 1 only, and
+both scattering symmetries,
+
+    r(1/z) = conj r(z),   r(-z) = -conj r(z),
+
+extend it to the rest of the real line in one place, so they hold exactly.
+A table is built from the knots on the side of z = 1 that reaches further
+in |ln z|, mirrored with Re r even and Im r odd in y, so r(1) is real; the
+knots on the other side only measure how far the data break the inversion
+symmetry.  The discrete spectrum is stored through its fourth-quadrant
+representatives on the unit circle.
 
 The transforms.  lg(x) = log(1-|r(x)|^2) is even in x, so every integral
 over the real line folds onto x > 0, and in y = ln x each kernel becomes
@@ -84,13 +92,16 @@ class _LogGrid(NamedTuple):
 class ReflectionCoefficient:
     """Reflection coefficient on the real line; |r| <= 1 everywhere.
 
-    Built by ``family`` or ``tabulated``.  Each kind gives r for z > 0, the
-    curvature of 1-|r|^2 at z = 1 and its rule in y = ln|z| for the
-    transforms of log(1-|r|^2); the odd extension to z < 0 and the array path
-    are shared.
+    Built by ``family`` or ``tabulated``.  Each kind gives r on z >= 1 as a
+    function of y = ln z >= 0 (``_half``, ``_half_array``), the curvature of
+    1-|r|^2 at z = 1 and its rule in y for the transforms of log(1-|r|^2).
+    The base class folds every other z onto that half, on the scalar and the
+    array path alike: it takes y = ln|z|, conjugates where |z| < 1 (as
+    0 - Im r, so a real r keeps its +0j, and a negative one its phase pi, as
+    the closed form has it) and negates the conjugate where z < 0.
     """
 
-    z_min = 0.0   # smallest |z| > 0 where r is defined
+    inversion_defect = 0.0   # largest gap of a table's unused knots to r
 
     @classmethod
     def family(cls, kappa_r, alpha=0.0, beta=1.0):
@@ -107,16 +118,21 @@ class ReflectionCoefficient:
             if not np.all(np.isfinite(z)):
                 raise DomainError("r evaluated at a non-finite point")
             vals = np.zeros(z.shape, dtype=complex)
-            vals[z != 0] = self._positive_array(np.abs(z[z != 0]))
+            y = np.log(np.abs(z[z != 0]))
+            half = self._half_array(np.abs(y))
+            np.subtract(0.0, half.imag, out=half.imag, where=y < 0)
+            vals[z != 0] = half
             return np.where(z < 0, -vals.conj(), vals)
         z = float(z)
         if not math.isfinite(z):
             raise DomainError("r evaluated at non-finite point %r" % z)
         if z == 0.0:
             return 0.0 + 0.0j
-        if z > 0:
-            return self._positive(z)
-        return -self._positive(-z).conjugate()
+        y = math.log(abs(z))
+        val = self._half(abs(y))
+        if y < 0:
+            val = complex(val.real, 0.0 - val.imag)
+        return val if z > 0 else -val.conjugate()
 
     def log_one_minus_r2(self, z):
         """log(1-|r(z)|^2) at a float or an array, kept finite where |r| = 1."""
@@ -127,10 +143,7 @@ class ReflectionCoefficient:
         return out if z.ndim else out[0]
 
     def _log_one_minus_r2_in_y(self, y: np.ndarray) -> np.ndarray:
-        """log(1-|r|^2) at z = e^y in one array evaluation; below ``z_min`` it
-        is taken at 1/z, as |r(1/z)| = |r(z)|."""
-        if self.z_min > 0:
-            y = np.where(y < math.log(self.z_min), -y, y)
+        """log(1-|r|^2) at z = e^y in one array evaluation."""
         if np.max(np.abs(y)) > _MAX_LOG_Z:
             raise DomainError("log(1-|r|^2) is not negligible within |ln z| <= %g"
                               % _MAX_LOG_Z)
@@ -153,13 +166,11 @@ class _Family(ReflectionCoefficient):
         if not abs(self.alpha) <= 1e300:
             raise DomainError("family phase |alpha| <= 1e300 required, got %r" % self.alpha)
 
-    def _positive(self, z: float) -> complex:
-        lg = math.log(z)
-        return self.kappa_r * math.exp(-self.beta * lg * lg) * cmath.exp(1j * self.alpha * lg)
+    def _half(self, y: float) -> complex:
+        return self.kappa_r * math.exp(-self.beta * y * y) * cmath.exp(1j * self.alpha * y)
 
-    def _positive_array(self, x: np.ndarray) -> np.ndarray:
-        lg = np.log(x)
-        return self.kappa_r * np.exp(-self.beta * lg * lg) * np.exp(1j * self.alpha * lg)
+    def _half_array(self, y: np.ndarray) -> np.ndarray:
+        return self.kappa_r * np.exp(-self.beta * y * y) * np.exp(1j * self.alpha * y)
 
     def _log_grid(self, level: int, cutoff: float) -> _LogGrid:
         """The uniform grid y_k = k*h, h = ln(2+sqrt(3))/(m+1/2), out to where
@@ -185,62 +196,70 @@ class _Family(ReflectionCoefficient):
 
 
 class _Table(ReflectionCoefficient):
-    """Monotone cubic interpolation of a table on positive z, continued past
-    its end by an exponential tail."""
+    """Monotone cubic interpolation in y = ln z of the knots on the side of
+    z = 1 that reaches further in |ln z| (z >= 1 on a tie), mirrored onto
+    y < 0, continued past the last knot by an exponential tail in z = e^y.
+    The knots on the other side give ``inversion_defect``, once, here."""
 
     def __init__(self, grid, values, tail_rate):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=complex)
-        if grid.ndim != 1 or grid.size < 4 or np.any(np.diff(grid) <= 0):
-            raise DomainError("tabulated grid must be sorted with >= 4 points")
-        if grid[0] <= 0:
+        if grid.ndim != 1 or grid.size < 4 or values.shape != grid.shape:
+            raise DomainError("tabulated grid needs >= 4 points, with a value at each")
+        if not grid[0] > 0:
             raise DomainError("tabulated grid covers positive z only")
-        if np.any(np.abs(values) > 1 + 1e-12):
+        y = np.log(grid)
+        if not np.all(np.diff(y) > 0):      # NaN fails too
+            raise DomainError("tabulated grid must be sorted, and distinct in ln z")
+        if not np.all(np.abs(values) <= 1 + 1e-12):   # NaN fails too
             raise AdmissibilityError("|r| <= 1 violated on the table")
         self.grid = grid
-        self.z_min = grid[0]
         self.values = values
         self.tail_rate = float(tail_rate)
         if self.tail_rate <= 0:
             raise DomainError("tail decay rate must be positive")
+        upper = y[-1] >= -y[0]
+        other = grid <= 1.0 if upper else grid >= 1.0
+        y_h, v_h = (y, values) if upper else (-y[::-1], values[::-1].conj())
+        y_h, v_h = y_h[y_h > 0], v_h[y_h > 0]
+        # the knots at -y carry conj r(y); y = 0 is a knot of the odd Im r, and
+        # of Re r where the table holds z = 1
+        n, one = y_h.size, values[grid == 1.0].real
+        mirror = np.concatenate([-y_h[::-1], y_h])
+        v = np.concatenate([v_h[::-1].conj(), v_h])
+        self._knots = np.insert(mirror, n, 0.0)
+        self._re_knots = np.insert(mirror, n, np.zeros(one.size))
+        self._m2 = np.insert(np.abs(v) ** 2, n, one ** 2)
+        self._v_end, self._z_end = complex(v_h[-1]), math.exp(y_h[-1])
         # imported here: scipy.interpolate pulls in scipy.linalg, .optimize and
         # .sparse, which family data never needs
         from scipy.interpolate import PchipInterpolator
-        self._re = PchipInterpolator(grid, values.real, extrapolate=False)
-        self._im = PchipInterpolator(grid, values.imag, extrapolate=False)
+        self._re = PchipInterpolator(self._re_knots, np.insert(v.real, n, one), extrapolate=False)
+        self._im = PchipInterpolator(self._knots, np.insert(v.imag, n, 0.0), extrapolate=False)
+        self.inversion_defect = float(np.abs(self(grid[other]) - values[other]).max(initial=0.0))
 
-    def _positive(self, z: float) -> complex:
-        if z < self.grid[0]:
-            raise DomainError("tabulated r queried at %r below grid start %r"
-                              % (z, self.grid[0]))
-        if z <= self.grid[-1]:
-            return complex(self._re(z), self._im(z))
-        return complex(self.values[-1]) * math.exp(-self.tail_rate * (z - self.grid[-1]))
+    def _half(self, y: float) -> complex:
+        return complex(self._half_array(np.array([y]))[0])
 
-    def _positive_array(self, x: np.ndarray) -> np.ndarray:
-        if np.any(x < self.grid[0]):
-            raise DomainError("tabulated r queried below grid start %r" % self.grid[0])
-        tail = self.values[-1] * np.exp(-self.tail_rate * np.maximum(x - self.grid[-1], 0.0))
-        return np.where(x <= self.grid[-1], self._re(x) + 1j * self._im(x), tail)
+    def _half_array(self, y: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):    # e^y past y = 709.78: the tail is 0
+            z = np.exp(y)
+        tail = self._v_end * np.exp(-self.tail_rate * np.maximum(z - self._z_end, 0.0))
+        return np.where(y <= self._knots[-1], self._re(y) + 1j * self._im(y), tail)
 
     def _log_grid(self, level: int, cutoff: float) -> _LogGrid:
         """Composite Gauss-Kronrod in y on the knot intervals (Pchip is only
-        C^1, so its knots must be panel edges), on the exponential tail out to
-        where |r|^2 falls below ``cutoff``, and on the mirror images of both
-        below ``z_min``, where |r(1/z)| = |r(z)| stands in.  Both poles are
-        panel edges.  Each level splits every panel into three; the coarse rule
-        is the embedded Gauss rule."""
-        y0 = math.log(self.grid[0])
-        if y0 > 0.0:
-            raise DomainError("the transforms of log(1-|r|^2) need a table that"
-                              " starts at or below z = 1, got %r" % self.grid[0])
-        end, v2 = self.grid[-1], abs(self.values[-1]) ** 2
+        C^1, so its knots must be panel edges) and on the exponential tail out
+        to where |r|^2 falls below ``cutoff``, on both sides of y = 0.  Both
+        poles are panel edges.  Each level splits every panel into three; the
+        coarse rule is the embedded Gauss rule."""
+        v2 = abs(self._v_end) ** 2
         decay = max(math.log(v2 / cutoff), 0.0) if v2 > 0.0 else 0.0
         # tail panels two e-folds of |r|^2 wide, uniform in z
-        tail = np.linspace(end, end + decay / (2.0 * self.tail_rate),
+        tail = np.linspace(self._z_end, self._z_end + decay / (2.0 * self.tail_rate),
                            int(math.ceil(decay / 2.0)) + 1)
-        pos = np.concatenate([np.log(self.grid), np.log(tail[1:])])
-        edges = np.unique(np.concatenate([-pos[-pos < y0], pos]))
+        pos = np.log(tail[1:])
+        edges = np.unique(np.concatenate([-pos, self._knots, pos]))
         # Each pole is an edge.  A knot at distance d from it leaves the
         # subtracted integrand of the next panel a near pole (its cubic piece
         # differs from the pole's at the pole), so the panels are graded
@@ -260,29 +279,14 @@ class _Table(ReflectionCoefficient):
         return _LogGrid(y, w, w_coarse, (edges[0], edges[-1]))
 
     def curvature_at_one(self) -> float:
-        """Quadratic coefficient of 1 - |r|^2 at z = 1: a centered 5-point
-        stencil with step 1e-3, Richardson-checked against half the step."""
-        # |r| peaks at z = 1, where the shape-preserving global interpolant
-        # deliberately damps curvature; use an unconstrained C^2 spline on a
-        # local window of raw table values instead
-        lo = np.searchsorted(self.grid, 1.0) - 25
-        sel = slice(max(lo, 0), min(lo + 50, self.grid.size))
-        grid = self.grid[sel]
-        if grid.size < 8 or not (grid[0] < 0.99 and grid[-1] > 1.01):
-            raise DomainError("table too sparse around z = 1 for a curvature fit")
+        """Quadratic coefficient of 1 - |r|^2 at z = 1: half the second
+        derivative at y = 0 of a C^2 cubic spline through 1 - |r|^2 on the
+        mirrored knots.  1 - |r|^2 is even in y, so that is its second
+        derivative in z at 1 as well."""
+        # |r| peaks at z = 1, where the shape-preserving interpolant
+        # deliberately damps curvature; an unconstrained spline does not
         from scipy.interpolate import CubicSpline
-        f = CubicSpline(grid, 1.0 - np.abs(self.values[sel]) ** 2)
-
-        def second(h):
-            return (-f(1 + 2 * h) + 16 * f(1 + h) - 30 * f(1.0)
-                    + 16 * f(1 - h) - f(1 - 2 * h)) / (12.0 * h * h)
-
-        d2, d2h = second(1e-3), second(5e-4)
-        # interpolants are only piecewise smooth; allow a loose consistency band
-        if abs(d2 - d2h) > 5e-2 * max(abs(d2), 1e-12):
-            raise ConvergenceError("stencil for the curvature of 1-|r|^2 did not settle",
-                                   best=d2h, estimate_error=abs(d2 - d2h))
-        return 0.5 * d2h
+        return 0.5 * float(CubicSpline(self._re_knots, 1.0 - self._m2)(0.0, 2))
 
 
 class DiscreteSpectrum:
@@ -372,21 +376,17 @@ _INTEGRABILITY_PROBES = np.geomspace(1e-3, 1e3, 200)
 def check_symmetries(data: ScatteringData, tol: float = 1e-12) -> SymmetryReport:
     """Sample a fixed grid and report the worst violation of each symmetry.
 
-    Tabulated grids may not cover the whole probe range: r(z) and r(-z) are
-    compared where z is covered, r(1/z) and |r(z)| where 1/z is too.  r is
-    evaluated once, on all probes together.
+    r is evaluated once, on all probes together.  The inversion violation
+    includes ``r.inversion_defect``, the gap of a table's data on the side
+    of z = 1 that its interpolant is not built from.
     """
     r = data.r
-    zs = _SYMMETRY_PROBES[_SYMMETRY_PROBES >= r.z_min]
-    both = 1.0 / zs >= r.z_min
-    inv_zs = 1.0 / zs[both]
-    probes = _INTEGRABILITY_PROBES[_INTEGRABILITY_PROBES >= r.z_min]
-    vals = r(np.concatenate([zs, -zs, inv_zs, probes]))
-    n, n_inv = zs.size, 2 * zs.size + inv_zs.size
-    rz, r_neg, r_inv, r_probes = vals[:n], vals[n:2 * n], vals[2 * n:n_inv], vals[n_inv:]
-    neg = float(np.abs(r_neg + rz.conj()).max(initial=0.0))
-    inv = float(np.abs(r_inv - rz[both].conj()).max(initial=0.0))
-    mod = float((np.abs(rz[both]) - 1.0).max(initial=0.0))
+    zs, probes = _SYMMETRY_PROBES, _INTEGRABILITY_PROBES
+    vals = r(np.concatenate([zs, -zs, 1.0 / zs, probes]))
+    rz, r_neg, r_inv, r_probes = np.split(vals, [zs.size, 2 * zs.size, 3 * zs.size])
+    neg = float(np.abs(r_neg + rz.conj()).max())
+    inv = max(float(np.abs(r_inv - rz.conj()).max()), r.inversion_defect)
+    mod = float((np.abs(rz) - 1.0).max(initial=0.0))
     spec_v = {}
     for z in data.spectrum.representatives:
         spec_v["unit circle"] = max(spec_v.get("unit circle", 0.0), abs(abs(z) - 1.0))

@@ -17,8 +17,7 @@ from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
                     jacobi_theta, nr7_coeffs, nr7_matrix, quad_pv, solve_band,
                     solve_pii, u_region1, u_region2, u_region3)
 from mchasy.cli import main, parse_config
-from mchasy.region3 import (ShockParams, _j_band, build_geometry,
-                            curvature_at_one)
+from mchasy.region3 import ShockParams, _j_band, build_geometry
 
 from conftest import richardson_derivative
 
@@ -45,7 +44,7 @@ def generic_data():
 def shock_geom(generic_data):
     pt = shock_point(1e6)
     params = ShockParams(p=1.0, q=1.0, xi=pt.xi, t=pt.t,
-                         C_R=(1 / 12) * curvature_at_one(generic_data))
+                         C_R=(1 / 12) * generic_data.r.curvature_at_one())
     return params, build_geometry(params)
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from mchasy import cli, painleve2, region3, scattering
+from mchasy import RegionConstants, cli, painleve2, region3, scattering
 from mchasy.cli import main, parse_config, run_scan, write_output
 from mchasy.errors import ConfigError
 
@@ -71,6 +71,20 @@ class TestParse:
         [z] = cfg.data.spectrum.representatives
         assert z == pytest.approx(0.5 - 0.8660254037844386j)
 
+    @pytest.mark.parametrize("key", ["family", "kappa_r", "alpha", "beta"])
+    def test_table_with_family_key_refused(self, tmp_path, key):
+        # a table replaces the family: a family key beside it would be ignored
+        text = "[scattering]\ntable_path = %s\n%s = %s\n" % (
+            chirped_table(tmp_path), key, "gaussian" if key == "family" else "0.5")
+        with pytest.raises(ConfigError, match="scattering.%s" % key):
+            parse_config(text)
+
+    def test_region_constants_checked_once(self):
+        # the c3 default and bound are RegionConstants' own
+        assert parse_config(MINIMAL).constants == RegionConstants()
+        with pytest.raises(ConfigError, match=r"regions\.c3: c3 must exceed"):
+            parse_config(MINIMAL + "[regions]\nc3 = 2.884\n")
+
     def test_strict_symmetry_failure(self, tmp_path):
         text = "[scattering]\ntable_path = %s\n" % broken_table(tmp_path)
         cfg = parse_config(text)
@@ -89,6 +103,22 @@ def broken_table(tmp_path):
     path = tmp_path / "r.csv"
     np.savetxt(path, np.column_stack([grid, vals, 0 * vals]), delimiter=",")
     return path
+
+
+def chirped_table(tmp_path):
+    """120 knots of 0.3 exp(-ln(z)^2) z^(0.2i) on a geometric grid over
+    [0.05, 20], none of them at z = 1."""
+    import numpy as np
+    from mchasy import ReflectionCoefficient
+    grid = np.geomspace(0.05, 20, 120)
+    vals = ReflectionCoefficient.family(0.3, 0.2, 1.0)(grid)
+    path = tmp_path / "r.csv"
+    np.savetxt(path, np.column_stack([grid, vals.real, vals.imag]), delimiter=",")
+    return path
+
+
+def scan_rows(capsys):
+    return [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
 
 
 class TestScan:
@@ -150,6 +180,33 @@ class TestScan:
         for row in rows:
             x, t, region, s, u, order, error = row.split(",")
             assert region == "II" and error == "" and math.isfinite(float(u))
+
+    def test_chirped_table_zone_i_scan(self, tmp_path, capsys):
+        # r(1) is real by construction, so zone I answers every point
+        cfg_path = tmp_path / "scan.ini"
+        cfg_path.write_text("[scattering]\ntable_path = %s\n[regions]\nc1 = 30\n"
+                            "[scan]\nt = 1e6\ns = -2:2:5\ngrid_region = 1\n"
+                            % chirped_table(tmp_path))
+        assert main(["scan", "--config", str(cfg_path), "--strict"]) == 0
+        rows = scan_rows(capsys)
+        assert len(rows) == 5
+        assert all(r[2] == "I" and r[6] == "" and math.isfinite(float(r[4])) for r in rows)
+
+    def test_zone_ii_table_above_one(self, tmp_path, capsys):
+        # a table that starts above z = 1 is folded onto z < 1 as well
+        import numpy as np
+        from mchasy import ReflectionCoefficient
+        grid = np.geomspace(1.0001, 1e4, 300)
+        vals = ReflectionCoefficient.family(0.5, 0.3, 0.5)(grid)
+        table = tmp_path / "r.csv"
+        np.savetxt(table, np.column_stack([grid, vals.real, vals.imag]), delimiter=",")
+        cfg_path = tmp_path / "scan.ini"
+        cfg_path.write_text("[scattering]\ntable_path = %s\n[regions]\nc2 = 5\n"
+                            "[scan]\nt = 1e6\ns = -1:1:5\ngrid_region = 2\n" % table)
+        assert main(["scan", "--config", str(cfg_path), "--strict"]) == 0
+        rows = scan_rows(capsys)
+        assert len(rows) == 5
+        assert all(r[2] == "II" and r[6] == "" and math.isfinite(float(r[4])) for r in rows)
 
     def test_zone_ii_near_unit_kappa_is_one_row_error(self, tmp_path, capsys):
         # |kappa_r| = 1 - 1e-9 leaves log(1-|r|^2) nearly singular at z = 1;

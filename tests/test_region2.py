@@ -266,9 +266,9 @@ class TestLogTransforms:
             log_transforms(data, QuadratureSpec())
 
     # Tables sampled from family(0.5, 0.3, 0.5) against the family itself: the
-    # gap is the error of the Pchip interpolant (measured 1.7e-6, 1.1e-6 and
-    # 1.2e-6 in Lambda, 4e-8 in T(i); it falls as the table is refined), not
-    # of the quadrature, whose estimate stays below 1e-12.
+    # gap is the error of the Pchip interpolant in ln z (measured 1.4e-6,
+    # 8.2e-7 and 1.5e-6 in Lambda, below 1e-8 in T(i); it falls as the table
+    # is refined), not of the quadrature, whose estimate stays below 1e-12.
     @pytest.mark.parametrize("lo, hi, n", [(1e-4, 1e4, 400), (0.05, 20.0, 200),
                                            (1e-3, 30.0, 300)])
     def test_tabulated_matches_family(self, lo, hi, n, one_pair_spectrum):
@@ -280,3 +280,15 @@ class TestLogTransforms:
         for name in ("Lambda_a", "Lambda_b", "T_i", "T_1"):
             assert abs(getattr(got, name) - getattr(want, name)) <= 3e-6, name
         assert got.quad_err_est <= 1e-12
+
+    # One-sided tables: a table on z >= 1.0001 or z <= 1/1.0001 is mirrored
+    # onto the other side (measured 6.6e-7 in Lambda, 3.9e-10 in T(i)).
+    @pytest.mark.parametrize("lo, hi", [(1.0001, 1e4), (1e-4, 1 / 1.0001)])
+    def test_one_sided_table_matches_family(self, lo, hi, one_pair_spectrum):
+        fam = ReflectionCoefficient.family(0.5, 0.3, 0.5)
+        grid = np.geomspace(lo, hi, 300)
+        table = ReflectionCoefficient.tabulated(grid, fam(grid))
+        got = region2_constants(ScatteringData(table, one_pair_spectrum))
+        want = region2_constants(ScatteringData(fam, one_pair_spectrum))
+        for name in ("Lambda_a", "Lambda_b", "T_i", "T_1"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 3e-6, name

@@ -15,7 +15,7 @@ from mchasy.errors import (AdmissibilityError, BoundaryAmbiguityError,
                            PoleOfSolutionError, RegionError, WindowError)
 from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
                             _k_band, _k_gap, _j_gap, build_geometry,
-                            curvature_at_one, g0_limit, h1_limit, periods)
+                            g0_limit, h1_limit, periods)
 
 from conftest import (axis_inv_w_quad, band_quad, delta0_quad, ellipk,
                       gap_log_moment_mp, gap_log_moment_quad, inv_w_mp,
@@ -35,7 +35,7 @@ def gen_data():
 @pytest.fixture(scope="module")
 def params(gen_data):
     return ShockParams(p=1.0, q=1.0, xi=XI0, t=T0,
-                       C_R=(1 / 12) * curvature_at_one(gen_data))
+                       C_R=(1 / 12) * gen_data.r.curvature_at_one())
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +49,22 @@ def sided(f, x, d):
 
 class TestCurvature:
     def test_family_closed_form(self, gen_data):
-        assert curvature_at_one(gen_data) == pytest.approx(2 * 0.5 * 1.0, abs=1e-15)
+        assert gen_data.r.curvature_at_one() == pytest.approx(2 * 0.5 * 1.0, abs=1e-15)
 
     def test_stencil_matches_family(self):
         grid = np.geomspace(1 / 16.0, 16.0, 2001)
         vals = -np.exp(-0.5 * np.log(grid) ** 2)
         data = ScatteringData(ReflectionCoefficient.tabulated(grid, vals))
         fam = ScatteringData(ReflectionCoefficient.family(-1.0, 0.0, 0.5))
-        assert curvature_at_one(data) == pytest.approx(curvature_at_one(fam), rel=2e-3)
+        assert data.r.curvature_at_one() == pytest.approx(fam.r.curvature_at_one(), rel=2e-3)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 16.0), (1 / 16.0, 1.0), (1.001, 16.0)])
+    def test_one_sided_tables_match_family(self, lo, hi):
+        # the spline runs through the mirrored knots, so a table on one side
+        # of z = 1 gives the curvature too
+        grid = np.geomspace(lo, hi, 1001)
+        table = ReflectionCoefficient.tabulated(grid, -np.exp(-0.5 * np.log(grid) ** 2))
+        assert table.curvature_at_one() == pytest.approx(1.0, rel=2e-3)
 
     def test_negative_curvature_rejected(self):
         params_bad = lambda: ShockParams(p=1.0, q=1.0, xi=XI0, t=T0, C_R=-0.1)
@@ -541,16 +549,16 @@ class TestURegion3:
         with pytest.raises(AdmissibilityError):
             u_region3(pt, family_half)
 
-    def test_data_checks_once_per_data(self, monkeypatch):
+    def test_data_checks_once_per_data(self):
         # |r(+-1)| = 1 and the curvature at 1 depend on the data alone
         data = ScatteringData(ReflectionCoefficient.family(-1.0, 0.0, 0.5))
-        calls = []
-        real = region3.curvature_at_one
-        monkeypatch.setattr(region3, "curvature_at_one", lambda d: calls.append(d) or real(d))
-        for t in (T0, 2 * T0):
-            xi = 2 - 3 * CBRT3 * math.log(t) ** (2 / 3) * t ** (-2 / 3)
-            u_region3(SpaceTimePoint(xi * t, t), data)
-        assert len(calls) == 1
+        kind = type(data.r)
+        with mock.patch.object(kind, "curvature_at_one", autospec=True,
+                               side_effect=kind.curvature_at_one) as calls:
+            for t in (T0, 2 * T0):
+                xi = 2 - 3 * CBRT3 * math.log(t) ** (2 / 3) * t ** (-2 / 3)
+                u_region3(SpaceTimePoint(xi * t, t), data)
+        assert calls.call_count == 1
         nongeneric = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 1.0))
         for _ in range(2):
             with pytest.raises(AdmissibilityError):

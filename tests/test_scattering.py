@@ -5,12 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mchasy import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
                     check_symmetries, log_T_i, t_i_and_t1)
-from mchasy.errors import ConvergenceError, DomainError
+from mchasy.errors import AdmissibilityError, ConvergenceError, DomainError
 from mchasy.scattering import _blaschke
 
 from conftest import full_line_t_at_i, symmetry_loop
@@ -60,13 +60,14 @@ class TestEvalR:
         assert np.all(np.isfinite(r(z)))
 
     def test_tabulated_out_of_domain(self):
+        # outside its grid a table is still defined: past the end by the
+        # exponential tail, below the start by the fold r(z) = conj r(1/z)
         grid = np.linspace(0.5, 4.0, 30)
-        vals = 0.3 * np.exp(-((np.log(grid)) ** 2))
+        vals = 0.3 * np.exp(-((np.log(grid)) ** 2)) * grid ** 0.2j
         r = ReflectionCoefficient.tabulated(grid, vals)
-        r(2.0)
-        r(10.0)   # tail model region
-        with pytest.raises(DomainError):
-            r(0.1)
+        assert r(10.0) == pytest.approx(vals[-1] * math.exp(-6.0), rel=1e-14)
+        assert r(0.1) == pytest.approx(r(10.0).conjugate(), rel=1e-14)
+        assert r(0.6) == pytest.approx(r(1 / 0.6).conjugate(), rel=1e-14)
 
 
 def _table(lo=0.5, hi=4.0, n=30, tail_rate=1.5):
@@ -95,8 +96,9 @@ class TestArrayR:
     @given(st.lists(_SIGNED, min_size=1, max_size=12))
     def test_tabulated_matches_scalar(self, zs):
         r = _table()
-        # 0, both grid ends, past the end (the exponential tail) and z < 0
-        z = np.array(zs + [0.0, 0.5, -0.5, 4.0, 4.5, -9.0])
+        # 0, both grid ends, past the end (the exponential tail), below the
+        # start (folded onto z > 1) and z < 0
+        z = np.array(zs + [0.0, 0.5, -0.5, 4.0, 4.5, -9.0, 0.1, -0.01])
         assert np.abs(r(z) - [r(float(v)) for v in z]).max() <= 1e-15
 
     def test_shape_kept(self):
@@ -106,20 +108,98 @@ class TestArrayR:
             0.5, 1.0, 0.5)(z[1, 2])
 
     def test_domain_errors(self):
+        # only a non-finite z is outside the domain; below its grid start a
+        # table folds onto z > 1
         r = _table()
         with pytest.raises(DomainError):
-            r(np.array([2.0, -0.1, 3.0]))    # |z| below the grid start, as r(-0.1)
+            r(np.array([2.0, np.nan, 3.0]))
+        assert np.all(np.isfinite(r(np.array([2.0, -0.1, 3.0]))))
         with pytest.raises(DomainError):
             ReflectionCoefficient.family(0.5)(np.array([1.0, np.inf]))
+
+
+@st.composite
+def _random_tables(draw):
+    """Tables of random |r| <= 1 on random geometric grids: one-sided (every
+    knot on one side of z = 1) or two-sided, with or without a knot at
+    z = 1, with real or chirped (complex) values."""
+    lo = draw(st.floats(-6.0, 3.0))
+    grid = np.exp(np.linspace(lo, lo + draw(st.floats(0.5, 9.0)), draw(st.integers(4, 40))))
+    if draw(st.booleans()) and grid[0] < 1.0 < grid[-1]:
+        grid = np.union1d(grid, [1.0])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.uniform(0.0, 1.0, grid.size) + 0j
+    if draw(st.booleans()):
+        vals *= np.exp(2j * math.pi * rng.uniform(size=grid.size))
+    return ReflectionCoefficient.tabulated(grid, vals, tail_rate=draw(st.floats(0.1, 10.0)))
+
+
+_FAMILIES = st.builds(ReflectionCoefficient.family, st.floats(-1, 1), st.floats(-3, 3),
+                      st.floats(0.05, 4))
+
+
+class TestFold:
+    """Every kind of r is given on z >= 1 and folded onto the rest of the
+    line in one place, so both symmetries hold exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_FAMILIES, _random_tables()), st.floats(1e-300, 1e300))
+    def test_symmetries_bit_for_bit(self, r, z):
+        # the fold keys on y = ln|z|: z and 1/z are mirror images where their
+        # logarithms are, which rounding 1/z keeps in most draws
+        assume(math.log(1.0 / z) == -math.log(z))
+        zs = np.array([z, 1.0 / z, -z, -1.0 / z, 1.0, -1.0])
+        for vals in (r(zs), [r(float(v)) for v in zs]):
+            assert vals[1] == vals[0].conjugate()
+            assert vals[2] == -vals[0].conjugate()
+            assert vals[3] == -vals[0]
+            assert vals[4].imag == 0.0 and vals[5] == -vals[4]
+
+    def test_real_r_keeps_its_phase_below_one(self):
+        # a plain conjugate would turn +0j into -0j, and the phase pi of a
+        # negative r(2 - sqrt(3)), which zone II reads, into -pi
+        r = ReflectionCoefficient.family(-0.3, 0.0, 0.6)
+        zb = 2.0 - math.sqrt(3.0)
+        assert cmath.phase(r(zb)) == math.pi
+        assert cmath.phase(r(np.array([zb]))[0]) == math.pi
+
+    def test_table_sides_agree(self):
+        # a table of symmetric data is the same whichever side it is built from
+        fam = ReflectionCoefficient.family(0.3, 0.2, 1.0)
+        grid = np.geomspace(1.0, 20.0, 80)
+        upper = ReflectionCoefficient.tabulated(grid, fam(grid))
+        lower = ReflectionCoefficient.tabulated(1.0 / grid[::-1], fam(1.0 / grid[::-1]))
+        z = np.geomspace(1e-3, 1e3, 101)
+        assert np.abs(upper(z) - lower(z)).max() <= 1e-15
+        assert upper.inversion_defect == lower.inversion_defect == 0.0
+
+    def test_far_side_carries_the_table(self):
+        # knots on [0.01, 1) reach further than those on (1, 3]: the table is
+        # built from the first, and the second only measure the defect
+        grid = np.geomspace(0.01, 3.0, 60)
+        vals = np.where(grid < 1.0, 0.4, 0.3) + 0j
+        r = ReflectionCoefficient.tabulated(grid, vals)
+        assert r(2.0) == pytest.approx(0.4, abs=1e-15)
+        assert r.inversion_defect == pytest.approx(0.1, abs=1e-15)
+
+    def test_nan_knot_refused(self):
+        # a NaN knot on the side the interpolant does not use would otherwise
+        # drop out of the inversion defect: max(gap, nan) is gap
+        grid = np.geomspace(0.1, 30.0, 20)
+        vals = np.full(grid.size, 0.2 + 0j)
+        vals[2] = math.nan
+        with pytest.raises(AdmissibilityError):
+            ReflectionCoefficient.tabulated(grid, vals)
 
 
 class TestCheckSymmetries:
     @pytest.mark.parametrize("r", [
         ReflectionCoefficient.family(0.5, 0.0, 1.0),
         ReflectionCoefficient.family(-1.0, 0.7, 0.05),
-        _table(0.01, 100.0, 200),     # covers every probe
-        _table(0.1, 4.0, 40),         # probes below 0.1 and past 10 lose r(1/z)
+        _table(0.01, 100.0, 200),     # both sides of z = 1 reach as far
+        _table(0.1, 4.0, 40),         # built from z <= 1, the far side
         _table(0.2, 30.0, 50, tail_rate=0.3),
+        _table(1.0001, 30.0, 50),     # one-sided: no knot below z = 1
     ])
     def test_matches_scalar_loop(self, r):
         report = check_symmetries(ScatteringData(r), tol=1e-12)
