@@ -3,9 +3,8 @@
 Config files are flat INI-style key/value text with typed sections::
 
     [scattering]
-    family = gaussian          # or: table_path = r.csv, instead of these four
-    kappa_r = 0.5
-    alpha = 0.0
+    kappa_r = 0.5              # or: table_path = r.csv (and tail_rate = 1.0),
+    alpha = 0.0                # instead of these three
     beta = 1.0
     spectrum = [0.5-0.8660254037844386i]
 
@@ -80,8 +79,7 @@ _COLUMNS = ("x", "t", "region", "s", "u", "err_order", "error")
 _MAX_GRID = 10 ** 6     # points of a lo:hi:n grid, as many as `mchasy pii` has rows
 # every key parse_config reads, by section
 _KEYS = {
-    "scattering": {"family", "kappa_r", "alpha", "beta", "table_path", "tail_rate",
-                   "spectrum"},
+    "scattering": {"kappa_r", "alpha", "beta", "table_path", "tail_rate", "spectrum"},
     "regions": {"c1", "c2", "c3"},
     "shock": {"p", "q"},
     "scan": {"t", "s", "xi", "w", "grid_region"},
@@ -252,18 +250,18 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
 
     sc = sections.get("scattering", {})
     table_path = sc.get("table_path", "")
-    for name in ("family", "kappa_r", "alpha", "beta"):
+    for name in ("kappa_r", "alpha", "beta"):
         if table_path and name in sc:
             raise ConfigError("a table replaces the family; give one of them",
                               key="scattering." + name)
-    family = sc.get("family", "gaussian")
+    if "tail_rate" in sc and not table_path:
+        raise ConfigError("continues a table; give table_path too",
+                          key="scattering.tail_rate")
     kappa_r = _getfloat(sc, "kappa_r", 0.5, "scattering.kappa_r")
     alpha = _getfloat(sc, "alpha", 0.0, "scattering.alpha")
     beta = _getfloat(sc, "beta", 1.0, "scattering.beta", positive=True)
     tail_rate = _getfloat(sc, "tail_rate", 1.0, "scattering.tail_rate", positive=True)
     spectrum = _parse_spectrum(sc.get("spectrum", "[]"))
-    if family not in ("gaussian",):
-        raise ConfigError("unknown family %r" % family, key="scattering.family")
     if abs(kappa_r) > 1:
         raise ConfigError("|kappa_r| <= 1 required", key="scattering.kappa_r")
 

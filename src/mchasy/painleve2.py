@@ -9,7 +9,9 @@ each solution carries as ``err_est``, and a solve whose estimate exceeds
 separatrix, solved as a two-point boundary value problem by Newton multiple
 shooting on the same Taylor steps, from a square-root/Airy guess, and
 memoized per process; k = -1 is its negation.  Both carry dense output for
-(v, v', Q), Q(s) the tail integral of v^2, as the Taylor step polynomials.
+(v, v') as the Taylor step polynomials.  The tail integral Q(s) of v^2 is
+the Hamiltonian v'^2 - s v^2 - v^4, which has dQ/ds = -v^2 and Q -> 0 as
+s -> +inf (Tracy & Widom 1994, Commun. Math. Phys. 159), not integrated.
 """
 
 from __future__ import annotations
@@ -55,20 +57,19 @@ def _airy_data(k, s):
 
 
 def _horner(row, t):
-    """(v, v', Q) of one piece at offset t from its center, by one Horner
-    pass over the coefficient triples."""
-    v = vp = q = 0.0
-    for cv, cd, cq in row:
+    """(v, v') of one piece at offset t from its center, by one Horner pass
+    over the coefficient pairs."""
+    v = vp = 0.0
+    for cv, cd in row:
         v = v * t + cv
         vp = vp * t + cd
-        q = q * t + cq
-    return v, vp, q
+    return v, vp
 
 
 class _Steps:
-    """Dense (v, v', Q) as backward Taylor steps from ``_S_MAX``.
+    """Dense (v, v') as backward Taylor steps from ``_S_MAX``, and Q from them.
 
-    Step i is the polynomial ``rows[i]`` (coefficient triples (v, v', Q),
+    Step i is the polynomial ``rows[i]`` (coefficient pairs (v, v'),
     highest power first) in the offset from its right end, and ``neg_ends``
     holds the negated step ends, -_S_MAX first, so that it increases for
     ``bisect``.  A joint is evaluated on the step centered there, the last
@@ -80,13 +81,15 @@ class _Steps:
         self.neg_ends = array("d", [-_S_MAX])
 
     def at(self, s: float) -> tuple:
-        """(v, v', Q) at a float s."""
+        """(v, v', Q) at a float s, Q = v'^2 - s v^2 - v^4."""
         # ends read first: the rows of the steps they close are all built
         n = len(self.neg_ends)
         i = bisect_right(self.neg_ends, -s, 0, n) - 1
         if not 0 <= i < n - 1:
             i = self.reach(s)
-        return _horner(self.rows[i], s + self.neg_ends[i])
+        v, vp = _horner(self.rows[i], s + self.neg_ends[i])
+        vv = v * v
+        return v, vp, vp * vp - (s + vv) * vv
 
     def reach(self, s: float) -> int:
         """Index of the step that holds s."""
@@ -94,7 +97,7 @@ class _Steps:
 
 
 class _Taylor(_Steps):
-    """Dense (v, v', Q) of an Ablowitz-Segur solution, integrated on demand.
+    """Dense (v, v') of an Ablowitz-Segur solution, integrated on demand.
 
     Backward Taylor steps start from the Airy data at ``_S_MAX`` and are
     taken only when a lookup reaches below the last one, the last step clipped
@@ -111,7 +114,7 @@ class _Taylor(_Steps):
         super().__init__()
         self.k = k
         # adding 0.0 turns a signed zero of k = 0 into +0.0
-        self._state = tuple(x + 0.0 for x in _airy_data(k, _S_MAX))
+        self._state = tuple(x + 0.0 for x in _airy_data(k, _S_MAX)[:2])
         self._rtol = max(1e-6 * tol, 1e-16)
         self._error = None
         self._lock = threading.Lock()
@@ -127,8 +130,8 @@ class _Taylor(_Steps):
 
     def _step(self):
         try:
-            row, s1, _qc = _taylor_step(self.k, -self.neg_ends[-1], self._state,
-                                        self._rtol, _S_MIN_HARD)
+            row, s1, _b = _taylor_step(self.k, -self.neg_ends[-1], self._state,
+                                       self._rtol, _S_MIN_HARD)
         except ConvergenceError as exc:
             self._error = exc
             return
@@ -155,7 +158,8 @@ class PIISolution:
     """Dense-output Painleve II solution on [s_min, ``_S_MAX``], extended
     beyond by the Airy asymptote.
 
-    ``err_est`` is its estimated error relative to the scale of (v, v', Q):
+    ``err_est`` is its estimated error relative to the scale of (v, v', Q),
+    Q taken from (v, v') as the Hamiltonian:
     1e-11/(1-|k|) for Ablowitz-Segur, min(tol, 1e-10) for Hastings-McLeod,
     whose shooting residual is held below it.
     """
@@ -168,12 +172,11 @@ class PIISolution:
     _dense: _Steps | _Negated = field(repr=False)
 
 
-def _taylor_coeffs(s0, v, vp, q):
-    """Taylor coefficients at s0 of v (order ``_ORDER``) and of Q.
+def _taylor_coeffs(s0, v, vp):
+    """Taylor coefficients at s0 of v (order ``_ORDER``) and b of v^2.
 
     (n+2)(n+1) a_{n+2} = s0 a_n + a_{n-1} + 2 (a*a*a)_n, where the cube is
-    formed as b*a with b = a*a, the coefficients of v^2; Q' = -v^2 gives
-    (n+1) q_{n+1} = -b_n.
+    formed as b*a with b = a*a.
     """
     a = [v, vp]
     rev = [v]          # a_n, ..., a_0
@@ -185,35 +188,33 @@ def _taylor_coeffs(s0, v, vp, q):
         a.append((s0 * an + prev + 2.0 * sum(map(mul, b, rev))) * den)
         prev = an
         rev.insert(0, a[n + 1])
-    b.append(sum(map(mul, a, rev)))
-    return a, [q] + [-bn / (n + 1) for n, bn in enumerate(b)]
+    return a, b
 
 
-def _step_size(a, qc, rtol):
-    """Largest h <= _H_MAX at which the last two terms of v and Q are below
-    rtol times the size of the first two."""
+def _step_size(a, rtol):
+    """Largest h <= _H_MAX at which the last two terms of v are below rtol
+    times the size of the first two."""
     h = _H_MAX
-    for c in (a, qc):
-        size = abs(c[0]) + abs(c[1])
-        for j in (_ORDER - 1, _ORDER):
-            if c[j]:
-                # the ratio first, so that a tiny k cannot underflow rtol*size
-                h = min(h, (rtol * (size / abs(c[j]))) ** (1.0 / j))
+    size = abs(a[0]) + abs(a[1])
+    for j in (_ORDER - 1, _ORDER):
+        if a[j]:
+            # the ratio first, so that a tiny k cannot underflow rtol*size
+            h = min(h, (rtol * (size / abs(a[j]))) ** (1.0 / j))
     return h
 
 
 def _taylor_step(k, s0, state, rtol, s_end):
-    """One backward Taylor step from the state (v, v', Q) at s0, clipped to
-    end on s_end: its row, its left end and the Q coefficients.  A pole near
-    the axis that shrinks it below ``_H_MIN`` raises ``ConvergenceError``."""
-    a, qc = _taylor_coeffs(s0, *state)
-    h = _step_size(a, qc, rtol)
+    """One backward Taylor step from the state (v, v') at s0, clipped to end
+    on s_end: its row, its left end and b.  A pole near the axis that
+    shrinks it below ``_H_MIN`` raises ``ConvergenceError``."""
+    a, b = _taylor_coeffs(s0, *state)
+    h = _step_size(a, rtol)
     if h < _H_MIN:
         raise ConvergenceError(
             "Painleve II (k=%r): a pole near s=%.6g shrinks the Taylor "
             "step to %.2g" % (k, s0, h))
     dv = [j * a[j] for j in range(1, _ORDER + 1)] + [0.0]
-    return list(zip(a[::-1], dv[::-1], qc[::-1])), max(s0 - h, s_end), qc
+    return list(zip(a[::-1], dv[::-1])), max(s0 - h, s_end), b
 
 
 def _variation(s0, b, t, d0, d1):
@@ -236,17 +237,15 @@ def _variation(s0, b, t, d0, d1):
 
 
 def _shoot(s0, s1, state, rtol, steps=None):
-    """Taylor steps of the k = 1 equation from the state (v, v', Q) at s0
+    """Taylor steps of the k = 1 equation from the state (v, v') at s0
     back to s1, appended to ``steps`` if given: the state at s1 and the
     Jacobian of its (v, v') in the (v, v') at s0, as its two columns."""
     cols = ((1.0, 0.0), (0.0, 1.0))
     while s0 > s1:
-        row, s_next, qc = _taylor_step(1.0, s0, state, rtol, s1)
+        row, s_next, b = _taylor_step(1.0, s0, state, rtol, s1)
         t = s_next - s0
         state = _horner(row, t)
         if steps is None:
-            # Q' = -v^2 gives the coefficients b_n = -(n+1) q_{n+1} of v^2
-            b = [-n * c for n, c in enumerate(qc)][1:]
             cols = tuple(_variation(s0, b, t, *col) for col in cols)
         else:
             steps.rows.append(row)
@@ -256,16 +255,16 @@ def _shoot(s0, s1, state, rtol, steps=None):
 
 
 def _solve_hastings_mcleod(s_min, tol):
-    """Steps of the k = 1 solution with v(s_min) = sqrt(-s_min/2) and, at
-    S = ``_S_MAX``, v(S) = Ai(S) and Q(S) = Ai'(S)^2 - S Ai(S)^2.
+    """Steps of the k = 1 solution with v(s_min) = sqrt(-s_min/2) and
+    v(S) = Ai(S) at S = ``_S_MAX``.
 
     Newton multiple shooting: segments of length 1 back from S, the
     last clipped to end on s_min, each integrated from the (v, v') at its
     right end, with the Jacobian from the variational equation on the same
     steps.  The unknowns are those (v, v') but v(S); the equations are
     the jumps at the inner nodes and the left condition.  Once an update is
-    below ``_NEWTON_TOL``, the steps are taken once more, Q carried from
-    S, and their jumps must be below the error estimate.
+    below ``_NEWTON_TOL``, the steps are taken once more, and their jumps
+    must be below the error estimate.
     """
     rtol = max(1e-6 * tol, 1e-16)
     err = min(tol, 1e-10)
@@ -274,7 +273,6 @@ def _solve_hastings_mcleod(s_min, tol):
         nodes.append(max(nodes[-1] - 1.0, s_min))
     m = len(nodes) - 1
     v_left = math.sqrt(-s_min / 2.0)
-    q_right = _airy_data(1.0, _S_MAX)[2]
     # the guess: sqrt(-s/2) left of 0, Ai from 0 on; u[2j], u[2j+1] are
     # (v, v') at node j, and u[0] = Ai(_S_MAX) stays
     u = np.array([(math.sqrt(-e / 2.0), -0.25 / math.sqrt(-e / 2.0)) if e < 0.0
@@ -283,12 +281,11 @@ def _solve_hastings_mcleod(s_min, tol):
     for _ in range(_NEWTON_MAX):
         steps = _Steps() if update <= _NEWTON_TOL else None
         x = u.tolist()
-        q = q_right
         res = np.empty(2 * m - 1)
         jac = np.zeros((2 * m - 1, 2 * m))
         for j in range(m):
             i = 2 * j
-            (v, vp, q), cols = _shoot(nodes[j], nodes[j + 1], (x[i], x[i + 1], q), rtol, steps)
+            (v, vp), cols = _shoot(nodes[j], nodes[j + 1], (x[i], x[i + 1]), rtol, steps)
             if j < m - 1:
                 res[i:i + 2] = v - x[i + 2], vp - x[i + 3]
                 jac[i:i + 2, i:i + 2] = np.transpose(cols)
@@ -319,7 +316,7 @@ def _hastings_mcleod(s_min, tol):
     """Dense output of the Hastings-McLeod solutions k = 1 and k = -1, from
     one solve, memoized per process: it does not depend on the scattering
     data.  Each s_min below -10 is a key of its own, and an entry is about
-    40 steps (0.16 MB), hence the bound."""
+    37 steps of (v, v') pairs (0.11 MB), hence the bound."""
     steps = _solve_hastings_mcleod(s_min, tol)
     return steps, _Negated(steps)
 

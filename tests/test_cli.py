@@ -73,11 +73,26 @@ class TestParse:
 
     @pytest.mark.parametrize("key", ["family", "kappa_r", "alpha", "beta"])
     def test_table_with_family_key_refused(self, tmp_path, key):
-        # a table replaces the family: a family key beside it would be ignored
+        # a table replaces the family: a family key beside it would be
+        # ignored (`family` selects nothing and is an unknown key anywhere)
         text = "[scattering]\ntable_path = %s\n%s = %s\n" % (
             chirped_table(tmp_path), key, "gaussian" if key == "family" else "0.5")
         with pytest.raises(ConfigError, match="scattering.%s" % key):
             parse_config(text)
+
+    def test_tail_rate_without_table_refused(self, tmp_path, capsys):
+        # only a table's tail reads it: beside the family it would be ignored
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scattering]\nkappa_r = 0.5\ntail_rate = 3\n")
+        assert main(["check", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: scattering.tail_rate: continues a "
+                                "table; give table_path too\n")
+        text = "[scattering]\ntable_path = %s\n" % chirped_table(tmp_path)
+        default, steep = (parse_config(text + extra).data.r(30.0)
+                          for extra in ("", "tail_rate = 3\n"))
+        assert abs(steep) < abs(default)
 
     def test_region_constants_checked_once(self):
         # the c3 default and bound are RegionConstants' own
@@ -531,11 +546,13 @@ class TestMalformedConfig:
          "line 3: repeated key scattering.kappa_r"),
         ("[DEFAULT]\nalpha = 3\n", "DEFAULT: unknown section [DEFAULT]"),
         ("[scattering]\nkapa_r = 0.9\n", "scattering.kapa_r: unknown key"),
+        # the family is the only one, so the key selects nothing
+        ("[scattering]\nfamily = gaussian\n", "scattering.family: unknown key"),
         # no scan reads it: zone II's integrals are not adaptive quadratures
         ("[tolerances]\nmax_subdivisions = 4000\n",
          "tolerances.max_subdivisions: unknown key"),
     ], ids=["key_before_section", "no_delimiter", "empty_key", "repeated_section",
-            "repeated_key", "default_section", "unknown_key", "max_subdivisions"])
+            "repeated_key", "default_section", "unknown_key", "family", "max_subdivisions"])
     def test_one_line_exit_1(self, tmp_path, capsys, body, message):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(body)
