@@ -25,8 +25,6 @@ Config files are flat INI-style key/value text with typed sections::
     [tolerances]
     abs_tol = 1e-12
     rel_tol = 1e-12
-    tail_cutoff = 1e-17
-    pii_tol = 1e-10
 
     [output]
     path = out.csv
@@ -83,7 +81,7 @@ _KEYS = {
     "regions": {"c1", "c2", "c3"},
     "shock": {"p", "q"},
     "scan": {"t", "s", "xi", "w", "grid_region"},
-    "tolerances": {"abs_tol", "rel_tol", "tail_cutoff", "pii_tol"},
+    "tolerances": {"abs_tol", "rel_tol"},
     "output": {"path", "format"},
 }
 _INLINE_COMMENT = re.compile(r"\s[#;]")
@@ -98,7 +96,6 @@ class RunConfig:
     data: ScatteringData
     constants: RegionConstants
     spec: QuadratureSpec
-    pii_tol: float
     p: float
     q: float
     times: list[float]
@@ -295,9 +292,6 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     tl = sections.get("tolerances", {})
     abs_tol = _getfloat(tl, "abs_tol", 1e-12, "tolerances.abs_tol", positive=True)
     rel_tol = _getfloat(tl, "rel_tol", 1e-12, "tolerances.rel_tol", positive=True)
-    tail_cutoff = _getfloat(tl, "tail_cutoff", 1e-17, "tolerances.tail_cutoff",
-                            positive=True)
-    pii_tol = _getfloat(tl, "pii_tol", 1e-10, "tolerances.pii_tol", positive=True)
 
     ot = sections.get("output", {})
     fmt = ot.get("format", "csv")
@@ -315,9 +309,8 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         if strict:
             raise ConfigError(msg, key="scattering")
         warnings.append(msg)
-    return RunConfig(data=data, constants=constants,
-                     spec=QuadratureSpec(abs_tol, rel_tol, tail_cutoff=tail_cutoff),
-                     pii_tol=pii_tol, p=p, q=q, times=times, grid_kind=kind, grid=grid,
+    return RunConfig(data=data, constants=constants, spec=QuadratureSpec(abs_tol, rel_tol),
+                     p=p, q=q, times=times, grid_kind=kind, grid=grid,
                      grid_region=int(grid_region), path=ot.get("path", "-"), format=fmt,
                      symmetry=report, warnings=warnings)
 
@@ -345,9 +338,9 @@ def _eval_point(cfg, cache, x, t):
         if tag in (RegionTag.R_I, RegionTag.R_II):
             row["s"] = scaled_s(point, tag)
         if tag is RegionTag.R_I:
-            res = u_region1(point, cfg.data, cache, cfg.constants, tol=cfg.pii_tol)
+            res = u_region1(point, cfg.data, cache, cfg.constants)
         elif tag is RegionTag.R_II:
-            res = u_region2(point, cfg.data, cache, cfg.constants, cfg.spec, tol=cfg.pii_tol)
+            res = u_region2(point, cfg.data, cache, cfg.constants, cfg.spec)
         elif tag is RegionTag.R_III:
             res = u_region3(point, cfg.data, cfg.p, cfg.q, cfg.constants)
         else:
@@ -471,9 +464,9 @@ def _run_pii(args) -> int:
                 and (hi - lo) / step < 1e6):
             raise ConfigError("need finite lo <= hi, step > 0 and at most 1e6 rows, "
                               "got %r" % args.s, key="--s")
-        if not (math.isfinite(args.k) and args.tol > 0):
-            raise ConfigError("need a finite --k and --tol > 0")
-        sol = solve_pii(args.k, s_min=min(-10.0, lo), tol=args.tol)
+        if not math.isfinite(args.k):
+            raise ConfigError("need a finite --k")
+        sol = solve_pii(args.k, s_min=min(-10.0, lo))
     except (ConfigError, DomainError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
@@ -526,7 +519,6 @@ def _parser() -> argparse.ArgumentParser:
     p_pii = sub.add_parser("pii", help="tabulate a Painleve II transcendent")
     p_pii.add_argument("--k", type=float, required=True)
     p_pii.add_argument("--s", required=True, help="lo:hi:step")
-    p_pii.add_argument("--tol", type=float, default=1e-10)
 
     for name, kind in (("region1", 1), ("region2", 2), ("scan", None)):
         sp = sub.add_parser(name)

@@ -36,14 +36,19 @@ __all__ = [
 ]
 
 
+# the real line is cut where |integrand| (|r|^2 for log(1-|r|^2)) falls
+# below this; no error estimate counts the dropped mass, so it is not a
+# tolerance to loosen
+_TAIL_CUTOFF = 1e-17
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policy shared by all integral evaluations."""
+    """Tolerances shared by all adaptive integral evaluations."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_subdivisions: int = 4000
-    tail_cutoff: float = 1e-17
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -265,26 +270,26 @@ def quad_band(f: Callable, a: float, b: float,
     return quad(g, 0.0, 0.5 * np.pi, spec)
 
 
-def _truncation_point(f, start, cutoff, sign):
+def _truncation_point(f, start, sign):
     x = start
     for _ in range(60):
         probe = np.abs(_eval_nodes(f, sign * x * np.array([1.0, 1.37, 1.73])))
-        if probe.max() < cutoff:
+        if probe.max() < _TAIL_CUTOFF:
             return sign * x * 1.73
         x *= 2.0
-    raise ConvergenceError("integrand does not fall below tail cutoff %g" % cutoff)
+    raise ConvergenceError("integrand does not fall below tail cutoff %g" % _TAIL_CUTOFF)
 
 
 def quad_real_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
                    tail: Callable | None = None, start: float = 8.0) -> QuadResult:
     """Truncated integral of ``f`` over the whole real line.
 
-    The domain is cut where |f| falls below ``spec.tail_cutoff``; ``tail``,
+    The domain is cut where |f| falls below ``_TAIL_CUTOFF``; ``tail``,
     when given, is called as ``tail(lo, hi)`` and must return an analytic
     estimate of the dropped mass, which is added to the result.
     """
-    hi = _truncation_point(f, start, spec.tail_cutoff, +1)
-    lo = _truncation_point(f, start, spec.tail_cutoff, -1)
+    hi = _truncation_point(f, start, +1)
+    lo = _truncation_point(f, start, -1)
     left = quad(f, lo, 0.0, spec)
     right = quad(f, 0.0, hi, spec)
     value = left.value + right.value
@@ -312,11 +317,9 @@ def quad_pv(f: Callable, c: float, spec: QuadratureSpec = QuadratureSpec(),
     """
     fc = f(c)
     if hi is None:
-        hi = _truncation_point(lambda x: f(x) / (x - c), max(8.0, 2 * abs(c) + 2),
-                               spec.tail_cutoff, +1)
+        hi = _truncation_point(lambda x: f(x) / (x - c), max(8.0, 2 * abs(c) + 2), +1)
     if lo is None:
-        lo = _truncation_point(lambda x: f(x) / (x - c), max(8.0, 2 * abs(c) + 2),
-                               spec.tail_cutoff, -1)
+        lo = _truncation_point(lambda x: f(x) / (x - c), max(8.0, 2 * abs(c) + 2), -1)
     value, err = _pv_window(f, c, fc, lo, hi, 1.0, spec)
     value_half, err_half = _pv_window(f, c, fc, lo, hi, 0.5, spec)
     if tail is not None:

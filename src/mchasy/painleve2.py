@@ -5,13 +5,15 @@ data at s = 10 by a fixed-order Taylor method (Fornberg & Weideman 2011,
 J. Comput. Phys. 230), only as deep as their lookups reach.  The problem
 is ill-conditioned as |k| -> 1: the error grows like 1e-11/(1-|k|), which
 each solution carries as ``err_est``, and a solve whose estimate exceeds
-1e-6 raises ``ConvergenceError``.  The Hastings-McLeod edge |k| = 1 is a
-separatrix, solved as a two-point boundary value problem by Newton multiple
-shooting on the same Taylor steps, from a square-root/Airy guess, and
-memoized per process; k = -1 is its negation.  Both carry dense output for
-(v, v') as the Taylor step polynomials.  The tail integral Q(s) of v^2 is
-the Hamiltonian v'^2 - s v^2 - v^4, which has dQ/ds = -v^2 and Q -> 0 as
-s -> +inf (Tracy & Widom 1994, Commun. Math. Phys. 159), not integrated.
+1e-6 raises ``ConvergenceError``.  Every solve steps at the one tolerance
+``_RTOL`` for which that estimate was measured.  The Hastings-McLeod edge
+|k| = 1 is a separatrix, solved as a two-point boundary value problem by
+Newton multiple shooting on the same Taylor steps, from a square-root/Airy
+guess, and memoized per process by s_min; k = -1 is its negation.  Both
+carry dense output for (v, v') as the Taylor step polynomials.  The tail
+integral Q(s) of v^2 is the Hamiltonian v'^2 - s v^2 - v^4, which has
+dQ/ds = -v^2 and Q -> 0 as s -> +inf (Tracy & Widom 1994, Commun. Math.
+Phys. 159), not integrated.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ _H_MIN = 0.02       # a pole near the axis shrinks the step below this
 _DEN = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(_ORDER - 1))
 _NEWTON_MAX = 12    # Newton iterations of the Hastings-McLeod shooting
 _NEWTON_TOL = 1e-8  # an update this small leaves one more at rounding level
+_RTOL = 1e-16       # the last two Taylor terms of v, relative to the first two
+_HM_ERR = 1e-10     # error estimate of Hastings-McLeod, above its shooting jumps
 
 
 def _airy_data(k, s):
@@ -110,12 +114,11 @@ class _Taylor(_Steps):
     is raised again for every lookup below its right end.
     """
 
-    def __init__(self, k, tol):
+    def __init__(self, k):
         super().__init__()
         self.k = k
         # adding 0.0 turns a signed zero of k = 0 into +0.0
         self._state = tuple(x + 0.0 for x in _airy_data(k, _S_MAX)[:2])
-        self._rtol = max(1e-6 * tol, 1e-16)
         self._error = None
         self._lock = threading.Lock()
 
@@ -130,8 +133,7 @@ class _Taylor(_Steps):
 
     def _step(self):
         try:
-            row, s1, _b = _taylor_step(self.k, -self.neg_ends[-1], self._state,
-                                       self._rtol, _S_MIN_HARD)
+            row, s1, _b = _taylor_step(self.k, -self.neg_ends[-1], self._state, _S_MIN_HARD)
         except ConvergenceError as exc:
             self._error = exc
             return
@@ -160,13 +162,12 @@ class PIISolution:
 
     ``err_est`` is its estimated error relative to the scale of (v, v', Q),
     Q taken from (v, v') as the Hamiltonian:
-    1e-11/(1-|k|) for Ablowitz-Segur, min(tol, 1e-10) for Hastings-McLeod,
-    whose shooting residual is held below it.
+    1e-11/(1-|k|) for Ablowitz-Segur, ``_HM_ERR`` = 1e-10 for
+    Hastings-McLeod, whose shooting jumps are held below it.
     """
 
     k: float
     s_min: float
-    tol: float
     kind: str
     err_est: float
     _dense: _Steps | _Negated = field(repr=False)
@@ -191,24 +192,24 @@ def _taylor_coeffs(s0, v, vp):
     return a, b
 
 
-def _step_size(a, rtol):
-    """Largest h <= _H_MAX at which the last two terms of v are below rtol
-    times the size of the first two."""
+def _step_size(a):
+    """Largest h <= _H_MAX at which the last two terms of v are below
+    ``_RTOL`` times the size of the first two."""
     h = _H_MAX
     size = abs(a[0]) + abs(a[1])
     for j in (_ORDER - 1, _ORDER):
         if a[j]:
-            # the ratio first, so that a tiny k cannot underflow rtol*size
-            h = min(h, (rtol * (size / abs(a[j]))) ** (1.0 / j))
+            # the ratio first, so that a tiny k cannot underflow _RTOL*size
+            h = min(h, (_RTOL * (size / abs(a[j]))) ** (1.0 / j))
     return h
 
 
-def _taylor_step(k, s0, state, rtol, s_end):
+def _taylor_step(k, s0, state, s_end):
     """One backward Taylor step from the state (v, v') at s0, clipped to end
     on s_end: its row, its left end and b.  A pole near the axis that
     shrinks it below ``_H_MIN`` raises ``ConvergenceError``."""
     a, b = _taylor_coeffs(s0, *state)
-    h = _step_size(a, rtol)
+    h = _step_size(a)
     if h < _H_MIN:
         raise ConvergenceError(
             "Painleve II (k=%r): a pole near s=%.6g shrinks the Taylor "
@@ -236,13 +237,13 @@ def _variation(s0, b, t, d0, d1):
     return x * t + d[0], dx
 
 
-def _shoot(s0, s1, state, rtol, steps=None):
+def _shoot(s0, s1, state, steps=None):
     """Taylor steps of the k = 1 equation from the state (v, v') at s0
     back to s1, appended to ``steps`` if given: the state at s1 and the
     Jacobian of its (v, v') in the (v, v') at s0, as its two columns."""
     cols = ((1.0, 0.0), (0.0, 1.0))
     while s0 > s1:
-        row, s_next, b = _taylor_step(1.0, s0, state, rtol, s1)
+        row, s_next, b = _taylor_step(1.0, s0, state, s1)
         t = s_next - s0
         state = _horner(row, t)
         if steps is None:
@@ -254,7 +255,7 @@ def _shoot(s0, s1, state, rtol, steps=None):
     return state, cols
 
 
-def _solve_hastings_mcleod(s_min, tol):
+def _solve_hastings_mcleod(s_min):
     """Steps of the k = 1 solution with v(s_min) = sqrt(-s_min/2) and
     v(S) = Ai(S) at S = ``_S_MAX``.
 
@@ -264,10 +265,8 @@ def _solve_hastings_mcleod(s_min, tol):
     steps.  The unknowns are those (v, v') but v(S); the equations are
     the jumps at the inner nodes and the left condition.  Once an update is
     below ``_NEWTON_TOL``, the steps are taken once more, and their jumps
-    must be below the error estimate.
+    must be below the error estimate ``_HM_ERR``.
     """
-    rtol = max(1e-6 * tol, 1e-16)
-    err = min(tol, 1e-10)
     nodes = [_S_MAX]
     while nodes[-1] > s_min:
         nodes.append(max(nodes[-1] - 1.0, s_min))
@@ -285,7 +284,7 @@ def _solve_hastings_mcleod(s_min, tol):
         jac = np.zeros((2 * m - 1, 2 * m))
         for j in range(m):
             i = 2 * j
-            (v, vp), cols = _shoot(nodes[j], nodes[j + 1], (x[i], x[i + 1]), rtol, steps)
+            (v, vp), cols = _shoot(nodes[j], nodes[j + 1], (x[i], x[i + 1]), steps)
             if j < m - 1:
                 res[i:i + 2] = v - x[i + 2], vp - x[i + 3]
                 jac[i:i + 2, i:i + 2] = np.transpose(cols)
@@ -295,10 +294,10 @@ def _solve_hastings_mcleod(s_min, tol):
                 jac[i, i:i + 2] = cols[0][0], cols[1][0]
         if steps is not None:
             jump = np.abs(res).max()
-            if not jump <= err:
+            if not jump <= _HM_ERR:
                 raise ConvergenceError(
                     "Hastings-McLeod shooting: jumps of %.2g at the nodes, "
-                    "above %g" % (jump, err))
+                    "above %g" % (jump, _HM_ERR))
             return steps
         try:
             du = np.linalg.solve(jac[:, 1:], -res)
@@ -312,12 +311,12 @@ def _solve_hastings_mcleod(s_min, tol):
 
 
 @functools.lru_cache(maxsize=32)
-def _hastings_mcleod(s_min, tol):
+def _hastings_mcleod(s_min):
     """Dense output of the Hastings-McLeod solutions k = 1 and k = -1, from
     one solve, memoized per process: it does not depend on the scattering
     data.  Each s_min below -10 is a key of its own, and an entry is about
     37 steps of (v, v') pairs (0.11 MB), hence the bound."""
-    steps = _solve_hastings_mcleod(s_min, tol)
+    steps = _solve_hastings_mcleod(s_min)
     return steps, _Negated(steps)
 
 
@@ -348,7 +347,7 @@ def _as_error(k):
     return err
 
 
-def solve_pii(k: float, s_min: float = -10.0, tol: float = 1e-10) -> PIISolution:
+def solve_pii(k: float, s_min: float = -10.0) -> PIISolution:
     """Painleve II solution with v ~ k*Ai(s) as s -> +inf, k in [-1, 1].
 
     An Ablowitz-Segur solution is integrated down to s_min before it is
@@ -360,14 +359,14 @@ def solve_pii(k: float, s_min: float = -10.0, tol: float = 1e-10) -> PIISolution
     _check_domain(s_min)
     if _is_ablowitz_segur(k):
         err = _as_error(k)
-        dense = _Taylor(k, tol)
+        dense = _Taylor(k)
         dense.reach(s_min)
         kind = "ivp"
     else:
-        dense = _hastings_mcleod(s_min, tol)[k < 0]
+        dense = _hastings_mcleod(s_min)[k < 0]
         kind = "bvp"
-        err = min(tol, 1e-10)
-    return PIISolution(k=k, s_min=s_min, tol=tol, kind=kind, err_est=err, _dense=dense)
+        err = _HM_ERR
+    return PIISolution(k=k, s_min=s_min, kind=kind, err_est=err, _dense=dense)
 
 
 def eval_pii(sol: PIISolution, s: float):
@@ -389,11 +388,11 @@ def eval_pii(sol: PIISolution, s: float):
 
 
 class SolutionCache:
-    """Thread-safe memo of PIISolution keyed by (k, s_min, tol).
+    """Thread-safe memo of PIISolution keyed by (k, s_min).
 
     Ablowitz-Segur solutions (every |k| < 1) nest: their dense output steps
     back from ``_S_MAX`` only as deep as lookups reach, and takes the same
-    steps whatever s_min is.  So each (k, tol) gets one dense output, and
+    steps whatever s_min is.  So each k gets one dense output, and
     every s_min a PIISolution that shares it but keeps its own s_min, below
     which ``eval_pii`` still raises.  A scan whose deepest point is at
     s = -6 never integrates [-12, -6].  Hastings-McLeod solutions do not
@@ -406,8 +405,8 @@ class SolutionCache:
         self._taylors = {}
         self._lock = threading.Lock()
 
-    def get(self, k: float, s_min: float = -10.0, tol: float = 1e-10) -> PIISolution:
-        key = (round(float(k), 14), s_min, tol)
+    def get(self, k: float, s_min: float = -10.0) -> PIISolution:
+        key = (round(float(k), 14), s_min)
         with self._lock:
             sol = self._store.get(key)
         if sol is not None:
@@ -415,13 +414,13 @@ class SolutionCache:
         if _is_ablowitz_segur(k):
             _check_domain(s_min)
             with self._lock:
-                dense = self._taylors.get((key[0], tol))
+                dense = self._taylors.get(key[0])
                 if dense is None:
-                    dense = self._taylors[key[0], tol] = _Taylor(float(k), tol)
+                    dense = self._taylors[key[0]] = _Taylor(float(k))
             # the k of the first lookup, whose Airy data the steps start from
-            sol = PIISolution(k=dense.k, s_min=s_min, tol=tol, kind="ivp",
+            sol = PIISolution(k=dense.k, s_min=s_min, kind="ivp",
                               err_est=_as_error(dense.k), _dense=dense)
         else:
-            sol = solve_pii(k, s_min, tol)
+            sol = solve_pii(k, s_min)
         with self._lock:
             return self._store.setdefault(key, sol)

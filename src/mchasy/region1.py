@@ -33,8 +33,7 @@ class AsymptoticValue:
 
 def u_region1(point: SpaceTimePoint, data: ScatteringData,
               sol_cache: SolutionCache | None = None,
-              constants: RegionConstants = RegionConstants(),
-              tol: float = 1e-10) -> AsymptoticValue:
+              constants: RegionConstants = RegionConstants()) -> AsymptoticValue:
     """u = 1 - (81/2)^(1/3) t^(-2/3) v'(s) with v the Painleve II
     transcendent matched to r(1)*Ai."""
     if classify(point, constants) is not RegionTag.R_I:
@@ -45,7 +44,7 @@ def u_region1(point: SpaceTimePoint, data: ScatteringData,
         raise RealityError("r(1) must be real, got %r" % k)
     cache = sol_cache if sol_cache is not None else SolutionCache()
     s = scaled_s(point, RegionTag.R_I)
-    sol = cache.get(k.real, s_min=s_min_for(s), tol=tol)
+    sol = cache.get(k.real, s_min=s_min_for(s))
     v, vp, q = eval_pii(sol, s)
     u = 1.0 - _AMPL * point.t ** (-2.0 / 3.0) * vp
     return AsymptoticValue(u, RegionTag.R_I, _ERROR_ORDER,

@@ -125,8 +125,7 @@ def f_II(s: float, t: float, consts: Region2Constants) -> float:
 def u_region2(point: SpaceTimePoint, data: ScatteringData,
               sol_cache: SolutionCache | None = None,
               constants: RegionConstants = RegionConstants(),
-              spec: QuadratureSpec = QuadratureSpec(),
-              tol: float = 1e-10) -> AsymptoticValue:
+              spec: QuadratureSpec = QuadratureSpec()) -> AsymptoticValue:
     """u = 1 + 3^(-2/3) t^(-1/3) f_II(s, t) v_II(s)."""
     if classify(point, constants) is not RegionTag.R_II:
         raise RegionError("point (x=%g, t=%g) is not in the second zone"
@@ -138,7 +137,7 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
                                {"s": s, "short_circuit": True})
     consts = region2_constants(data, spec)
     cache = sol_cache if sol_cache is not None else SolutionCache()
-    sol = cache.get(consts.k_ampl, s_min=s_min_for(s), tol=tol)
+    sol = cache.get(consts.k_ampl, s_min=s_min_for(s))
     v, vp, q = eval_pii(sol, s)
     f = f_II(s, point.t, consts)
     u = 1.0 + 3.0 ** (-2.0 / 3.0) * point.t ** (-1.0 / 3.0) * f * v

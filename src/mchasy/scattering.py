@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import (AdmissibilityError, ConvergenceError, DomainError, MchasyError,
                      RealityError)
-from .numerics import QuadratureSpec, gauss_kronrod_rule
+from .numerics import _TAIL_CUTOFF, QuadratureSpec, gauss_kronrod_rule
 
 __all__ = [
     "ReflectionCoefficient",
@@ -172,9 +172,9 @@ class _Family(ReflectionCoefficient):
     def _half_array(self, y: np.ndarray) -> np.ndarray:
         return self.kappa_r * np.exp(-self.beta * y * y) * np.exp(1j * self.alpha * y)
 
-    def _log_grid(self, level: int, cutoff: float) -> _LogGrid:
+    def _log_grid(self, level: int) -> _LogGrid:
         """The uniform grid y_k = k*h, h = ln(2+sqrt(3))/(m+1/2), out to where
-        |r|^2 = kappa^2 exp(-2 beta y^2) falls below ``cutoff``.  Level 0 has
+        |r|^2 = kappa^2 exp(-2 beta y^2) falls below ``_TAIL_CUTOFF``.  Level 0 has
         m = 4 and each level refines h by a third (m -> 3m+1), which keeps
         both poles midway between nodes; the coarse rule is every third node
         with weight 3h, the grid of the level before."""
@@ -183,7 +183,8 @@ class _Family(ReflectionCoefficient):
             m = 3 * m + 1
         h = _Y_SADDLE / (m + 0.5)
         k2 = self.kappa_r ** 2
-        y_max = math.sqrt(math.log(k2 / cutoff) / (2.0 * self.beta)) if k2 > cutoff else 0.0
+        y_max = (math.sqrt(math.log(k2 / _TAIL_CUTOFF) / (2.0 * self.beta))
+                 if k2 > _TAIL_CUTOFF else 0.0)
         # a grid past _MAX_NODES is refused unused: allocate no more than that
         n = min(3 * (int(y_max / h) // 3 + 1), _MAX_NODES)
         k = np.arange(-n, n + 1)
@@ -247,14 +248,14 @@ class _Table(ReflectionCoefficient):
         tail = self._v_end * np.exp(-self.tail_rate * np.maximum(z - self._z_end, 0.0))
         return np.where(y <= self._knots[-1], self._re(y) + 1j * self._im(y), tail)
 
-    def _log_grid(self, level: int, cutoff: float) -> _LogGrid:
+    def _log_grid(self, level: int) -> _LogGrid:
         """Composite Gauss-Kronrod in y on the knot intervals (Pchip is only
         C^1, so its knots must be panel edges) and on the exponential tail out
-        to where |r|^2 falls below ``cutoff``, on both sides of y = 0.  Both
+        to where |r|^2 falls below ``_TAIL_CUTOFF``, on both sides of y = 0.  Both
         poles are panel edges.  Each level splits every panel into three; the
         coarse rule is the embedded Gauss rule."""
         v2 = abs(self._v_end) ** 2
-        decay = max(math.log(v2 / cutoff), 0.0) if v2 > 0.0 else 0.0
+        decay = max(math.log(v2 / _TAIL_CUTOFF), 0.0) if v2 > 0.0 else 0.0
         # tail panels two e-folds of |r|^2 wide, uniform in z
         tail = np.linspace(self._z_end, self._z_end + decay / (2.0 * self.tail_rate),
                            int(math.ceil(decay / 2.0)) + 1)
@@ -467,7 +468,7 @@ def log_transforms(data: ScatteringData,
     def build():
         best = None
         for level in itertools.count():
-            grid = r._log_grid(level, spec.tail_cutoff)
+            grid = r._log_grid(level)
             if grid.y.size > _MAX_NODES:
                 err = math.inf if best is None else best.err_est
                 raise ConvergenceError(

@@ -256,7 +256,9 @@ def region2_constants_adaptive(data, spec=QuadratureSpec()):
             * float(erfc(math.sqrt(2 * r.beta) * math.log(x)))
 
     def tail(lo, hi):
-        return -(tail_mass(hi) + tail_mass(abs(lo)))
+        # lg < 0 and |r| is even: lg/(z-c) ~ lg/z is negative far right and
+        # positive far left, so the two dropped masses nearly cancel
+        return tail_mass(abs(lo)) - tail_mass(hi)
 
     i1, i2 = (quad_real_line(lambda x, p=p: lg(x) / (x - 1j) ** p, spec).value
               for p in (1, 2))

@@ -551,8 +551,12 @@ class TestMalformedConfig:
         # no scan reads it: zone II's integrals are not adaptive quadratures
         ("[tolerances]\nmax_subdivisions = 4000\n",
          "tolerances.max_subdivisions: unknown key"),
+        # fixed: a looser value would change the answer but not its err_est
+        ("[tolerances]\npii_tol = 1e-10\n", "tolerances.pii_tol: unknown key"),
+        ("[tolerances]\ntail_cutoff = 1e-17\n", "tolerances.tail_cutoff: unknown key"),
     ], ids=["key_before_section", "no_delimiter", "empty_key", "repeated_section",
-            "repeated_key", "default_section", "unknown_key", "family", "max_subdivisions"])
+            "repeated_key", "default_section", "unknown_key", "family", "max_subdivisions",
+            "pii_tol", "tail_cutoff"])
     def test_one_line_exit_1(self, tmp_path, capsys, body, message):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(body)
@@ -590,6 +594,15 @@ class TestPiiInput:
         assert rows[-1].startswith("8.0,")
         assert rows[300].startswith("0.3,")
 
+    def test_tol_is_a_usage_error(self, capsys):
+        # the step tolerance is fixed: there is no --tol
+        with pytest.raises(SystemExit) as exc:
+            main(["pii", "--k", "0.5", "--s=0:1:0.5", "--tol", "1e-10"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol 1e-10" in captured.err
+
     def test_failed_solve_is_one_line(self, capsys):
         # the error estimate 1e-11/(1-|k|) is 1e-5 here, above the 1e-6 bound
         assert main(["pii", "--k", "0.999999", "--s=-1:0:1"]) == 2
@@ -612,6 +625,7 @@ class TestNonFinite:
         ("[scattering]\nbeta = inf\n", "scattering.beta"),
         ("[regions]\nc2 = inf\n", "regions.c2"),
         ("[shock]\nq = nan\n", "shock.q"),
+        # keys no config may set: refused as unknown, still by name
         ("[tolerances]\nmax_subdivisions = inf\n", "tolerances.max_subdivisions"),
         ("[tolerances]\npii_tol = nan\n", "tolerances.pii_tol"),
         ("[scattering]\nbeta = 1e308\n", "scattering"),   # the family's own bound

@@ -54,7 +54,6 @@ VALID = {
     ("shock", "q"): st.one_of(floats(0.5, 3), extreme),
     ("scan", "t"): st.sampled_from(("1e6", "1e4, 1e8", "1e12")),
     ("tolerances", "abs_tol"): st.sampled_from(("1e-12", "1e-10")),
-    ("tolerances", "pii_tol"): st.sampled_from(("1e-10", "1e-8")),
     ("output", "format"): st.sampled_from(("csv", "json")),
 }
 MALFORMED = {

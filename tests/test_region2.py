@@ -128,8 +128,7 @@ class TestURegion2:
         res = u_region2(pt, data, cache)
         tight = ScatteringData(data.r, one_pair_spectrum)
         res_tight = u_region2(pt, tight, cache,
-                              spec=QuadratureSpec(1e-13, 1e-13, 8000, 1e-18),
-                              tol=1e-11)
+                              spec=QuadratureSpec(1e-13, 1e-13, 8000))
         assert res.u == pytest.approx(res_tight.u, abs=1e-6)
         assert res.error_order == pytest.approx(-14 / 27)
         k = res.diagnostics["k"]
@@ -220,7 +219,7 @@ class TestLogTransforms:
         # the oracle runs tighter than the default spec: at the default one its
         # principal values alone are off by up to 3e-11
         want = region2_constants_adaptive(ScatteringData(data.r, data.spectrum),
-                                          QuadratureSpec(1e-14, 1e-14, 20000, 1e-20))
+                                          QuadratureSpec(1e-14, 1e-14, 20000))
         for name, value in want.items():
             assert abs(getattr(got, name) - value) <= 1e-10, name
 

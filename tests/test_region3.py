@@ -394,11 +394,17 @@ class TestG:
         gm0 = sided(lambda z: g_eval(geom, z), k0, -d)
         assert abs(gp0 - gm0 - geom.A1) < 1e-8
 
-    def test_exact_sided_match_continuation(self, geom):
-        d = 1e-3 * (geom.b - geom.a)
-        km = 0.5 * (geom.a + geom.b)
-        assert abs(g_eval(geom, km, side="+")
-                   - sided(lambda z: g_eval(geom, z), km, d)) < 1e-9
+    @pytest.mark.parametrize("side", ["+", "-"])
+    @pytest.mark.parametrize("piece", ["outside_left", "left_cut", "gap", "right_cut"])
+    def test_exact_sided_match_continuation(self, geom, piece, side):
+        # each real piece of g_eval against the continuation from that side;
+        # left of -b, off the jump contour, both sides give the one value
+        a, b = geom.a, geom.b
+        x = {"outside_left": -1.5 * b, "left_cut": -0.5 * (a + b), "gap": 0.5 * a,
+             "right_cut": 0.5 * (a + b)}[piece]
+        d = 1e-3 * (b - a) * (1.0 if side == "+" else -1.0)
+        assert abs(g_eval(geom, x, side=side)
+                   - sided(lambda z: g_eval(geom, z), x, d)) < 1e-9
 
     def test_stationary_at_band_edges(self, geom):
         # g' ~ sqrt(distance to edge) -> 0; one-sided differences from
