@@ -358,15 +358,17 @@ def _pv_window(f, c, fc, lo, hi, scale, spec):
 # ----------------------------------------------------------------------
 
 _ROOT_MAX_ITER = 200
+# find_root's stopping tolerance, absolute
+_ROOT_TOL = 1e-15
 
 
-def find_root(g: Callable, dg: Callable, lo: float, hi: float, tol: float = 1e-13) -> float:
+def find_root(g: Callable, dg: Callable, lo: float, hi: float) -> float:
     """Bracketed Newton root of ``g`` on [lo, hi]; ``dg`` is its derivative.
 
     Requires a sign change.  A Newton step is taken when it lands strictly
     inside the current bracket, a bisection otherwise; stops when
-    |g(root)| <= tol or the bracket width or the step falls below tol
-    (absolute).
+    |g(root)| <= ``_ROOT_TOL`` or the bracket width or the step falls below
+    it (absolute).
     """
     glo, ghi = g(lo), g(hi)
     if glo == 0.0:
@@ -384,12 +386,12 @@ def find_root(g: Callable, dg: Callable, lo: float, hi: float, tol: float = 1e-1
             x_new = 0.5 * (a + b)
         step, x = abs(x_new - x), x_new
         gx = g(x)
-        if abs(gx) <= tol or (b - a) <= tol or step <= tol:
+        if abs(gx) <= _ROOT_TOL or (b - a) <= _ROOT_TOL or step <= _ROOT_TOL:
             return x
         if ga * gx <= 0:
             b = x
         else:
             a, ga = x, gx
-    if abs(gx) <= 100 * tol or (b - a) <= 100 * tol:
+    if abs(gx) <= 100 * _ROOT_TOL or (b - a) <= 100 * _ROOT_TOL:
         return x
     raise ConvergenceError("find_root exhausted %d iterations" % _ROOT_MAX_ITER, best=x)

@@ -23,6 +23,7 @@ the expansion-coefficient fit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -188,17 +189,30 @@ def _inv_w_on(a, b, lo, hi) -> float:
 # Band endpoints
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _band_samples(p: float, q: float) -> tuple[tuple, tuple]:
+    """The bracket ends of ``solve_band`` and the band integral at the first
+    five, which depend on (p, q) alone: once per (p, q), as every point of a
+    scan shares them.  A BranchError is not cached, so it is raised again at
+    every point."""
+    a_max = math.sqrt(p / (3.0 * q))
+    radius2 = 2.0 * p / (3.0 * q)
+    ends = [f * a_max for f in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-9)] + [a_max * (1 - 1e-12)]
+    samples = [_j_band(a, math.sqrt(radius2 - a * a)) for a in ends[:5]]
+    if any(s1 <= s2 for s1, s2 in zip(samples, samples[1:])):
+        raise BranchError("band integral is not decreasing in a: %r" % samples)
+    return tuple(ends), tuple(samples)
+
+
 def solve_band(params: ShockParams) -> tuple[float, float]:
     """Solve a^2 + b^2 = 2p/(3q) together with the band-area equation.
 
     One-parameter bracketed Newton root in a on the closed-form band
-    integral, whose monotonicity in a is spot-checked.  Along the circle,
-    dJ_band/da = -a (b^2 - a^2) K_band: the integrand's derivative is
-    -a (b^2 - a^2)/|w| and it vanishes at both ends.
+    integral, whose monotonicity in a is spot-checked (``_band_samples``).
+    Along the circle, dJ_band/da = -a (b^2 - a^2) K_band: the integrand's
+    derivative is -a (b^2 - a^2)/|w| and it vanishes at both ends.
     """
-    p, q = params.p, params.q
-    a_max = math.sqrt(p / (3.0 * q))
-    radius2 = 2.0 * p / (3.0 * q)
+    radius2 = 2.0 * params.p / (3.0 * params.q)
 
     def b_of(a):
         return math.sqrt(radius2 - a * a)
@@ -211,18 +225,15 @@ def solve_band(params: ShockParams) -> tuple[float, float]:
         return -a * (b - a) * (b + a) * _k_band(a, b)
 
     rhs = params.band_rhs
-    ends = [f * a_max for f in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-9)] + [a_max * (1 - 1e-12)]
-    samples = [area(a) for a in ends[:5]]
+    ends, samples = _band_samples(params.p, params.q)
     attainable = samples[0]
-    if any(s1 <= s2 for s1, s2 in zip(samples, samples[1:])):
-        raise BranchError("band integral is not decreasing in a: %r" % samples)
     if not 0.0 < rhs < attainable:
         raise WindowError(
             "band equation RHS %.6g outside attainable range (0, %.6g); the "
             "point is not in a valid shock regime for this data" % (rhs, attainable))
     # the root lies past the last sample above rhs and before the next one
     i = sum(v > rhs for v in samples) - 1
-    a = find_root(lambda x: area(x) - rhs, slope, ends[i], ends[i + 1], tol=1e-15)
+    a = find_root(lambda x: area(x) - rhs, slope, ends[i], ends[i + 1])
     b = b_of(a)
     # the band integral grows like (p/q)^(3/2), so the bound is relative to
     # the RHS above 1; at p = q = 1 the RHS is about 0.1 and the bound 1e-12
@@ -545,8 +556,9 @@ def _nu(geom: ShockGeometry, k: complex, side: str | None) -> complex:
 
 
 def _check_poles(geom: ShockGeometry, s, val) -> None:
-    small = np.flatnonzero(np.abs(val) < 1e-12 * geom.theta0)
-    if small.size:
+    mag, bound = np.abs(val), 1e-12 * geom.theta0
+    if mag.min() < bound:
+        small = np.flatnonzero(mag < bound)
         raise PoleOfSolutionError("theta denominator vanished",
                                   point=complex(np.ravel(s)[small[0]]))
 
@@ -582,14 +594,16 @@ def nr7_matrix(geom: ShockGeometry, k, side: str | None = None) -> np.ndarray:
 
 # the slices of ``ShockGeometry.theta_pass``: Theta at A_inf - kap/4 and
 # -A_inf - kap/4 and at both shifted by phi/pi; then the gate's nine sample
-# pairs, shifted first
+# pairs, the shifted values (_GATE_NUM) before the others (_GATE_DEN)
 _EXPANSION = slice(1, 5)
 _GATE = slice(5, 23)
+_GATE_NUM, _GATE_DEN = slice(5, 14), slice(14, 23)
 # the gate's sample points, in units of ``ShockGeometry.gate_unit``, and the
-# pseudo-inverse of its cubic Laurent design in 1/k in those units
+# rows of the pseudo-inverse of its cubic Laurent design in 1/k in those
+# units that give the two coefficients the gate compares
 _NR7_KS = np.array([1e2, 2e2, 3e2, 5e2, 1e3, 2e3, 5e3, 1e4])
 _NR7_PINV = np.linalg.pinv(np.vstack([np.ones_like(_NR7_KS), 1.0 / _NR7_KS,
-                                      1.0 / _NR7_KS ** 2, 1.0 / _NR7_KS ** 3]).T)
+                                      1.0 / _NR7_KS ** 2, 1.0 / _NR7_KS ** 3]).T)[:2]
 
 
 def _expansion_terms(geom: ShockGeometry):
@@ -625,16 +639,16 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
     s, th, _ = geom.theta_pass
     _check_poles(geom, s[_GATE], th[_GATE])
-    num, den = np.split(th[_GATE], 2)
-    r = num / den
+    r = th[_GATE_NUM] / th[_GATE_DEN]
     vals = -cmath.exp(1j * geom.phi) * (nu - 1.0 / nu) / 2j * r[:-1] / r[-1]
+    c0, c1 = _NR7_PINV @ (vals * ks)
     # the fit is in 1/k in units of ``unit``: its 1/k coefficient scales by it
-    coef = _NR7_PINV @ (vals * ks) * [1.0, unit, 1.0, 1.0]
-    if not (abs(coef[0] - n1_12) <= 1e-5 * max(1.0, abs(n1_12))
-            and abs(coef[1] - n2_12) <= 1e-5 * max(1.0, abs(n2_12))):
+    c1 *= unit
+    if not (abs(c0 - n1_12) <= 1e-5 * max(1.0, abs(n1_12))
+            and abs(c1 - n2_12) <= 1e-5 * max(1.0, abs(n2_12))):
         raise ConventionError(
             "Laurent fit %r, %r disagrees with closed forms %r, %r"
-            % (coef[0], coef[1], n1_12, n2_12))
+            % (c0, c1, n1_12, n2_12))
     return complex(n1_12), complex(n2_12)
 
 

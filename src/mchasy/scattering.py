@@ -359,35 +359,58 @@ class SymmetryReport:
     max_modulus_excess: float
     spectrum_violations: dict
     log_integrability: float
-    tol: float
 
     @property
     def passed(self) -> bool:
         worst = max(self.max_negation_violation, self.max_inversion_violation,
                     self.max_modulus_excess, *(self.spectrum_violations.values() or [0.0]))
-        return worst <= self.tol and math.isfinite(self.log_integrability)
+        return worst <= _SYMMETRY_TOL and math.isfinite(self.log_integrability)
 
 
+# every violation in a report that passes is at most this
+_SYMMETRY_TOL = 1e-10
 # probes of check_symmetries: the symmetries of r, and the integrability of
 # log(1-|r|^2) against 1/(1+|z|)
 _SYMMETRY_PROBES = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 2.0, 2 + math.sqrt(3)]])
 _INTEGRABILITY_PROBES = np.geomspace(1e-3, 1e3, 200)
 
 
-def check_symmetries(data: ScatteringData, tol: float = 1e-12) -> SymmetryReport:
+def _probe_gaps(data: ScatteringData) -> tuple[float, float]:
+    """(inversion violation, modulus excess) at ``_SYMMETRY_PROBES`` from one
+    r evaluation, memoized per data; the inversion violation includes
+    ``r.inversion_defect``.  These are the only parts of
+    ``SymmetryReport.passed`` that construction does not guarantee: r(-z) =
+    -conj r(z) holds exactly, the integrability proxy is clamped finite and
+    ``DiscreteSpectrum`` refuses a spectrum that would fail.
+    """
+    def build():
+        r, zs = data.r, _SYMMETRY_PROBES
+        vals = r(np.concatenate([zs, 1.0 / zs]))
+        rz, r_inv = vals[:zs.size], vals[zs.size:]
+        inv = max(float(np.abs(r_inv - rz.conj()).max()), r.inversion_defect)
+        return inv, float((np.abs(rz) - 1.0).max(initial=0.0))
+
+    return data._memo("probe_gaps", build)
+
+
+def _symmetries_pass(data: ScatteringData) -> bool:
+    """``check_symmetries(data).passed``, from ``_probe_gaps`` alone."""
+    return max(_probe_gaps(data)) <= _SYMMETRY_TOL
+
+
+def check_symmetries(data: ScatteringData) -> SymmetryReport:
     """Sample a fixed grid and report the worst violation of each symmetry.
 
-    r is evaluated once, on all probes together.  The inversion violation
-    includes ``r.inversion_defect``, the gap of a table's data on the side
-    of z = 1 that its interpolant is not built from.
+    The inversion violation and the modulus excess are ``_probe_gaps``; r
+    is evaluated once more, on the negated probes and the integrability
+    probes together.
     """
     r = data.r
     zs, probes = _SYMMETRY_PROBES, _INTEGRABILITY_PROBES
-    vals = r(np.concatenate([zs, -zs, 1.0 / zs, probes]))
-    rz, r_neg, r_inv, r_probes = np.split(vals, [zs.size, 2 * zs.size, 3 * zs.size])
+    inv, mod = _probe_gaps(data)
+    vals = r(np.concatenate([zs, -zs, probes]))
+    rz, r_neg, r_probes = vals[:zs.size], vals[zs.size:2 * zs.size], vals[2 * zs.size:]
     neg = float(np.abs(r_neg + rz.conj()).max())
-    inv = max(float(np.abs(r_inv - rz.conj()).max()), r.inversion_defect)
-    mod = float((np.abs(rz) - 1.0).max(initial=0.0))
     spec_v = {}
     for z in data.spectrum.representatives:
         spec_v["unit circle"] = max(spec_v.get("unit circle", 0.0), abs(abs(z) - 1.0))
@@ -400,7 +423,7 @@ def check_symmetries(data: ScatteringData, tol: float = 1e-12) -> SymmetryReport
     # crude integrability probe of log(1-|r|^2) against 1/(1+|z|)
     m2 = np.abs(r_probes) ** 2
     total = float((np.abs(np.log(np.maximum(1.0 - m2, 1e-300))) / (1.0 + probes)).sum())
-    return SymmetryReport(neg, inv, mod, spec_v, total, tol)
+    return SymmetryReport(neg, inv, mod, spec_v, total)
 
 
 def _blaschke(data: ScatteringData, z: complex) -> complex:

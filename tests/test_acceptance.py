@@ -260,7 +260,7 @@ def test_14_symmetry_suite():
         alpha = float(rng.uniform(-2, 2))
         beta = float(rng.uniform(0.05, 2))
         data = ScatteringData(ReflectionCoefficient.family(kappa, alpha, beta))
-        rep = check_symmetries(data, tol=1e-12)
+        rep = check_symmetries(data)
         worst = max(worst, rep.max_negation_violation,
                     rep.max_inversion_violation, rep.max_modulus_excess)
         za, zb = 2 + math.sqrt(3), 2 - math.sqrt(3)

@@ -710,6 +710,75 @@ def test_check_runs_symmetry_check_once(tmp_path, capsys):
         "PASS\n")
 
 
+class TestSymmetryRefusal:
+    """A scan checks only the inversion gap and the modulus excess; the
+    configs it refuses, and the bytes it prints for them, are those of the
+    full report that it used to build on every request."""
+
+    SCAN = "[scan]\nt = 1e6\nxi = 0.5:0.6:2\n"
+    VIOLATED = ("scattering symmetries violated: negation 0, inversion %s, "
+                "modulus excess %s, spectrum {}")
+    REPORT = ("negation symmetry violation: 0.000e+00\n"
+              "inversion symmetry violation: %s\n"
+              "modulus excess: %s\n"
+              "log(1-|r|^2) integrability proxy: %s\n"
+              "%s\n")
+
+    @staticmethod
+    def table(tmp_path, grid, vals):
+        import numpy as np
+        path = tmp_path / "r.csv"
+        np.savetxt(path, np.column_stack([grid, np.real(vals), np.imag(vals)]), delimiter=",")
+        return "[scattering]\ntable_path = %s\n" % path
+
+    def flipped_knot(self, tmp_path):
+        # the table of test_scattering's test_tabulated_defect_reported: the
+        # knot nearest z = 2, on the side the interpolant does not use, negated
+        import numpy as np
+        grid = np.geomspace(1 / 8.0, 8.0, 61)
+        vals = 0.3 * np.exp(-np.log(grid) ** 2)
+        vals[int(np.argmin(np.abs(grid - 2.0)))] *= -1
+        return self.table(tmp_path, grid, vals)
+
+    def off_the_disk(self, tmp_path):
+        # |r| = 1 at every knot, but Re r and Im r are interpolated apart:
+        # between the middle knots both stay near 1 and |r| reaches 1.22
+        import numpy as np
+        return self.table(tmp_path, np.exp([1.0, 1.01, 2.0, 2.01]), [-1j, 1, 1j, -1])
+
+    @pytest.mark.parametrize("scattering, gaps, report", [
+        # a family's inversion gap is rounding in ln z times alpha
+        ("[scattering]\nkappa_r = 0.5\nalpha = 1e7\n", ("4.26e-10", "0"),
+         ("4.257e-10", "0.000e+00", "2.48859")),
+        ("flipped_knot", ("0.371", "0"), ("3.711e-01", "0.000e+00", "0.77113")),
+        ("off_the_disk", ("6.11e-16", "0.222"), ("6.106e-16", "2.219e-01", "9686.56")),
+    ], ids=["family_alpha_1e7", "flipped_knot_table", "table_off_the_disk"])
+    def test_refused_with_the_full_report(self, tmp_path, capsys, scattering, gaps, report):
+        if not scattering.startswith("["):
+            scattering = getattr(self, scattering)(tmp_path)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(scattering + self.SCAN)
+        assert main(["scan", "--strict", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: scattering: %s\n" % (self.VIOLATED % gaps)
+        assert main(["check", "--strict", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == self.REPORT % (report + ("FAIL",))
+        assert captured.err == "warning: %s\n" % (self.VIOLATED % gaps)
+
+    def test_family_alpha_1e5_passes_without_the_report(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scattering]\nkappa_r = 0.5\nalpha = 1e5\n" + self.SCAN)
+        with mock.patch.object(cli, "check_symmetries", wraps=cli.check_symmetries) as spy:
+            assert main(["scan", "--strict", "--config", str(cfg_path)]) == 0
+        assert spy.call_count == 0
+        assert capsys.readouterr().err == ""
+        assert main(["check", "--strict", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == self.REPORT % ("4.152e-12", "0.000e+00", "2.48859",
+                                                         "PASS")
+
+
 # scipy.interpolate and scipy.integrate each pull in scipy.linalg, .optimize
 # and .sparse: tables import the first on construction, and nothing loads the
 # second (Hastings-McLeod is solved on the Taylor stepper); configs are read

@@ -162,6 +162,60 @@ class TestSolveBand:
         assert b2 == pytest.approx(mu * geom.b, abs=1e-10)
 
 
+class TestBandSamples:
+    """``solve_band`` samples the band integral once per (p, q)."""
+
+    @staticmethod
+    def params(w, p=1.7, q=1.3, t=1e6):
+        return ShockParams(p=p, q=q, xi=2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3),
+                           t=t, C_R=1.0)
+
+    def test_five_fewer_j_band_calls_after_the_first_point(self):
+        region3._band_samples.cache_clear()
+        counts, ends = [], []
+        for w in (3.0, 3.0, 4.5):
+            with mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
+                ends.append(solve_band(self.params(w)))
+            counts.append(counted.call_count)
+        assert counts[0] - counts[1] == 5
+        assert ends[0] == ends[1]
+        region3._band_samples.cache_clear()
+        with mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
+            assert solve_band(self.params(4.5)) == ends[2]
+        assert counted.call_count == counts[2] + 5
+
+    def test_branch_error_on_every_point(self):
+        # lru_cache keeps no exception: a (p, q) whose samples do not
+        # decrease fails at every point alike
+        region3._band_samples.cache_clear()
+        messages = []
+        with mock.patch.object(region3, "_j_band", return_value=0.5):
+            for w in (3.0, 3.0, 4.5):
+                with pytest.raises(BranchError, match="not decreasing") as info:
+                    solve_band(self.params(w))
+                messages.append(str(info.value))
+        assert messages == [messages[0]] * 3
+        assert region3._band_samples.cache_info().currsize == 0
+
+    # (t, w, p, q) and repr(u) for gen_data, as computed before the samples
+    # were shared across points
+    RECORDED = [
+        ((1e6, 3.0, 1.0, 1.0), "0.9999863744166393"),
+        ((1e8, 4.2, 3.0, 2.0), "0.9999955456446701"),
+        ((1e4, 5.5, 1e4, 1.0), "1.0004329319065792"),
+        ((1e10, 3.5, 1.0, 1e4), "1.0000005036561856"),
+        ((1e5, 4.8, 1e4, 1e4), "1.0002073435819467"),
+        ((1e7, 2.96, 0.5, 1e3), "0.9999868287864845"),
+    ]
+
+    def test_u_unchanged(self, gen_data):
+        region3._band_samples.cache_clear()
+        for _ in range(2):      # the first pass fills the samples, the second reads them
+            for (t, w, p, q), want in self.RECORDED:
+                xi = 2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3)
+                assert repr(u_region3(SpaceTimePoint(xi * t, t), gen_data, p, q).u) == want
+
+
 class TestPeriods:
     def test_structure(self, geom):
         assert geom.B1.imag == pytest.approx(0.0, abs=1e-13)
@@ -523,6 +577,21 @@ class TestNr7:
             nr7_coeffs(fresh)
         with pytest.raises(PoleOfSolutionError):
             u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data)
+
+    def test_one_vanishing_gate_value_is_named(self, geom, monkeypatch):
+        real = region3.jacobi_theta
+        last = region3._GATE.stop - 1
+
+        def zero_at_last(s, p, order=0):
+            th, dth = real(s, p, order)
+            th[last] = 0.0
+            return th, dth
+
+        monkeypatch.setattr(region3, "jacobi_theta", zero_at_last)
+        fresh = dataclasses.replace(geom)
+        with pytest.raises(PoleOfSolutionError) as info:
+            nr7_coeffs(fresh)
+        assert info.value.point == fresh.theta_pass[0][last]
 
     def test_expansion_points_tested_without_validation(self, geom, monkeypatch):
         # the expansion terms test their own theta values, not only the gate

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from mchasy import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
                     check_symmetries, log_T_i, t_i_and_t1)
-from mchasy.errors import AdmissibilityError, ConvergenceError, DomainError
-from mchasy.scattering import _blaschke
+from mchasy.cli import parse_config
+from mchasy.errors import AdmissibilityError, ConfigError, ConvergenceError, DomainError
+from mchasy.scattering import _blaschke, _symmetries_pass
 
 from conftest import full_line_t_at_i, symmetry_loop
 
@@ -202,7 +203,7 @@ class TestCheckSymmetries:
         _table(1.0001, 30.0, 50),     # one-sided: no knot below z = 1
     ])
     def test_matches_scalar_loop(self, r):
-        report = check_symmetries(ScatteringData(r), tol=1e-12)
+        report = check_symmetries(ScatteringData(r))
         neg, inv, mod, total = symmetry_loop(r)
         assert report.max_negation_violation == pytest.approx(neg, rel=1e-12, abs=1e-16)
         assert report.max_inversion_violation == pytest.approx(inv, rel=1e-12, abs=1e-16)
@@ -213,19 +214,26 @@ class TestCheckSymmetries:
         ReflectionCoefficient.family(-1.0, 0.7, 0.05),
         _table(0.1, 4.0, 40),
     ])
-    def test_one_r_evaluation(self, r):
+    def test_two_r_evaluations_then_one(self, r):
+        # one array evaluation fills the probe memo that a scan reads, one
+        # more makes the rest of the report; a second report reuses the memo
+        data = ScatteringData(r)
         real = ReflectionCoefficient.__call__
         with mock.patch.object(ReflectionCoefficient, "__call__", autospec=True,
                                side_effect=real) as spy:
-            check_symmetries(ScatteringData(r), tol=1e-12)
-        assert spy.call_count == 1
-        assert isinstance(spy.call_args.args[1], np.ndarray)
+            first = check_symmetries(data)
+            assert spy.call_count == 2
+            assert check_symmetries(data) == first
+        assert spy.call_count == 3
+        assert all(isinstance(call.args[1], np.ndarray) for call in spy.call_args_list)
 
     def test_family_passes_to_machine(self):
         for kappa, alpha, beta in ((0.5, 0.0, 1.0), (-1.0, 0.0, 0.5), (0.9, 2.0, 0.2)):
             data = ScatteringData(ReflectionCoefficient.family(kappa, alpha, beta))
-            report = check_symmetries(data, tol=1e-12)
+            report = check_symmetries(data)
             assert report.passed
+            assert max(report.max_negation_violation, report.max_inversion_violation,
+                       report.max_modulus_excess) <= 1e-14
 
     def test_tabulated_defect_reported(self):
         grid = np.geomspace(1 / 8.0, 8.0, 61)
@@ -233,7 +241,7 @@ class TestCheckSymmetries:
         i2 = int(np.argmin(np.abs(grid - 2.0)))
         vals[i2] = -vals[i2]
         data = ScatteringData(ReflectionCoefficient.tabulated(grid, vals))
-        report = check_symmetries(data, tol=1e-12)
+        report = check_symmetries(data)
         assert not report.passed
         # the flipped sign shows up as ~2|r(2)| in the inversion defect
         assert report.max_inversion_violation == pytest.approx(
@@ -242,6 +250,67 @@ class TestCheckSymmetries:
     def test_spectrum_invariant_named(self):
         with pytest.raises(DomainError, match="unit circle"):
             DiscreteSpectrum([0.9 * cmath.exp(-1j * math.pi / 3)])
+
+
+class TestWhatTheScanTrusts:
+    """A scan checks only the inversion gap and the modulus excess at the
+    probes (``scattering._symmetries_pass``); the rest of a symmetry report
+    holds by construction."""
+
+    @staticmethod
+    def assert_scan_agrees(data):
+        report = check_symmetries(data)
+        assert report.max_negation_violation == 0.0
+        assert math.isfinite(report.log_integrability)
+        assert _symmetries_pass(data) == report.passed
+        return report
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-3.0, 9.0), st.sampled_from([1.0, -1.0]),
+           st.floats(-3.0, 3.0))
+    def test_family(self, kappa, log_alpha, sign, log_beta):
+        alpha, beta = sign * 10.0 ** log_alpha, 10.0 ** log_beta
+        report = self.assert_scan_agrees(
+            ScatteringData(ReflectionCoefficient.family(kappa, alpha, beta)))
+        # the scan's refusal under --strict is the same verdict
+        text = "[scattering]\nkappa_r = %r\nalpha = %r\nbeta = %r\n" % (kappa, alpha, beta)
+        if report.passed:
+            parse_config(text, strict=True)
+        else:
+            with pytest.raises(ConfigError, match="symmetries violated"):
+                parse_config(text, strict=True)
+
+    # Pchip's slopes overflow, with a warning, where the knots' real or
+    # imaginary parts come near the smallest doubles: kappa and alpha stay off
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["mirrored", "two-sided", "one-sided"]), st.floats(1.1, 50.0),
+           st.floats(0.02, 0.9), st.integers(4, 80),
+           st.floats(-1.0, 1.0).filter(lambda k: k == 0.0 or abs(k) >= 1e-12),
+           st.floats(-2.0, 2.0).filter(lambda a: a == 0.0 or abs(a) >= 1e-12),
+           st.floats(0.05, 2.0),
+           st.sampled_from([0.0, 1e-14, 1e-11, 1e-9, 1e-4]), st.integers(0, 2 ** 32 - 1))
+    def test_table(self, kind, hi, lo, n, kappa, alpha, beta, noise, seed):
+        # a family sampled on a grid, the knots perturbed by up to ``noise``;
+        # the knots below z = 1 of a mirrored grid sit where the interpolant
+        # is built, those of a two-sided one between its knots
+        lo = {"mirrored": 1.0 / hi, "two-sided": lo, "one-sided": 1.0}[kind]
+        grid = np.geomspace(lo, hi, n)
+        vals = kappa * np.exp(-beta * np.log(grid) ** 2) * grid ** (1j * alpha)
+        vals *= 1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        vals /= np.maximum(np.abs(vals), 1.0)
+        self.assert_scan_agrees(ScatteringData(ReflectionCoefficient.tabulated(grid, vals)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 0.5 * math.pi), st.floats(-2e-12, 2e-12)),
+                    min_size=1, max_size=3))
+    def test_constructed_spectrum_within_1e_12(self, reps):
+        try:
+            spectrum = DiscreteSpectrum([(1.0 + eps) * cmath.exp(-1j * th) for th, eps in reps])
+        except DomainError:
+            return      # refused: no data carries it
+        data = ScatteringData(ReflectionCoefficient.family(0.5), spectrum)
+        report = self.assert_scan_agrees(data)
+        assert max(report.spectrum_violations.values()) <= 1e-12
 
 
 class TestMemo:
