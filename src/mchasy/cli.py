@@ -13,18 +13,10 @@ Config files are flat INI-style key/value text with typed sections::
     c2 = 1.0
     c3 = 5.769
 
-    [shock]
-    p = 1.0
-    q = 1.0
-
     [scan]
     t = 1e6
     s = -2:2:9                 # or: xi = lo:hi:n, or: w = lo:hi:n (shock window)
     grid_region = 1            # which zone's scaling maps s to x
-
-    [tolerances]
-    abs_tol = 1e-12
-    rel_tol = 1e-12
 
     [output]
     path = out.csv
@@ -62,7 +54,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import ConfigError, DomainError, MchasyError
-from .numerics import QuadratureSpec
 from .painleve2 import SolutionCache, eval_pii, solve_pii
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
 from .region1 import u_region1
@@ -79,9 +70,7 @@ _MAX_GRID = 10 ** 6     # points of a lo:hi:n grid, as many as `mchasy pii` has 
 _KEYS = {
     "scattering": {"kappa_r", "alpha", "beta", "table_path", "tail_rate", "spectrum"},
     "regions": {"c1", "c2", "c3"},
-    "shock": {"p", "q"},
     "scan": {"t", "s", "xi", "w", "grid_region"},
-    "tolerances": {"abs_tol", "rel_tol"},
     "output": {"path", "format"},
 }
 _INLINE_COMMENT = re.compile(r"\s[#;]")
@@ -95,9 +84,6 @@ class RunConfig:
 
     data: ScatteringData
     constants: RegionConstants
-    spec: QuadratureSpec
-    p: float
-    q: float
     times: list[float]
     grid_kind: str          # s, xi or w
     grid: list[float]
@@ -270,10 +256,6 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     except DomainError as exc:      # c1 and c2 are positive: the c3 bound failed
         raise ConfigError(str(exc), key="regions.c3") from exc
 
-    sh = sections.get("shock", {})
-    p = _getfloat(sh, "p", 1.0, "shock.p", positive=True)
-    q = _getfloat(sh, "q", 1.0, "shock.q", positive=True)
-
     sn = sections.get("scan", {})
     times = _parse_grid(sn.get("t", "1e6"), "scan.t")
     for t in times:
@@ -287,10 +269,6 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     grid_region = sn.get("grid_region", "1")
     if grid_region not in ("1", "2"):
         raise ConfigError("grid_region must be 1 or 2", key="scan.grid_region")
-
-    tl = sections.get("tolerances", {})
-    abs_tol = _getfloat(tl, "abs_tol", 1e-12, "tolerances.abs_tol", positive=True)
-    rel_tol = _getfloat(tl, "rel_tol", 1e-12, "tolerances.rel_tol", positive=True)
 
     ot = sections.get("output", {})
     fmt = ot.get("format", "csv")
@@ -309,8 +287,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         if strict:
             raise ConfigError(msg, key="scattering")
         warnings.append(msg)
-    return RunConfig(data=data, constants=constants, spec=QuadratureSpec(abs_tol, rel_tol),
-                     p=p, q=q, times=times, grid_kind=kind, grid=grid,
+    return RunConfig(data=data, constants=constants, times=times, grid_kind=kind, grid=grid,
                      grid_region=int(grid_region), path=ot.get("path", "-"), format=fmt,
                      warnings=warnings)
 
@@ -340,9 +317,9 @@ def _eval_point(cfg, cache, x, t):
         if tag is RegionTag.R_I:
             res = u_region1(point, cfg.data, cache, cfg.constants)
         elif tag is RegionTag.R_II:
-            res = u_region2(point, cfg.data, cache, cfg.constants, cfg.spec)
+            res = u_region2(point, cfg.data, cache, cfg.constants)
         elif tag is RegionTag.R_III:
-            res = u_region3(point, cfg.data, cfg.p, cfg.q, cfg.constants)
+            res = u_region3(point, cfg.data, constants=cfg.constants)
         else:
             return row
         row["u"] = res.u
@@ -419,10 +396,6 @@ def _run_region(args, force_kind=None) -> int:
         return 1
     if force_kind is not None:
         cfg.grid_region = force_kind
-    if getattr(args, "p", None) is not None:
-        cfg.p = args.p
-    if getattr(args, "q", None) is not None:
-        cfg.q = args.q
     table = run_scan(cfg)
     meta = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()}
     try:
@@ -527,8 +500,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p3 = sub.add_parser("region3")
     _add_config_arg(p3)
-    p3.add_argument("--p", type=float, default=None)
-    p3.add_argument("--q", type=float, default=None)
     p3.add_argument("--check-pq-invariance", action="store_true")
     p3.set_defaults(kind=None)
 

@@ -7,13 +7,13 @@ transform of log(1-|r|^2), and log T(i).
 All four integrals of lg = log(1-|r|^2) behind the constants (the Cauchy
 transforms at i with powers 1 and 2, which give T(i) and T_1, and the two
 principal values) come from ``scattering.log_transforms``, one rule per
-``ScatteringData`` and ``QuadratureSpec``.  As lg is even, each folds onto
-x = e^y > 0: the Cauchy kernels become 1/(2 cosh y) (times 2i) and
-sinh y / cosh^2 y, the principal value at c becomes PV int lg(c e^u)/sinh u du
-with u = y - ln c, and the poles at c = 2 +- sqrt(3) sit at
-y = +-ln(2+sqrt(3)).  Subtracting lg(c) removes the pole, and the exact term
-lg(c) ln|tanh(B/2)/tanh(A/2)| restores it on a rule over [A, B] in u; see the
-``scattering`` module docstring for the derivation.
+``ScatteringData``.  As lg is even, each folds onto x = e^y > 0: the Cauchy
+kernels become 1/(2 cosh y) (times 2i) and sinh y / cosh^2 y, the principal
+value at c becomes PV int lg(c e^u)/sinh u du with u = y - ln c, and the
+poles at c = 2 +- sqrt(3) sit at y = +-ln(2+sqrt(3)).  Subtracting lg(c)
+removes the pole, and the exact term lg(c) ln|tanh(B/2)/tanh(A/2)| restores
+it on a rule over [A, B] in u; see the ``scattering`` module docstring for
+the derivation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, DomainError, RealityError, RegionError
-from .numerics import QuadratureSpec
 from .painleve2 import SolutionCache, eval_pii, s_min_for
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
 from .region1 import AsymptoticValue
@@ -63,8 +62,7 @@ class Region2Constants:
         return ratio.real
 
 
-def lambda_ab(data: ScatteringData,
-              spec: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
+def lambda_ab(data: ScatteringData) -> tuple[float, float]:
     """Phase offsets at the two limiting saddles.
 
     Each is arg r + 4*sum(arg(saddle - z_n)) over the fourth-quadrant
@@ -78,8 +76,8 @@ def lambda_ab(data: ScatteringData,
     if ra == 0 or rb == 0:
         raise DomainError("arg r(2 +- sqrt(3)) undefined: amplitude vanishes;"
                           " the wave reduces to the background u = 1")
-    logt = log_T_i(data, spec)
-    pv = log_transforms(data, spec)
+    logt = log_T_i(data)
+    pv = log_transforms(data)
     arg_sum_a = sum(cmath.phase(_ZA - z) for z in data.spectrum.representatives)
     arg_sum_b = sum(cmath.phase(_ZB - z) for z in data.spectrum.representatives)
     la = cmath.phase(ra) + 4.0 * arg_sum_a - pv.pv_a / math.pi - 2.0 * _SQ3 * logt
@@ -87,21 +85,20 @@ def lambda_ab(data: ScatteringData,
     return la, lb
 
 
-def region2_constants(data: ScatteringData,
-                      spec: QuadratureSpec = QuadratureSpec()) -> Region2Constants:
-    """The zone-II constants of ``data``, memoized per data and spec together
-    with the refusal of data outside the zone's admissibility bound."""
+def region2_constants(data: ScatteringData) -> Region2Constants:
+    """The zone-II constants of ``data``, memoized per data together with the
+    refusal of data outside the zone's admissibility bound."""
 
     def build():
         ka = abs(data.r(_ZA))
         if ka >= 1.0:
             raise AdmissibilityError("second zone needs |r(2+sqrt(3))| < 1, got %r" % ka)
-        t_i, t_1 = t_i_and_t1(data, spec)
-        la, lb = lambda_ab(data, spec)
+        t_i, t_1 = t_i_and_t1(data)
+        la, lb = lambda_ab(data)
         return Region2Constants(Lambda_a=la, Lambda_b=lb, T_i=t_i, T_1=t_1, k_ampl=-ka,
-                                quad_err_est=log_transforms(data, spec).err_est)
+                                quad_err_est=log_transforms(data).err_est)
 
-    return data._memo(("r2consts", spec), build)
+    return data._memo("r2consts", build)
 
 
 def psi_ab(s: float, t: float, consts: Region2Constants) -> tuple[float, float]:
@@ -124,8 +121,7 @@ def f_II(s: float, t: float, consts: Region2Constants) -> float:
 
 def u_region2(point: SpaceTimePoint, data: ScatteringData,
               sol_cache: SolutionCache | None = None,
-              constants: RegionConstants = RegionConstants(),
-              spec: QuadratureSpec = QuadratureSpec()) -> AsymptoticValue:
+              constants: RegionConstants = RegionConstants()) -> AsymptoticValue:
     """u = 1 + 3^(-2/3) t^(-1/3) f_II(s, t) v_II(s)."""
     if classify(point, constants) is not RegionTag.R_II:
         raise RegionError("point (x=%g, t=%g) is not in the second zone"
@@ -135,7 +131,7 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
     if ka == 0.0:
         return AsymptoticValue(1.0, RegionTag.R_II, _ERROR_ORDER,
                                {"s": s, "short_circuit": True})
-    consts = region2_constants(data, spec)
+    consts = region2_constants(data)
     cache = sol_cache if sol_cache is not None else SolutionCache()
     sol = cache.get(consts.k_ampl, s_min=s_min_for(s))
     v, vp, q = eval_pii(sol, s)

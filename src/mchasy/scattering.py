@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import (AdmissibilityError, ConvergenceError, DomainError, MchasyError,
                      RealityError)
-from .numerics import _TAIL_CUTOFF, QuadratureSpec, gauss_kronrod_rule
+from .numerics import _TAIL_CUTOFF, gauss_kronrod_rule
 
 __all__ = [
     "ReflectionCoefficient",
@@ -75,6 +75,10 @@ _Y_SADDLE = math.log(2.0 + math.sqrt(3.0))
 _MAX_NODES = 200_000
 # the rules in y = ln|z| stop short of where e^y overflows
 _MAX_LOG_Z = 700.0
+# the rules are refined until each transform's error estimate is at most this
+# times max(1, |value|).  They converge exponentially, so a looser value moves
+# only the estimate, not the answer; near 1e-16 the refinement stops converging
+_LOG_TOL = 1e-12
 
 
 class _LogGrid(NamedTuple):
@@ -235,8 +239,13 @@ class _Table(ReflectionCoefficient):
         # imported here: scipy.interpolate pulls in scipy.linalg, .optimize and
         # .sparse, which family data never needs
         from scipy.interpolate import PchipInterpolator
-        self._re = PchipInterpolator(self._re_knots, np.insert(v.real, n, one), extrapolate=False)
-        self._im = PchipInterpolator(self._knots, np.insert(v.imag, n, 0.0), extrapolate=False)
+        # near the smallest doubles scipy's mean of the secants overflows and
+        # sets the knot slope to 0; r still holds every knot, so it is silenced
+        with np.errstate(over="ignore", divide="ignore"):
+            self._re = PchipInterpolator(self._re_knots, np.insert(v.real, n, one),
+                                         extrapolate=False)
+            self._im = PchipInterpolator(self._knots, np.insert(v.imag, n, 0.0),
+                                         extrapolate=False)
         self.inversion_defect = float(np.abs(self(grid[other]) - values[other]).max(initial=0.0))
 
     def _half(self, y: float) -> complex:
@@ -473,8 +482,7 @@ def _integrands(grid: _LogGrid, lg: np.ndarray, lg_poles: np.ndarray):
     return np.array(rows), np.array(exact)
 
 
-def log_transforms(data: ScatteringData,
-                   spec: QuadratureSpec = QuadratureSpec()) -> LogTransforms:
+def log_transforms(data: ScatteringData) -> LogTransforms:
     """The Cauchy transforms of log(1-|r|^2) at i (powers 1 and 2) and its
     principal-value transforms at 2 +- sqrt(3), from one rule in y = ln|z|
     per refinement level and one array evaluation of log(1-|r|^2) on it.
@@ -482,9 +490,9 @@ def log_transforms(data: ScatteringData,
     The error estimate of each is the gap between the rule and its embedded
     coarse rule, which bounds the coarse rule's error and so, conservatively,
     the rule's; levels are refined until every estimate is within
-    max(abs_tol, rel_tol*|value|).  A level past ``_MAX_NODES`` nodes raises
+    ``_LOG_TOL`` * max(1, |value|).  A level past ``_MAX_NODES`` nodes raises
     ``ConvergenceError`` with the last values and their estimate.  Memoized
-    per ``spec``.
+    per data.
     """
     r = data.r
 
@@ -506,26 +514,25 @@ def log_transforms(data: ScatteringData,
             gaps = np.abs(fine - (rows @ grid.w_coarse + exact))
             best = LogTransforms(complex(fine[0]), complex(fine[1]), float(fine[2].real),
                                  float(fine[3].real), float(gaps.max()))
-            if np.all(gaps <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))):
+            if np.all(gaps <= _LOG_TOL * np.maximum(1.0, np.abs(fine))):
                 return best
 
-    return data._memo(("log_transforms", spec), build)
+    return data._memo("log_transforms", build)
 
 
-def log_T_i(data: ScatteringData, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def log_T_i(data: ScatteringData) -> float:
     """log T(i): the closed-form sum over the fourth-quadrant representatives
     plus the (real) full-line integral of log(1-|r|^2)."""
     total = 0.0
     for z in data.spectrum.representatives:
         total += math.log((1.0 + z.imag) / (1.0 - z.imag))
-    expo = log_transforms(data, spec).cauchy_1 / (-2j * math.pi)
+    expo = log_transforms(data).cauchy_1 / (-2j * math.pi)
     if abs(expo.imag) > 1e-8 * (1 + abs(expo)):
         raise RealityError("integral part of log T(i) is not real: %r" % expo)
     return total + expo.real
 
 
-def t_i_and_t1(data: ScatteringData,
-               spec: QuadratureSpec = QuadratureSpec()) -> tuple[complex, complex]:
+def t_i_and_t1(data: ScatteringData) -> tuple[complex, complex]:
     """Expansion data of T at z=i: the value T(i) and the linear coefficient.
 
     T(i) must come out (numerically) real and i*T1/T(i) real as well; both
@@ -533,7 +540,7 @@ def t_i_and_t1(data: ScatteringData,
     downstream formula relies on that symmetry.
     """
     prod = _blaschke(data, 1j)
-    tr = log_transforms(data, spec)
+    tr = log_transforms(data)
     expf = cmath.exp(-tr.cauchy_1 / (2j * math.pi))
     t_i = prod * expf
     pole_sum = sum(1.0 / (p - 1j) for p in data.spectrum.full)

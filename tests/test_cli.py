@@ -7,9 +7,9 @@ from unittest import mock
 
 import pytest
 
-from mchasy import RegionConstants, cli, painleve2, region3, scattering
+from mchasy import RegionConstants, SpaceTimePoint, cli, painleve2, region3, scattering
 from mchasy.cli import main, parse_config, run_scan, write_output
-from mchasy.errors import ConfigError
+from mchasy.errors import ConfigError, DomainError
 
 from conftest import deadline
 
@@ -53,13 +53,11 @@ class TestParse:
         cfg = parse_config(MINIMAL)
         assert cfg.data.r(1.0) == 0.0
         assert cfg.constants.c1 == 1.0
-        assert (cfg.p, cfg.q) == (1.0, 1.0)
-        assert cfg.spec.abs_tol == 1e-12
         assert cfg.format == "csv"
 
     def test_validation_names_key(self):
-        with pytest.raises(ConfigError, match="shock.p"):
-            parse_config(MINIMAL + "\n[shock]\np = -1\n")
+        with pytest.raises(ConfigError, match="scattering.beta"):
+            parse_config(MINIMAL + "beta = -1\n")
 
     def test_bad_spectrum_literal(self):
         with pytest.raises(ConfigError, match="spectrum"):
@@ -239,7 +237,7 @@ class TestScan:
             assert (u and math.isfinite(float(u))) or error.startswith("ConvergenceError: ")
 
     def test_failed_transforms_built_once_per_scan(self, tmp_path, capsys):
-        # the ConvergenceError of the transforms is kept per data and spec:
+        # the ConvergenceError of the transforms is kept per data:
         # the refinement runs once (levels 0-8), not once per point
         cfg_path = tmp_path / "scan.ini"
         cfg_path.write_text("[scattering]\nkappa_r = 0.999999999\nbeta = 0.5\n"
@@ -422,7 +420,7 @@ class TestMain:
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.ini"
-        cfg_path.write_text("[shock]\np = -3\n")
+        cfg_path.write_text("[scattering]\nbeta = -3\n")
         assert main(["region1", "--config", str(cfg_path)]) == 1
 
     def test_strict_per_point_failure_exit_code(self, tmp_path):
@@ -449,6 +447,28 @@ class TestMain:
         cfg_path.write_text(MINIMAL)
         assert main(["check", "--config", str(cfg_path)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_check_of_tiny_knots_is_quiet(self, tmp_path):
+        # Im r about 1e-309 overflows the slope mean of scipy's Pchip: the
+        # report is the same, and no warning reaches stderr (in a process of
+        # its own, with the default warning filters)
+        table = tmp_path / "r.csv"
+        table.write_text("0.5,0.3,1e-309\n1.0,0.4,0\n2.0,0.3,-1e-309\n4.0,0.1,1e-309\n")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scattering]\ntable_path = %s\n" % table)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run([sys.executable, "-m", "mchasy.cli", "check", "--config",
+                               str(cfg_path)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == ("negation symmetry violation: 0.000e+00\n"
+                                "inversion symmetry violation: 1.110e-16\n"
+                                "modulus excess: 0.000e+00\n"
+                                "log(1-|r|^2) integrability proxy: 1.91357\n"
+                                "PASS\n")
 
     def test_check_strict_prints_report_and_exits_2(self, tmp_path, capsys):
         # check prints its report either way; --strict turns FAIL into exit
@@ -548,12 +568,12 @@ class TestMalformedConfig:
         ("[scattering]\nkapa_r = 0.9\n", "scattering.kapa_r: unknown key"),
         # the family is the only one, so the key selects nothing
         ("[scattering]\nfamily = gaussian\n", "scattering.family: unknown key"),
-        # no scan reads it: zone II's integrals are not adaptive quadratures
+        # the section is gone: the zone-II rule converges exponentially, so
+        # no tolerance moved an answer, and the other keys were fixed before
         ("[tolerances]\nmax_subdivisions = 4000\n",
-         "tolerances.max_subdivisions: unknown key"),
-        # fixed: a looser value would change the answer but not its err_est
-        ("[tolerances]\npii_tol = 1e-10\n", "tolerances.pii_tol: unknown key"),
-        ("[tolerances]\ntail_cutoff = 1e-17\n", "tolerances.tail_cutoff: unknown key"),
+         "tolerances: unknown section [tolerances]"),
+        ("[tolerances]\npii_tol = 1e-10\n", "tolerances: unknown section [tolerances]"),
+        ("[tolerances]\ntail_cutoff = 1e-17\n", "tolerances: unknown section [tolerances]"),
     ], ids=["key_before_section", "no_delimiter", "empty_key", "repeated_section",
             "repeated_key", "default_section", "unknown_key", "family", "max_subdivisions",
             "pii_tol", "tail_cutoff"])
@@ -624,10 +644,10 @@ class TestNonFinite:
         ("[scattering]\nalpha = nan\n", "scattering.alpha"),
         ("[scattering]\nbeta = inf\n", "scattering.beta"),
         ("[regions]\nc2 = inf\n", "regions.c2"),
-        ("[shock]\nq = nan\n", "shock.q"),
-        # keys no config may set: refused as unknown, still by name
-        ("[tolerances]\nmax_subdivisions = inf\n", "tolerances.max_subdivisions"),
-        ("[tolerances]\npii_tol = nan\n", "tolerances.pii_tol"),
+        # sections no config may set: refused as unknown, still by name
+        ("[shock]\nq = nan\n", "shock"),
+        ("[tolerances]\nmax_subdivisions = inf\n", "tolerances"),
+        ("[tolerances]\npii_tol = nan\n", "tolerances"),
         ("[scattering]\nbeta = 1e308\n", "scattering"),   # the family's own bound
     ], ids=["t_nan", "s_inf", "w_minus_inf", "xi_overflow", "kappa_r_nan",
             "alpha_nan", "beta_inf", "c2_inf", "q_nan", "max_subdivisions_inf",
@@ -649,28 +669,39 @@ class TestNonFinite:
 
 
 class TestExtremeShockConstants:
-    """p, q that overflow or underflow the shock scale tau or the band
-    equation are a named DomainError in the row, from a config or a flag."""
+    """u does not depend on the shock scales p, q, so a scan runs zone III at
+    p = q = 1 and neither a config nor a flag sets them; p, q that overflow
+    or underflow the shock scale tau or the band equation are a named
+    DomainError of ``u_region3``."""
 
     @pytest.mark.parametrize("key, value", [("p", "1e300"), ("q", "1e-300")])
-    def test_config_value(self, tmp_path, key, value):
-        out = tmp_path / "o.csv"
+    def test_config_value(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(SHOCK_SCAN.format(path=out) + "[shock]\n%s = %s\n" % (key, value))
-        assert main(["scan", "--config", str(cfg_path)]) == 0
-        rows = [r.split(",", 6) for r in out.read_text().splitlines()[1:]]
-        assert len(rows) == 2
-        assert all(r[2] == "III" and r[4] == "" and r[6].startswith("DomainError: ")
-                   for r in rows), rows
+        cfg_path.write_text(SHOCK_SCAN.format(path=tmp_path / "o.csv")
+                            + "[shock]\n%s = %s\n" % (key, value))
+        assert main(["scan", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: shock: unknown section [shock]\n"
 
     @pytest.mark.parametrize("flag, value", [("--p", "1e300"), ("--q", "1e-300")])
-    def test_region3_flag(self, tmp_path, flag, value):
-        out = tmp_path / "o.csv"
+    def test_region3_flag(self, tmp_path, capsys, flag, value):
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(SHOCK_SCAN.format(path=out))
-        assert main(["region3", "--config", str(cfg_path), flag, value]) == 0
-        rows = [r.split(",", 6) for r in out.read_text().splitlines()[1:]]
-        assert len(rows) == 2 and all(r[6].startswith("DomainError: ") for r in rows), rows
+        cfg_path.write_text(SHOCK_SCAN.format(path=tmp_path / "o.csv"))
+        with pytest.raises(SystemExit) as exc:
+            main(["region3", "--config", str(cfg_path), flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: %s %s" % (flag, value) in captured.err
+
+    @pytest.mark.parametrize("p, q", [(1e300, 1.0), (1.0, 1e-300)])
+    def test_library_value(self, tmp_path, p, q):
+        cfg = parse_config(SHOCK_SCAN.format(path=tmp_path / "o.csv"))
+        t, w = cfg.times[0], cfg.grid[0]
+        point = SpaceTimePoint(cli._grid_to_x(cfg, t, w), t)
+        with pytest.raises(DomainError, match="shock scales"):
+            region3.u_region3(point, cfg.data, p, q, cfg.constants)
 
 
 def test_huge_grid_refused_before_allocation(tmp_path):

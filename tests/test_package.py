@@ -1,15 +1,22 @@
-"""The declared API: every ``__all__`` entry resolves, and the package
-re-exports exactly what its library modules declare."""
+"""The declared API: every ``__all__`` entry resolves, the package
+re-exports exactly what its library modules declare, and the settable
+values are counted."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import pkgutil
+import re
 import types
 
 import pytest
 
 import mchasy
+from mchasy import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 MODULES = [importlib.import_module("mchasy." + m.name)
            for m in pkgutil.iter_modules(mchasy.__path__)]
@@ -39,7 +46,7 @@ def test_package_all_is_the_library_api():
 def test_bench_traced_names_resolve():
     # bench/run.py --trace 1 getattr()s every name in tracing.TRACED, so a
     # name pruned from the package must also leave that table
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -53,3 +60,53 @@ def test_bench_traced_names_resolve():
             if not found:
                 missing.append("%s.%s" % (mod_name, name))
     assert missing == []
+
+
+def _parameters(fn):
+    return [n for n in inspect.signature(fn).parameters if n not in ("self", "cls")]
+
+
+def _settable(obj):
+    """The values a caller can set through ``obj``: the parameters of a
+    function; the fields of a dataclass, or the ``__init__`` parameters of
+    another class, plus those of its public methods, ``__call__`` and its
+    class and static methods."""
+    if not inspect.isclass(obj):
+        return len(_parameters(obj))
+    if dataclasses.is_dataclass(obj):
+        n = len(dataclasses.fields(obj))
+    else:
+        n = len(_parameters(obj.__init__)) if "__init__" in vars(obj) else 0
+    for name, attr in vars(obj).items():
+        if isinstance(attr, (classmethod, staticmethod)):
+            n += len(_parameters(attr.__func__))
+        elif inspect.isfunction(attr) and (not name.startswith("_") or name == "__call__"):
+            n += len(_parameters(attr))
+    return n
+
+
+def test_settable_values():
+    # the ROADMAP tracks this count: a new parameter, field or config key
+    # raises it, and the change that adds one updates both
+    api = {id(obj): obj for obj in [getattr(mchasy, n) for n in mchasy.__all__]
+           + [getattr(cli, n) for n in cli.__all__] if callable(obj)}
+    keys = sum(map(len, cli._KEYS.values()))
+    assert keys == 16
+    assert sum(map(_settable, api.values())) + keys == 163
+
+
+def test_readme_config_lists_every_key():
+    # CI scans this block as "the example that lists every key a config may
+    # set": it must parse strictly, and name every key of every section (the
+    # alternatives in comments count)
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    cli.parse_config(block, strict=True)
+    named, section = {}, None
+    for line in block.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            section = named.setdefault(header.group(1), set())
+        elif section is not None:
+            section.update(re.findall(r"(\w+) =", line))
+    assert named == cli._KEYS

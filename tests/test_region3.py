@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from mchasy import (ReflectionCoefficient, ScatteringData,
                     nr7_matrix, region3, solve_band, u_region3)
 from mchasy.errors import (AdmissibilityError, BoundaryAmbiguityError,
                            BranchError, ConventionError, ConvergenceError, DomainError,
-                           PoleOfSolutionError, RegionError, WindowError)
+                           MchasyError, PoleOfSolutionError, RegionError, WindowError)
 from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
                             _k_band, _k_gap, _j_gap, build_geometry,
                             g0_limit, h1_limit, periods)
@@ -23,6 +24,8 @@ from conftest import (axis_inv_w_quad, band_quad, delta0_quad, ellipk,
                       k_gap_quad, richardson_limit, secant_root)
 
 CBRT3 = 3.0 ** (1 / 3)
+# shock scales p, q of any magnitude a double holds, subnormals included
+EXTREME = st.one_of(st.floats(1e-300, 1e300), st.floats(5e-324, 2.2250738585072014e-308))
 T0 = 1e6
 XI0 = 2 - 3 * CBRT3 * math.log(T0) ** (2 / 3) * T0 ** (-2 / 3)
 
@@ -78,6 +81,21 @@ class TestCurvature:
         # the band radius^2 2p/3q does in g0_limit
         with pytest.raises(DomainError, match="shock scales"):
             ShockParams(p=p, q=q, xi=XI0, t=T0, C_R=1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=EXTREME, q=EXTREME)
+    def test_any_p_q_answers_or_names_its_error(self, gen_data, p, q):
+        # every magnitude a double holds, subnormals included: a finite u or
+        # a named error, with no warning on the way
+        t, w = 1e6, 3.0
+        xi = 2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = u_region3(SpaceTimePoint(xi * t, t), gen_data, p, q)
+            except MchasyError:
+                return
+        assert math.isfinite(res.u)
 
     @pytest.mark.parametrize("p, q", [(1e5, 1.0), (1.0, 1e-4)])
     def test_band_residual_bound_scales_with_the_rhs(self, gen_data, p, q):
