@@ -281,15 +281,15 @@ def _truncation_point(f, start, sign):
 
 
 def quad_real_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
-                   tail: Callable | None = None, start: float = 8.0) -> QuadResult:
+                   tail: Callable | None = None) -> QuadResult:
     """Truncated integral of ``f`` over the whole real line.
 
     The domain is cut where |f| falls below ``_TAIL_CUTOFF``; ``tail``,
     when given, is called as ``tail(lo, hi)`` and must return an analytic
     estimate of the dropped mass, which is added to the result.
     """
-    hi = _truncation_point(f, start, +1)
-    lo = _truncation_point(f, start, -1)
+    hi = _truncation_point(f, 8.0, +1)
+    lo = _truncation_point(f, 8.0, -1)
     left = quad(f, lo, 0.0, spec)
     right = quad(f, 0.0, hi, spec)
     value = left.value + right.value
@@ -300,14 +300,15 @@ def quad_real_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
 
 
 def quad_pv(f: Callable, c: float, spec: QuadratureSpec = QuadratureSpec(),
-            lo: float | None = None, hi: float | None = None,
             tail: Callable | None = None) -> QuadResult:
     """Cauchy principal value of integral f(z)/(z-c) dz over the real line.
 
     Subtracts f(c) on a symmetric window around ``c`` (the regularized
     quotient (f(z)-f(c))/(z-c) is integrated there), integrates the plain
     quotient outside, and adds the exact log term f(c)*log((hi-c)/(c-lo))
-    for the truncated, generally asymmetric, domain.
+    for the truncated, generally asymmetric, domain.  The domain [lo, hi]
+    is cut where |f(z)/(z-c)| falls below ``_TAIL_CUTOFF``, searched from
+    max(8, 2|c| + 2) out; ``tail`` is as in ``quad_real_line``.
 
     The error adds to the quadrature estimates the gap to a second
     evaluation on a window of half the width, with twice the difference
@@ -316,10 +317,9 @@ def quad_pv(f: Callable, c: float, spec: QuadratureSpec = QuadratureSpec(),
     f(z)-f(c), and an outer integrand they under-resolve.
     """
     fc = f(c)
-    if hi is None:
-        hi = _truncation_point(lambda x: f(x) / (x - c), max(8.0, 2 * abs(c) + 2), +1)
-    if lo is None:
-        lo = _truncation_point(lambda x: f(x) / (x - c), max(8.0, 2 * abs(c) + 2), -1)
+    start = max(8.0, 2 * abs(c) + 2)
+    hi = _truncation_point(lambda x: f(x) / (x - c), start, +1)
+    lo = _truncation_point(lambda x: f(x) / (x - c), start, -1)
     value, err = _pv_window(f, c, fc, lo, hi, 1.0, spec)
     value_half, err_half = _pv_window(f, c, fc, lo, hi, 0.5, spec)
     if tail is not None:

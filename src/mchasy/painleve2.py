@@ -9,8 +9,10 @@ each solution carries as ``err_est``, and a solve whose estimate exceeds
 ``_RTOL`` for which that estimate was measured.  The Hastings-McLeod edge
 |k| = 1 is a separatrix, solved as a two-point boundary value problem by
 Newton multiple shooting on the same Taylor steps, from a square-root/Airy
-guess, and memoized per process by s_min; k = -1 is its negation.  Both
-carry dense output for (v, v') as the Taylor step polynomials.  The tail
+guess, and memoized per process by s_min.  Both carry dense output for
+(v, v') as the Taylor step polynomials.  The equation is odd in v, so every
+k < 0 is the exact negation (v, v', Q) -> (-v, -v', Q) of |k|: only |k| is
+ever integrated, and ``eval_pii`` negates its values.  The tail
 integral Q(s) of v^2 is the Hamiltonian v'^2 - s v^2 - v^4, which has
 dQ/ds = -v^2 and Q -> 0 as s -> +inf (Tracy & Widom 1994, Commun. Math.
 Phys. 159), not integrated.
@@ -142,19 +144,6 @@ class _Taylor(_Steps):
         self.neg_ends.append(-s1)
 
 
-class _Negated:
-    """Dense (v, v', Q) of -v, given that of v: the equation is odd in v, so
-    (v, v', Q) -> (-v, -v', Q) maps solutions to solutions exactly."""
-
-    def __init__(self, dense):
-        self._dense = dense
-
-    def at(self, s: float) -> tuple:
-        """(v, v', Q) at a float s."""
-        v, vp, q = self._dense.at(s)
-        return -v, -vp, q
-
-
 @dataclass(frozen=True)
 class PIISolution:
     """Dense-output Painleve II solution on [s_min, ``_S_MAX``], extended
@@ -163,14 +152,15 @@ class PIISolution:
     ``err_est`` is its estimated error relative to the scale of (v, v', Q),
     Q taken from (v, v') as the Hamiltonian:
     1e-11/(1-|k|) for Ablowitz-Segur, ``_HM_ERR`` = 1e-10 for
-    Hastings-McLeod, whose shooting jumps are held below it.
+    Hastings-McLeod, whose shooting jumps are held below it.  ``_dense``
+    holds the steps of |k|; ``k`` keeps its sign, which ``eval_pii`` applies.
     """
 
     k: float
     s_min: float
     kind: str
     err_est: float
-    _dense: _Steps | _Negated = field(repr=False)
+    _dense: _Steps = field(repr=False)
 
 
 def _taylor_coeffs(s0, v, vp):
@@ -312,12 +302,11 @@ def _solve_hastings_mcleod(s_min):
 
 @functools.lru_cache(maxsize=32)
 def _hastings_mcleod(s_min):
-    """Dense output of the Hastings-McLeod solutions k = 1 and k = -1, from
-    one solve, memoized per process: it does not depend on the scattering
-    data.  Each s_min below -10 is a key of its own, and an entry is about
-    37 steps of (v, v') pairs (0.11 MB), hence the bound."""
-    steps = _solve_hastings_mcleod(s_min)
-    return steps, _Negated(steps)
+    """Steps of the Hastings-McLeod solution k = 1, which also serve k = -1,
+    memoized per process: it does not depend on the scattering data.  Each
+    s_min below -10 is a key of its own, and an entry is about 37 steps of
+    (v, v') pairs (0.11 MB), hence the bound."""
+    return _solve_hastings_mcleod(s_min)
 
 
 def _is_ablowitz_segur(k: float) -> bool:
@@ -359,11 +348,11 @@ def solve_pii(k: float, s_min: float = -10.0) -> PIISolution:
     _check_domain(s_min)
     if _is_ablowitz_segur(k):
         err = _as_error(k)
-        dense = _Taylor(k)
+        dense = _Taylor(abs(k))
         dense.reach(s_min)
         kind = "ivp"
     else:
-        dense = _hastings_mcleod(s_min)[k < 0]
+        dense = _hastings_mcleod(s_min)
         kind = "bvp"
         err = _HM_ERR
     return PIISolution(k=k, s_min=s_min, kind=kind, err_est=err, _dense=dense)
@@ -376,6 +365,7 @@ def eval_pii(sol: PIISolution, s: float):
     term is below solver tolerance there); below s_min the solution is undefined.
     An Ablowitz-Segur lookup below the steps taken so far takes the steps
     down to s first, and raises their ``ConvergenceError`` if one fails.
+    For k < 0 the steps are those of |k|, and (v, v') are negated.
     """
     s = float(s)
     if s < sol.s_min:
@@ -384,6 +374,9 @@ def eval_pii(sol: PIISolution, s: float):
         if s > 30.0:
             return 0.0, 0.0, 0.0
         return _airy_data(sol.k, s)
+    if sol.k < 0:
+        v, vp, q = sol._dense.at(s)
+        return -v, -vp, q
     return sol._dense.at(s)
 
 
@@ -392,12 +385,13 @@ class SolutionCache:
 
     Ablowitz-Segur solutions (every |k| < 1) nest: their dense output steps
     back from ``_S_MAX`` only as deep as lookups reach, and takes the same
-    steps whatever s_min is.  So each k gets one dense output, and
-    every s_min a PIISolution that shares it but keeps its own s_min, below
-    which ``eval_pii`` still raises.  A scan whose deepest point is at
-    s = -6 never integrates [-12, -6].  Hastings-McLeod solutions do not
-    nest: the BVP puts its left boundary condition at s_min, so they are
-    solved per s_min, from the process-wide memo of BVP solutions.
+    steps whatever s_min is.  So each |k| gets one dense output, shared by
+    k and -k, and every (k, s_min) a PIISolution that shares it but keeps
+    its own sign and s_min, below which ``eval_pii`` still raises.  A scan
+    whose deepest point is at s = -6 never integrates [-12, -6].
+    Hastings-McLeod solutions do not nest: the BVP puts its left boundary
+    condition at s_min, so they are solved per s_min, from the process-wide
+    memo of BVP solutions.
     """
 
     def __init__(self):
@@ -413,12 +407,14 @@ class SolutionCache:
             return sol
         if _is_ablowitz_segur(k):
             _check_domain(s_min)
+            size = abs(key[0])
             with self._lock:
-                dense = self._taylors.get(key[0])
+                dense = self._taylors.get(size)
                 if dense is None:
-                    dense = self._taylors[key[0]] = _Taylor(float(k))
-            # the k of the first lookup, whose Airy data the steps start from
-            sol = PIISolution(k=dense.k, s_min=s_min, kind="ivp",
+                    dense = self._taylors[size] = _Taylor(abs(float(k)))
+            # the |k| of the first lookup, whose Airy data the steps start
+            # from, with the sign of this one
+            sol = PIISolution(k=math.copysign(dense.k, k), s_min=s_min, kind="ivp",
                               err_est=_as_error(dense.k), _dense=dense)
         else:
             sol = solve_pii(k, s_min)

@@ -83,9 +83,10 @@ class ShockParams:
             raise AdmissibilityError("C_R must be positive, got %r" % self.C_R)
         if not self.xi < 2.0:
             raise DomainError("shock parametrization needs xi < 2")
-        # extreme p, q overflow or underflow the scale tau, the right side of
-        # the band equation (its sign is solve_band's check) or the size
-        # q*(2p/3q)^2 of g0_limit, as the band radius^2 is 2p/3q
+        # extreme p, q overflow or underflow the scale tau or the size
+        # q*(2p/3q)^2 of g0_limit, as the band radius^2 is 2p/3q; the right
+        # side of the band equation is taken at p = q = 1 (its sign is
+        # solve_band's check)
         try:
             tau, rhs = self.tau, self.band_rhs
             g0 = self.q * (2.0 * self.p / (3.0 * self.q)) ** 2
@@ -101,9 +102,11 @@ class ShockParams:
 
     @property
     def band_rhs(self) -> float:
+        """Right side of the band equation at p = q = 1,
+        -2 sqrt(3) ln g / (3 g^1.5 t) with g = 2 - xi: the band integral is
+        cubic in z, and at other (p, q) both sides scale by (p/q)^1.5."""
         g = 2.0 - self.xi
-        return -2.0 * math.sqrt(3.0) * self.p ** 1.5 * math.log(g) \
-            / (3.0 * self.q ** 1.5 * g ** 1.5 * self.t)
+        return -2.0 * math.sqrt(3.0) * math.log(g) / (3.0 * g ** 1.5 * self.t)
 
 
 # ----------------------------------------------------------------------
@@ -189,16 +192,18 @@ def _inv_w_on(a, b, lo, hi) -> float:
 # Band endpoints
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _band_samples(p: float, q: float) -> tuple[tuple, tuple]:
+_UNIT_RADIUS2 = 2.0 / 3.0     # a^2 + b^2 of the band at p = q = 1
+
+
+@functools.cache
+def _band_samples() -> tuple[tuple, tuple]:
     """The bracket ends of ``solve_band`` and the band integral at the first
-    five, which depend on (p, q) alone: once per (p, q), as every point of a
-    scan shares them.  A BranchError is not cached, so it is raised again at
-    every point."""
-    a_max = math.sqrt(p / (3.0 * q))
-    radius2 = 2.0 * p / (3.0 * q)
+    five, on the unit problem a^2 + b^2 = 2/3: once per process, as every
+    point at every (p, q) shares them.  A BranchError is not cached, so it
+    is raised again at every point."""
+    a_max = math.sqrt(1.0 / 3.0)
     ends = [f * a_max for f in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-9)] + [a_max * (1 - 1e-12)]
-    samples = [_j_band(a, math.sqrt(radius2 - a * a)) for a in ends[:5]]
+    samples = [_j_band(a, math.sqrt(_UNIT_RADIUS2 - a * a)) for a in ends[:5]]
     if any(s1 <= s2 for s1, s2 in zip(samples, samples[1:])):
         raise BranchError("band integral is not decreasing in a: %r" % samples)
     return tuple(ends), tuple(samples)
@@ -207,15 +212,16 @@ def _band_samples(p: float, q: float) -> tuple[tuple, tuple]:
 def solve_band(params: ShockParams) -> tuple[float, float]:
     """Solve a^2 + b^2 = 2p/(3q) together with the band-area equation.
 
-    One-parameter bracketed Newton root in a on the closed-form band
+    The curve scales as z -> sqrt(p/q) z and the band integral is cubic in
+    z, so the root is that of the unit problem a^2 + b^2 = 2/3 with right
+    side ``ShockParams.band_rhs``, times sqrt(p/q).  The unit root is a
+    one-parameter bracketed Newton root in a on the closed-form band
     integral, whose monotonicity in a is spot-checked (``_band_samples``).
     Along the circle, dJ_band/da = -a (b^2 - a^2) K_band: the integrand's
     derivative is -a (b^2 - a^2)/|w| and it vanishes at both ends.
     """
-    radius2 = 2.0 * params.p / (3.0 * params.q)
-
     def b_of(a):
-        return math.sqrt(radius2 - a * a)
+        return math.sqrt(_UNIT_RADIUS2 - a * a)
 
     def area(a):
         return _j_band(a, b_of(a))
@@ -225,7 +231,7 @@ def solve_band(params: ShockParams) -> tuple[float, float]:
         return -a * (b - a) * (b + a) * _k_band(a, b)
 
     rhs = params.band_rhs
-    ends, samples = _band_samples(params.p, params.q)
+    ends, samples = _band_samples()
     attainable = samples[0]
     if not 0.0 < rhs < attainable:
         raise WindowError(
@@ -234,14 +240,12 @@ def solve_band(params: ShockParams) -> tuple[float, float]:
     # the root lies past the last sample above rhs and before the next one
     i = sum(v > rhs for v in samples) - 1
     a = find_root(lambda x: area(x) - rhs, slope, ends[i], ends[i + 1])
-    b = b_of(a)
-    # the band integral grows like (p/q)^(3/2), so the bound is relative to
-    # the RHS above 1; at p = q = 1 the RHS is about 0.1 and the bound 1e-12
-    bound = 1e-12 * max(1.0, rhs)
+    # absolute: the unit right side is below its attainable (2/3)^1.5/3 = 0.18
     resid = abs(area(a) - rhs)
-    if not resid <= bound:
-        raise ConvergenceError("band residual %.3g above %.3g" % (resid, bound),
-                               best=(a, b))
+    scale = math.sqrt(params.p / params.q)
+    a, b = scale * a, scale * b_of(a)
+    if not resid <= 1e-12:
+        raise ConvergenceError("band residual %.3g above 1e-12" % resid, best=(a, b))
     return a, b
 
 

@@ -27,8 +27,8 @@ def ode_residual(sol, s, h=1e-3):
 
 
 def dense(sol, s):
-    """(v, v', Q) of a solution's dense output on the points s, as (3, len(s))."""
-    return np.array([sol._dense.at(float(x)) for x in s]).T
+    """(v, v', Q) of a solution on the points s, as (3, len(s))."""
+    return np.array([eval_pii(sol, float(x)) for x in s]).T
 
 
 def dop853(k, s_min=-12.0):
@@ -268,7 +268,7 @@ class TestHastingsMcLeod:
                         wraps=_solve_hastings_mcleod) as shoot:
             pos, neg = solve_pii(1.0, -10.45), solve_pii(-1.0, -10.45)
         assert shoot.call_count == 1
-        assert neg._dense is _hastings_mcleod(-10.45)[1]
+        assert neg._dense is pos._dense is _hastings_mcleod(-10.45)
         assert eval_pii(neg, -3.0)[0] == -eval_pii(pos, -3.0)[0]
 
     def test_step_failure_raises(self):
@@ -342,6 +342,38 @@ class TestCache:
         # one integration for 0.9999, one BVP solve per s_min at the edge
         assert taylor.call_count == 1
         assert solve.call_count == 2
+
+    def test_both_signs_share_one_integration(self):
+        cache = SolutionCache()
+        with mock.patch("mchasy.painleve2._Taylor", wraps=_Taylor) as taylor:
+            pos, neg = cache.get(0.5, -11.0), cache.get(-0.5)
+        assert taylor.call_count == 1
+        assert neg._dense is pos._dense
+        assert (pos.k, neg.k, neg.s_min) == (0.5, -0.5, -10.0)
+        assert neg.err_est == pos.err_est
+        for s in (-10.0, -3.0, 0.0, 9.0, 12.0):
+            v, vp, q = eval_pii(pos, s)
+            assert eval_pii(neg, s) == (-v, -vp, q)
+
+
+class TestNegation:
+    """v'' = sv + 2v^3 is odd in v: k < 0 is read off the steps of |k|."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-0.999, 0.999),
+           st.lists(st.floats(-12.0, 10.0), min_size=1, max_size=8))
+    @example(0.0, [-12.0, 0.0, 10.0])
+    @example(1e-300, [-12.0, 0.0, 10.0])
+    def test_negative_k_is_the_exact_negation(self, k, ss):
+        pos, neg = solve_pii(k, -12.0), solve_pii(-k, -12.0)
+        assert neg.k == -k and neg._dense is not pos._dense
+        # a separate integration of -k from its own Airy data takes the
+        # negated steps, so reading those of |k| changes no bit
+        direct = _Taylor(-k)
+        for s in ss:
+            v, vp, q = eval_pii(pos, s)
+            assert eval_pii(neg, s) == (-v, -vp, q)
+            assert direct.at(s) == (-v, -vp, q)
 
 
 class TestStepper:

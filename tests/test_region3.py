@@ -128,7 +128,7 @@ class TestSolveBand:
         assert abs(_j_band(a, b) - params.band_rhs) < 1e-12
 
     def test_residual_above_bound_is_named(self, params):
-        # a root off by 1e-9 of a leaves a residual far above 1e-12 x max(1, rhs)
+        # a root off by 1e-9 of a leaves a residual far above the unit problem's 1e-12
         a, _ = solve_band(params)
         with mock.patch.object(region3, "find_root", return_value=a * (1 + 1e-9)):
             with pytest.raises(ConvergenceError, match="band residual"):
@@ -176,12 +176,56 @@ class TestSolveBand:
         p2 = ShockParams(p=3.0, q=2.0, xi=xi, t=t, C_R=1.0)
         a2, b2 = solve_band(p2)
         mu = math.sqrt((1.0 * 3.0) / (1.0 * 2.0))
-        assert a2 == pytest.approx(mu * geom.a, abs=1e-10)
-        assert b2 == pytest.approx(mu * geom.b, abs=1e-10)
+        # the unit root, scaled
+        assert (a2, b2) == (mu * geom.a, mu * geom.b)
+
+
+class TestUnitBand:
+    """The curve scales as z -> sqrt(p/q) z and the band integral is cubic
+    in z: ``solve_band`` solves a^2 + b^2 = 2/3 and scales the root, so u
+    at any (p, q) is u at (1, 1) up to the rounding of the scales."""
+
+    @staticmethod
+    def point(t, w):
+        xi = 2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3)
+        return SpaceTimePoint(xi * t, t)
+
+    @pytest.mark.parametrize("p, q", [(0.1, 10.0), (0.01, 10.0)])
+    def test_small_p_over_q_answers(self, p, q):
+        # the band equation solved at these scales has a right side of 3.7e-5
+        # and 1.2e-6, and find_root stops at an absolute residual of 1e-15:
+        # at (0.1, 10) 8.5e-16, 2.3e-11 of that side, and the period identity
+        # read 1 + 1.3e-10, which the gate refused as a BranchError
+        data = ScatteringData(ReflectionCoefficient.family(-1.0, 0.3, 0.5))
+        pt = self.point(1e6, 5.5)
+        want = u_region3(pt, data).u
+        assert abs(u_region3(pt, data, p, q).u - want) <= 1e-12 * abs(want - 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(4.0, 16.0), st.floats(2.95, 5.7), st.floats(-3.0, 3.0),
+           st.floats(-3.0, 3.0), st.sampled_from([0.1, 0.5, 2.0]))
+    @example(6.0, 5.5, 0.0, -2.0, 0.5)
+    @example(4.162488247412146, 5.437373654771941, 1.3251092949551175,
+             -0.6150954662189543, 2.0)      # one ulp apart, 1.7e-12 of |u - 1|
+    def test_any_p_over_q_answers_as_at_unit_scale(self, log_t, w, log_p, log_ratio,
+                                                   beta):
+        data = ScatteringData(ReflectionCoefficient.family(-1.0, 0.3, beta))
+        pt = self.point(10.0 ** log_t, w)
+        p = 10.0 ** log_p
+        try:
+            want = u_region3(pt, data).u
+            got = u_region3(pt, data, p, p / 10.0 ** log_ratio).u
+        except MchasyError as exc:
+            assert not isinstance(exc, BranchError)
+            return
+        # u is a double near 1: below |u - 1| = 1.1e-4 one ulp of u is more
+        # than 1e-12 of |u - 1|, and the rounding of the scales can move u by it
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-12 * abs(want - 1.0) + math.ulp(want)
 
 
 class TestBandSamples:
-    """``solve_band`` samples the band integral once per (p, q)."""
+    """``solve_band`` samples the band integral once per process."""
 
     @staticmethod
     def params(w, p=1.7, q=1.3, t=1e6):
@@ -197,6 +241,10 @@ class TestBandSamples:
             counts.append(counted.call_count)
         assert counts[0] - counts[1] == 5
         assert ends[0] == ends[1]
+        # the samples are those of the unit problem: another (p, q) takes none
+        with mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
+            solve_band(self.params(4.5, p=0.1, q=10.0))
+        assert counted.call_count == counts[2]
         region3._band_samples.cache_clear()
         with mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
             assert solve_band(self.params(4.5)) == ends[2]
