@@ -34,11 +34,15 @@ section, an empty key, a repeated section or a repeated key is a config
 error that gives its line number, as is an unknown section (``[DEFAULT]``
 too: it has no special meaning) or a key that its section does not read.
 
-CSV columns are exactly ``x,t,region,s,u,err_order,error`` with empty fields
-for nulls; JSON mirrors the rows and adds a ``meta`` header with the config
-hash and library version.  Exit codes: 0 ok, 1 config error, 2 hard per-point
-failure under --strict, a failed symmetry report under ``check --strict`` or
-a failed ``pii`` solve, 3 I/O error.
+A scan holds at most 10**6 points (times by grid values); a larger one is a
+config error.  CSV columns are exactly ``x,t,region,s,u,err_order,error`` with
+empty fields for nulls; JSON mirrors the rows, with ``null`` for a non-finite
+number (the row's error names it), and adds a ``meta`` header with the config
+hash and library version.  Exit codes: 0 ok, 1 config error (also a config or
+table that cannot be read or decoded), 2 hard per-point failure under
+--strict, a failed symmetry report under ``check --strict`` or a failed
+``pii`` solve, 3 output that cannot be written (a closed pipe too).  Each
+failure is one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import ConfigError, DomainError, MchasyError
 from .painleve2 import SolutionCache, eval_pii, solve_pii
-from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
+from .phase import RegionConstants, RegionTag, SpaceTimePoint, _grid_xi, classify, scaled_s
 from .region1 import u_region1
 from .region2 import u_region2
 from .region3 import u_region3
@@ -65,7 +69,7 @@ from .scattering import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData
 __all__ = ["RunConfig", "parse_config", "run_scan", "write_output", "main"]
 
 _COLUMNS = ("x", "t", "region", "s", "u", "err_order", "error")
-_MAX_GRID = 10 ** 6     # points of a lo:hi:n grid, as many as `mchasy pii` has rows
+_MAX_GRID = 10 ** 6     # points of a grid or a scan, as many as `mchasy pii` has rows
 # every key parse_config reads, by section
 _KEYS = {
     "scattering": {"kappa_r", "alpha", "beta", "table_path", "tail_rate", "spectrum"},
@@ -266,6 +270,9 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         raise ConfigError("give exactly one of s, xi, w", key="scan")
     kind = kinds[0] if kinds else "s"
     grid = _parse_grid(sn.get(kind, "-1:1:5"), "scan." + kind)
+    if len(times) * len(grid) > _MAX_GRID:      # so that a scan ends
+        raise ConfigError("scan of %d points, at most %d allowed"
+                          % (len(times) * len(grid), _MAX_GRID), key="scan")
     grid_region = sn.get("grid_region", "1")
     if grid_region not in ("1", "2"):
         raise ConfigError("grid_region must be 1 or 2", key="scan.grid_region")
@@ -293,17 +300,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
 
 
 def _grid_to_x(cfg: RunConfig, t: float, v: float) -> float:
-    axis = cfg.grid_kind
-    if axis == "xi":
-        return v * t
-    if axis == "w":
-        xi = 2.0 - v * math.log(t) ** (2.0 / 3.0) * t ** (-2.0 / 3.0)
-        return xi * t
-    if cfg.grid_region == 1:
-        xi = 2.0 + 6.0 ** (2.0 / 3.0) * v * t ** (-2.0 / 3.0)
-    else:
-        xi = -0.25 - (9.0 / 8.0) ** (1.0 / 3.0) * v * t ** (-2.0 / 3.0)
-    return xi * t
+    return _grid_xi(cfg.grid_kind, cfg.grid_region, v, t) * t
 
 
 def _eval_point(cfg, cache, x, t):
@@ -346,6 +343,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _json_value(v):
+    # JSON has no Infinity or NaN: a non-finite number is null, its row names the error
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def write_output(table: list[dict], fmt: str, path: str, meta: dict | None = None) -> None:
     """Emit the scan table as CSV or JSON; '-' writes to stdout."""
     if not table:
@@ -357,16 +359,13 @@ def write_output(table: list[dict], fmt: str, path: str, meta: dict | None = Non
         payload = "\n".join(lines) + "\n"
     else:
         body = {"meta": {"version": __version__, **(meta or {})},
-                "rows": [{c: row.get(c) for c in _COLUMNS} for row in table]}
+                "rows": [{c: _json_value(row.get(c)) for c in _COLUMNS} for row in table]}
         payload = json.dumps(body, sort_keys=True, indent=1) + "\n"
-    try:
-        if path == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(path, "w") as fh:
-                fh.write(payload)
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
+    if path == "-":
+        sys.stdout.write(payload)
+    else:
+        with open(path, "w") as fh:
+            fh.write(payload)
 
 
 # ----------------------------------------------------------------------
@@ -380,29 +379,24 @@ def _add_config_arg(sub):
 
 
 def _load(args, strict):
-    with open(args.config) as fh:
-        text = fh.read()
-    cfg = parse_config(text, strict=strict)
+    try:
+        with open(args.config) as fh:
+            text = fh.read()
+        cfg = parse_config(text, strict=strict)
+    except (OSError, UnicodeDecodeError) as exc:    # the config, or the table it names
+        raise ConfigError(str(exc)) from exc
     for w in cfg.warnings:
         print("warning: %s" % w, file=sys.stderr)
     return cfg, text
 
 
-def _run_region(args, force_kind=None) -> int:
-    try:
-        cfg, text = _load(args, args.strict)
-    except (ConfigError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 1
-    if force_kind is not None:
-        cfg.grid_region = force_kind
+def _run_region(args) -> int:
+    cfg, text = _load(args, args.strict)
+    if args.kind is not None:
+        cfg.grid_region = args.kind
     table = run_scan(cfg)
     meta = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()}
-    try:
-        write_output(table, cfg.format, cfg.path, meta)
-    except (IOError, OSError) as exc:
-        print("i/o error: %s" % exc, file=sys.stderr)
-        return 3
+    write_output(table, cfg.format, cfg.path, meta)
     if args.strict and any(r["error"] for r in table):
         return 2
     return 0
@@ -410,11 +404,7 @@ def _run_region(args, force_kind=None) -> int:
 
 def _run_check(args) -> int:
     # the report is printed whatever it says; --strict sets the exit code
-    try:
-        cfg, _ = _load(args, strict=False)
-    except (ConfigError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 1
+    cfg, _ = _load(args, strict=False)
     report = check_symmetries(cfg.data)
     print("negation symmetry violation: %.3e" % report.max_negation_violation)
     print("inversion symmetry violation: %.3e" % report.max_inversion_violation)
@@ -428,24 +418,17 @@ def _run_check(args) -> int:
 
 def _run_pii(args) -> int:
     try:
-        try:
-            lo, hi, step = (float(x) for x in args.s.split(":"))
-        except ValueError as exc:
-            raise ConfigError("expected lo:hi:step, got %r" % args.s, key="--s") from exc
-        # finite, and at most a million rows, so that the tabulation ends
-        if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step
-                and (hi - lo) / step < 1e6):
-            raise ConfigError("need finite lo <= hi, step > 0 and at most 1e6 rows, "
-                              "got %r" % args.s, key="--s")
-        if not math.isfinite(args.k):
-            raise ConfigError("need a finite --k")
-        sol = solve_pii(args.k, s_min=min(-10.0, lo))
-    except (ConfigError, DomainError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 1
-    except MchasyError as exc:
-        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
+        lo, hi, step = (float(x) for x in args.s.split(":"))
+    except ValueError as exc:
+        raise ConfigError("expected lo:hi:step, got %r" % args.s, key="--s") from exc
+    # finite, and at most a million rows, so that the tabulation ends
+    if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step
+            and (hi - lo) / step < 1e6):
+        raise ConfigError("need finite lo <= hi, step > 0 and at most 1e6 rows, "
+                          "got %r" % args.s, key="--s")
+    if not math.isfinite(args.k):
+        raise ConfigError("need a finite --k")
+    sol = solve_pii(args.k, s_min=min(-10.0, lo))
     print("s,v,v_prime,Q")
     # s_i = lo + i*step, not a running sum, so that rows do not drift
     for i in range(math.floor((hi - lo) / step + 1e-9) + 1):
@@ -456,11 +439,7 @@ def _run_pii(args) -> int:
 
 
 def _run_pq_invariance(args) -> int:
-    try:
-        cfg, _ = _load(args, args.strict)
-    except (ConfigError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 1
+    cfg, _ = _load(args, args.strict)
     worst, used = 0.0, 0
     for t in cfg.times:
         for v in cfg.grid:
@@ -492,35 +471,42 @@ def _parser() -> argparse.ArgumentParser:
     p_pii = sub.add_parser("pii", help="tabulate a Painleve II transcendent")
     p_pii.add_argument("--k", type=float, required=True)
     p_pii.add_argument("--s", required=True, help="lo:hi:step")
+    p_pii.set_defaults(run=_run_pii)
 
     for name, kind in (("region1", 1), ("region2", 2), ("scan", None)):
         sp = sub.add_parser(name)
         _add_config_arg(sp)
-        sp.set_defaults(kind=kind)
+        sp.set_defaults(run=_run_region, kind=kind)
 
     p3 = sub.add_parser("region3")
     _add_config_arg(p3)
-    p3.add_argument("--check-pq-invariance", action="store_true")
-    p3.set_defaults(kind=None)
+    p3.add_argument("--check-pq-invariance", dest="run", action="store_const",
+                    const=_run_pq_invariance)
+    p3.set_defaults(run=_run_region, kind=None)
 
     pc = sub.add_parser("check", help="symmetry and invariant report")
     _add_config_arg(pc)
+    pc.set_defaults(run=_run_check)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = _parser()
-    args = ap.parse_args(argv)
-    if args.cmd == "pii":
-        return _run_pii(args)
-    if args.cmd == "check":
-        return _run_check(args)
-    if args.cmd == "region3" and args.check_pq_invariance:
-        return _run_pq_invariance(args)
-    if args.cmd in ("region1", "region2", "region3", "scan"):
-        return _run_region(args, force_kind=getattr(args, "kind", None))
-    ap.error("unknown command")
-    return 1
+    """Run one command; the only place where an error becomes an exit code."""
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except (ConfigError, DomainError) as exc:
+        return _fail(1, "config error: %s" % exc)
+    except MchasyError as exc:
+        return _fail(2, "%s: %s" % (type(exc).__name__, exc))
+    except OSError as exc:
+        return _fail(3, "i/o error: %s" % exc)
+
+
+def _fail(code: int, line: str) -> int:
+    # one stderr line: a control character echoed from a config is escaped
+    print("".join(c if c.isprintable() else repr(c)[1:-1] for c in line), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

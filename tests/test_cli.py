@@ -535,6 +535,77 @@ class TestBadScattering:
         assert not (tmp_path / "o.csv").exists()
 
 
+class TestUnreadableInput:
+    """A config or table that cannot be read or decoded is one config error,
+    exit 1, in every command that reads a config."""
+
+    def check_each_command(self, cfg_path, err, capsys):
+        for cmd in TestBadScattering.COMMANDS:
+            assert main([cmd[0], "--config", str(cfg_path)] + cmd[1:]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_bytes(b"\xff[scattering]\nkappa_r = 0.5\n")
+        self.check_each_command(cfg_path, "config error: 'utf-8' codec can't decode "
+                                "byte 0xff in position 0: invalid start byte\n", capsys)
+
+    def test_missing_table(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scattering]\ntable_path = %s\n" % (tmp_path / "r.csv"))
+        self.check_each_command(cfg_path, "config error: %s not found.\n"
+                                % (tmp_path / "r.csv"), capsys)
+
+    def test_directory_as_table(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scattering]\ntable_path = %s\n" % tmp_path)
+        self.check_each_command(cfg_path, "config error: [Errno 21] Is a directory: "
+                                "%r\n" % str(tmp_path), capsys)
+
+
+class TestScanSize:
+    """A scan holds at most _MAX_GRID points, times by grid values, so that
+    it ends."""
+
+    @pytest.mark.parametrize("scan", [
+        "t = 2:1e6:1001\ns = -1:1:1000\n",
+        "t = %s\nxi = -1:1:1000\n" % ", ".join(map(str, range(2, 1003))),
+    ], ids=["grids", "comma_list"])
+    def test_refused(self, tmp_path, capsys, scan):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scan]\n" + scan)
+        assert main(["scan", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: scan: scan of 1001000 points, at most "
+                                "1000000 allowed\n")
+
+    def test_limit_itself_is_allowed(self):
+        cfg = parse_config("[scan]\nt = 2:1e6:1000\ns = -1:1:1000\n")
+        assert len(cfg.times) * len(cfg.grid) == cli._MAX_GRID
+
+
+def test_json_writes_null_for_non_finite_x(tmp_path):
+    # x = xi*t overflows: JSON has no Infinity, CSV keeps inf
+    cfg_path = tmp_path / "cfg.ini"
+    out = tmp_path / "o.json"
+    cfg_path.write_text(MINIMAL + "[scan]\nt = 1e6\nxi = 1e308\n"
+                        "[output]\nformat = json\npath = %s\n" % out)
+    assert main(["scan", "--config", str(cfg_path)]) == 0
+
+    def refuse(name):
+        raise ValueError("non-finite number %s in JSON" % name)
+
+    [row] = json.loads(out.read_text(), parse_constant=refuse)["rows"]
+    assert row["x"] is None and row["t"] == 1e6
+    assert row["error"] == "DomainError: need finite x and t > 0, got (inf, 1000000.0)"
+    cfg_path.write_text(cfg_path.read_text().replace("format = json", "format = csv"))
+    assert main(["scan", "--config", str(cfg_path)]) == 0
+    assert out.read_text().splitlines()[1].startswith("inf,1000000.0,,")
+
+
 class TestLiteralValues:
     """Config values are literal: '%' is not interpolation syntax."""
 
@@ -566,6 +637,8 @@ class TestMalformedConfig:
          "line 3: repeated key scattering.kappa_r"),
         ("[DEFAULT]\nalpha = 3\n", "DEFAULT: unknown section [DEFAULT]"),
         ("[scattering]\nkapa_r = 0.9\n", "scattering.kapa_r: unknown key"),
+        # a control character in a name is escaped, so the error stays one line
+        ("[scan]\nkap\x0cpa = 1\n", "scan.kap\\x0cpa: unknown key"),
         # the family is the only one, so the key selects nothing
         ("[scattering]\nfamily = gaussian\n", "scattering.family: unknown key"),
         # the section is gone: the zone-II rule converges exponentially, so
@@ -575,7 +648,7 @@ class TestMalformedConfig:
         ("[tolerances]\npii_tol = 1e-10\n", "tolerances: unknown section [tolerances]"),
         ("[tolerances]\ntail_cutoff = 1e-17\n", "tolerances: unknown section [tolerances]"),
     ], ids=["key_before_section", "no_delimiter", "empty_key", "repeated_section",
-            "repeated_key", "default_section", "unknown_key", "family", "max_subdivisions",
+            "repeated_key", "default_section", "unknown_key", "control_character", "family", "max_subdivisions",
             "pii_tol", "tail_cutoff"])
     def test_one_line_exit_1(self, tmp_path, capsys, body, message):
         cfg_path = tmp_path / "cfg.ini"
@@ -896,3 +969,18 @@ def test_table_scan_imports_interpolation_on_demand(tmp_path):
     rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
     assert len(rows) == 3
     assert all(r[2] == "I" and math.isfinite(float(r[4])) and r[6] == "" for r in rows)
+
+
+def test_pii_into_closed_pipe_exits_3():
+    # the reader stops after the first line, as `mchasy pii ... | head -1` does
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "mchasy.cli", "pii", "--k", "0.5",
+                             "--s=0:8:0.0001"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"s,v,v_prime,Q\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 3
+    assert err == b"i/o error: [Errno 32] Broken pipe\n"

@@ -101,14 +101,23 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def with_bytes(text, at, raw):
+    """The config as bytes, with ``raw`` inserted at ``at`` (a fraction of
+    the text before its last line, which sets the output path)."""
+    data = text.encode()
+    cut = int(at * data.rindex(b"path = "))
+    return data[:cut] + raw + data[cut:]
+
+
 @settings(max_examples=60, deadline=None)
-@given(configs(), st.sampled_from(COMMANDS))
-def test_exit_code_documented_and_no_traceback(text, command):
-    # an exception escaping main is what prints a traceback in a shell
+@given(configs(), st.floats(0, 1), st.binary(max_size=3), st.sampled_from(COMMANDS))
+def test_exit_code_documented_and_no_traceback(text, at, raw, command):
+    # an exception escaping main is what prints a traceback in a shell; a
+    # few arbitrary bytes make some configs undecodable
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "cfg.ini")
-        with open(cfg_path, "w") as fh:
-            fh.write(text.replace("{out}", os.path.join(tmp, "out")))
+        with open(cfg_path, "wb") as fh:
+            fh.write(with_bytes(text.replace("{out}", os.path.join(tmp, "out")), at, raw))
         code, _, err = run_main([command[0], "--config", cfg_path] + command[1:])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
