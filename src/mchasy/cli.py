@@ -52,6 +52,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import ConfigError, DomainError, MchasyError
 from .painleve2 import SolutionCache, eval_pii, solve_pii
-from .phase import RegionConstants, RegionTag, SpaceTimePoint, _grid_xi, classify, scaled_s
+from .phase import RegionConstants, RegionTag, SpaceTimePoint, _xi_of_s, classify, scaled_s
 from .region1 import u_region1
 from .region2 import u_region2
 from .region3 import u_region3
@@ -300,7 +301,11 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
 
 
 def _grid_to_x(cfg: RunConfig, t: float, v: float) -> float:
-    return _grid_xi(cfg.grid_kind, cfg.grid_region, v, t) * t
+    if cfg.grid_kind == "xi":
+        return v * t
+    if cfg.grid_kind == "w":
+        return (2.0 - v * math.log(t) ** (2.0 / 3.0) * t ** (-2.0 / 3.0)) * t
+    return _xi_of_s(v, t, RegionTag.R_I if cfg.grid_region == 1 else RegionTag.R_II) * t
 
 
 def _eval_point(cfg, cache, x, t):
@@ -397,9 +402,7 @@ def _run_region(args) -> int:
     table = run_scan(cfg)
     meta = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()}
     write_output(table, cfg.format, cfg.path, meta)
-    if args.strict and any(r["error"] for r in table):
-        return 2
-    return 0
+    return 2 if args.strict and any(r["error"] for r in table) else 0
 
 
 def _run_check(args) -> int:
@@ -494,20 +497,29 @@ def main(argv=None) -> int:
     """Run one command; the only place where an error becomes an exit code."""
     args = _parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()      # so that a pipe closed before the end is exit 3 too
+        return code
     except (ConfigError, DomainError) as exc:
-        return _fail(1, "config error: %s" % exc)
+        code, line = 1, "config error: %s" % exc
     except MchasyError as exc:
-        return _fail(2, "%s: %s" % (type(exc).__name__, exc))
+        code, line = 2, "%s: %s" % (type(exc).__name__, exc)
     except OSError as exc:
-        return _fail(3, "i/o error: %s" % exc)
-
-
-def _fail(code: int, line: str) -> int:
+        code, line = 3, "i/o error: %s" % exc
     # one stderr line: a control character echoed from a config is escaped
     print("".join(c if c.isprintable() else repr(c)[1:-1] for c in line), file=sys.stderr)
     return code
 
 
+def _script() -> int:
+    """The ``mchasy`` command: ``main`` in a process of its own."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:     # a closed pipe, which main reported: not again at Python's exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_script())

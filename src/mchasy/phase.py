@@ -65,17 +65,11 @@ def scaled_s(point: SpaceTimePoint, region: RegionTag) -> float:
     raise RegionError("scaled_s supports the two Painleve zones, not %s" % region)
 
 
-def _grid_xi(axis: str, grid_region: int, v: float, t: float) -> float:
-    """xi of the scan grid value v at time t: v itself on the xi axis, the
-    shock window's w on the w axis, and on the s axis the inverse of
-    ``scaled_s`` in zone ``grid_region`` (1 or 2)."""
-    if axis == "xi":
-        return v
-    if axis == "w":
-        return 2.0 - v * math.log(t) ** (2.0 / 3.0) * t ** (-2.0 / 3.0)
-    if grid_region == 1:
-        return 2.0 + 6.0 ** (2.0 / 3.0) * v * t ** (-2.0 / 3.0)
-    return -0.25 - (9.0 / 8.0) ** (1.0 / 3.0) * v * t ** (-2.0 / 3.0)
+def _xi_of_s(s: float, t: float, region: RegionTag) -> float:
+    """xi at which ``scaled_s`` is s at time t in the given Painleve zone."""
+    if region is RegionTag.R_I:
+        return 2.0 + 6.0 ** (2.0 / 3.0) * s * t ** (-2.0 / 3.0)
+    return -0.25 - (9.0 / 8.0) ** (1.0 / 3.0) * s * t ** (-2.0 / 3.0)
 
 
 def classify(point: SpaceTimePoint,

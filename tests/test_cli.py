@@ -971,16 +971,22 @@ def test_table_scan_imports_interpolation_on_demand(tmp_path):
     assert all(r[2] == "I" and math.isfinite(float(r[4])) and r[6] == "" for r in rows)
 
 
-def test_pii_into_closed_pipe_exits_3():
-    # the reader stops after the first line, as `mchasy pii ... | head -1` does
+@pytest.mark.parametrize("s, lines_read", [("0:8:0.0001", 1), ("0:1:0.5", 0)],
+                         ids=["after_first_line", "before_any_line"])
+def test_pii_into_closed_pipe_exits_3(s, lines_read):
+    # the reader stops after the first line, as `mchasy pii ... | head -1`
+    # does, or before any, as `| true` does; stdout is block-buffered, as it
+    # is by default, so that Python's own flush at exit meets the pipe too
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen([sys.executable, "-m", "mchasy.cli", "pii", "--k", "0.5",
-                             "--s=0:8:0.0001"], env=env,
+                             "--s=" + s], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"s,v,v_prime,Q\n"
+    if lines_read:
+        assert proc.stdout.readline() == b"s,v,v_prime,Q\n"
     proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 3
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 3
     assert err == b"i/o error: [Errno 32] Broken pipe\n"

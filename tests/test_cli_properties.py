@@ -101,23 +101,14 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def with_bytes(text, at, raw):
-    """The config as bytes, with ``raw`` inserted at ``at`` (a fraction of
-    the text before its last line, which sets the output path)."""
-    data = text.encode()
-    cut = int(at * data.rindex(b"path = "))
-    return data[:cut] + raw + data[cut:]
-
-
-@settings(max_examples=60, deadline=None)
-@given(configs(), st.floats(0, 1), st.binary(max_size=3), st.sampled_from(COMMANDS))
-def test_exit_code_documented_and_no_traceback(text, at, raw, command):
-    # an exception escaping main is what prints a traceback in a shell; a
-    # few arbitrary bytes make some configs undecodable
+def check_exit_code_and_stderr(config, command):
+    """Run ``command`` on the config bytes (output to ``{out}``): a
+    documented exit code, and stderr lines that name what went wrong."""
+    # an exception escaping main is what prints a traceback in a shell
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "cfg.ini")
         with open(cfg_path, "wb") as fh:
-            fh.write(with_bytes(text.replace("{out}", os.path.join(tmp, "out")), at, raw))
+            fh.write(config.replace(b"{out}", os.path.join(tmp, "out").encode()))
         code, _, err = run_main([command[0], "--config", cfg_path] + command[1:])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
@@ -125,6 +116,23 @@ def test_exit_code_documented_and_no_traceback(text, at, raw, command):
         assert line.startswith(("config error: ", "warning: ", "i/o error: ")), line
     if code == 1:
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(), st.sampled_from(COMMANDS))
+def test_exit_code_documented_and_no_traceback(text, command):
+    check_exit_code_and_stderr(text.encode(), command)
+
+
+@settings(max_examples=30, deadline=None)
+@given(configs(), st.floats(0, 1), st.binary(min_size=1, max_size=3),
+       st.sampled_from(COMMANDS))
+def test_exit_code_documented_with_arbitrary_bytes(text, at, raw, command):
+    # raw bytes inserted before the last line, which sets the output path:
+    # some make the config undecodable, some break its grammar
+    data = text.encode()
+    cut = int(at * data.rindex(b"path = "))
+    check_exit_code_and_stderr(data[:cut] + raw + data[cut:], command)
 
 
 @settings(max_examples=30, deadline=None)
