@@ -94,7 +94,7 @@ class _LogGrid(NamedTuple):
 
 
 class ReflectionCoefficient:
-    """Reflection coefficient on the real line; |r| <= 1 everywhere.
+    """Reflection coefficient on the real line.
 
     Built by ``family`` or ``tabulated``.  Each kind gives r on z >= 1 as a
     function of y = ln z >= 0 (``_half``, ``_half_array``), the curvature of
@@ -326,9 +326,6 @@ class DiscreteSpectrum:
         vals += [abs(z[i] - z[j]) for i in range(len(z)) for j in range(i + 1, len(z))]
         return 0.25 * min(vals)
 
-    def __len__(self):
-        return len(self.representatives)
-
 
 @dataclass
 class ScatteringData:
@@ -361,78 +358,38 @@ class ScatteringData:
         return val
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymmetryReport:
-    max_negation_violation: float
+    """The worst gaps at ``_SYMMETRY_PROBES`` of what data can break: r(1/z) =
+    conj r(z), with a table's ``inversion_defect``, and |r| <= 1."""
+
     max_inversion_violation: float
     max_modulus_excess: float
-    spectrum_violations: dict
-    log_integrability: float
 
     @property
     def passed(self) -> bool:
-        worst = max(self.max_negation_violation, self.max_inversion_violation,
-                    self.max_modulus_excess, *(self.spectrum_violations.values() or [0.0]))
-        return worst <= _SYMMETRY_TOL and math.isfinite(self.log_integrability)
+        return max(self.max_inversion_violation, self.max_modulus_excess) <= _SYMMETRY_TOL
 
 
 # every violation in a report that passes is at most this
 _SYMMETRY_TOL = 1e-10
-# probes of check_symmetries: the symmetries of r, and the integrability of
-# log(1-|r|^2) against 1/(1+|z|)
 _SYMMETRY_PROBES = np.concatenate([np.geomspace(0.05, 20.0, 41), [1.0, 2.0, 2 + math.sqrt(3)]])
-_INTEGRABILITY_PROBES = np.geomspace(1e-3, 1e3, 200)
 
 
-def _probe_gaps(data: ScatteringData) -> tuple[float, float]:
-    """(inversion violation, modulus excess) at ``_SYMMETRY_PROBES`` from one
-    r evaluation, memoized per data; the inversion violation includes
-    ``r.inversion_defect``.  These are the only parts of
-    ``SymmetryReport.passed`` that construction does not guarantee: r(-z) =
-    -conj r(z) holds exactly, the integrability proxy is clamped finite and
-    ``DiscreteSpectrum`` refuses a spectrum that would fail.
-    """
+def check_symmetries(data: ScatteringData) -> SymmetryReport:
+    """The symmetry report of ``data`` from one r evaluation at the probes
+    and their inverses, memoized per data.  The rest holds by construction:
+    r(-z) = -conj r(z) is the base class's fold of z < 0, and
+    ``DiscreteSpectrum`` refuses a point off the unit circle or the fourth
+    quadrant."""
     def build():
         r, zs = data.r, _SYMMETRY_PROBES
         vals = r(np.concatenate([zs, 1.0 / zs]))
         rz, r_inv = vals[:zs.size], vals[zs.size:]
         inv = max(float(np.abs(r_inv - rz.conj()).max()), r.inversion_defect)
-        return inv, float((np.abs(rz) - 1.0).max(initial=0.0))
+        return SymmetryReport(inv, float((np.abs(rz) - 1.0).max(initial=0.0)))
 
-    return data._memo("probe_gaps", build)
-
-
-def _symmetries_pass(data: ScatteringData) -> bool:
-    """``check_symmetries(data).passed``, from ``_probe_gaps`` alone."""
-    return max(_probe_gaps(data)) <= _SYMMETRY_TOL
-
-
-def check_symmetries(data: ScatteringData) -> SymmetryReport:
-    """Sample a fixed grid and report the worst violation of each symmetry.
-
-    The inversion violation and the modulus excess are ``_probe_gaps``; r
-    is evaluated once more, on the negated probes and the integrability
-    probes together.
-    """
-    r = data.r
-    zs, probes = _SYMMETRY_PROBES, _INTEGRABILITY_PROBES
-    inv, mod = _probe_gaps(data)
-    vals = r(np.concatenate([zs, -zs, probes]))
-    rz, r_neg, r_probes = vals[:zs.size], vals[zs.size:2 * zs.size], vals[2 * zs.size:]
-    neg = float(np.abs(r_neg + rz.conj()).max())
-    spec_v = {}
-    for z in data.spectrum.representatives:
-        spec_v["unit circle"] = max(spec_v.get("unit circle", 0.0), abs(abs(z) - 1.0))
-        spec_v["lower half plane"] = max(spec_v.get("lower half plane", 0.0),
-                                         max(0.0, z.imag))
-        spec_v["right half plane"] = max(spec_v.get("right half plane", 0.0),
-                                         max(0.0, -z.real))
-    if len(data.spectrum):
-        spec_v["separation"] = 0.0 if data.spectrum.varrho() > 0 else 1.0
-    # crude integrability probe of log(1-|r|^2) against 1/(1+|z|)
-    m2 = np.abs(r_probes) ** 2
-    total = float((np.abs(np.log(np.maximum(1.0 - m2, 1e-300))) / (1.0 + probes)).sum())
-    return SymmetryReport(neg, inv, mod, spec_v, total)
+    return data._memo("symmetries", build)
 
 
 def _blaschke(data: ScatteringData, z: complex) -> complex:

@@ -206,8 +206,8 @@ def secant_root(g, lo, hi, tol=1e-13, max_iter=200):
 
 
 def symmetry_loop(r):
-    """(negation, inversion, modulus excess, integrability) of
-    ``check_symmetries`` from scalar r calls.  For a table, the inversion
+    """(negation, inversion, modulus excess) of r at the probes of
+    ``check_symmetries``, from scalar r calls.  For a table, the inversion
     violation also covers its knots on the side of z = 1 that reaches less
     far in |ln z| (z <= 1 on a tie), each against r there."""
     neg = inv = mod = 0.0
@@ -222,10 +222,7 @@ def symmetry_loop(r):
         for z, v in zip(grid, r.values):
             if (z <= 1.0) if upper else (z >= 1.0):
                 inv = max(inv, abs(r(z) - v))
-    total = 0.0
-    for z in np.geomspace(1e-3, 1e3, 200):
-        total += abs(math.log(max(1.0 - abs(r(z)) ** 2, 1e-300))) / (1.0 + z)
-    return neg, inv, max(0.0, mod), total
+    return neg, inv, max(0.0, mod)
 
 
 def full_line_t_at_i(data):
