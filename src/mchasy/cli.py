@@ -48,6 +48,7 @@ failure is one line on stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import io
@@ -502,9 +503,20 @@ def main(argv=None) -> int:
     return code
 
 
+class _ClosedStdout(io.TextIOBase):
+    """``sys.stdout`` of a process started with stdout closed (``>&-``), for
+    which Python sets it to None: a write raises the OSError that ``main``
+    reports, and a command that writes nothing there runs as usual."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "stdout is closed")
+
+
 def _script() -> int:
     """The ``mchasy`` command: ``main`` in a process of its own."""
-    if isinstance(sys.stdout.buffer, io.RawIOBase):
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
+    elif isinstance(sys.stdout.buffer, io.RawIOBase):
         # python -u: text goes to the raw file, which drops the rest of a short
         # write to a closed pipe; a buffered writer raises BrokenPipeError
         sys.stdout = open(sys.stdout.fileno(), "w", 1, encoding=sys.stdout.encoding,

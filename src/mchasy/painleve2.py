@@ -8,8 +8,9 @@ each solution carries as ``err_est``, and a solve whose estimate exceeds
 1e-6 raises ``ConvergenceError``.  Every solve steps at the one tolerance
 ``_RTOL`` for which that estimate was measured.  The Hastings-McLeod edge
 |k| = 1 is a separatrix, solved as a two-point boundary value problem by
-Newton multiple shooting on the same Taylor steps, from a square-root/Airy
-guess, and memoized per process by s_min.  Both carry dense output for
+Newton multiple shooting on the same Taylor steps, from a square-root guess
+joined to the initial value solution from the Airy data, and memoized per
+process by s_min.  Both carry dense output for
 (v, v') as the Taylor step polynomials.  The equation is odd in v, so every
 k < 0 is the exact negation (v, v', Q) -> (-v, -v', Q) of |k|: only |k| is
 ever integrated, and ``eval_pii`` negates its values.  The tail
@@ -56,10 +57,13 @@ _HM_ERR = 1e-10     # error estimate of Hastings-McLeod, above its shooting jump
 
 
 def _airy_data(k, s):
-    """(v, v', Q) of v = k*Ai at s, scalar or array: Q(s) = int_s^inf v^2
-    = k^2 (Ai'(s)^2 - s*Ai(s)^2)."""
+    """(v, v', Q) of v = k*Ai at a float s, Q the Hamiltonian v'^2 - s v^2 -
+    v^4 as in ``_Steps.at``.  It differs from int_s^inf v^2 = k^2 (Ai'^2 -
+    s Ai^2) by v^4, below 1e-18 of it from s = ``_S_MAX`` on."""
     ai, aip = airy(s)
-    return k * ai, k * aip, k * k * (aip * aip - s * ai * ai)
+    v, vp = k * ai, k * aip
+    vv = v * v
+    return v, vp, vp * vp - (s + vv) * vv
 
 
 def _horner(row, t):
@@ -142,6 +146,12 @@ class _Taylor(_Steps):
         self._state = _horner(row, s1 + self.neg_ends[-1])
         self.rows.append(row)
         self.neg_ends.append(-s1)
+
+
+# the k = 1 solution of the initial value problem from the Airy data at
+# _S_MAX: on [0, _S_MAX] it is the Hastings-McLeod guess at every s_min, and
+# its steps are taken once per process
+_HM_GUESS = _Taylor(1.0)
 
 
 @dataclass(frozen=True)
@@ -262,10 +272,10 @@ def _solve_hastings_mcleod(s_min):
         nodes.append(max(nodes[-1] - 1.0, s_min))
     m = len(nodes) - 1
     v_left = math.sqrt(-s_min / 2.0)
-    # the guess: sqrt(-s/2) left of 0, Ai from 0 on; u[2j], u[2j+1] are
-    # (v, v') at node j, and u[0] = Ai(_S_MAX) stays
+    # the guess: sqrt(-s/2) left of 0, ``_HM_GUESS`` from 0 on; u[2j],
+    # u[2j+1] are (v, v') at node j, and u[0] = Ai(_S_MAX) stays
     u = np.array([(math.sqrt(-e / 2.0), -0.25 / math.sqrt(-e / 2.0)) if e < 0.0
-                  else airy(e) for e in nodes[:-1]], dtype=float).ravel()
+                  else _HM_GUESS.at(e)[:2] for e in nodes[:-1]], dtype=float).ravel()
     update = math.inf
     for _ in range(_NEWTON_MAX):
         steps = _Steps() if update <= _NEWTON_TOL else None

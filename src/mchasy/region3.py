@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1, elliprf, hyp2f1
 
 from .errors import (
     AdmissibilityError,
@@ -42,7 +41,8 @@ from .errors import (
     RegionError,
     WindowError,
 )
-from .numerics import QuadratureSpec, ThetaParams, find_root, jacobi_theta, quad, quad_band
+from .numerics import (QuadratureSpec, ThetaParams, _special_on_first_call, find_root,
+                       jacobi_theta, quad, quad_band)
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify
 from .region1 import AsymptoticValue
 from .scattering import ScatteringData
@@ -60,6 +60,13 @@ __all__ = [
     "nr7_coeffs",
     "u_region3",
 ]
+
+# the scipy.special ufuncs of this zone, imported on the first call to one:
+# zones I and II never make one
+ellipe = _special_on_first_call(globals(), "ellipe")
+ellipkm1 = _special_on_first_call(globals(), "ellipkm1")
+elliprf = _special_on_first_call(globals(), "elliprf")
+hyp2f1 = _special_on_first_call(globals(), "hyp2f1")
 
 _TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=6000)
 

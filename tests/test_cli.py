@@ -891,9 +891,10 @@ class TestSymmetryRefusal:
 
 # scipy.interpolate and scipy.integrate each pull in scipy.linalg, .optimize
 # and .sparse: tables import the first on construction, and nothing loads the
-# second (Hastings-McLeod is solved on the Taylor stepper); configs are read
-# without configparser
-_DEFERRED = ("scipy.interpolate", "scipy.integrate", "configparser")
+# second (Hastings-McLeod is solved on the Taylor stepper); scipy.special is
+# imported by the first zone-III elliptic function or airy below s = 10,
+# neither of which zones I and II call; configs are read without configparser
+_DEFERRED = ("scipy.interpolate", "scipy.integrate", "scipy.special", "configparser")
 
 
 def _run_fresh(code):
@@ -955,6 +956,26 @@ def test_pii_hastings_mcleod_loads_neither_deferred_module():
     assert float(rows[11].split(",")[1]) == pytest.approx(0.36706155154807, rel=1e-12)
 
 
+def test_shock_scan_imports_scipy_special_on_demand(tmp_path):
+    # the same scan in a process that imported scipy.special before mchasy,
+    # which binds the ufuncs at once: the same bytes
+    outputs = []
+    for first in ("", "import scipy.special; "):
+        out = tmp_path / ("o%d.csv" % len(outputs))
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SHOCK_SCAN.format(path=out))
+        code = (first + "import sys; from mchasy.cli import main; "
+                "print('scipy.special' in sys.modules); "
+                "assert main(['scan', '--config', %r]) == 0; "
+                "print('scipy.special' in sys.modules)" % str(cfg_path))
+        assert _run_fresh(code).split() == [str(bool(first)), "True"]
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    rows = [r.split(",") for r in outputs[0].decode().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(r[2] == "III" and math.isfinite(float(r[4])) and r[6] == "" for r in rows)
+
+
 def test_table_scan_imports_interpolation_on_demand(tmp_path):
     import numpy as np
     grid = np.geomspace(0.05, 20, 120)
@@ -1006,3 +1027,14 @@ def test_pii_into_closed_pipe_exits_3(tmp_path, argv, first_line, unbuffered):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 3
     assert err == b"i/o error: [Errno 32] Broken pipe\n"
+
+
+def test_pii_with_stdout_closed_exits_3():
+    # the process starts without fd 1, and Python sets sys.stdout to None
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(["sh", "-c", '"$0" -m mchasy.cli pii --k 0.5 --s=0:1:0.5 >&-',
+                           sys.executable], env=env, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == b"i/o error: [Errno 9] stdout is closed\n"

@@ -39,6 +39,21 @@ class TestAiry:
         assert (np.abs(ai - ref_ai) / np.abs(ref_ai))[pos].max() < 1e-12
         assert (np.abs(aip - ref_aip) / np.abs(ref_aip))[pos].max() < 1e-12
 
+    def test_asymptotic_series_against_mpmath(self):
+        # s >= 10 is the asymptotic series, not scipy
+        s = np.linspace(10, 30, 401)
+        with mp.workdps(40):
+            ref = np.array([(float(mp.airyai(x)), float(mp.airyai(x, derivative=1)))
+                            for x in s])
+        got = np.array([airy(x) for x in s])
+        assert (np.abs(got - ref) / np.abs(ref)).max() <= 5e-14
+
+    @pytest.mark.parametrize("s", [10.0, 10.5, 30.0])
+    def test_asymptotic_series_against_scipy(self, s):
+        from scipy.special import airy as scipy_airy
+        ai, aip, _bi, _bip = scipy_airy(s)
+        assert airy(s) == pytest.approx((ai, aip), rel=1e-14, abs=0)
+
     def test_airy_equation_by_finite_differences(self):
         # no Bi available, so the Wronskian check is replaced by Ai'' = s*Ai
         for s in np.linspace(-10, 5, 31):
