@@ -8,18 +8,17 @@ on the real line plus unit-circle discrete spectrum.
 __version__ = "0.1.0"
 
 from .errors import MchasyError
-from .numerics import QuadratureSpec, ThetaParams, airy, find_root, jacobi_theta, quad, quad_band, quad_pv
+from .numerics import airy, find_root, jacobi_theta
 from .painleve2 import PIISolution, SolutionCache, eval_pii, solve_pii
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
 from .region1 import AsymptoticValue, u_region1
 from .region2 import Region2Constants, f_II, lambda_ab, psi_ab, region2_constants, u_region2
-from .region3 import ShockGeometry, ShockParams, abel, build_geometry, delta0, g_eval, h_eval, nr7_coeffs, nr7_matrix, solve_band, u_region3
+from .region3 import ShockGeometry, ShockParams, build_geometry, delta0, nr7_coeffs, solve_band, u_region3
 from .scattering import DiscreteSpectrum, ReflectionCoefficient, ScatteringData, check_symmetries, log_T_i, log_transforms, t_i_and_t1
 
 __all__ = [
     "__version__", "MchasyError",
-    "QuadratureSpec", "ThetaParams", "airy", "jacobi_theta", "quad", "quad_pv",
-    "quad_band", "find_root",
+    "airy", "jacobi_theta", "find_root",
     "PIISolution", "SolutionCache", "solve_pii", "eval_pii",
     "SpaceTimePoint", "RegionTag", "RegionConstants", "scaled_s", "classify",
     "ReflectionCoefficient", "DiscreteSpectrum", "ScatteringData",
@@ -27,6 +26,6 @@ __all__ = [
     "AsymptoticValue", "u_region1",
     "Region2Constants", "region2_constants", "lambda_ab", "psi_ab", "f_II",
     "u_region2",
-    "ShockParams", "ShockGeometry", "solve_band", "build_geometry", "abel",
-    "delta0", "h_eval", "g_eval", "nr7_matrix", "nr7_coeffs", "u_region3",
+    "ShockParams", "ShockGeometry", "solve_band", "build_geometry", "delta0",
+    "nr7_coeffs", "u_region3",
 ]

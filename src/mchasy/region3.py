@@ -18,6 +18,11 @@ the g- and h-functions hold and the theta series converges.  The off-diagonal
 phases of the model matrix are -exp(i*phi) (row 1) and +exp(-i*phi) (row 2);
 these are forced by the antidiagonal jump and are cross-checked at runtime by
 the expansion-coefficient fit.
+
+``u_region3`` stands on closed forms: the band integrals, the Abel map on
+the axis, the g- and h-function limits and the theta model's expansion
+coefficients.  ``abel``, a quadrature off the axis, and ``nr7_matrix`` are
+verification kernels: only the tests call them.
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ from .errors import (
     RegionError,
     WindowError,
 )
-from .numerics import (QuadratureSpec, ThetaParams, _special_on_first_call, find_root,
-                       jacobi_theta, quad, quad_band)
+from .numerics import QuadratureSpec, _special_on_first_call, find_root, jacobi_theta, quad
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify
 from .region1 import AsymptoticValue
 from .scattering import ScatteringData
@@ -52,11 +56,7 @@ __all__ = [
     "ShockGeometry",
     "solve_band",
     "build_geometry",
-    "abel",
     "delta0",
-    "h_eval",
-    "g_eval",
-    "nr7_matrix",
     "nr7_coeffs",
     "u_region3",
 ]
@@ -123,16 +123,6 @@ class ShockParams:
 def _w_sheet1(k, a, b):
     k = np.asarray(k, dtype=complex)
     return k * k * np.sqrt(1.0 - a * a / (k * k)) * np.sqrt(1.0 - b * b / (k * k))
-
-
-def _w_abs(z, a, b):
-    return np.sqrt(np.abs(z * z - a * a) * np.abs(z * z - b * b))
-
-
-def _seg_w(a, b, lo, hi) -> float:
-    """Positive integral of |w| over [lo, hi]."""
-    return float(np.real(quad_band(
-        lambda z: np.sqrt((z - lo) * (hi - z)) * _w_abs(z, a, b), lo, hi, _TIGHT).value))
 
 
 # Real periods as complete elliptic integrals (DLMF 19.2) of m = (a/b)^2 and
@@ -291,10 +281,6 @@ class ShockGeometry:
     q: float
     K_band: float
 
-    @property
-    def theta_params(self) -> ThetaParams:
-        return ThetaParams(varkappa=self.varkappa)
-
     @cached_property
     def theta_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(s, Theta(s), Theta'(s)) at the points every shock point needs,
@@ -305,7 +291,7 @@ class ShockGeometry:
         expansion = np.array([self.A_inf - kap4, -self.A_inf - kap4])
         gate = np.append(-_abel_axis(self, _NR7_KS * self.gate_unit) - kap4, self.A_inf - kap4)
         s = np.concatenate([[0.0], expansion, expansion + shift, gate + shift, gate])
-        return (s, *jacobi_theta(s, self.theta_params, order=(0, 1)))
+        return (s, *jacobi_theta(s, self.varkappa, order=(0, 1)))
 
     @property
     def gate_unit(self) -> float:
@@ -322,9 +308,6 @@ class ShockGeometry:
     def expansion_terms(self) -> tuple[complex, complex]:
         """(g_inf, x_tilde) of ``_expansion_terms``, computed once per geometry."""
         return _expansion_terms(self)
-
-    def w(self, k):
-        return _w_sheet1(k, self.a, self.b)
 
 
 def _path_quad_inv_w(geom_ab, z1) -> complex:
@@ -458,88 +441,8 @@ def build_geometry(params: ShockParams) -> ShockGeometry:
 
 
 # ----------------------------------------------------------------------
-# Scalar g- and h-functions
+# Tail limits of the scalar g- and h-functions
 # ----------------------------------------------------------------------
-
-def _sided(k: complex, geom: ShockGeometry, side: str, f) -> complex:
-    # three-point Richardson continuation onto the cut from the chosen side
-    d = 1e-3 * (geom.b - geom.a) * (1.0 if side == "+" else -1.0)
-    f1, f2, f3 = f(k + 1j * d), f(k + 0.5j * d), f(k + 0.25j * d)
-    return (8.0 * f3 - 6.0 * f2 + f1) / 3.0
-
-
-def g_eval(geom: ShockGeometry, k, side: str | None = None) -> complex:
-    """g(k) = -3q * int_b^k w + B1/4 on the first sheet.
-
-    Real k in [-b, b] lies on the jump contour and needs ``side``; those
-    boundary values come from exact one-sided segment reductions.
-    """
-    a, b, q = geom.a, geom.b, geom.q
-    k = complex(k)
-    x, y = k.real, k.imag
-    if y != 0.0:
-        dz = k - b
-
-        def f(sig):
-            z = b + dz * sig * sig
-            return 2.0 * sig * dz * _w_sheet1(z, a, b)
-
-        body = complex(quad(f, 0.0, 1.0, _TIGHT).value)
-        return -3.0 * q * body + geom.B1 / 4.0
-    if x >= b:
-        return -3.0 * q * _seg_w(a, b, b, x) + geom.B1 / 4.0
-    if x <= -b:
-        # upper crossing: the two band legs contribute -+ i*J_band and cancel
-        body = _j_gap(a, b) - _seg_w(a, b, x, -b)
-        return -3.0 * q * body + geom.B1 / 4.0
-    if side not in ("+", "-"):
-        raise BoundaryAmbiguityError("g on [-b, b] needs side='+'/'-'")
-    sgn = 1.0 if side == "+" else -1.0
-    if x >= a:          # on (a, b)
-        return sgn * 3j * q * _seg_w(a, b, x, b) + geom.B1 / 4.0
-    if x > -a:          # on the gap: values differ by the full band period
-        body = -sgn * 1j * _j_band(a, b) + _seg_w(a, b, x, a)
-        return -3.0 * q * body + geom.B1 / 4.0
-    # on (-b, -a)
-    body = -sgn * 1j * _j_band(a, b) + _j_gap(a, b) \
-        + sgn * 1j * _seg_w(a, b, x, -a)
-    return -3.0 * q * body + geom.B1 / 4.0
-
-
-def h_eval(geom: ShockGeometry, k, side: str | None = None) -> complex:
-    """Auxiliary scalar h(k); O(1/k) at infinity, log-singular at 0.
-
-    The whole segment [-b, b] is a jump contour of h, so real k there needs
-    ``side``; the boundary value is obtained by short Richardson continuation
-    from the requested half plane.
-    """
-    a, b, d0, C_R = geom.a, geom.b, geom.Delta0, geom.C_R
-    k = complex(k)
-    if k.imag == 0.0 and abs(k.real) <= b:
-        if side not in ("+", "-"):
-            raise BoundaryAmbiguityError("h on [-b, b] needs side='+'/'-'")
-        return _sided(k, geom, side, lambda z: h_eval(geom, z))
-
-    def f_band_right(z):
-        return 1.0 / ((z - k) * np.sqrt((z + a) * (z + b)))
-
-    def f_band_left(z):
-        return 1.0 / ((z - k) * np.sqrt((a - z) * (b - z)))
-
-    i_right = -1j * d0 * quad_band(f_band_right, a, b, _TIGHT).value
-    i_left = -1j * d0 * quad_band(f_band_left, -b, -a, _TIGHT).value
-
-    def f_gap(th):
-        z = a * math.sin(th)
-        lg = math.log(C_R) + 2.0 * math.log(max(abs(z), 1e-300))
-        return lg / ((z - k) * math.sqrt(b * b - z * z))
-
-    fv = np.vectorize(f_gap)
-    # split at the log singularity so it is never a quadrature node
-    i_gap = -1j * (complex(quad(fv, -0.5 * math.pi, 0.0, _TIGHT).value)
-                   + complex(quad(fv, 0.0, 0.5 * math.pi, _TIGHT).value))
-    return geom.w(k) / (2j * math.pi) * (i_right + i_left + i_gap)
-
 
 def h1_limit(geom: ShockGeometry) -> float:
     """lim k*h(k) = (Delta0 * int_a^b z^2/|w| + int_0^a z^2 log(C_R z^2)/|w|) / pi."""
@@ -575,7 +478,7 @@ def _check_poles(geom: ShockGeometry, s, val) -> None:
 
 
 def _theta(geom: ShockGeometry, s):
-    val = jacobi_theta(s, geom.theta_params)
+    val = jacobi_theta(s, geom.varkappa)
     _check_poles(geom, s, val)
     return val
 

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import settings
 from scipy.special import erfc
 
-from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
-                    ScatteringData, SolutionCache, quad, quad_pv)
-from mchasy.numerics import _THETA_TOL, quad_real_line
+from mchasy import DiscreteSpectrum, ReflectionCoefficient, ScatteringData, SolutionCache
+from mchasy.numerics import _THETA_TOL, QuadratureSpec, quad, quad_pv, quad_real_line
 
 # `pytest --hypothesis-profile=ci`: the same examples on every run, so that a
 # property failure reproduces (replaces hypothesis' built-in "ci" profile,
@@ -171,17 +170,17 @@ def inv_w_mp(a, b, lo, hi, dps=30):
         return float(mp.quad(f, [0, mp.pi / 4, mp.pi / 2]))
 
 
-def theta_longdouble(s, params, order=0, truncation=32):
+def theta_longdouble(s, varkappa, order=0, truncation=32):
     """Theta series summed directly in long double over |n| <= N, N at least
     ``truncation`` and enlarged until the dropped tail at the largest |Im s|
     is below the library's tail tolerance; no strip reduction."""
-    y0 = float(np.imag(params.varkappa))
+    y0 = float(np.imag(varkappa))
     im = float(np.max(np.abs(np.imag(s))))
     budget = -math.log(_THETA_TOL) / math.pi
     trunc = max(truncation, int(math.ceil((im + math.sqrt(im * im + y0 * budget)) / y0)) + 4)
     n = np.arange(-trunc, trunc + 1, dtype=np.clongdouble)
     s_l = np.asarray(s, dtype=np.clongdouble)[..., np.newaxis]
-    arg = 2j * _PI_L * n * s_l + 1j * _PI_L * np.clongdouble(params.varkappa) * n * n
+    arg = 2j * _PI_L * n * s_l + 1j * _PI_L * np.clongdouble(varkappa) * n * n
     terms = np.exp(arg)
     if order == 1:
         terms = terms * (2j * _PI_L * n)
@@ -291,13 +290,13 @@ def richardson_limit(f, d):
 _PI_L = np.longdouble("3.14159265358979323846264338328")
 
 
-def theta_qp_residual(theta_fn, s, vk, params):
+def theta_qp_residual(theta_fn, s, vk):
     """|Theta(s + vk) - exp(-2 pi i s - pi i vk) Theta(s)| with the factor
     and product formed in extended precision, so the residual measures the
     series evaluations rather than harness round-off (values reach O(1e3))."""
-    lhs = np.clongdouble(theta_fn(s + vk, params))
+    lhs = np.clongdouble(theta_fn(s + vk, vk))
     fac = np.exp(-2j * _PI_L * np.clongdouble(s) - 1j * _PI_L * np.clongdouble(vk))
-    rhs = fac * np.clongdouble(theta_fn(s, params))
+    rhs = fac * np.clongdouble(theta_fn(s, vk))
     return float(abs(lhs - rhs))
 
 

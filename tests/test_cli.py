@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from mchasy import RegionConstants, SpaceTimePoint, cli, painleve2, region3, scattering
+from mchasy import (RegionConstants, SpaceTimePoint, cli, numerics, painleve2, region3,
+                    scattering)
 from mchasy.cli import main, parse_config, run_scan, write_output
 from mchasy.errors import ConfigError, DomainError
 
@@ -1038,3 +1039,49 @@ def test_pii_with_stdout_closed_exits_3():
                            sys.executable], env=env, stderr=subprocess.PIPE, timeout=120)
     assert proc.returncode == 3
     assert proc.stderr == b"i/o error: [Errno 9] stdout is closed\n"
+
+
+# the verification kernels: quadratures and the off-axis Abel map and model
+# matrix, which the tests check the closed forms against and no scan calls
+VERIFICATION_KERNELS = [(numerics, "quad"), (numerics, "quad_band"), (numerics, "quad_pv"),
+                        (numerics, "quad_real_line"), (region3, "quad"), (region3, "abel"),
+                        (region3, "nr7_matrix")]
+
+KERNEL_FREE_SCANS = {
+    # Hastings-McLeod, with grid points below s = -10 that get solves of their own
+    "zone_i_hastings_mcleod": ("I", "[scattering]\nkappa_r = 1.0\n[regions]\nc1 = 48\n"
+                               "[scan]\nt = 1e6\ns = -11.5:2:5\ngrid_region = 1\n"),
+    "zone_ii_family_spectrum": ("II", "[scattering]\nkappa_r = 0.5\nalpha = 0.7\n"
+                                "spectrum = [0.5-0.8660254037844386i]\n[regions]\nc2 = 15\n"
+                                "[scan]\nt = 1e6\ns = -6:6:5\ngrid_region = 2\n"),
+    "zone_ii_chirped_table": ("II", "[scattering]\ntable_path = {table}\n[regions]\nc2 = 15\n"
+                              "[scan]\nt = 1e6\ns = -2:2:5\ngrid_region = 2\n"),
+    "zone_iii_generic": ("III", "[scattering]\nkappa_r = -1.0\nbeta = 0.5\n"
+                         "[scan]\nt = 1e6\nw = 3:5.5:6\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FREE_SCANS))
+def test_no_scan_reaches_a_verification_kernel(name, tmp_path, monkeypatch):
+    zone, text = KERNEL_FREE_SCANS[name]
+    text = text.format(table=chirped_table(tmp_path))
+
+    def scan_csv(out):
+        write_output(run_scan(parse_config(text, strict=True)), "csv", str(out))
+        return out.read_text()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan called a verification kernel")
+
+    # the kernel-free run goes first, on empty process-wide memos, so that
+    # no earlier scan has done its work for it
+    painleve2._hastings_mcleod.cache_clear()
+    region3._band_samples.cache_clear()
+    with monkeypatch.context() as patch:
+        for module, kernel in VERIFICATION_KERNELS:
+            patch.setattr(module, kernel, refuse)
+        without = scan_csv(tmp_path / "without.csv")
+    assert without == scan_csv(tmp_path / "with.csv")
+    rows = [row.split(",") for row in without.splitlines()[1:]]
+    assert len(rows) >= 5
+    assert all(r[2] == zone and r[6] == "" for r in rows)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mchasy import (QuadratureSpec, ReflectionCoefficient, ScatteringData,
-                    ThetaParams, airy, find_root, jacobi_theta, log_transforms,
-                    quad, quad_band, quad_pv)
+from mchasy import (ReflectionCoefficient, ScatteringData, airy, find_root,
+                    jacobi_theta, log_transforms)
 from mchasy.errors import (BracketError, DivergentSeriesError, DomainError,
                            RangeError)
-from mchasy.numerics import quad_real_line
+from mchasy.numerics import QuadratureSpec, quad, quad_band, quad_pv, quad_real_line
 
 from conftest import ellipk, richardson_derivative, theta_longdouble
 
@@ -69,56 +69,56 @@ class TestAiry:
 
 class TestJacobiTheta:
     def test_series_value(self):
-        params = ThetaParams(varkappa=1j)
         n = np.arange(-10, 11)
         oracle = np.exp(-math.pi * n * n).sum()
-        assert jacobi_theta(0.0, params) == pytest.approx(oracle, abs=1e-14)
-        assert jacobi_theta(0.0, params).real == pytest.approx(1.0864348112, abs=1e-9)
+        assert jacobi_theta(0.0, 1j) == pytest.approx(oracle, abs=1e-14)
+        assert jacobi_theta(0.0, 1j).real == pytest.approx(1.0864348112, abs=1e-9)
 
     def test_periodicity(self):
-        params = ThetaParams(varkappa=1j)
         s = 0.1 + 0.2j
-        assert abs(jacobi_theta(s + 1, params) - jacobi_theta(s, params)) < 1e-13
+        assert abs(jacobi_theta(s + 1, 1j) - jacobi_theta(s, 1j)) < 1e-13
 
     def test_half_period_zero(self):
-        params = ThetaParams(varkappa=1j)
-        assert abs(jacobi_theta((1 + 1j) / 2, params)) < 1e-12
+        assert abs(jacobi_theta((1 + 1j) / 2, 1j)) < 1e-12
 
     def test_quasi_periodicity_and_evenness(self):
         rng = np.random.default_rng(3)
         for vk in (0.5j, 1j, 2j):
-            params = ThetaParams(varkappa=vk)
             for _ in range(20):
                 s = complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
-                lhs = jacobi_theta(s + vk, params)
-                rhs = np.exp(-2j * np.pi * s - 1j * np.pi * vk) * jacobi_theta(s, params)
+                lhs = jacobi_theta(s + vk, vk)
+                rhs = np.exp(-2j * np.pi * s - 1j * np.pi * vk) * jacobi_theta(s, vk)
                 assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
-                assert abs(jacobi_theta(-s, params) - jacobi_theta(s, params)) < 1e-13
+                assert abs(jacobi_theta(-s, vk) - jacobi_theta(s, vk)) < 1e-13
 
     def test_divergent_series_error(self):
-        with pytest.raises(DivergentSeriesError):
-            ThetaParams(varkappa=-1j)
+        with pytest.raises(DivergentSeriesError, match=re.escape("got %r" % (-1j,))):
+            jacobi_theta(0.0, -1j)
+
+    @pytest.mark.parametrize("vk", [0.5, complex(0.5, math.nan), complex(math.nan, math.nan)])
+    def test_real_or_nan_period_ratio_named(self, vk):
+        # Im(varkappa) = 0 or NaN fails "> 0" as a negative one does
+        with pytest.raises(DivergentSeriesError, match=re.escape("got %r" % (vk,))):
+            jacobi_theta(0.0, vk)
 
     def test_overflow_is_range_error(self):
         # Theta grows like exp(pi*(Im s)^2/Im varkappa): past exp(700) it is
         # refused, not returned as inf (or a quotient of two as nan)
-        params = ThetaParams(varkappa=1j)
-        assert np.isfinite(jacobi_theta(14j, params))   # log|Theta| about 616
+        assert np.isfinite(jacobi_theta(14j, 1j))   # log|Theta| about 616
         with pytest.raises(RangeError):
-            jacobi_theta(np.array([0.0, 16j]), params, order=(0, 1))
+            jacobi_theta(np.array([0.0, 16j]), 1j, order=(0, 1))
 
     def test_derivative(self):
-        params = ThetaParams(varkappa=1j)
-        d = richardson_derivative(lambda x: jacobi_theta(x, params), 0.3, h=1e-4)
-        assert abs(d - jacobi_theta(0.3, params, order=(0, 1))[1]) < 1e-9
+        d = richardson_derivative(lambda x: jacobi_theta(x, 1j), 0.3, h=1e-4)
+        assert abs(d - jacobi_theta(0.3, 1j, order=(0, 1))[1]) < 1e-9
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_array_matches_scalar(self, order):
         # order 0: Theta alone; order 1: Theta' of the pair (Theta, Theta')
-        params = ThetaParams(varkappa=0.3 + 0.8j)
+        vk = 0.3 + 0.8j
 
         def theta(v):
-            return jacobi_theta(v, params, order=(0, 1))[1] if order else jacobi_theta(v, params)
+            return jacobi_theta(v, vk, order=(0, 1))[1] if order else jacobi_theta(v, vk)
 
         rng = np.random.default_rng(4)
         s = rng.uniform(-1, 1, (3, 6)) + 1j * rng.uniform(-0.3, 0.3, (3, 6))
@@ -134,25 +134,24 @@ class TestJacobiTheta:
         # exp(-2 pi i s - pi i vk) Theta(s) gives Theta'(s + vk) =
         # exp(-2 pi i s - pi i vk) (Theta'(s) - 2 pi i Theta(s))
         vk = 0.3 + 0.8j
-        params = ThetaParams(varkappa=vk)
         rng = np.random.default_rng(5)
         # Im s up to 2.5 periods off the axis, so most points are strip-reduced
         s = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-2, 2, (4, 5))
-        th, dth = jacobi_theta(s, params, order=(0, 1))
+        th, dth = jacobi_theta(s, vk, order=(0, 1))
         assert th.shape == dth.shape == s.shape
-        assert np.abs(th - jacobi_theta(s, params)).max() < 1e-14 * np.abs(th).max()
-        th1, dth1 = jacobi_theta(s + vk, params, order=(0, 1))
+        assert np.abs(th - jacobi_theta(s, vk)).max() < 1e-14 * np.abs(th).max()
+        th1, dth1 = jacobi_theta(s + vk, vk, order=(0, 1))
         fac = np.exp(-2j * np.pi * s - 1j * np.pi * vk)
         assert np.abs(dth1 - fac * (dth - 2j * np.pi * th)).max() < 1e-12 * np.abs(dth1).max()
         for v in (0.0, 0.3 - 0.2j, complex(s[1, 2])):
-            th, dth = jacobi_theta(v, params, order=(0, 1))
+            th, dth = jacobi_theta(v, vk, order=(0, 1))
             assert type(th) is complex and type(dth) is complex
-            assert abs(th - jacobi_theta(v, params)) < 1e-14 * max(1.0, abs(th))
+            assert abs(th - jacobi_theta(v, vk)) < 1e-14 * max(1.0, abs(th))
 
     @pytest.mark.parametrize("order", [2, (1, 0), (0, 1, 2), 1])
     def test_unknown_order_rejected(self, order):
         with pytest.raises(DomainError):
-            jacobi_theta(0.1, ThetaParams(varkappa=1j), order=order)
+            jacobi_theta(0.1, 1j, order=order)
 
 
     @settings(max_examples=60, deadline=None)
@@ -163,12 +162,12 @@ class TestJacobiTheta:
         # |Theta| along Im s = y is at most the envelope exp(pi y^2/Im varkappa),
         # and near a zero the rounding of s itself is of that size, so the
         # error is measured against |Theta(0)| times it (1 on the real axis)
-        params = ThetaParams(varkappa=complex(vk_re, vk_im))
+        vk = complex(vk_re, vk_im)
         s = complex(s_re, frac * vk_im)
-        want = theta_longdouble(s, params, order)
+        want = theta_longdouble(s, vk, order)
         envelope = math.exp(math.pi * s.imag ** 2 / vk_im)
-        scale = max(abs(want), abs(theta_longdouble(0.0, params)) * envelope)
-        got = jacobi_theta(s, params, order=(0, 1))[order]
+        scale = max(abs(want), abs(theta_longdouble(0.0, vk)) * envelope)
+        got = jacobi_theta(s, vk, order=(0, 1))[order]
         assert abs(got - want) <= 1e-13 * scale
 
 

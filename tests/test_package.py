@@ -45,7 +45,10 @@ def test_package_all_is_the_library_api():
 
 def test_bench_traced_names_resolve():
     # bench/run.py --trace 1 getattr()s every name in tracing.TRACED, so a
-    # name pruned from the package must also leave that table
+    # name pruned from the package must also leave that table.  A name that
+    # only leaves __all__ still resolves: the verification kernels quad,
+    # quad_band, quad_pv, quad_real_line, abel and nr7_matrix stay defined in
+    # their modules while TRACED names them
     path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -92,7 +95,7 @@ def test_settable_values():
            + [getattr(cli, n) for n in cli.__all__] if callable(obj)}
     keys = sum(map(len, cli._KEYS.values()))
     assert keys == 16
-    assert sum(map(_settable, api.values())) + keys == 161
+    assert sum(map(_settable, api.values())) + keys == 132
 
 
 def test_readme_config_lists_every_key():

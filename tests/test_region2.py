@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mchasy import (DiscreteSpectrum, QuadratureSpec, ReflectionCoefficient,
+from mchasy import (DiscreteSpectrum, ReflectionCoefficient,
                     RegionConstants, ScatteringData, SpaceTimePoint,
                     f_II, lambda_ab, log_transforms, psi_ab, region2_constants,
                     u_region2)
@@ -204,7 +204,7 @@ class TestLogTransforms:
         # the oracle runs tighter than the default spec: at the default one its
         # principal values alone are off by up to 3e-11
         want = region2_constants_adaptive(ScatteringData(data.r, data.spectrum),
-                                          QuadratureSpec(1e-14, 1e-14, 20000))
+                                          numerics.QuadratureSpec(1e-14, 1e-14, 20000))
         for name, value in want.items():
             assert abs(getattr(got, name) - value) <= 1e-10, name
 

@@ -9,19 +9,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mchasy import (ReflectionCoefficient, ScatteringData,
-                    SpaceTimePoint, abel, delta0, g_eval, h_eval, nr7_coeffs,
-                    nr7_matrix, region3, solve_band, u_region3)
+                    SpaceTimePoint, delta0, nr7_coeffs, region3, solve_band, u_region3)
 from mchasy.errors import (AdmissibilityError, BoundaryAmbiguityError,
                            BranchError, ConventionError, ConvergenceError, DomainError,
                            MchasyError, PoleOfSolutionError, RegionError, WindowError)
 from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
-                            _k_band, _k_gap, _j_gap, build_geometry,
-                            g0_limit, h1_limit, periods)
+                            _k_band, _k_gap, _j_gap, _w_sheet1, abel, build_geometry,
+                            g0_limit, h1_limit, nr7_matrix, periods)
 
 from conftest import (axis_inv_w_quad, band_quad, delta0_quad, ellipk,
                       gap_log_moment_mp, gap_log_moment_quad, inv_w_mp,
                       j_band_quad, j_gap_quad, k_band_mp, k_band_quad,
                       k_gap_quad, richardson_limit, secant_root)
+from oracles import g_eval, h_eval
 
 CBRT3 = 3.0 ** (1 / 3)
 # shock scales p, q of any magnitude a double holds, subnormals included
@@ -345,7 +345,7 @@ class TestAbel:
 
         def f(sig):
             z = way + (target - way) * sig
-            return (target - way) / geom.w(z)
+            return (target - way) / _w_sheet1(z, geom.a, geom.b)
 
         leg2 = complex(quad(f, 0.0, 1.0).value) / (2j * geom.K_band)
         assert abs(direct - (leg1 + leg2)) < 1e-10
@@ -591,8 +591,8 @@ class TestNr7:
         # NaN compares False with any bound: the gate must refuse it
         real = region3.jacobi_theta
 
-        def theta(s, params, order=0):
-            out = real(s, params, order=order)
+        def theta(s, varkappa, order=0):
+            out = real(s, varkappa, order=order)
             if order == (0, 1):
                 out[0][region3._GATE.start] = math.nan
             return out
