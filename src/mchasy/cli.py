@@ -37,12 +37,18 @@ too: it has no special meaning) or a key that its section does not read.
 A scan holds at most 10**6 points (times by grid values); a larger one is a
 config error.  CSV columns are exactly ``x,t,region,s,u,err_order,error`` with
 empty fields for nulls; JSON mirrors the rows, with ``null`` for a non-finite
-number (the row's error names it), and adds a ``meta`` header with the config
-hash and library version.  Exit codes: 0 ok, 1 config error (also a config or
-table that cannot be read or decoded), 2 hard per-point failure under
---strict, a failed symmetry report under ``check --strict`` or a failed
-``pii`` solve, 3 output that cannot be written (a closed pipe too).  Each
-failure is one line on stderr, never a traceback.
+number (the row's error names it), and adds a ``meta`` header with the
+library version and ``config_sha256``, the sha256 of the config file's bytes.
+Exit codes: 0 ok, 1 config error (also a config or table that cannot be read
+or decoded), 2 hard per-point failure under --strict, a failed symmetry
+report under ``check --strict`` or a failed ``pii`` solve, 3 output that
+cannot be written (a closed pipe too).  Each failure is one line on stderr,
+never a traceback.
+
+``region1`` and ``region2`` are the classify-and-dispatch ``scan`` with
+``grid_region`` set to their zone; ``region3`` is ``scan`` and adds
+``--check-pq-invariance``.  The module exports ``main`` only: the contract
+is the command line, and the other names are its helpers.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from .region2 import u_region2
 from .region3 import u_region3
 from .scattering import DiscreteSpectrum, ReflectionCoefficient, ScatteringData, check_symmetries
 
-__all__ = ["RunConfig", "parse_config", "run_scan", "write_output", "main"]
+__all__ = ["main"]
 
 _COLUMNS = ("x", "t", "region", "s", "u", "err_order", "error")
 _MAX_GRID = 10 ** 6     # points of a grid or a scan, as many as `mchasy pii` has rows
@@ -380,23 +386,27 @@ def _add_config_arg(sub):
 
 
 def _load(args, strict):
+    """The parsed config and the bytes of its file."""
     try:
-        with open(args.config) as fh:
-            text = fh.read()
-        cfg = parse_config(text, strict=strict)
+        with open(args.config, "rb") as fh:
+            raw = fh.read()
+        # decoded as a text-mode open() would: default encoding, universal newlines
+        cfg = parse_config(io.TextIOWrapper(io.BytesIO(raw)).read(), strict=strict)
     except (OSError, UnicodeDecodeError) as exc:    # the config, or the table it names
         raise ConfigError(str(exc)) from exc
     for w in cfg.warnings:
         print("warning: %s" % w, file=sys.stderr)
-    return cfg, text
+    return cfg, raw
 
 
 def _run_region(args) -> int:
-    cfg, text = _load(args, args.strict)
+    cfg, raw = _load(args, args.strict)
     if args.kind is not None:
         cfg.grid_region = args.kind
     table = run_scan(cfg)
-    meta = {"config_sha256": hashlib.sha256(text.encode()).hexdigest()}
+    meta = None     # only JSON has a meta header
+    if cfg.format == "json":
+        meta = {"config_sha256": hashlib.sha256(raw).hexdigest()}
     write_output(table, cfg.format, cfg.path, meta)
     return 2 if args.strict and any(r["error"] for r in table) else 0
 

@@ -20,7 +20,6 @@ _ERROR_ORDER = -37.0 / 48.0              # min{1-4d, 1/3+9d} at d = 7/144
 @dataclass
 class AsymptoticValue:
     u: float
-    region: RegionTag
     error_order: float | None
     diagnostics: dict = field(default_factory=dict)
 
@@ -47,6 +46,6 @@ def u_region1(point: SpaceTimePoint, data: ScatteringData,
     sol = cache.get(k.real, s_min=s_min_for(s))
     v, vp, q = eval_pii(sol, s)
     u = 1.0 - _AMPL * point.t ** (-2.0 / 3.0) * vp
-    return AsymptoticValue(u, RegionTag.R_I, _ERROR_ORDER,
+    return AsymptoticValue(u, _ERROR_ORDER,
                            {"s": s, "k": k.real, "v": v, "v_prime": vp, "Q": q,
                             "pii_err_est": sol.err_est})

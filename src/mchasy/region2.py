@@ -129,8 +129,7 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
     ka = abs(data.r(_ZA))
     s = scaled_s(point, RegionTag.R_II)
     if ka == 0.0:
-        return AsymptoticValue(1.0, RegionTag.R_II, _ERROR_ORDER,
-                               {"s": s, "short_circuit": True})
+        return AsymptoticValue(1.0, _ERROR_ORDER, {"s": s, "short_circuit": True})
     consts = region2_constants(data)
     cache = sol_cache if sol_cache is not None else SolutionCache()
     sol = cache.get(consts.k_ampl, s_min=s_min_for(s))
@@ -138,7 +137,7 @@ def u_region2(point: SpaceTimePoint, data: ScatteringData,
     f = f_II(s, point.t, consts)
     u = 1.0 + 3.0 ** (-2.0 / 3.0) * point.t ** (-1.0 / 3.0) * f * v
     psi_a, psi_b = psi_ab(s, point.t, consts)
-    return AsymptoticValue(u, RegionTag.R_II, _ERROR_ORDER,
+    return AsymptoticValue(u, _ERROR_ORDER,
                            {"s": s, "k": consts.k_ampl, "v": v, "v_prime": vp,
                             "Q": q, "pii_err_est": sol.err_est,
                             "quad_err_est": consts.quad_err_est, "f_II": f,

@@ -277,7 +277,6 @@ class ShockGeometry:
     phi: complex
     tau: float
     C_R: float
-    p: float
     q: float
     K_band: float
 
@@ -432,7 +431,7 @@ def build_geometry(params: ShockParams) -> ShockGeometry:
     phi = tau * B1 / 2.0 - 1j * d0
     geom = ShockGeometry(a=a, b=b, B1=B1, A1=A1, varkappa=varkappa,
                          A_inf=A_inf, cA=1j / (2.0 * kb), Delta0=d0, phi=phi,
-                         tau=tau, C_R=params.C_R, p=params.p, q=params.q, K_band=kb)
+                         tau=tau, C_R=params.C_R, q=params.q, K_band=kb)
     ident = (2.0 - params.xi) * cmath.exp(-1j * tau * A1)
     if not abs(ident - 1.0) <= 1e-10:
         raise BranchError("(2-xi)*exp(-i*tau*A1) = %r, expected 1" % ident)
@@ -607,4 +606,4 @@ def u_region3(point: SpaceTimePoint, data: ScatteringData,
             "Delta0": geom.Delta0, "phi": geom.phi, "B1": geom.B1, "A1": geom.A1,
             "C_R": geom.C_R, "h1": h1, "g0": g0, "Z1": z1, "Z2": z2,
             "A_inf": geom.A_inf}
-    return AsymptoticValue(float(u), RegionTag.R_III, None, diag)
+    return AsymptoticValue(float(u), None, diag)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -448,6 +450,37 @@ class TestMain:
         cfg_path.write_text(MINIMAL)
         assert main(["check", "--config", str(cfg_path)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_json_meta_hashes_the_config_bytes(self, tmp_path, newline):
+        # the hash is of the file as sha256sum reads it, not of the text
+        # that universal newlines make of it; the rows do not depend on it
+        raw = R1_SCAN.format(path=tmp_path / "out.json", fmt="json").replace("\n", newline)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_bytes(raw.encode())
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        out = json.loads((tmp_path / "out.json").read_text())
+        assert out["meta"]["config_sha256"] == hashlib.sha256(raw.encode()).hexdigest()
+        assert [r["region"] for r in out["rows"]] == ["I"] * 5
+        assert not any(r["error"] for r in out["rows"])
+
+    def test_csv_scan_hashes_nothing(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(R1_SCAN.format(path=tmp_path / "out.csv", fmt="csv"))
+        monkeypatch.setattr(cli, "hashlib", None)   # CSV has no meta header
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+
+    def test_gauge_check_reports_the_scans_u(self, tmp_path, capsys):
+        # the u(1,1) that --check-pq-invariance prints is the u a scan writes
+        cfg_path = tmp_path / "shock.ini"
+        cfg_path.write_text("[scattering]\nkappa_r = -1\nbeta = 0.5\n"
+                            "[scan]\nt = 1e6\nw = 3:5.5:6\n")
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        scan = {row[0]: row[4] for row in scan_rows(capsys)}
+        assert main(["region3", "--config", str(cfg_path), "--check-pq-invariance"]) == 0
+        checked = dict(re.findall(r"^x=(\S+) t=\S+ u\(1,1\)=(\S+) ",
+                                  capsys.readouterr().out, re.M))
+        assert len(scan) == 6 and checked == scan
 
     def test_check_of_tiny_knots_is_quiet(self, tmp_path):
         # Im r about 1e-309 overflows the slope mean of scipy's Pchip: the

@@ -88,6 +88,15 @@ def _settable(obj):
     return n
 
 
+def test_result_fields_and_cli_surface():
+    # what callers read: the CLI is its command line, a point's zone is
+    # classify's tag, and p of the shock scales stays in ShockParams
+    assert cli.__all__ == ["main"]
+    assert [f.name for f in dataclasses.fields(mchasy.AsymptoticValue)] == [
+        "u", "error_order", "diagnostics"]
+    assert "p" not in {f.name for f in dataclasses.fields(mchasy.ShockGeometry)}
+
+
 def test_settable_values():
     # the ROADMAP tracks this count: a new parameter, field or config key
     # raises it, and the change that adds one updates both
@@ -95,7 +104,7 @@ def test_settable_values():
            + [getattr(cli, n) for n in cli.__all__] if callable(obj)}
     keys = sum(map(len, cli._KEYS.values()))
     assert keys == 16
-    assert sum(map(_settable, api.values())) + keys == 132
+    assert sum(map(_settable, api.values())) + keys == 114
 
 
 def test_readme_config_lists_every_key():

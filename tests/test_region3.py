@@ -536,9 +536,9 @@ class TestG:
                - g_eval(geom, geom.a - 2 * h, side="+")) / h
         assert abs(d_a) < 1e-2
 
-    def test_matches_cubic_phase_at_infinity(self, geom):
+    def test_matches_cubic_phase_at_infinity(self, geom, params):
         def theta_hat(geom, k):
-            return geom.p * k - geom.q * k ** 3
+            return params.p * k - geom.q * k ** 3
 
         g0 = g0_limit(geom)
         for k in (40.0, 80.0):
