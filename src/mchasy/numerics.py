@@ -2,16 +2,18 @@
 
 Airy Ai/Ai' (the asymptotic series in pure Python for s >= 10, Cephes
 through scipy below), the Jacobi theta series, the composite Gauss-Kronrod
-rule of the table transforms, and a bracketed Newton root finder.
+rule of the table transforms, and a bracketed Newton root finder.  Zone
+III's complete elliptic integrals K and E (``_ellipke``, by the AGM),
+Carlson's R_F (``_rf``, by duplication) and truncated 2F1 Taylor series
+(``_horner`` on ``_hyp2f1_taylor``) are private, in pure Python.
 
 The adaptive quadratures (``quad``, ``quad_band``, ``quad_pv`` and
 ``quad_real_line``, with ``QuadratureSpec``) are verification kernels: no
 zone evaluator calls them, and the tests check the closed forms against
 them.  They accept complex-valued integrands.
 
-``scipy.special`` is imported on the first call that needs it, not with
-this module: the zone-I/II evaluators call ``airy`` only at s >= 10, so a
-process that never reaches zone III or ``airy`` below 10 never loads it.
+``scipy.special`` is imported by the first ``airy`` call below s = 10, not
+with this module: no zone evaluator makes one, so a scan never loads it.
 """
 
 from __future__ import annotations
@@ -68,21 +70,6 @@ class QuadResult(NamedTuple):
 # Airy functions
 # ----------------------------------------------------------------------
 
-def _special_on_first_call(namespace: dict, name: str, attr: str | None = None):
-    """Stand-in for ``scipy.special.<attr>`` (``attr`` defaults to ``name``)
-    bound to ``namespace[name]``: its first call imports scipy.special and
-    rebinds ``namespace[name]`` to the ufunc, so that later calls go straight
-    to it and a process that never calls it never imports scipy.special
-    (0.3 s)."""
-    def first_call(*args):
-        from scipy import special
-        func = namespace[name] = getattr(special, attr or name)
-        return func(*args)
-    return first_call
-
-
-_sp_airy = _special_on_first_call(globals(), "_sp_airy", "airy")
-
 _AIRY_RANGE = 30.0
 _AIRY_SERIES_FROM = 10.0
 _AIRY_TERMS = 24
@@ -119,7 +106,8 @@ def airy(s: float) -> tuple[float, float]:
     if not math.isfinite(s) or abs(s) > _AIRY_RANGE:
         raise RangeError("airy accuracy range is |s| <= %g, got %r" % (_AIRY_RANGE, s))
     if s < _AIRY_SERIES_FROM:
-        ai, aip, _bi, _bip = _sp_airy(s)
+        from scipy.special import airy as cephes_airy   # 0.3 s, on the first call only
+        ai, aip, _bi, _bip = cephes_airy(s)
         return float(ai), float(aip)
     quart = math.sqrt(math.sqrt(s))
     zeta = s ** 1.5 * (2.0 / 3.0)
@@ -189,6 +177,108 @@ def jacobi_theta(s, varkappa: complex, order: int | tuple[int, int] = 0):
 
 def _theta_out(total):
     return complex(total) if total.ndim == 0 else total
+
+
+# ----------------------------------------------------------------------
+# Complete elliptic integrals, Carlson's R_F and Gauss series
+# ----------------------------------------------------------------------
+
+# an AGM pass stops once c_n is below this times g_0 <= M: then |a_n - M| <=
+# a_n - g_n = c_n^2/(2 a_(n+1)) is below 2^-55 of M
+_AGM_TOL = 2.0 ** -27
+
+
+def _agm_pass(p: float, p1: float) -> tuple[float, float]:
+    """(K(p), S(p)) from one AGM pass (DLMF 19.8.1, 19.8.6): from a_0 = 1,
+    g_0 = sqrt(p1), c_0 = sqrt(p), with c_(n+1) = (a_n - g_n)/2 taken as
+    c_n^2/(4 a_(n+1)), K(p) = pi/(2M) and S(p) = sum_n 2^(n-1) c_n^2, so
+    that E(p) = K(p)(1 - S(p))."""
+    a, g, c, s, w = 1.0, math.sqrt(p1), math.sqrt(p), 0.5 * p, 0.5
+    tol = _AGM_TOL * g
+    while c > tol:
+        an = 0.5 * (a + g)
+        c = 0.25 * c * c / an
+        g = math.sqrt(a * g)
+        a = an
+        w += w
+        s += w * c * c
+    return 0.5 * math.pi / a, s
+
+
+def _ellipke(m: float, m1: float) -> tuple[float, float, float, float]:
+    """(K(m), E(m), K(m1), E(m1)) for a parameter m in (0, 1) and its
+    complement m1 = 1 - m, passed as a pair so that the caller forms the
+    small one without subtraction; the two must sum to 1 within 1e-12.
+
+    One AGM pass per parameter (``_agm_pass``).  As p -> 1, E(p) = K(p)(1 -
+    S(p)) cancels (E -> 1 while K diverges), so the E of the parameter
+    above 1/2 comes from Legendre's relation (DLMF 19.7.1) with the other
+    pass, E(p) = pi/(2K(1 - p)) + K(p) S(1 - p), a sum of positive terms.
+    """
+    if not (m > 0.0 and m1 > 0.0 and abs(m + m1 - 1.0) <= 1e-12):
+        raise DomainError("elliptic parameters need m, m1 > 0 with m + m1 = 1, got %r, %r"
+                          % (m, m1))
+    k, s = _agm_pass(m, m1)
+    k1, s1 = _agm_pass(m1, m)
+    if m <= m1:
+        return k, k * (1.0 - s), k1, 0.5 * math.pi / k + k1 * s
+    return k, 0.5 * math.pi / k1 + k * s1, k1, k1 * (1.0 - s1)
+
+
+# duplication stops once 4^-n times this spread is below |A_n|: Carlson's
+# bound on the dropped terms of the series is then 2^-53 (r = 2^-53 in his
+# (3r)^(-1/6))
+_RF_SCALE = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0)
+_RF_MAX_STEPS = 40
+
+
+def _rf(x: float, y: float, z: float) -> float:
+    """Carlson's R_F(x, y, z) for x, y, z >= 0, at most one of them zero.
+
+    Duplication (Carlson 1995, Numer. Algorithms 10, 13-26; DLMF 19.36.1):
+    with lam = sqrt(x y) + sqrt(x z) + sqrt(y z), each step maps every
+    argument v to (v + lam)/4, which leaves R_F unchanged and shrinks the
+    spread about the mean A fourfold.  Then the series in the normalized
+    deviations X, Y, Z = -X - Y gives R_F = (1 - E2/10 + E3/14 + E2^2/24 -
+    3 E2 E3/44)/sqrt(A), E2 = XY - Z^2, E3 = XYZ.
+    """
+    if not min(x, y, z) >= 0.0:
+        raise DomainError("R_F needs nonnegative arguments, got %r, %r, %r" % (x, y, z))
+    a0 = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    q = _RF_SCALE * max(abs(dx), abs(dy), abs(a0 - z))
+    a, f = a0, 1.0
+    for _ in range(_RF_MAX_STEPS):
+        if q * f < a:
+            break
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        f *= 0.25
+    else:
+        raise DomainError("R_F needs finite arguments, at most one of them zero")
+    xx, yy = dx * f / a, dy * f / a
+    zz = -xx - yy
+    e2, e3 = xx * yy - zz * zz, xx * yy * zz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
+
+
+def _hyp2f1_taylor(a: float, b: float, c: float, terms: int) -> tuple[float, ...]:
+    """The Taylor coefficients of 2F1(a, b; c; x) (DLMF 15.2.1) below x^terms,
+    highest first, for ``_horner``."""
+    coeffs, t = [], 1.0
+    for n in range(terms):
+        coeffs.append(t)
+        t *= (a + n) * (b + n) / ((c + n) * (n + 1))
+    return tuple(coeffs[::-1])
+
+
+def _horner(coeffs, x: float) -> float:
+    """The polynomial with ``coeffs`` (highest first) at x."""
+    total = 0.0
+    for c in coeffs:
+        total = total * x + c
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,14 @@ the expansion-coefficient fit.
 the axis, the g- and h-function limits and the theta model's expansion
 coefficients.  ``abel``, a quadrature off the axis, and ``nr7_matrix`` are
 verification kernels: only the tests call them.
+
+The closed forms use mchasy's own kernels, not scipy.special.  K and E of m
+= (a/b)^2 and of 1 - m come from AGM passes, computed once per (a, b) and
+shared by the slope and area of a Newton iterate and by a geometry's
+periods, ``delta0`` and ``h1_limit``.  Carlson's R_F, by duplication, gives
+A(inf) once per point, and a five-term series in 1/x^2 gives the Abel map
+at the gate's eight far samples.  The 2F1 Taylor series give J_gap and a
+small band's J_band.
 """
 
 from __future__ import annotations
@@ -46,7 +54,16 @@ from .errors import (
     RegionError,
     WindowError,
 )
-from .numerics import QuadratureSpec, _special_on_first_call, find_root, jacobi_theta, quad
+from .numerics import (
+    QuadratureSpec,
+    _ellipke,
+    _horner,
+    _hyp2f1_taylor,
+    _rf,
+    find_root,
+    jacobi_theta,
+    quad,
+)
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify
 from .region1 import AsymptoticValue
 from .scattering import ScatteringData
@@ -60,13 +77,6 @@ __all__ = [
     "nr7_coeffs",
     "u_region3",
 ]
-
-# the scipy.special ufuncs of this zone, imported on the first call to one:
-# zones I and II never make one
-ellipe = _special_on_first_call(globals(), "ellipe")
-ellipkm1 = _special_on_first_call(globals(), "ellipkm1")
-elliprf = _special_on_first_call(globals(), "elliprf")
-hyp2f1 = _special_on_first_call(globals(), "hyp2f1")
 
 _TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=6000)
 
@@ -126,47 +136,85 @@ def _w_sheet1(k, a, b):
 
 
 # Real periods as complete elliptic integrals (DLMF 19.2) of m = (a/b)^2 and
-# of m1 = 1 - m, formed without subtraction; K(1 - x) is ellipkm1(x).  Where
-# a docstring's Legendre combination cancels (J_gap ~ m as a -> 0, J_band ~
-# m1^2 as the band closes) the equal Gauss series is used (DLMF 15.6.1, and
-# Pfaff's transformation 15.8.1 for J_band).
+# of m1 = 1 - m, formed without subtraction.  Where a docstring's Legendre
+# combination cancels (J_gap ~ m as a -> 0, J_band ~ m1^2 as the band
+# closes) the equal Gauss series is used below 1/2 (DLMF 15.6.1, and Pfaff's
+# transformation 15.8.1 for J_band): 40 and 48 terms reach double precision
+# there.
+_J_GAP_TAYLOR = _hyp2f1_taylor(-0.5, 0.5, 2.0, 40)
+_J_BAND_TAYLOR = _hyp2f1_taylor(0.5, 1.5, 3.0, 48)
+
 
 def _m1(a, b):
     return (b - a) * (b + a) / (b * b)
 
 
+@functools.lru_cache(maxsize=16)
+def _elliptic(a, b) -> tuple[float, float, float, float]:
+    """(K(m), E(m), K(m1), E(m1)), once per (a, b): a Newton iterate of
+    ``solve_band`` reads K(m1) for its slope and E(m1) for its area, a
+    geometry's periods, ``delta0`` and ``h1_limit`` read all four, and the
+    six bracket ends recur at every point.  16 entries hold those and one
+    point's iterates."""
+    return _ellipke((a / b) ** 2, _m1(a, b))
+
+
 def _k_band(a, b) -> float:
     """int_a^b dz/|w| = K(m1)/b."""
-    return float(ellipkm1((a / b) ** 2)) / b
+    return _elliptic(a, b)[2] / b
 
 
 def _k_gap(a, b) -> float:
     """int_{-a}^a dz/|w| = 2K(m)/b."""
-    return 2.0 * float(ellipkm1(_m1(a, b))) / b
+    return 2.0 * _elliptic(a, b)[0] / b
 
 
 def _j_band(a, b) -> float:
     """int_a^b |w| dz = (b/3)[(a^2+b^2)E(m1) - 2a^2 K(m1)]."""
     m1 = _m1(a, b)
     if m1 < 0.5:
-        return math.pi / 16.0 * b ** 3 * m1 * m1 * float(hyp2f1(0.5, 1.5, 3.0, m1))
-    return b / 3.0 * ((a * a + b * b) * float(ellipe(m1))
-                      - 2.0 * a * a * float(ellipkm1((a / b) ** 2)))
+        return math.pi / 16.0 * b ** 3 * m1 * m1 * _horner(_J_BAND_TAYLOR, m1)
+    _, _, k1, e1 = _elliptic(a, b)
+    return b / 3.0 * ((a * a + b * b) * e1 - 2.0 * a * a * k1)
 
 
 def _j_gap(a, b) -> float:
     """int_{-a}^a |w| dz = (2b/3)[(a^2+b^2)E(m) - (b^2-a^2)K(m)]."""
-    return 0.5 * math.pi * a * a * b * float(hyp2f1(-0.5, 0.5, 2.0, (a / b) ** 2))
+    m = (a / b) ** 2
+    if m < 0.5:
+        return 0.5 * math.pi * a * a * b * _horner(_J_GAP_TAYLOR, m)
+    k, e, _, _ = _elliptic(a, b)
+    return 2.0 * b / 3.0 * ((a * a + b * b) * e - (b - a) * (b + a) * k)
 
 
 def _band_z2(a, b) -> float:
     """int_a^b z^2/|w| dz = b*E(m1) (DLMF 19.2.5 under z^2 = b^2 (1 - m1 sin^2))."""
-    return b * float(ellipe(_m1(a, b)))
+    return b * _elliptic(a, b)[3]
 
 
-def _tail_inv_w(a, b, x):
-    """int_x^inf dz/|w| for real x >= b, elementwise (Carlson R_F, DLMF 19.29)."""
-    return elliprf(x * x, (x - a) * (x + a), (x - b) * (x + b))
+def _tail_inv_w(a, b, x) -> float:
+    """int_x^inf dz/|w| for real x >= b (Carlson R_F, DLMF 19.29)."""
+    return _rf(x * x, (x - a) * (x + a), (x - b) * (x + b))
+
+
+_FAR_TAIL_TERMS = 5
+
+
+def _far_tail_coeffs(a, b, unit) -> list[float]:
+    """c_n, n < 5, with int_x^inf dz/|w| = sum_n c_n (unit/x)^(2n+1)/((2n+1)
+    unit) for x >= 100 max(1, b) and ``unit`` >= b.
+
+    1/|w| = z^-2 ((1 - u/z^2)(1 - v/z^2))^(-1/2) with u = a^2, v = b^2, and
+    the c_n, in units of ``unit``^(2n), are the Taylor coefficients of
+    (1 - (u+v) t + uv t^2)^(-1/2): (n+1) c_(n+1) = (n + 1/2)(u+v) c_n - n uv
+    c_(n-1).  They are at most (b/unit)^(2n), so the first dropped term is
+    below 1e-20 of the sum.
+    """
+    u, v = (a / unit) ** 2, (b / unit) ** 2
+    c = [1.0, 0.5 * (u + v)]
+    for n in range(1, _FAR_TAIL_TERMS - 1):
+        c.append(((n + 0.5) * (u + v) * c[n] - n * u * v * c[n - 1]) / (n + 1))
+    return c
 
 
 def _inv_w_on(a, b, lo, hi) -> float:
@@ -180,9 +228,9 @@ def _inv_w_on(a, b, lo, hi) -> float:
         return 0.0
     x1, x2, x3, x4 = (math.sqrt(abs(hi - r)) for r in (a, -a, b, -b))
     y1, y2, y3, y4 = (math.sqrt(abs(lo - r)) for r in (a, -a, b, -b))
-    u = np.array([x1 * x2 * y3 * y4 + y1 * y2 * x3 * x4, x1 * x3 * y2 * y4 + y1 * y3 * x2 * x4,
-                  x1 * x4 * y2 * y3 + y1 * y4 * x2 * x3]) / (hi - lo)
-    return 2.0 * float(elliprf(*(u * u)))
+    u = (x1 * x2 * y3 * y4 + y1 * y2 * x3 * x4, x1 * x3 * y2 * y4 + y1 * y3 * x2 * x4,
+         x1 * x4 * y2 * y3 + y1 * y4 * x2 * x3)
+    return 2.0 * _rf(*((v / (hi - lo)) ** 2 for v in u))
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +336,11 @@ class ShockGeometry:
         for poles: each reader tests the values it uses."""
         kap4, shift = self.varkappa / 4, self.phi / math.pi
         expansion = np.array([self.A_inf - kap4, -self.A_inf - kap4])
-        gate = np.append(-_abel_axis(self, _NR7_KS * self.gate_unit) - kap4, self.A_inf - kap4)
+        # at the samples k, -A(k) - kap/4 = -i*int_k^inf dz/|w| / (2*K_band),
+        # as A(inf) = -kap/4 (see ``abel``): no sample reads the A_inf whose
+        # convention the gate tests
+        tails = _NR7_TAIL_POWERS @ _far_tail_coeffs(self.a, self.b, self.gate_unit)
+        gate = np.append((-0.5j / (self.K_band * self.gate_unit)) * tails, self.A_inf - kap4)
         s = np.concatenate([[0.0], expansion, expansion + shift, gate + shift, gate])
         return (s, *jacobi_theta(s, self.varkappa, order=(0, 1)))
 
@@ -338,7 +390,9 @@ def abel(geom: ShockGeometry, k, side: str | None = None) -> complex:
     if x == b:
         return 0.0 + 0.0j
     if x > b:
-        return complex(_abel_axis(geom, x))
+        # -i*int_b^x dz/|w| / (2*K_band) = A(inf) + i*int_x^inf dz/|w| / (2*K_band),
+        # A(inf) = -varkappa/4 (checked against A_inf in build_geometry)
+        return -0.25 * geom.varkappa + 0.5j * _tail_inv_w(a, b, x) / geom.K_band
     if x < -b:
         return (_k_gap(a, b) - _inv_w_on(a, b, x, -b)) / norm
     if abs(x) < a:
@@ -358,12 +412,6 @@ def abel(geom: ShockGeometry, k, side: str | None = None) -> complex:
     # [-b, -a]
     pfrac = _inv_w_on(a, b, x, -a) / (2.0 * geom.K_band)
     return sgn * 0.5 - geom.varkappa / 2.0 - sgn * pfrac
-
-
-def _abel_axis(geom: ShockGeometry, x):
-    """A(x) for real x > b, elementwise: -i*int_b^x dz/|w| / (2*K_band)."""
-    a, b = geom.a, geom.b
-    return -1j * (_tail_inv_w(a, b, b) - _tail_inv_w(a, b, x)) / (2.0 * geom.K_band)
 
 
 def delta0(a: float, b: float, C_R: float) -> float:
@@ -409,9 +457,9 @@ def _gap_z2_log_moment(a, b, C_R) -> float:
         powers = m ** np.arange(_KE_SERIES.size)
         return 0.5 * math.pi * b * m * (math.log(C_R * a * a) * (_KE_SERIES @ powers)
                                         + 2.0 * (_LOG_SERIES @ powers))
-    m1 = _m1(a, b)
-    k, e, e1 = float(ellipkm1(m1)), float(ellipe(m)), float(ellipe(m1))
-    return b * (math.log(C_R * a * b) * (k - e) - 0.5 * math.pi * e1 + 2.0 * e - m1 * k)
+    k, e, _, e1 = _elliptic(a, b)
+    return b * (math.log(C_R * a * b) * (k - e) - 0.5 * math.pi * e1 + 2.0 * e
+                - _m1(a, b) * k)
 
 
 def build_geometry(params: ShockParams) -> ShockGeometry:
@@ -420,9 +468,9 @@ def build_geometry(params: ShockParams) -> ShockGeometry:
     a, b = solve_band(params)
     B1, A1, varkappa = periods(a, b, params.q)
     kb = _k_band(a, b)
-    # Carlson's R_F here, while varkappa comes from ellipkm1: the check
-    # A(inf) = -varkappa/4 compares two independent computations
-    A_inf = -1j * float(_tail_inv_w(a, b, b)) / (2.0 * kb)
+    # R_F by duplication here, while varkappa is a ratio of AGM periods: the
+    # check A(inf) = -varkappa/4 compares two independent computations
+    A_inf = -1j * _tail_inv_w(a, b, b) / (2.0 * kb)
     if not abs(A_inf - (-varkappa / 4.0)) <= 1e-9:
         raise BranchError("A(inf) disagrees with -varkappa/4: %r vs %r"
                           % (A_inf, -varkappa / 4.0))
@@ -515,6 +563,9 @@ _GATE_NUM, _GATE_DEN = slice(5, 14), slice(14, 23)
 # rows of the pseudo-inverse of its cubic Laurent design in 1/k in those
 # units that give the two coefficients the gate compares
 _NR7_KS = np.array([1e2, 2e2, 3e2, 5e2, 1e3, 2e3, 5e3, 1e4])
+# (1/k)^(2n+1)/(2n+1) at the gate's samples, for ``_far_tail_coeffs``
+_NR7_TAIL_POWERS = ((1.0 / _NR7_KS)[:, np.newaxis] ** (2 * np.arange(_FAR_TAIL_TERMS) + 1)
+                    / (2 * np.arange(_FAR_TAIL_TERMS) + 1))
 _NR7_PINV = np.linalg.pinv(np.vstack([np.ones_like(_NR7_KS), 1.0 / _NR7_KS,
                                       1.0 / _NR7_KS ** 2, 1.0 / _NR7_KS ** 3]).T)[:2]
 
@@ -542,21 +593,21 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     """
     a, b = geom.a, geom.b
     g_inf, x_tilde = geom.expansion_terms
-    pref = -cmath.exp(1j * geom.phi) * (b - a) / 2j
-    n1_12 = pref * g_inf
-    n2_12 = pref * x_tilde
-    # the (1,2) entry of nr7_matrix at each sample k: row-1 theta ratios at
-    # -A(k), normalized by the one at A_inf
+    phase = -cmath.exp(1j * geom.phi) / 2j
+    n1_12 = phase * (b - a) * g_inf
+    n2_12 = phase * (b - a) * x_tilde
+    # the (1,2) entry of nr7_matrix at each sample k: phase (nu - 1/nu) times
+    # the row-1 theta ratio at -A(k), normalized by the one at A_inf; the
+    # fit takes k times the k-dependent part
     unit = geom.gate_unit
     ks = _NR7_KS * unit
     nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
     s, th, _ = geom.theta_pass
     _check_poles(geom, s[_GATE], th[_GATE])
     r = th[_GATE_NUM] / th[_GATE_DEN]
-    vals = -cmath.exp(1j * geom.phi) * (nu - 1.0 / nu) / 2j * r[:-1] / r[-1]
-    c0, c1 = _NR7_PINV @ (vals * ks)
+    c0, c1 = _NR7_PINV @ ((nu - 1.0 / nu) * ks * r[:-1])
     # the fit is in 1/k in units of ``unit``: its 1/k coefficient scales by it
-    c1 *= unit
+    c0, c1 = phase * c0 / r[-1], phase * c1 * unit / r[-1]
     if not (abs(c0 - n1_12) <= 1e-5 * max(1.0, abs(n1_12))
             and abs(c1 - n2_12) <= 1e-5 * max(1.0, abs(n2_12))):
         raise ConventionError(

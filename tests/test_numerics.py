@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mchasy import (ReflectionCoefficient, ScatteringData, airy, find_root,
-                    jacobi_theta, log_transforms)
-from mchasy.errors import (BracketError, DivergentSeriesError, DomainError,
+                    jacobi_theta, log_transforms, region3)
+from mchasy.errors import (BracketError, BranchError, DivergentSeriesError, DomainError,
                            RangeError)
-from mchasy.numerics import QuadratureSpec, quad, quad_band, quad_pv, quad_real_line
+from mchasy.numerics import (QuadratureSpec, _ellipke, _horner, _rf, quad, quad_band,
+                             quad_pv, quad_real_line)
 
 from conftest import ellipk, richardson_derivative, theta_longdouble
 
@@ -290,3 +292,133 @@ class TestFindRoot:
                         lambda x: 1 + 0.3 * (x - r) ** 2, r - w, r + w)
         # the stopping tolerance 1e-15, and rounding of x - r at |r| <= 5
         assert abs(got - r) <= 1e-14
+
+
+# ----------------------------------------------------------------------
+# Zone III's elliptic kernels against 40-digit mpmath, 1e-15 relative
+# ----------------------------------------------------------------------
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+# the smaller of the pair (m, m1): each of m and m1 goes down to it
+SMALL_PARAMETERS = [1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1e-5, 1e-3, 0.01,
+                    0.1, 0.25, 0.4, 0.4999999999999999, 0.5]
+
+
+class TestEllipke:
+    @staticmethod
+    def reference(small):
+        """(K, E) of small and of 1 - small, 1 - small formed exactly."""
+        with mp.workdps(40 - int(math.log10(small))):
+            p = mp.mpf(small)
+            return [float(f(x)) for x in (p, 1 - p) for f in (mp.ellipk, mp.ellipe)]
+
+    @pytest.mark.parametrize("small", SMALL_PARAMETERS)
+    def test_against_mpmath_either_way_round(self, small):
+        # the pair as a caller forms it: the small one exact, the other rounded
+        k_s, e_s, k_l, e_l = self.reference(small)
+        for m, m1, want in ((small, 1.0 - small, (k_s, e_s, k_l, e_l)),
+                            (1.0 - small, small, (k_l, e_l, k_s, e_s))):
+            got = _ellipke(m, m1)
+            assert max(map(_rel, got, want)) <= 1e-15, (m, m1, got, want)
+
+    def test_legendre_relation(self):
+        for m in np.linspace(0.05, 0.95, 19):
+            k, e, k1, e1 = _ellipke(m, 1.0 - m)
+            assert abs(e * k1 + e1 * k - k * k1 - math.pi / 2) <= 4e-15
+
+    @pytest.mark.parametrize("m, m1", [(0.0, 1.0), (1.0, 0.0), (-0.1, 1.1), (math.nan, 0.5),
+                                       (math.inf, 0.5), (2.0, 0.5), (0.5, 0.6)])
+    def test_domain_error(self, m, m1):
+        with pytest.raises(DomainError):
+            _ellipke(m, m1)
+
+
+class TestCarlsonRF:
+    @staticmethod
+    def reference(x, y, z):
+        with mp.workdps(40):
+            return float(mp.elliprf(mp.mpf(x), mp.mpf(y), mp.mpf(z)))
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1.0, 2.0), (1.0, 0.0, 2.0), (1.0, 2.0, 0.0), (0.0, 1e-300, 1.0),
+        (0.0, 1e-10, 1.0), (0.0, 0.5, 0.5), (2.0, 1.0, 0.0), (1e300, 1e299, 0.0),
+        (0.5, 0.5, 0.5), (1.0, 2.0, 3.0), (1e-3, 1.0, 1e3),
+    ])
+    def test_against_mpmath(self, args):
+        assert _rel(_rf(*args), self.reference(*args)) <= 1e-15
+
+    @pytest.mark.parametrize("a, b", [(0.05, 0.8), (0.35, 0.72), (0.57, 0.58), (3.0, 40.0)])
+    def test_abel_tails_at_the_band_end_and_the_gate(self, a, b):
+        # R_F(b^2, b^2 - a^2, 0) of A(inf), and the tails at the gate's sample
+        # x, by R_F and by the series of ``_far_tail_coeffs``
+        assert _rel(region3._tail_inv_w(a, b, b),
+                    self.reference(b * b, (b - a) * (b + a), 0.0)) <= 1e-15
+        unit = max(1.0, b)
+        xs = region3._NR7_KS * unit
+        series = region3._NR7_TAIL_POWERS @ region3._far_tail_coeffs(a, b, unit) / unit
+        for x, tail in zip(xs, series):
+            want = self.reference(x * x, (x - a) * (x + a), (x - b) * (x + b))
+            assert _rel(region3._tail_inv_w(a, b, x), want) <= 1e-15
+            assert _rel(tail, want) <= 1e-15
+
+    @pytest.mark.parametrize("args", [(-1.0, 1.0, 1.0), (0.0, 0.0, 1.0), (1.0, math.nan, 1.0)])
+    def test_domain_error(self, args):
+        with pytest.raises(DomainError):
+            _rf(*args)
+
+    def test_a_inf_check_compares_independent_kernels(self):
+        # R_F 1e-8 off moves A(inf) by about 1e-8 |varkappa|/4, above the
+        # check's 1e-9, while varkappa, from the AGM, does not move
+        t = 1e6
+        params = region3.ShockParams(p=1.0, q=1.0, t=t, C_R=0.1,
+                                     xi=2 - 4.0 * math.log(t) ** (2 / 3) * t ** (-2 / 3))
+        region3.build_geometry(params)
+        with mock.patch.object(region3, "_rf", lambda *args: _rf(*args) * (1 + 1e-8)):
+            with pytest.raises(BranchError, match="A\\(inf\\)"):
+                region3.build_geometry(params)
+
+
+class TestGaussSeries:
+    """The 2F1 Taylor polynomials of J_gap and J_band, used below 1/2."""
+
+    CASES = [(region3._J_GAP_TAYLOR, (-0.5, 0.5, 2.0)),
+             (region3._J_BAND_TAYLOR, (0.5, 1.5, 3.0))]
+
+    @pytest.mark.parametrize("coeffs, abc", CASES)
+    @pytest.mark.parametrize("x", [0.0, 1e-8, 0.1, 0.25, 0.4, 0.49, 0.4999999999999999, 0.5,
+                                   0.5000000000000001])
+    def test_against_mpmath(self, coeffs, abc, x):
+        with mp.workdps(40):
+            want = float(mp.hyp2f1(*abc, x))
+        assert _rel(_horner(coeffs, x), want) <= 1e-15
+
+    @staticmethod
+    def periods_mp(a, b):
+        """(J_gap, J_band) and the size of the terms each Legendre form sums."""
+        with mp.workdps(40):
+            a, b = mp.mpf(a), mp.mpf(b)
+            m, m1 = (a / b) ** 2, (b - a) * (b + a) / (b * b)
+            k, e, k1, e1 = mp.ellipk(m), mp.ellipe(m), mp.ellipk(m1), mp.ellipe(m1)
+            gap = 2 * b / 3 * ((a * a + b * b) * e - (b * b - a * a) * k)
+            band = b / 3 * ((a * a + b * b) * e1 - 2 * a * a * k1)
+            terms = (2 * b / 3 * ((a * a + b * b) * e + (b * b - a * a) * k),
+                     b / 3 * ((a * a + b * b) * e1 + 2 * a * a * k1))
+            return float(gap), float(band), float(terms[0] / gap), float(terms[1] / band)
+
+    @pytest.mark.parametrize("x", [0.3, 0.49, 0.4999999999999, 0.5, 0.5000000000001, 0.51,
+                                   0.7])
+    def test_periods_across_the_switch(self, x):
+        # below 1/2 the series, from 1/2 the Legendre form, whose error is
+        # its terms' rounding: 1e-15 of the larger of the sum and its terms
+        # (J_band's terms are 12 times J_band at m1 = 1/2)
+        b = 0.8
+        a_gap, a_band = b * math.sqrt(x), b * math.sqrt(1.0 - x)   # m = x, and m1 near x
+        gap, _, gap_cond, _ = self.periods_mp(a_gap, b)
+        _, band, _, band_cond = self.periods_mp(a_band, b)
+        gap_bound = 1e-15 * (1.0 if (a_gap / b) ** 2 < 0.5 else gap_cond)
+        band_bound = 1e-15 * (1.0 if region3._m1(a_band, b) < 0.5 else band_cond)
+        assert _rel(region3._j_gap(a_gap, b), gap) <= gap_bound
+        assert _rel(region3._j_band(a_band, b), band) <= band_bound
