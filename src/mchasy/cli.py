@@ -71,13 +71,14 @@ from .painleve2 import SolutionCache, eval_pii, solve_pii
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, _xi_of_s, classify, scaled_s
 from .region1 import u_region1
 from .region2 import u_region2
-from .region3 import u_region3
+from .region3 import _prepare, u_region3
 from .scattering import DiscreteSpectrum, ReflectionCoefficient, ScatteringData, check_symmetries
 
 __all__ = ["main"]
 
 _COLUMNS = ("x", "t", "region", "s", "u", "err_order", "error")
 _MAX_GRID = 10 ** 6     # points of a grid or a scan, as many as `mchasy pii` has rows
+_CHUNK = 256            # scan points of one t whose shock-zone points are evaluated together
 # every key parse_config reads, by section
 _KEYS = {
     "scattering": {"kappa_r", "alpha", "beta", "table_path", "tail_rate", "spectrum"},
@@ -310,11 +311,20 @@ def _grid_to_x(cfg: RunConfig, t: float, v: float) -> float:
     return _xi_of_s(v, t, RegionTag.R_I if cfg.grid_region == 1 else RegionTag.R_II) * t
 
 
-def _eval_point(cfg, cache, x, t):
-    row = {"x": x, "t": t, "s": None, "u": None, "err_order": None, "error": ""}
+def _locate(cfg, x, t):
+    """(x, the point at (x, t), its zone), or (x, None, the error that refuses it)."""
     try:
         point = SpaceTimePoint(x, t)   # x = xi*t can overflow at a finite t
-        tag = classify(point, cfg.constants)
+        return x, point, classify(point, cfg.constants)
+    except Exception as exc:   # one bad point must not abort the scan
+        return x, None, exc
+
+
+def _eval_point(cfg, cache, x, t, point, tag):
+    row = {"x": x, "t": t, "s": None, "u": None, "err_order": None, "error": ""}
+    try:
+        if point is None:
+            raise tag   # the error that refused the point
         row["region"] = tag.value
         if tag in (RegionTag.R_I, RegionTag.R_II):
             row["s"] = scaled_s(point, tag)
@@ -336,10 +346,22 @@ def _eval_point(cfg, cache, x, t):
 
 def run_scan(cfg: RunConfig) -> list[dict]:
     """Classify and evaluate every scan point; per-point errors are recorded
-    in the ``error`` column and the scan continues."""
+    in the ``error`` column and the scan continues.
+
+    Each point is classified once.  The points of one t go in chunks of
+    ``_CHUNK``, and the shock-zone points of a chunk are evaluated together
+    first (``region3._prepare``): ``u_region3`` then hands each its result."""
     cache = SolutionCache()
-    return [_eval_point(cfg, cache, _grid_to_x(cfg, t, v), t)
-            for t in cfg.times for v in cfg.grid]
+    rows = []
+    for t in cfg.times:
+        for start in range(0, len(cfg.grid), _CHUNK):
+            chunk = [_locate(cfg, _grid_to_x(cfg, t, v), t)
+                     for v in cfg.grid[start:start + _CHUNK]]
+            shock = [point for _, point, tag in chunk if tag is RegionTag.R_III]
+            if shock:
+                _prepare(shock, cfg.data, cfg.constants)
+            rows += [_eval_point(cfg, cache, x, t, point, tag) for x, point, tag in chunk]
+    return rows
 
 
 def _fmt(v) -> str:

@@ -2,7 +2,11 @@
 
 Airy Ai/Ai' (the asymptotic series in pure Python for s >= 10, Cephes
 through scipy below), the Jacobi theta series, the composite Gauss-Kronrod
-rule of the table transforms, and a bracketed Newton root finder.  Zone
+rule of the table transforms, and a bracketed Newton root finder.
+``jacobi_theta`` takes one varkappa, or one per row of a 2-D s: then each
+row sums to the order N of its own varkappa, and the rows of one N share
+one exponential call and one stacked matrix-vector product, so that a row
+gets the bits of the call of that row alone.  Zone
 III's complete elliptic integrals K and E (``_ellipke``, by the AGM),
 Carlson's R_F (``_rf``, by duplication) and truncated 2F1 Taylor series
 (``_horner`` on ``_hyp2f1_taylor``) are private, in pure Python.
@@ -127,9 +131,10 @@ def airy(s: float) -> tuple[float, float]:
 # largest log|F| that jacobi_theta accepts; doubles end at about exp(709.78)
 _LOG_THETA_MAX = 700.0
 _THETA_TOL = 1e-15      # absolute bound on the dropped tail of the series
+_THETA_BUDGET = -math.log(_THETA_TOL) / math.pi
 
 
-def jacobi_theta(s, varkappa: complex, order: int | tuple[int, int] = 0):
+def jacobi_theta(s, varkappa, order: int | tuple[int, int] = 0):
     """Theta series sum(exp(2*pi*i*n*s + pi*i*varkappa*n^2), n in Z).
 
     Double precision after reduction into the fundamental strip (DLMF
@@ -141,38 +146,99 @@ def jacobi_theta(s, varkappa: complex, order: int | tuple[int, int] = 0):
     Theta') from the same exponentials, Theta' = F*(Theta'(s0) -
     2*pi*i*m*Theta(s0)).  A scalar ``s`` gives a ``complex``, an array a
     complex array of its shape (one exponential over s x (2N+1) terms).
+
+    ``varkappa`` is a number, or an array with one entry per row of a 2-D
+    ``s`` (``_theta_per_row``): every row then gets the bits that a call of
+    that row alone gives.
     """
+    if isinstance(varkappa, np.ndarray) and varkappa.ndim:
+        return _theta_per_row(s, varkappa, order)
     vk = complex(varkappa)
-    if not vk.imag > 0:
-        raise DivergentSeriesError(
-            "theta series needs Im(varkappa) > 0, got %r" % (varkappa,))
-    if order not in (0, (0, 1)):
-        raise DomainError("order must be 0 or (0, 1)")
-    s = np.asarray(s, dtype=complex)
-    s = s - np.round(s.real)   # exact: Theta has period 1
-    m = np.round(s.imag / vk.imag)
-    s0, factor = s, 1.0
-    if m.any():
-        s0 = s - m * vk
-        log_f = (-1j * np.pi * m) * (s + s0)
-        # F*Theta(s0) would overflow to inf, and a quotient of two to nan
-        if log_f.real.max() > _LOG_THETA_MAX:
-            raise RangeError("Theta(s) overflows double precision at Im(s)/Im(varkappa)"
-                             " = %.3g" % np.abs(m).max())
-        factor = np.exp(log_f)
-        s0 = s0 - np.round(s0.real)
-    # with y0 = Im(varkappa), |Im s0| <= y0/2 bounds |term n| by exp(-pi*y0*(n^2 - |n|)),
-    # which is below _THETA_TOL beyond n* = 1/2 + sqrt(1/4 + budget/y0)
-    budget = -math.log(_THETA_TOL) / math.pi
-    big_n = math.ceil(0.5 + math.sqrt(0.25 + budget / vk.imag)) + 1
+    _check_theta_args([vk.imag], varkappa, order)
+    s0, m, factor = _strip(np.asarray(s, dtype=complex), vk)
+    big_n = _theta_order(vk.imag)
     n = np.arange(-big_n, big_n + 1, dtype=float)
     z = np.exp(np.multiply.outer(2j * np.pi * s0, n))
     q = np.exp((1j * np.pi * vk) * (n * n))
     total = z @ q
     if order == 0:
         return _theta_out(factor * total)
-    return (_theta_out(factor * total),
-            _theta_out(factor * (z @ (2j * np.pi * n * q) - (2j * np.pi * m) * total)))
+    # F times a named array, not a temporary: numpy computes a product with a
+    # temporary above 256 KiB in place, its operands swapped, and a complex
+    # product's bits depend on the order (Theta' of 20,000 values came out
+    # 1 ulp off in 4,088 of them against the same values 100 at a time)
+    dtotal = z @ (2j * np.pi * n * q) - (2j * np.pi * m) * total
+    return _theta_out(factor * total), _theta_out(factor * dtotal)
+
+
+def _check_theta_args(imag: list, varkappa, order) -> None:
+    """Refuse an Im(varkappa) in ``imag`` that is not positive, and an order
+    other than 0 or (0, 1)."""
+    if not all(y > 0 for y in imag):
+        raise DivergentSeriesError(
+            "theta series needs Im(varkappa) > 0, got %r" % (varkappa,))
+    if order not in (0, (0, 1)):
+        raise DomainError("order must be 0 or (0, 1)")
+
+
+def _strip(s, vk):
+    """(s0, m, F) of the reduction of s into the fundamental strip of vk (a
+    number, or one per s), with F = 1.0 where no s leaves it."""
+    s = s - np.round(s.real)   # exact: Theta has period 1
+    m = np.round(s.imag / vk.imag)
+    if not m.any():
+        return s, m, 1.0
+    s0 = s - m * vk
+    log_f = (-1j * np.pi * m) * (s + s0)
+    # F*Theta(s0) would overflow to inf, and a quotient of two to nan
+    if log_f.real.max() > _LOG_THETA_MAX:
+        raise RangeError("Theta(s) overflows double precision at Im(s)/Im(varkappa)"
+                         " = %.3g" % np.abs(m).max())
+    return s0 - np.round(s0.real), m, np.exp(log_f)
+
+
+def _theta_order(y0: float) -> int:
+    """N for Im(varkappa) = y0: |Im s0| <= y0/2 bounds |term n| by
+    exp(-pi*y0*(n^2 - |n|)), which is below ``_THETA_TOL`` beyond n* = 1/2 +
+    sqrt(1/4 + budget/y0)."""
+    return math.ceil(0.5 + math.sqrt(0.25 + _THETA_BUDGET / y0)) + 1
+
+
+def _theta_per_row(s, varkappa, order):
+    """``jacobi_theta`` with one varkappa per row of a 2-D s.
+
+    Each row takes the N of its own varkappa.  The rows of one N share one
+    exponential call and one stacked matrix-vector product, which is one
+    product per row: a row gets the terms, the order of summation and so the
+    bits of the scalar call of that row alone.
+    """
+    vk = varkappa.astype(complex)
+    imag = vk.imag.tolist()
+    _check_theta_args(imag, varkappa, order)
+    s = np.asarray(s, dtype=complex)
+    if not (vk.ndim == 1 and s.ndim == 2 and len(s) == vk.size):
+        raise DomainError("varkappa must be a number or have one entry per row of s")
+    s0, m, factor = _strip(s.ravel(), np.repeat(vk, s.shape[1]))
+    s0 = s0.reshape(s.shape)
+    total = np.empty_like(s0)
+    dtotal = None if order == 0 else np.empty_like(s0)
+    big_n = [_theta_order(y) for y in imag]
+    for n_rows in set(big_n):
+        rows = [k for k, v in enumerate(big_n) if v == n_rows]
+        if len(rows) == len(big_n):
+            rows = slice(None)
+        n = np.arange(-n_rows, n_rows + 1, dtype=float)
+        z = np.exp(np.multiply.outer(2j * np.pi * s0[rows], n))
+        q = np.exp(np.multiply.outer(1j * np.pi * vk[rows], n * n))[:, :, np.newaxis]
+        total[rows] = (z @ q)[..., 0]
+        if dtotal is not None:
+            dtotal[rows] = (z @ ((2j * np.pi * n)[:, np.newaxis] * q))[..., 0]
+    total = total.ravel()
+    th = (factor * total).reshape(s.shape)
+    if order == 0:
+        return th
+    dtotal = dtotal.ravel() - (2j * np.pi * m) * total
+    return th, (factor * dtotal).reshape(s.shape)
 
 
 def _theta_out(total):

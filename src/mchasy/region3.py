@@ -31,6 +31,16 @@ periods, ``delta0`` and ``h1_limit``.  Carlson's R_F, by duplication, gives
 A(inf) once per point, and a five-term series in 1/x^2 gives the Abel map
 at the gate's eight far samples.  The 2F1 Taylor series give J_gap and a
 small band's J_band.
+
+A scan evaluates the shock-zone points of one t together (``_prepare``, in
+chunks the scan bounds).  The scalar part of each point (band root, periods,
+the A(inf) and band-period checks, Delta0) stays a loop; then one
+theta-series call covers the 23 theta arguments of every point, a row per
+point at its own varkappa, and the pole tests, the expansion terms and the
+``nr7_coeffs`` gate run over the rows (``_build``).  ``build_geometry`` and
+``u_region3`` are the one-point case of the same code, and every row gets
+the bits and the error it gets alone.  ``u_region3`` hands a scan's point
+the result prepared for it, from the data's memo, and drops it.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from .errors import (
     ConventionError,
     DomainError,
     PoleOfSolutionError,
+    RangeError,
     RegionError,
     WindowError,
 )
@@ -284,9 +295,17 @@ def solve_band(params: ShockParams) -> tuple[float, float]:
             "point is not in a valid shock regime for this data" % (rhs, attainable))
     # the root lies past the last sample above rhs and before the next one
     i = sum(v > rhs for v in samples) - 1
-    a = find_root(lambda x: area(x) - rhs, slope, ends[i], ends[i + 1])
+    # find_root returns an x at which it evaluated g: the residual is read
+    # from that evaluation, not computed again
+    seen = {}
+
+    def g(x):
+        val = seen[x] = area(x) - rhs
+        return val
+
+    a = find_root(g, slope, ends[i], ends[i + 1])
     # absolute: the unit right side is below its attainable (2/3)^1.5/3 = 0.18
-    resid = abs(area(a) - rhs)
+    resid = abs(seen[a] if a in seen else area(a) - rhs)
     scale = math.sqrt(params.p / params.q)
     a, b = scale * a, scale * b_of(a)
     if not resid <= 1e-12:
@@ -331,18 +350,14 @@ class ShockGeometry:
     @cached_property
     def theta_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(s, Theta(s), Theta'(s)) at the points every shock point needs,
-        from one theta-series call: 0, the four expansion points (``_EXPANSION``)
-        and the gate's nine sample pairs (``_GATE``).  Nothing here is tested
-        for poles: each reader tests the values it uses."""
-        kap4, shift = self.varkappa / 4, self.phi / math.pi
-        expansion = np.array([self.A_inf - kap4, -self.A_inf - kap4])
-        # at the samples k, -A(k) - kap/4 = -i*int_k^inf dz/|w| / (2*K_band),
-        # as A(inf) = -kap/4 (see ``abel``): no sample reads the A_inf whose
-        # convention the gate tests
-        tails = _NR7_TAIL_POWERS @ _far_tail_coeffs(self.a, self.b, self.gate_unit)
-        gate = np.append((-0.5j / (self.K_band * self.gate_unit)) * tails, self.A_inf - kap4)
-        s = np.concatenate([[0.0], expansion, expansion + shift, gate + shift, gate])
-        return (s, *jacobi_theta(s, self.varkappa, order=(0, 1)))
+        from one theta-series call (``_theta_rows``): 0, the four expansion
+        points (``_EXPANSION``) and the gate's nine sample pairs (``_GATE``).
+        Nothing here is tested for poles: each reader tests the values it
+        uses."""
+        s, th, dth, (err,) = _theta_rows([self])
+        if err is not None:
+            raise err
+        return s, th, dth
 
     @property
     def gate_unit(self) -> float:
@@ -357,8 +372,12 @@ class ShockGeometry:
 
     @cached_property
     def expansion_terms(self) -> tuple[complex, complex]:
-        """(g_inf, x_tilde) of ``_expansion_terms``, computed once per geometry."""
-        return _expansion_terms(self)
+        """(g_inf, x_tilde) of ``_expansion_rows``, computed once per geometry."""
+        s, th, dth = self.theta_pass
+        (terms,), (err,) = _expansion_rows([self], s, th, dth, _small(th), [None])
+        if err is not None:
+            raise err
+        return terms
 
 
 def _path_quad_inv_w(geom_ab, z1) -> complex:
@@ -432,6 +451,7 @@ _J = np.arange(1.0, 25.0)
 _H = np.cumprod(np.r_[1.0, (_J - 0.5) / _J])
 _KE_SERIES = _H[:-1] * _H[1:]
 _LOG_SERIES = _KE_SERIES * (np.cumsum(1.0 / ((2.0 * _J - 1.0) * 2.0 * _J)) - math.log(2.0))
+_SERIES_POWERS = np.arange(_KE_SERIES.size)
 
 
 def _gap_z2_log_moment(a, b, C_R) -> float:
@@ -454,7 +474,7 @@ def _gap_z2_log_moment(a, b, C_R) -> float:
     """
     m = (a / b) ** 2
     if m < 0.25:
-        powers = m ** np.arange(_KE_SERIES.size)
+        powers = m ** _SERIES_POWERS
         return 0.5 * math.pi * b * m * (math.log(C_R * a * a) * (_KE_SERIES @ powers)
                                         + 2.0 * (_LOG_SERIES @ powers))
     k, e, _, e1 = _elliptic(a, b)
@@ -462,9 +482,9 @@ def _gap_z2_log_moment(a, b, C_R) -> float:
                 - _m1(a, b) * k)
 
 
-def build_geometry(params: ShockParams) -> ShockGeometry:
-    """Solve the band equations and assemble all derived constants, gated by
-    the band-period identity and the ``nr7_coeffs`` convention check."""
+def _assemble(params: ShockParams) -> ShockGeometry:
+    """The scalar part of a geometry: the band, the periods, A(inf), Delta0
+    and phi, gated by the A(inf) and band-period identities."""
     a, b = solve_band(params)
     B1, A1, varkappa = periods(a, b, params.q)
     kb = _k_band(a, b)
@@ -483,7 +503,50 @@ def build_geometry(params: ShockParams) -> ShockGeometry:
     ident = (2.0 - params.xi) * cmath.exp(-1j * tau * A1)
     if not abs(ident - 1.0) <= 1e-10:
         raise BranchError("(2-xi)*exp(-i*tau*A1) = %r, expected 1" % ident)
-    nr7_coeffs(geom)   # hard gate on the expansion conventions
+    return geom
+
+
+def _build(params: list) -> list:
+    """The geometries of many points, each a ``ShockGeometry`` or the
+    exception that refuses its point (an exception in ``params`` stays).
+
+    The scalar part (``_assemble``) is a loop over the points; then one
+    theta-series call covers all of them, and the pole tests, the expansion
+    terms and the ``nr7_coeffs`` convention gate run as array operations
+    over their rows.  Each row's values and errors are those of the point
+    alone.
+    """
+    out, geoms = [], []
+    for p in params:
+        if not isinstance(p, Exception):
+            try:
+                p = _assemble(p)
+                geoms.append(p)
+            except Exception as exc:    # refuses this point only
+                p = exc
+        out.append(p)
+    if not geoms:
+        return out
+    s, th, dth, refused = _theta_rows(geoms)
+    small = _small(th)
+    terms, refused = _expansion_rows(geoms, s, th, dth, small, refused)
+    _, refused = _gate_rows(geoms, s, th, small, terms, refused)
+    errors = iter(refused)
+    for k, geom in enumerate(out):
+        if isinstance(geom, ShockGeometry):
+            out[k] = next(errors) or geom
+    for geom, term in zip(geoms, terms):
+        geom.__dict__["expansion_terms"] = term     # the cached property, as read
+    return out
+
+
+def build_geometry(params: ShockParams) -> ShockGeometry:
+    """Solve the band equations and assemble all derived constants, gated by
+    the A(inf) and band-period identities and the ``nr7_coeffs`` convention
+    check: the one-point case of ``_build``."""
+    (geom,) = _build([params])
+    if isinstance(geom, Exception):
+        raise geom
     return geom
 
 
@@ -516,17 +579,11 @@ def _nu(geom: ShockGeometry, k: complex, side: str | None) -> complex:
     return complex(((k - a) * (k + b) / ((k + a) * (k - b))) ** 0.25)
 
 
-def _check_poles(geom: ShockGeometry, s, val) -> None:
-    mag, bound = np.abs(val), 1e-12 * geom.theta0
-    if mag.min() < bound:
-        small = np.flatnonzero(mag < bound)
-        raise PoleOfSolutionError("theta denominator vanished",
-                                  point=complex(np.ravel(s)[small[0]]))
-
-
 def _theta(geom: ShockGeometry, s):
     val = jacobi_theta(s, geom.varkappa)
-    _check_poles(geom, s, val)
+    (err,) = _refusals([None], s, np.abs(val) < 1e-12 * geom.theta0, slice(None))
+    if err is not None:
+        raise err
     return val
 
 
@@ -570,16 +627,140 @@ _NR7_PINV = np.linalg.pinv(np.vstack([np.ones_like(_NR7_KS), 1.0 / _NR7_KS,
                                       1.0 / _NR7_KS ** 2, 1.0 / _NR7_KS ** 3]).T)[:2]
 
 
-def _expansion_terms(geom: ShockGeometry):
-    s, th, dth = geom.theta_pass
-    _check_poles(geom, s[_EXPANSION], th[_EXPANSION])
-    den_p, den_m, num_p, num_m = th[_EXPANSION]
-    g_inf = den_p * num_m / (den_m * num_p)
-    c_inf = den_p / num_p
-    # d/d(1/k) at infinity of the ratio evaluated along -A(k)
-    dden, dnum = dth[2], dth[4]
-    f1 = -geom.cA * (dnum * den_m - num_m * dden) / (den_m * den_m)
-    return complex(g_inf), complex(c_inf * f1)
+# The batch kernels below take the points of a batch as rows.  One point's
+# arrays have no row axis: they are the shapes a single point always had,
+# and numpy takes them in fewer steps.  Each row gets the bits it gets alone.
+
+def _per_row(values: list):
+    """A quantity per row: the value itself for one row, else an array with
+    one row per value."""
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+def _columns(rows: list):
+    """Quantities per row, given as a tuple per row: for one row that tuple,
+    else one column per quantity."""
+    return rows[0] if len(rows) == 1 else np.array(rows).T[:, :, np.newaxis]
+
+
+def _theta_rows(geoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """(s, Theta(s), Theta'(s)), a row of 23 per geometry as listed in
+    ``ShockGeometry.theta_pass``, from one theta-series call at each row's
+    varkappa, and per row None or the ``RangeError`` that refuses it."""
+    coeffs, vk = [], []
+    for g in geoms:
+        coeffs.append(_far_tail_coeffs(g.a, g.b, g.gate_unit))
+        vk.append(g.varkappa)
+    tails = np.matmul(_NR7_TAIL_POWERS, np.array(_per_row(coeffs))[..., np.newaxis])
+    rows = []
+    for g, tail in zip(geoms, tails.reshape(len(geoms), -1).tolist()):
+        kap4, shift = g.varkappa / 4, g.phi / math.pi
+        plus, minus = g.A_inf - kap4, -g.A_inf - kap4
+        # at the samples k, -A(k) - kap/4 = -i*int_k^inf dz/|w| / (2*K_band),
+        # as A(inf) = -kap/4 (see ``abel``): no sample reads the A_inf whose
+        # convention the gate tests
+        scale = -0.5j / (g.K_band * g.gate_unit)
+        gate = [scale * v for v in tail] + [plus]
+        rows.append([0.0, plus, minus, plus + shift, minus + shift]
+                    + [v + shift for v in gate] + gate)
+    s = np.array(_per_row(rows))
+    try:
+        return (s, *jacobi_theta(s, _per_row(vk), order=(0, 1)), [None] * len(geoms))
+    except RangeError:
+        pass
+    # a row's quasi-period factor overflows: each row alone, so that only
+    # its own point is refused
+    th, dth, errors = np.full_like(s, np.nan), np.full_like(s, np.nan), []
+    n = len(geoms)
+    for row, v, th_row, dth_row in zip(s.reshape(n, -1), vk, th.reshape(n, -1),
+                                       dth.reshape(n, -1)):
+        try:
+            th_row[:], dth_row[:] = jacobi_theta(row, v, order=(0, 1))
+            errors.append(None)
+        except RangeError as exc:
+            errors.append(exc)
+    return s, th, dth, errors
+
+
+def _small(th) -> np.ndarray | None:
+    """Where a theta value of a row is below 1e-12 |Theta(0)| of that row (a
+    pole of the model solution, for the readers of those values), or None
+    if it is nowhere."""
+    mag = np.abs(th)
+    if not (mag.min(axis=-1) < 1e-12 * mag[..., 0]).any():
+        return None
+    return mag < 1e-12 * mag[..., :1]
+
+
+def _refusals(refused: list, s, small, columns) -> list:
+    """``refused`` with a ``PoleOfSolutionError`` added to each row that has
+    no error yet and a ``_small`` value in ``columns``: its first."""
+    refused = list(refused)
+    if small is not None:
+        n = len(refused)
+        s, small = s.reshape(n, -1)[:, columns], small.reshape(n, -1)[:, columns]
+        for k in np.flatnonzero(small.any(axis=1)):
+            refused[k] = refused[k] or PoleOfSolutionError(
+                "theta denominator vanished", point=complex(s[k][small[k]][0]))
+    return refused
+
+
+def _expansion_rows(geoms, s, th, dth, small, refused) -> tuple[list, list]:
+    """(g_inf, x_tilde) per row of ``_theta_rows`` that no error in
+    ``refused`` or pole refuses, and the refusals."""
+    refused = _refusals(refused, s, small, _EXPANSION)
+    terms = [None] * len(geoms)
+    th, dth = th.reshape(len(geoms), -1), dth.reshape(len(geoms), -1)
+    for k, geom in enumerate(geoms):
+        if refused[k] is None:
+            den_p, den_m, num_p, num_m = th[k, _EXPANSION]
+            g_inf = den_p * num_m / (den_m * num_p)
+            c_inf = den_p / num_p
+            # d/d(1/k) at infinity of the ratio evaluated along -A(k)
+            dden, dnum = dth[k, 2], dth[k, 4]
+            f1 = -geom.cA * (dnum * den_m - num_m * dden) / (den_m * den_m)
+            terms[k] = complex(g_inf), complex(c_inf * f1)
+    return terms, refused
+
+
+def _gate_rows(geoms, s, th, small, terms, refused) -> tuple[list, list]:
+    """The closed-form 1/k and 1/k^2 coefficients of the (1,2) entry per row
+    of ``_theta_rows`` with its ``_expansion_rows`` terms, and the
+    refusals, a failed ``nr7_coeffs`` gate or pole added."""
+    refused = _refusals(refused, s, small, _GATE)
+    coeffs = [None] * len(geoms)
+    if all(refused):
+        return coeffs, refused
+    # the (1,2) entry of nr7_matrix at each sample k: phase (nu - 1/nu) times
+    # the row-1 theta ratio at -A(k), normalized by the one at A_inf; the
+    # fit takes k times the k-dependent part
+    a, b, unit = _columns([(g.a, g.b, g.gate_unit) for g in geoms])
+    ks = _NR7_KS * unit
+    nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
+    den = th[..., _GATE_DEN]
+    if any(refused):    # a refused row's quotients are not read
+        den = np.where(np.array([e is not None for e in refused])[:, np.newaxis], 1.0, den)
+    r = th[..., _GATE_NUM] / den
+    fit = np.matmul(_NR7_PINV, ((nu - 1.0 / nu) * ks * r[..., :-1])[..., np.newaxis])
+    fit, r = fit.reshape(len(geoms), -1), r.reshape(len(geoms), -1)
+    for k, geom in enumerate(geoms):
+        if refused[k] is not None:
+            continue
+        g_inf, x_tilde = terms[k]
+        phase = -cmath.exp(1j * geom.phi) / 2j
+        n1_12 = phase * (geom.b - geom.a) * g_inf
+        n2_12 = phase * (geom.b - geom.a) * x_tilde
+        # the fit is in 1/k in units of ``unit``: its 1/k coefficient scales by it
+        c0 = phase * fit[k, 0] / r[k, -1]
+        c1 = phase * fit[k, 1] * geom.gate_unit / r[k, -1]
+        if not (abs(c0 - n1_12) <= 1e-5 * max(1.0, abs(n1_12))
+                and abs(c1 - n2_12) <= 1e-5 * max(1.0, abs(n2_12))):
+            refused[k] = ConventionError(
+                "Laurent fit %r, %r disagrees with closed forms %r, %r"
+                % (c0, c1, n1_12, n2_12))
+        else:
+            coeffs[k] = complex(n1_12), complex(n2_12)
+    return coeffs, refused
 
 
 def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
@@ -589,31 +770,14 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     eight real k from 100 ``gate_unit`` up, read from the geometry's
     ``theta_pass``; disagreement beyond 1e-5, or a fit that is not a
     number, signals a broken derivative-at-infinity convention and is a
-    hard failure.
+    hard failure.  The one-row case of ``_gate_rows``.
     """
-    a, b = geom.a, geom.b
-    g_inf, x_tilde = geom.expansion_terms
-    phase = -cmath.exp(1j * geom.phi) / 2j
-    n1_12 = phase * (b - a) * g_inf
-    n2_12 = phase * (b - a) * x_tilde
-    # the (1,2) entry of nr7_matrix at each sample k: phase (nu - 1/nu) times
-    # the row-1 theta ratio at -A(k), normalized by the one at A_inf; the
-    # fit takes k times the k-dependent part
-    unit = geom.gate_unit
-    ks = _NR7_KS * unit
-    nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
+    terms = geom.expansion_terms
     s, th, _ = geom.theta_pass
-    _check_poles(geom, s[_GATE], th[_GATE])
-    r = th[_GATE_NUM] / th[_GATE_DEN]
-    c0, c1 = _NR7_PINV @ ((nu - 1.0 / nu) * ks * r[:-1])
-    # the fit is in 1/k in units of ``unit``: its 1/k coefficient scales by it
-    c0, c1 = phase * c0 / r[-1], phase * c1 * unit / r[-1]
-    if not (abs(c0 - n1_12) <= 1e-5 * max(1.0, abs(n1_12))
-            and abs(c1 - n2_12) <= 1e-5 * max(1.0, abs(n2_12))):
-        raise ConventionError(
-            "Laurent fit %r, %r disagrees with closed forms %r, %r"
-            % (c0, c1, n1_12, n2_12))
-    return complex(n1_12), complex(n2_12)
+    (coeffs,), (err,) = _gate_rows([geom], s, th, _small(th), [terms], [None])
+    if err is not None:
+        raise err
+    return coeffs
 
 
 # ----------------------------------------------------------------------
@@ -630,25 +794,12 @@ def _generic_curvature(data: ScatteringData) -> float:
     return data.r.curvature_at_one()
 
 
-def u_region3(point: SpaceTimePoint, data: ScatteringData,
-              p: float = 1.0, q: float = 1.0,
-              constants: RegionConstants = RegionConstants()) -> AsymptoticValue:
-    """Theta-modulated wave form in the collisionless-shock zone.
-
-    Assembled from the two expansion coefficients of the model matrix and the
-    tail limits of the scalar g and h; this combination is exactly real and
-    independent of the choice of (p, q).
-    """
-    if classify(point, constants) is not RegionTag.R_III:
-        raise RegionError("point (x=%g, t=%g) is not in the shock zone"
-                          % (point.x, point.t))
-    curv = data._memo("shock_curvature", lambda: _generic_curvature(data))
-    params = ShockParams(p=p, q=q, xi=point.xi, t=point.t,
-                         C_R=(q / (12.0 * p)) * curv)
-    geom = build_geometry(params)
+def _wave(point: SpaceTimePoint, geom: ShockGeometry, p: float, q: float) -> AsymptoticValue:
+    """u at a point from its geometry: the two expansion coefficients of the
+    model matrix and the tail limits of the scalar g and h."""
     g_inf, x_tilde = geom.expansion_terms
-    z1 = cmath.exp(1j * geom.phi) * g_inf
-    z2 = cmath.exp(1j * geom.phi) * x_tilde
+    rotation = cmath.exp(1j * geom.phi)
+    z1, z2 = rotation * g_inf, rotation * x_tilde
     h1 = h1_limit(geom)
     g0 = g0_limit(geom)
     pref = (2.0 - point.xi) * (geom.b - geom.a) * q / (12.0 * p)
@@ -658,3 +809,62 @@ def u_region3(point: SpaceTimePoint, data: ScatteringData,
             "C_R": geom.C_R, "h1": h1, "g0": g0, "Z1": z1, "Z2": z2,
             "A_inf": geom.A_inf}
     return AsymptoticValue(float(u), None, diag)
+
+
+def _u_points(points: list, data: ScatteringData, p: float, q: float) -> list:
+    """``u_region3`` at many shock-zone points of one data, p and q, each an
+    ``AsymptoticValue`` or the exception that refuses its point, with one
+    ``_build`` for all of them."""
+    params = []
+    curvature = functools.partial(_generic_curvature, data)
+    for point in points:
+        try:
+            curv = data._memo("shock_curvature", curvature)
+            params.append(ShockParams(p=p, q=q, xi=point.xi, t=point.t,
+                                      C_R=(q / (12.0 * p)) * curv))
+        except Exception as exc:    # refuses this point only
+            params.append(exc)
+    out = []
+    for point, geom in zip(points, _build(params)):
+        if isinstance(geom, ShockGeometry):
+            try:
+                geom = _wave(point, geom, p, q)
+            except Exception as exc:
+                geom = exc
+        out.append(geom)
+    return out
+
+
+def _prepare(points: list, data: ScatteringData, constants: RegionConstants) -> None:
+    """Evaluate shock-zone points of a scan together (``_u_points`` at p = q
+    = 1) and keep each result, or the error that refuses it, in the data's
+    memo until ``u_region3`` reads it.  The scan has classified the points;
+    each call replaces what an earlier one left unread."""
+    prepared = data._memo("shock_prepared", dict)
+    prepared.clear()
+    prepared.update(zip([(point, 1.0, 1.0, constants) for point in points],
+                        _u_points(points, data, 1.0, 1.0)))
+
+
+def u_region3(point: SpaceTimePoint, data: ScatteringData,
+              p: float = 1.0, q: float = 1.0,
+              constants: RegionConstants = RegionConstants()) -> AsymptoticValue:
+    """Theta-modulated wave form in the collisionless-shock zone.
+
+    Assembled from the two expansion coefficients of the model matrix and the
+    tail limits of the scalar g and h; this combination is exactly real and
+    independent of the choice of (p, q).  A point that a scan evaluated
+    ahead (``_prepare``) returns that result, or raises its error, once;
+    any other point is classified and evaluated alone, the one-point case
+    of ``_u_points``.
+    """
+    prepared = data._memo("shock_prepared", dict)
+    done = prepared.pop((point, p, q, constants), None) if prepared else None
+    if done is None:
+        if classify(point, constants) is not RegionTag.R_III:
+            raise RegionError("point (x=%g, t=%g) is not in the shock zone"
+                              % (point.x, point.t))
+        (done,) = _u_points([point], data, p, q)
+    if isinstance(done, Exception):
+        raise done
+    return done

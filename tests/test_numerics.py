@@ -150,6 +150,18 @@ class TestJacobiTheta:
             assert type(th) is complex and type(dth) is complex
             assert abs(th - jacobi_theta(v, vk)) < 1e-14 * max(1.0, abs(th))
 
+    def test_bits_do_not_depend_on_the_array_size(self):
+        # numpy computes a product with a temporary above 256 KiB in place,
+        # its operands swapped, and a complex product's bits depend on their
+        # order: Theta' of 20,000 values must be those of 100 at a time
+        rng = np.random.default_rng(6)
+        vk = 0.3 + 1.1j
+        s = rng.uniform(-1, 1, 20000) + 1j * rng.uniform(-2, 2, 20000)
+        th, dth = jacobi_theta(s, vk, order=(0, 1))
+        parts = [jacobi_theta(s[i:i + 100], vk, order=(0, 1)) for i in range(0, s.size, 100)]
+        assert th.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        assert dth.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+
     @pytest.mark.parametrize("order", [2, (1, 0), (0, 1, 2), 1])
     def test_unknown_order_rejected(self, order):
         with pytest.raises(DomainError):

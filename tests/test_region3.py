@@ -134,6 +134,21 @@ class TestSolveBand:
             with pytest.raises(ConvergenceError, match="band residual"):
                 solve_band(params)
 
+    def test_band_integral_once_per_evaluation(self, params):
+        # the 1e-12 residual gate reads find_root's last evaluation at the
+        # root: the band integral is not computed there a second time
+        region3._band_samples()     # the bracket samples, once per process
+        evals, real_root = [], region3.find_root
+
+        def find_root(g, dg, lo, hi):
+            return real_root(lambda x: evals.append(x) or g(x), dg, lo, hi)
+
+        with mock.patch.object(region3, "find_root", find_root), \
+                mock.patch.object(region3, "_j_band", wraps=region3._j_band) as j_band:
+            a, b = solve_band(params)
+        assert j_band.call_count == len(evals)
+        assert (a, b) == solve_band(params)
+
     def test_degenerate_upper_endpoint(self):
         # the RHS scales like 4/(9*ratio^(3/2)); push the window ratio far
         # out so the band closes onto a = b = sqrt(p/3q)
