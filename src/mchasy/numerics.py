@@ -570,7 +570,7 @@ def find_root(g: Callable, dg: Callable, lo: float, hi: float) -> float:
     Requires a sign change.  A Newton step is taken when it lands strictly
     inside the current bracket, a bisection otherwise; stops when
     |g(root)| <= ``_ROOT_TOL`` or the bracket width or the step falls below
-    it (absolute).
+    it (absolute), or when a step rounds to no change of x.
     """
     glo, ghi = g(lo), g(hi)
     if glo == 0.0:
@@ -579,21 +579,32 @@ def find_root(g: Callable, dg: Callable, lo: float, hi: float) -> float:
         return hi
     if glo * ghi > 0:
         raise BracketError("no sign change on [%r, %r]" % (lo, hi))
-    a, b, ga = lo, hi, glo
     x, gx = (lo, glo) if abs(glo) < abs(ghi) else (hi, ghi)
+    return _bracketed_newton(g, dg, lo, hi, glo, x, gx)[0]
+
+
+def _bracketed_newton(g: Callable, dg: Callable, lo: float, hi: float, glo: float,
+                      x: float, gx: float) -> tuple[float, float]:
+    """(x, g(x)) at the root of ``g`` in [lo, hi], from the start x in it,
+    with g(lo) = ``glo`` and g(x) = ``gx`` already evaluated and g(hi) of
+    the other sign than ``glo``: ``find_root``'s loop.  The g returned is
+    the last evaluation, at the x returned."""
+    a, b, ga = lo, hi, glo
     for _ in range(_ROOT_MAX_ITER):
+        if ga * gx <= 0:
+            b = x
+        else:
+            a, ga = x, gx
         d = dg(x)
         x_new = x - gx / d if d != 0.0 else math.nan   # a flat slope bisects
+        if x_new == x:      # the step rounds away: x is the root to rounding
+            return x, gx
         if not a < x_new < b:
             x_new = 0.5 * (a + b)
         step, x = abs(x_new - x), x_new
         gx = g(x)
         if abs(gx) <= _ROOT_TOL or (b - a) <= _ROOT_TOL or step <= _ROOT_TOL:
-            return x
-        if ga * gx <= 0:
-            b = x
-        else:
-            a, ga = x, gx
+            return x, gx
     if abs(gx) <= 100 * _ROOT_TOL or (b - a) <= 100 * _ROOT_TOL:
-        return x
+        return x, gx
     raise ConvergenceError("find_root exhausted %d iterations" % _ROOT_MAX_ITER, best=x)

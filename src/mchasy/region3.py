@@ -24,6 +24,12 @@ the axis, the g- and h-function limits and the theta model's expansion
 coefficients.  ``abel``, a quadrature off the axis, and ``nr7_matrix`` are
 verification kernels: only the tests call them.
 
+The band ends come from the unit problem a^2 + b^2 = 2/3, which depends on
+one scalar, the right side of the band-area equation.  A table of it, built
+once per process (``_band_table``), brackets the root between two nodes and
+starts it from an interpolant, so that one Newton step meets the root
+finder's tolerance; the 1e-12 residual gate reads that step's evaluation.
+
 The closed forms use mchasy's own kernels, not scipy.special.  K and E of m
 = (a/b)^2 and of 1 - m come from AGM passes, computed once per (a, b) and
 shared by the slope and area of a Newton iterate and by a geometry's
@@ -45,6 +51,7 @@ the result prepared for it, from the data's memo, and drops it.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -56,6 +63,7 @@ import numpy as np
 from .errors import (
     AdmissibilityError,
     BoundaryAmbiguityError,
+    BracketError,
     BranchError,
     ConvergenceError,
     ConventionError,
@@ -67,11 +75,11 @@ from .errors import (
 )
 from .numerics import (
     QuadratureSpec,
+    _bracketed_newton,
     _ellipke,
     _horner,
     _hyp2f1_taylor,
     _rf,
-    find_root,
     jacobi_theta,
     quad,
 )
@@ -162,11 +170,14 @@ def _m1(a, b):
 
 @functools.lru_cache(maxsize=16)
 def _elliptic(a, b) -> tuple[float, float, float, float]:
-    """(K(m), E(m), K(m1), E(m1)), once per (a, b): a Newton iterate of
-    ``solve_band`` reads K(m1) for its slope and E(m1) for its area, a
-    geometry's periods, ``delta0`` and ``h1_limit`` read all four, and the
-    six bracket ends recur at every point.  16 entries hold those and one
-    point's iterates."""
+    """(K(m), E(m), K(m1), E(m1)), once per (a, b).  ``solve_band`` reads
+    two (a, b) per point: its start, K(m1) for the slope and E(m1) for the
+    area (the area reads none where m1 < 1/2), and its root, for the area;
+    the geometry's periods and ``delta0`` read the root's again, and
+    ``h1_limit`` reads it after the whole batch of points.  16 entries keep
+    a batch of 8 points: in the benchmark's first 1,500 seed-0 ``shock``
+    requests 82 % of the reads hit, 1.9 misses per point (3.75 when the
+    root started from five fixed brackets)."""
     return _ellipke((a / b) ** 2, _m1(a, b))
 
 
@@ -249,20 +260,78 @@ def _inv_w_on(a, b, lo, hi) -> float:
 # ----------------------------------------------------------------------
 
 _UNIT_RADIUS2 = 2.0 / 3.0     # a^2 + b^2 of the band at p = q = 1
+# the band integral of the unit problem at a = 0, b^3/3: the band is [0, b]
+_UNIT_F0 = _UNIT_RADIUS2 ** 1.5 / 3.0
+_A_MAX = math.sqrt(0.5 * _UNIT_RADIUS2)     # the band closes, a = b
+# below this a, F0 - F(a) is taken from its leading term (``_band_gap``)
+_GAP_SERIES_BELOW = 5e-5
+
+
+def _b_unit(a: float) -> float:
+    return math.sqrt(_UNIT_RADIUS2 - a * a)
+
+
+def _band_slope(a: float) -> float:
+    """dJ_band/da along the unit circle, -a (b^2 - a^2) K_band: the
+    integrand's derivative is -a (b^2 - a^2)/|w|, and it vanishes at both
+    ends of the band."""
+    b = _b_unit(a)
+    return -a * (b - a) * (b + a) * _k_band(a, b)
+
+
+def _band_gap(a: float, f: float) -> float:
+    """F0 - F at a node a with band integral F.  Near a = 0 the subtraction
+    keeps few digits (F0 - F ~ a^2 ln(1/a), 3e-18 at the first node), so
+    there it is the leading term sqrt(2/3) a^2 (1/4 + ln(4b/a)/2), from K and
+    E of m1 -> 1 (DLMF 19.12.1, 19.12.2), whose relative error is about
+    0.1 a^2 ln(1/a): against 40-digit mpmath, 2.3e-9 at 5e-5, where the
+    subtraction's is 3.9e-9, and 6.5e-16 at the first node."""
+    if a < _GAP_SERIES_BELOW:
+        return math.sqrt(_UNIT_RADIUS2) * a * a * (0.25 + 0.5 * math.log(4.0 * _b_unit(a) / a))
+    return _UNIT_F0 - f
+
+
+def _band_angle(f: float, gap: float) -> float:
+    """The table's variable, atan(sqrt(F/(F0 - F))), with F0 - F given as
+    ``gap``: it goes as sqrt(F) where the band closes (F ~ m1^2) and as
+    pi/2 - sqrt((F0 - F)/F0) where a -> 0 (F0 - F ~ a^2 ln(1/a)), so that a
+    is nearly linear in it at both ends.  d/dF = 1/(2 sqrt(F (F0 - F)))."""
+    return math.atan2(math.sqrt(f), math.sqrt(gap))
 
 
 @functools.cache
-def _band_samples() -> tuple[tuple, tuple]:
-    """The bracket ends of ``solve_band`` and the band integral at the first
-    five, on the unit problem a^2 + b^2 = 2/3: once per process, as every
-    point at every (p, q) shares them.  A BranchError is not cached, so it
-    is raised again at every point."""
-    a_max = math.sqrt(1.0 / 3.0)
-    ends = [f * a_max for f in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-9)] + [a_max * (1 - 1e-12)]
-    samples = [_j_band(a, math.sqrt(_UNIT_RADIUS2 - a * a)) for a in ends[:5]]
-    if any(s1 <= s2 for s1, s2 in zip(samples, samples[1:])):
-        raise BranchError("band integral is not decreasing in a: %r" % samples)
-    return tuple(ends), tuple(samples)
+def _band_table() -> tuple[list, list, list, list]:
+    """The unit band problem a^2 + b^2 = 2/3 tabulated once per process, as
+    every point at every (p, q) shares it: the nodes a, increasing; -F at
+    them, increasing for ``bisect``, with F = J_band strictly decreasing
+    (checked at every node); ``_band_angle`` at them; and da/d(angle) =
+    2 sqrt(F (F0 - F))/F' with F' = ``_band_slope``.  The nodes run from
+    1e-9 a_max, whose F bounds the attainable right side, to a_max (1 -
+    1e-12): 63 evenly spaced between, and 17 more halving from a_max/64
+    towards a = 0, where a is nearly linear in the angle only on a log
+    scale.  A BranchError is not cached, so it is raised again at every
+    point."""
+    nodes = ([1e-9 * _A_MAX] + [_A_MAX / 64 * 0.5 ** k for k in range(17, 0, -1)]
+             + [_A_MAX * k / 64 for k in range(1, 64)] + [_A_MAX * (1 - 1e-12)])
+    f = [_j_band(a, _b_unit(a)) for a in nodes]
+    for k in range(len(f) - 1):
+        if not f[k] > f[k + 1]:
+            raise BranchError("band integral is not decreasing in a: %r at a = %r, "
+                              "%r at a = %r" % (f[k], nodes[k], f[k + 1], nodes[k + 1]))
+    gap = [_band_gap(a, v) for a, v in zip(nodes, f)]
+    return (nodes, [-v for v in f], [_band_angle(v, g) for v, g in zip(f, gap)],
+            [2.0 * math.sqrt(v * g) / _band_slope(a) for a, v, g in zip(nodes, f, gap)])
+
+
+def _band_start(nodes: list, angle: list, slope: list, rhs: float, i: int) -> float:
+    """The inverse cubic Hermite interpolant a(angle) on interval i of
+    ``_band_table``, at the angle of ``rhs``, kept inside the interval."""
+    lo, hi = nodes[i], nodes[i + 1]
+    h = angle[i + 1] - angle[i]
+    s = (_band_angle(rhs, max(_UNIT_F0 - rhs, 0.0)) - angle[i]) / h
+    d0, d1, rise = h * slope[i], h * slope[i + 1], hi - lo
+    x = lo + s * (d0 + s * ((3.0 * rise - 2.0 * d0 - d1) + s * (d0 + d1 - 2.0 * rise)))
+    return x if lo <= x <= hi else 0.5 * (lo + hi)
 
 
 def solve_band(params: ShockParams) -> tuple[float, float]:
@@ -271,45 +340,35 @@ def solve_band(params: ShockParams) -> tuple[float, float]:
     The curve scales as z -> sqrt(p/q) z and the band integral is cubic in
     z, so the root is that of the unit problem a^2 + b^2 = 2/3 with right
     side ``ShockParams.band_rhs``, times sqrt(p/q).  The unit root is a
-    one-parameter bracketed Newton root in a on the closed-form band
-    integral, whose monotonicity in a is spot-checked (``_band_samples``).
-    Along the circle, dJ_band/da = -a (b^2 - a^2) K_band: the integrand's
-    derivative is -a (b^2 - a^2)/|w| and it vanishes at both ends.
+    Newton root in a on the closed-form band integral, bracketed by the
+    interval of ``_band_table`` whose nodes straddle the right side and
+    started from the table's interpolant, so that it takes one step; the
+    1e-12 residual gate reads the integral at the root from that step's own
+    evaluation.
     """
-    def b_of(a):
-        return math.sqrt(_UNIT_RADIUS2 - a * a)
-
-    def area(a):
-        return _j_band(a, b_of(a))
-
-    def slope(a):
-        b = b_of(a)
-        return -a * (b - a) * (b + a) * _k_band(a, b)
-
     rhs = params.band_rhs
-    ends, samples = _band_samples()
-    attainable = samples[0]
+    nodes, neg_f, angle, slope = _band_table()
+    attainable = -neg_f[0]
     if not 0.0 < rhs < attainable:
         raise WindowError(
             "band equation RHS %.6g outside attainable range (0, %.6g); the "
             "point is not in a valid shock regime for this data" % (rhs, attainable))
-    # the root lies past the last sample above rhs and before the next one
-    i = sum(v > rhs for v in samples) - 1
-    # find_root returns an x at which it evaluated g: the residual is read
-    # from that evaluation, not computed again
-    seen = {}
+    # the root lies past the last node whose F is above rhs
+    i = bisect.bisect_left(neg_f, -rhs) - 1
+    if i == len(nodes) - 1:
+        raise BracketError("no sign change on [%r, %r]" % (nodes[-2], nodes[-1]))
 
-    def g(x):
-        val = seen[x] = area(x) - rhs
-        return val
+    def g(a):
+        return _j_band(a, _b_unit(a)) - rhs
 
-    a = find_root(g, slope, ends[i], ends[i + 1])
-    # absolute: the unit right side is below its attainable (2/3)^1.5/3 = 0.18
-    resid = abs(seen[a] if a in seen else area(a) - rhs)
+    x = _band_start(nodes, angle, slope, rhs, i)
+    a, resid = _bracketed_newton(g, _band_slope, nodes[i], nodes[i + 1], -neg_f[i] - rhs,
+                                 x, g(x))
     scale = math.sqrt(params.p / params.q)
-    a, b = scale * a, scale * b_of(a)
-    if not resid <= 1e-12:
-        raise ConvergenceError("band residual %.3g above 1e-12" % resid, best=(a, b))
+    a, b = scale * a, scale * _b_unit(a)
+    # absolute: the unit right side is below its attainable (2/3)^1.5/3 = 0.18
+    if not abs(resid) <= 1e-12:
+        raise ConvergenceError("band residual %.3g above 1e-12" % abs(resid), best=(a, b))
     return a, b
 
 
@@ -839,11 +898,13 @@ def _prepare(points: list, data: ScatteringData, constants: RegionConstants) -> 
     """Evaluate shock-zone points of a scan together (``_u_points`` at p = q
     = 1) and keep each result, or the error that refuses it, in the data's
     memo until ``u_region3`` reads it.  The scan has classified the points;
-    each call replaces what an earlier one left unread."""
+    each call replaces what an earlier one left unread.  An entry is keyed
+    by the identity of its point, which it holds, so that no dataclass is
+    hashed: (point, constants, result)."""
     prepared = data._memo("shock_prepared", dict)
     prepared.clear()
-    prepared.update(zip([(point, 1.0, 1.0, constants) for point in points],
-                        _u_points(points, data, 1.0, 1.0)))
+    for point, done in zip(points, _u_points(points, data, 1.0, 1.0)):
+        prepared[id(point)] = (point, constants, done)
 
 
 def u_region3(point: SpaceTimePoint, data: ScatteringData,
@@ -854,13 +915,17 @@ def u_region3(point: SpaceTimePoint, data: ScatteringData,
     Assembled from the two expansion coefficients of the model matrix and the
     tail limits of the scalar g and h; this combination is exactly real and
     independent of the choice of (p, q).  A point that a scan evaluated
-    ahead (``_prepare``) returns that result, or raises its error, once;
+    ahead (``_prepare``) returns that result, or raises its error, once,
+    if it is the same object, with the same constants object, at p = q = 1;
     any other point is classified and evaluated alone, the one-point case
     of ``_u_points``.
     """
     prepared = data._memo("shock_prepared", dict)
-    done = prepared.pop((point, p, q, constants), None) if prepared else None
-    if done is None:
+    entry = prepared.pop(id(point), None) if prepared else None
+    if (entry is not None and entry[0] is point and entry[1] is constants
+            and p == 1.0 and q == 1.0):
+        done = entry[2]
+    else:
         if classify(point, constants) is not RegionTag.R_III:
             raise RegionError("point (x=%g, t=%g) is not in the shock zone"
                               % (point.x, point.t))

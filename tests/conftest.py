@@ -152,6 +152,39 @@ def k_band_mp(a, b, dps=40):
         return mp.ellipk((b - a) * (b + a) / (b * b)) / b
 
 
+def unit_band_root_mp(rhs, lo, hi, dps=30):
+    """(a, dF/da at a) at the root in [lo, hi] of the unit band equation
+    F(a) = J_band(a, sqrt(2/3 - a^2)) = rhs at ``dps`` digits: Newton steps
+    that bisect when they leave the bracket, on the Legendre form."""
+    with mp.workdps(dps):
+        two_thirds, rhs = mp.mpf(2) / 3, mp.mpf(rhs)
+
+        def parts(a):
+            b = mp.sqrt(two_thirds - a * a)
+            m1 = (b - a) * (b + a) / (b * b)
+            k1 = mp.ellipk(m1)
+            return (b / 3 * ((a * a + b * b) * mp.ellipe(m1) - 2 * a * a * k1) - rhs,
+                    -a * (b - a) * (b + a) * k1 / b)
+
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        if not parts(lo)[0] > 0 > parts(hi)[0]:
+            raise AssertionError("no sign change on [%r, %r]" % (lo, hi))
+        a = (lo + hi) / 2
+        for _ in range(300):
+            f, slope = parts(a)
+            if f > 0:
+                lo = a
+            else:
+                hi = a
+            new = a - f / slope
+            if not lo < new < hi:
+                new = (lo + hi) / 2
+            if abs(new - a) <= a * mp.mpf(10) ** (5 - dps):
+                return float(new), float(slope)
+            a = new
+    raise AssertionError("mpmath band root did not converge on [%r, %r]" % (lo, hi))
+
+
 def inv_w_mp(a, b, lo, hi, dps=30):
     """int_lo^hi dz/|w| for a real segment without inner branch points, under
     z = lo + (hi - lo) sin^2; distances to the segment ends are formed from

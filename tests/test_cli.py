@@ -1110,7 +1110,7 @@ def test_no_scan_reaches_a_verification_kernel(name, tmp_path, monkeypatch):
     # the kernel-free run goes first, on empty process-wide memos, so that
     # no earlier scan has done its work for it
     painleve2._hastings_mcleod.cache_clear()
-    region3._band_samples.cache_clear()
+    region3._band_table.cache_clear()
     with monkeypatch.context() as patch:
         for module, kernel in VERIFICATION_KERNELS:
             patch.setattr(module, kernel, refuse)

@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import dataclasses
 import math
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from mchasy import (ReflectionCoefficient, ScatteringData,
                     SpaceTimePoint, delta0, nr7_coeffs, region3, solve_band, u_region3)
 from mchasy.errors import (AdmissibilityError, BoundaryAmbiguityError,
-                           BranchError, ConventionError, ConvergenceError, DomainError,
+                           BracketError, BranchError, ConventionError, ConvergenceError, DomainError,
                            MchasyError, PoleOfSolutionError, RegionError, WindowError)
 from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
                             _k_band, _k_gap, _j_gap, _w_sheet1, abel, build_geometry,
@@ -20,7 +21,8 @@ from mchasy.region3 import (ShockParams, _band_z2, _gap_z2_log_moment, _j_band,
 from conftest import (axis_inv_w_quad, band_quad, delta0_quad, ellipk,
                       gap_log_moment_mp, gap_log_moment_quad, inv_w_mp,
                       j_band_quad, j_gap_quad, k_band_mp, k_band_quad,
-                      k_gap_quad, richardson_limit, secant_root)
+                      k_gap_quad, richardson_limit, secant_root,
+                      unit_band_root_mp)
 from oracles import g_eval, h_eval
 
 CBRT3 = 3.0 ** (1 / 3)
@@ -128,25 +130,33 @@ class TestSolveBand:
         assert abs(_j_band(a, b) - params.band_rhs) < 1e-12
 
     def test_residual_above_bound_is_named(self, params):
-        # a root off by 1e-9 of a leaves a residual far above the unit problem's 1e-12
+        # a root off by 1e-9 of a leaves a residual far above the unit
+        # problem's 1e-12; the gate reads it from the evaluation the root
+        # finder returns with that root
         a, _ = solve_band(params)
-        with mock.patch.object(region3, "find_root", return_value=a * (1 + 1e-9)):
+
+        def off_root(g, dg, lo, hi, glo, x, gx):
+            bad = a * (1 + 1e-9)
+            return bad, g(bad)
+
+        with mock.patch.object(region3, "_bracketed_newton", off_root):
             with pytest.raises(ConvergenceError, match="band residual"):
                 solve_band(params)
 
     def test_band_integral_once_per_evaluation(self, params):
-        # the 1e-12 residual gate reads find_root's last evaluation at the
-        # root: the band integral is not computed there a second time
-        region3._band_samples()     # the bracket samples, once per process
-        evals, real_root = [], region3.find_root
+        # the 1e-12 residual gate reads the root finder's last evaluation at
+        # the root: the band integral is computed once at the table's start
+        # and once per step of the root finder, not at the root a second time
+        region3._band_table()       # the table, once per process
+        evals, real_root = [], region3._bracketed_newton
 
-        def find_root(g, dg, lo, hi):
-            return real_root(lambda x: evals.append(x) or g(x), dg, lo, hi)
+        def newton(g, dg, lo, hi, glo, x, gx):
+            return real_root(lambda v: evals.append(v) or g(v), dg, lo, hi, glo, x, gx)
 
-        with mock.patch.object(region3, "find_root", find_root), \
+        with mock.patch.object(region3, "_bracketed_newton", newton), \
                 mock.patch.object(region3, "_j_band", wraps=region3._j_band) as j_band:
             a, b = solve_band(params)
-        assert j_band.call_count == len(evals)
+        assert j_band.call_count == len(evals) + 1
         assert (a, b) == solve_band(params)
 
     def test_degenerate_upper_endpoint(self):
@@ -185,6 +195,62 @@ class TestSolveBand:
         want = secant_root(lambda x: _j_band(x, math.sqrt(2 / 3 - x * x)) - rhs,
                            1e-9 * a_max, a_max * (1 - 1e-12), tol=1e-15)
         assert abs(a - want) <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.booleans(), st.floats(0.0, 1.0))
+    @example(False, 0.0)
+    @example(True, 0.0)
+    @example(False, 1.0)
+    @example(True, 1.0)
+    def test_root_matches_mpmath(self, towards_top, depth):
+        # rhs log-uniform towards either end of (0, attainable): a -> 0 as
+        # rhs -> attainable, where F0 - F ~ a^2 ln(1/a), and the band
+        # closes as rhs -> 0
+        region3._band_table()       # built once; not counted below
+        attainable = -region3._band_table()[1][0]
+        if towards_top:
+            rhs = attainable * (1.0 - 10.0 ** (-0.3 - 14.7 * depth))
+        else:
+            rhs = attainable * 10.0 ** (-0.3 - 19.7 * depth)
+        params = ShockParams(p=1.0, q=1.0, xi=1.5, t=1.0, C_R=1.0)
+        with mock.patch.object(ShockParams, "band_rhs", rhs), \
+                mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
+            a, b = solve_band(params)
+        # no more band integrals than the five-bracket root's worst case
+        assert counted.call_count <= 19
+        nodes = region3._band_table()[0]
+        k = bisect.bisect_right(nodes, a)
+        want, slope = unit_band_root_mp(rhs, nodes[max(k - 2, 0)], nodes[min(k + 1, len(nodes) - 1)])
+        # the root finder stops at a computed residual of 1e-15, and J_band
+        # along the circle is within 1.4e-16 (5 ulp of F0) of 40-digit
+        # mpmath: the root is within their sum over |F'| where that exceeds 1e-14
+        assert abs(a - want) <= max(1e-14, (1e-15 + 6 * math.ulp(attainable)) / abs(slope))
+        assert abs(a * a + b * b - 2 / 3) < 1e-15
+
+    def test_one_newton_step_on_the_bench_pool(self):
+        # the (t, w) pairs of the benchmark's shock scans: 13 half decades of
+        # t from 1e4 and eight w from 2.95 to 5.7
+        region3._band_table()
+        with mock.patch.object(region3, "_j_band", wraps=_j_band) as areas, \
+                mock.patch.object(region3, "_band_slope",
+                                  wraps=region3._band_slope) as slopes:
+            pairs = 0
+            for k in range(8, 21):
+                for w in (2.95, 3.35, 3.75, 4.15, 4.55, 4.95, 5.35, 5.7):
+                    t = 10.0 ** (0.5 * k)
+                    xi = 2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3)
+                    solve_band(ShockParams(p=1.0, q=1.0, xi=xi, t=t, C_R=1.0))
+                    pairs += 1
+        assert areas.call_count <= 2.1 * pairs
+        assert slopes.call_count <= 1.1 * pairs
+
+    def test_rhs_below_the_last_node_is_refused(self):
+        # the table ends at a_max (1 - 1e-12), as the last bracket did: a
+        # right side below its band integral (6e-25) has no sign change
+        params = ShockParams(p=1.0, q=1.0, xi=1.5, t=1.0, C_R=1.0)
+        with mock.patch.object(ShockParams, "band_rhs", 1e-26):
+            with pytest.raises(BracketError, match="no sign change"):
+                solve_band(params)
 
     def test_pq_covariance(self, geom):
         t, xi = T0, XI0
@@ -240,35 +306,36 @@ class TestUnitBand:
 
 
 class TestBandSamples:
-    """``solve_band`` samples the band integral once per process."""
+    """``solve_band`` tabulates the band integral once per process."""
 
     @staticmethod
     def params(w, p=1.7, q=1.3, t=1e6):
         return ShockParams(p=p, q=q, xi=2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3),
                            t=t, C_R=1.0)
 
-    def test_five_fewer_j_band_calls_after_the_first_point(self):
-        region3._band_samples.cache_clear()
+    def test_table_once_per_process(self):
+        region3._band_table.cache_clear()
         counts, ends = [], []
         for w in (3.0, 3.0, 4.5):
             with mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
                 ends.append(solve_band(self.params(w)))
             counts.append(counted.call_count)
-        assert counts[0] - counts[1] == 5
+        nodes = len(region3._band_table()[0])
+        assert counts[0] - counts[1] == nodes
         assert ends[0] == ends[1]
-        # the samples are those of the unit problem: another (p, q) takes none
+        # the table is that of the unit problem: another (p, q) builds none
         with mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
             solve_band(self.params(4.5, p=0.1, q=10.0))
         assert counted.call_count == counts[2]
-        region3._band_samples.cache_clear()
+        region3._band_table.cache_clear()
         with mock.patch.object(region3, "_j_band", wraps=_j_band) as counted:
             assert solve_band(self.params(4.5)) == ends[2]
-        assert counted.call_count == counts[2] + 5
+        assert counted.call_count == counts[2] + nodes
 
     def test_branch_error_on_every_point(self):
-        # lru_cache keeps no exception: a (p, q) whose samples do not
-        # decrease fails at every point alike
-        region3._band_samples.cache_clear()
+        # functools.cache keeps no exception: a table whose band integral
+        # does not decrease fails at every point alike
+        region3._band_table.cache_clear()
         messages = []
         with mock.patch.object(region3, "_j_band", return_value=0.5):
             for w in (3.0, 3.0, 4.5):
@@ -276,7 +343,23 @@ class TestBandSamples:
                     solve_band(self.params(w))
                 messages.append(str(info.value))
         assert messages == [messages[0]] * 3
-        assert region3._band_samples.cache_info().currsize == 0
+        assert region3._band_table.cache_info().currsize == 0
+
+    def test_any_decrease_is_checked(self):
+        # one node out of order, anywhere, refuses the table
+        region3._band_table.cache_clear()
+        nodes = len(region3._band_table()[0])
+        for k in (1, nodes // 2, nodes - 1):
+            region3._band_table.cache_clear()
+            calls = iter(range(nodes))
+
+            def j_band(a, b, k=k):
+                return 0.5 if next(calls) == k else _j_band(a, b)
+
+            with mock.patch.object(region3, "_j_band", j_band):
+                with pytest.raises(BranchError, match="not decreasing"):
+                    solve_band(self.params(3.0))
+        region3._band_table.cache_clear()
 
     # (t, w, p, q) and repr(u) for gen_data, as computed before the samples
     # were shared across points
@@ -290,8 +373,8 @@ class TestBandSamples:
     ]
 
     def test_u_unchanged(self, gen_data):
-        region3._band_samples.cache_clear()
-        for _ in range(2):      # the first pass fills the samples, the second reads them
+        region3._band_table.cache_clear()
+        for _ in range(2):      # the first pass builds the table, the second reads it
             for (t, w, p, q), want in self.RECORDED:
                 xi = 2 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3)
                 assert repr(u_region3(SpaceTimePoint(xi * t, t), gen_data, p, q).u) == want

@@ -144,6 +144,43 @@ class TestScanMatchesPointByPoint:
         assert csv_bytes(rows, tmp_path) == csv_bytes(loop_rows(cfg), tmp_path)
 
 
+class TestPreparedHandOver:
+    """``u_region3`` hands a scan's point the result prepared for that point
+    object, with the scan's constants object, at p = q = 1, and recomputes
+    for anything else."""
+
+    def test_scan_hands_over_every_point(self, tmp_path):
+        # two times of five points each: one batch per time, and no point
+        # evaluated again when its row is written
+        cfg = parse_config(SCAN.format(t=1e5, c3=2.0 * reach(1e5), w="3.0, 3.5, 4.0, 4.5, 5.0")
+                           .replace("t = 100000.0", "t = 1e5, 1e7"))
+        with mock.patch.object(region3, "_u_points", wraps=region3._u_points) as batches:
+            rows = run_scan(cfg)
+        assert [len(c.args[0]) for c in batches.call_args_list] == [5, 5]
+        assert unread(cfg) == 0
+        assert csv_bytes(rows, tmp_path) == csv_bytes(loop_rows(cfg), tmp_path)
+
+    def test_equal_but_distinct_point_recomputes(self):
+        cfg = scan_config(1e6, [3.0, 4.0])
+        points = [SpaceTimePoint(cli._grid_to_x(cfg, 1e6, w), 1e6) for w in (3.0, 4.0)]
+        twin = SpaceTimePoint(points[0].x, points[0].t)
+        assert twin == points[0] and twin is not points[0]
+        region3._prepare(points, cfg.data, cfg.constants)
+        with mock.patch.object(region3, "_u_points", wraps=region3._u_points) as alone:
+            u_twin = region3.u_region3(twin, cfg.data, constants=cfg.constants).u
+            assert alone.call_count == 1
+            u_scan = region3.u_region3(points[0], cfg.data, constants=cfg.constants).u
+            assert alone.call_count == 1        # handed over
+            # equal constants that are another object, and another (p, q)
+            other = dataclasses.replace(cfg.constants)
+            assert other == cfg.constants and other is not cfg.constants
+            region3.u_region3(points[1], cfg.data, constants=other)
+            region3.u_region3(points[0], cfg.data, 2.0, 3.0, cfg.constants)
+            assert alone.call_count == 3
+        assert u_twin.hex() == u_scan.hex()
+        assert unread(cfg) == 0
+
+
 class TestOneClassifyPerPoint:
     def test_scan(self):
         cfg = scan_config(1e6, [3.0, 3.5, 4.0, 4.5, 5.0])
