@@ -8,7 +8,7 @@ on the real line plus unit-circle discrete spectrum.
 __version__ = "0.1.0"
 
 from .errors import MchasyError
-from .numerics import airy, find_root, jacobi_theta
+from .numerics import airy, jacobi_theta
 from .painleve2 import PIISolution, SolutionCache, eval_pii, solve_pii
 from .phase import RegionConstants, RegionTag, SpaceTimePoint, classify, scaled_s
 from .region1 import AsymptoticValue, u_region1
@@ -18,7 +18,7 @@ from .scattering import DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
 
 __all__ = [
     "__version__", "MchasyError",
-    "airy", "jacobi_theta", "find_root",
+    "airy", "jacobi_theta",
     "PIISolution", "SolutionCache", "solve_pii", "eval_pii",
     "SpaceTimePoint", "RegionTag", "RegionConstants", "scaled_s", "classify",
     "ReflectionCoefficient", "DiscreteSpectrum", "ScatteringData",

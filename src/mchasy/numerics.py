@@ -14,7 +14,9 @@ Carlson's R_F (``_rf``, by duplication) and truncated 2F1 Taylor series
 The adaptive quadratures (``quad``, ``quad_band``, ``quad_pv`` and
 ``quad_real_line``, with ``QuadratureSpec``) are verification kernels: no
 zone evaluator calls them, and the tests check the closed forms against
-them.  They accept complex-valued integrands.
+them.  They accept complex-valued integrands.  ``find_root`` is not
+exported either: the band root runs its loop (``_bracketed_newton``) from
+ends it has already evaluated.
 
 ``scipy.special`` is imported by the first ``airy`` call below s = 10, not
 with this module: no zone evaluator makes one, so a scan never loads it.
@@ -40,7 +42,6 @@ from .errors import (
 __all__ = [
     "airy",
     "jacobi_theta",
-    "find_root",
 ]
 
 

@@ -31,20 +31,23 @@ starts it from an interpolant, so that one Newton step meets the root
 finder's tolerance; the 1e-12 residual gate reads that step's evaluation.
 
 The closed forms use mchasy's own kernels, not scipy.special.  K and E of m
-= (a/b)^2 and of 1 - m come from AGM passes, computed once per (a, b) and
-shared by the slope and area of a Newton iterate and by a geometry's
-periods, ``delta0`` and ``h1_limit``.  Carlson's R_F, by duplication, gives
+= (a/b)^2 and of 1 - m come from one pair of AGM passes per (a, b): a point
+computes two pairs, at the root's start and at the root, and the root's
+pair serves the root's area, the periods, ``delta0`` and ``h1_limit``, all
+read before the next point's root.  Carlson's R_F, by duplication, gives
 A(inf) once per point, and a five-term series in 1/x^2 gives the Abel map
 at the gate's eight far samples.  The 2F1 Taylor series give J_gap and a
 small band's J_band.
 
 A scan evaluates the shock-zone points of one t together (``_prepare``, in
 chunks the scan bounds).  The scalar part of each point (band root, periods,
-the A(inf) and band-period checks, Delta0) stays a loop; then one
+the A(inf) and band-period checks, Delta0, h1) stays a loop; then one
 theta-series call covers the 23 theta arguments of every point, a row per
 point at its own varkappa, and the pole tests, the expansion terms and the
-``nr7_coeffs`` gate run over the rows (``_build``).  ``build_geometry`` and
-``u_region3`` are the one-point case of the same code, and every row gets
+``nr7_coeffs`` gate run over the rows (``_rows``).  A ``ShockGeometry`` is
+plain data: ``_build`` hands ``_wave`` each point's geometry with its
+expansion terms and h1, and ``build_geometry``, ``nr7_coeffs`` and
+``u_region3`` are the one-point case of the same code, so every row gets
 the bits and the error it gets alone.  ``u_region3`` hands a scan's point
 the result prepared for it, from the data's memo, and drops it.
 """
@@ -56,7 +59,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -113,10 +115,10 @@ class ShockParams:
     C_R: float
 
     def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
+        if not (self.p > 0 and self.q > 0):
             raise DomainError("p and q must be positive")
-        if not self.C_R > 0:
-            raise AdmissibilityError("C_R must be positive, got %r" % self.C_R)
+        if not 0.0 < self.C_R < math.inf:
+            raise AdmissibilityError("C_R must be positive and finite, got %r" % self.C_R)
         if not self.xi < 2.0:
             raise DomainError("shock parametrization needs xi < 2")
         # extreme p, q overflow or underflow the scale tau or the size
@@ -172,12 +174,10 @@ def _m1(a, b):
 def _elliptic(a, b) -> tuple[float, float, float, float]:
     """(K(m), E(m), K(m1), E(m1)), once per (a, b).  ``solve_band`` reads
     two (a, b) per point: its start, K(m1) for the slope and E(m1) for the
-    area (the area reads none where m1 < 1/2), and its root, for the area;
-    the geometry's periods and ``delta0`` read the root's again, and
-    ``h1_limit`` reads it after the whole batch of points.  16 entries keep
-    a batch of 8 points: in the benchmark's first 1,500 seed-0 ``shock``
-    requests 82 % of the reads hit, 1.9 misses per point (3.75 when the
-    root started from five fixed brackets)."""
+    area (the area reads none where m1 < 1/2), and its root, for the area.
+    The geometry's periods, ``delta0`` and ``h1_limit`` read the root's
+    next, in ``_build``'s loop over the points, while it is the latest
+    entry: two misses per point, in a batch of any size."""
     return _ellipke((a / b) ** 2, _m1(a, b))
 
 
@@ -406,37 +406,11 @@ class ShockGeometry:
     q: float
     K_band: float
 
-    @cached_property
-    def theta_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(s, Theta(s), Theta'(s)) at the points every shock point needs,
-        from one theta-series call (``_theta_rows``): 0, the four expansion
-        points (``_EXPANSION``) and the gate's nine sample pairs (``_GATE``).
-        Nothing here is tested for poles: each reader tests the values it
-        uses."""
-        s, th, dth, (err,) = _theta_rows([self])
-        if err is not None:
-            raise err
-        return s, th, dth
-
     @property
     def gate_unit(self) -> float:
         """Unit of the gate's sample k, max(1, b): the samples stay as far
         beyond the band end at any p/q, and u does not depend on p/q."""
         return max(1.0, self.b)
-
-    @cached_property
-    def theta0(self) -> float:
-        """|Theta(0)|, the scale of the pole test on theta values."""
-        return abs(self.theta_pass[1][0])
-
-    @cached_property
-    def expansion_terms(self) -> tuple[complex, complex]:
-        """(g_inf, x_tilde) of ``_expansion_rows``, computed once per geometry."""
-        s, th, dth = self.theta_pass
-        (terms,), (err,) = _expansion_rows([self], s, th, dth, _small(th), [None])
-        if err is not None:
-            raise err
-        return terms
 
 
 def _path_quad_inv_w(geom_ab, z1) -> complex:
@@ -497,8 +471,8 @@ def delta0(a: float, b: float, C_R: float) -> float:
 
     The constant for which h decays at infinity (L_K of ``_gap_z2_log_moment``).
     """
-    if C_R <= 0:
-        raise AdmissibilityError("C_R must be positive")
+    if not 0.0 < C_R < math.inf:
+        raise AdmissibilityError("C_R must be positive and finite, got %r" % C_R)
     if not 0.0 < a < b:
         raise DomainError("delta0 needs 0 < a < b")
     return 0.5 * math.pi - math.log(C_R * a * b) * _k_gap(a, b) / (2.0 * _k_band(a, b))
@@ -566,36 +540,31 @@ def _assemble(params: ShockParams) -> ShockGeometry:
 
 
 def _build(params: list) -> list:
-    """The geometries of many points, each a ``ShockGeometry`` or the
-    exception that refuses its point (an exception in ``params`` stays).
-
-    The scalar part (``_assemble``) is a loop over the points; then one
-    theta-series call covers all of them, and the pole tests, the expansion
-    terms and the ``nr7_coeffs`` convention gate run as array operations
-    over their rows.  Each row's values and errors are those of the point
-    alone.
-    """
+    """What ``_wave`` reads of many points, each (geometry, expansion terms,
+    h1) or the exception that refuses its point (an exception in ``params``
+    stays).  The scalar part (``_assemble``, ``h1_limit``) is a loop over
+    the points, and ``_rows`` then runs every point's theta pass and
+    convention gate at once; each row's values and errors are those of the
+    point alone."""
     out, geoms = [], []
     for p in params:
         if not isinstance(p, Exception):
             try:
-                p = _assemble(p)
-                geoms.append(p)
+                geom = _assemble(p)
+                # here, while the root's K and E are _elliptic's latest entry
+                p = (geom, h1_limit(geom))
+                geoms.append(geom)
             except Exception as exc:    # refuses this point only
                 p = exc
         out.append(p)
     if not geoms:
         return out
-    s, th, dth, refused = _theta_rows(geoms)
-    small = _small(th)
-    terms, refused = _expansion_rows(geoms, s, th, dth, small, refused)
-    _, refused = _gate_rows(geoms, s, th, small, terms, refused)
-    errors = iter(refused)
-    for k, geom in enumerate(out):
-        if isinstance(geom, ShockGeometry):
-            out[k] = next(errors) or geom
-    for geom, term in zip(geoms, terms):
-        geom.__dict__["expansion_terms"] = term     # the cached property, as read
+    terms, _, refused = _rows(geoms)
+    rows = iter(zip(terms, refused))
+    for k, done in enumerate(out):
+        if isinstance(done, tuple):
+            term, err = next(rows)
+            out[k] = err or (done[0], term, done[1])
     return out
 
 
@@ -603,10 +572,10 @@ def build_geometry(params: ShockParams) -> ShockGeometry:
     """Solve the band equations and assemble all derived constants, gated by
     the A(inf) and band-period identities and the ``nr7_coeffs`` convention
     check: the one-point case of ``_build``."""
-    (geom,) = _build([params])
-    if isinstance(geom, Exception):
-        raise geom
-    return geom
+    (done,) = _build([params])
+    if isinstance(done, Exception):
+        raise done
+    return done[0]
 
 
 # ----------------------------------------------------------------------
@@ -638,19 +607,16 @@ def _nu(geom: ShockGeometry, k: complex, side: str | None) -> complex:
     return complex(((k - a) * (k + b) / ((k + a) * (k - b))) ** 0.25)
 
 
-def _theta(geom: ShockGeometry, s):
-    val = jacobi_theta(s, geom.varkappa)
-    (err,) = _refusals([None], s, np.abs(val) < 1e-12 * geom.theta0, slice(None))
+def _theta_ratios(geom: ShockGeometry, s) -> np.ndarray:
+    """Theta(s + phi/pi) / Theta(s) for each s, from one theta-series call
+    whose values are tested for poles against its |Theta(0)|."""
+    s = np.asarray(s, dtype=complex)
+    args = np.concatenate([s + geom.phi / math.pi, s])
+    th = jacobi_theta(np.append(args, 0.0), geom.varkappa)
+    (err,) = _refusals([None], args, np.abs(th[:-1]) < 1e-12 * abs(th[-1]), slice(None))
     if err is not None:
         raise err
-    return val
-
-
-def _theta_ratios(geom: ShockGeometry, s) -> np.ndarray:
-    """Theta(s + phi/pi) / Theta(s) for each s, from one theta-series call."""
-    s = np.asarray(s, dtype=complex)
-    th = _theta(geom, np.concatenate([s + geom.phi / math.pi, s]))
-    return th[:s.size] / th[s.size:]
+    return th[:s.size] / th[s.size:-1]
 
 
 def nr7_matrix(geom: ShockGeometry, k, side: str | None = None) -> np.ndarray:
@@ -669,7 +635,7 @@ def nr7_matrix(geom: ShockGeometry, k, side: str | None = None) -> np.ndarray:
                      [cmath.exp(-1j * phi) * p2 * r[3] / r[5], p1 * r[4] / r[5]]])
 
 
-# the slices of ``ShockGeometry.theta_pass``: Theta at A_inf - kap/4 and
+# the slices of a row of ``_theta_rows`` after 0: Theta at A_inf - kap/4 and
 # -A_inf - kap/4 and at both shifted by phi/pi; then the gate's nine sample
 # pairs, the shifted values (_GATE_NUM) before the others (_GATE_DEN)
 _EXPANSION = slice(1, 5)
@@ -703,9 +669,10 @@ def _columns(rows: list):
 
 
 def _theta_rows(geoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """(s, Theta(s), Theta'(s)), a row of 23 per geometry as listed in
-    ``ShockGeometry.theta_pass``, from one theta-series call at each row's
-    varkappa, and per row None or the ``RangeError`` that refuses it."""
+    """(s, Theta(s), Theta'(s)), a row of 23 per geometry (0, ``_EXPANSION``
+    and ``_GATE``), from one theta-series call at each row's varkappa, and
+    per row None or the ``RangeError`` that refuses it.  Each reader tests
+    the values it uses for poles."""
     coeffs, vk = [], []
     for g in geoms:
         coeffs.append(_far_tail_coeffs(g.a, g.b, g.gate_unit))
@@ -822,18 +789,27 @@ def _gate_rows(geoms, s, th, small, terms, refused) -> tuple[list, list]:
     return coeffs, refused
 
 
+def _rows(geoms: list) -> tuple[list, list, list]:
+    """(expansion terms, gate coefficients, refusals) per geometry, from one
+    ``_theta_rows`` pass: the pole tests, ``_expansion_rows`` and
+    ``_gate_rows`` over its rows."""
+    s, th, dth, refused = _theta_rows(geoms)
+    small = _small(th)
+    terms, refused = _expansion_rows(geoms, s, th, dth, small, refused)
+    coeffs, refused = _gate_rows(geoms, s, th, small, terms, refused)
+    return terms, coeffs, refused
+
+
 def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     """Closed-form 1/k and 1/k^2 coefficients of the (1,2) entry.
 
     Validated against a Laurent fit of the (1,2) entry of ``nr7_matrix`` at
-    eight real k from 100 ``gate_unit`` up, read from the geometry's
-    ``theta_pass``; disagreement beyond 1e-5, or a fit that is not a
-    number, signals a broken derivative-at-infinity convention and is a
-    hard failure.  The one-row case of ``_gate_rows``.
+    eight real k from 100 ``gate_unit`` up, read from the geometry's theta
+    pass; disagreement beyond 1e-5, or a fit that is not a number, signals
+    a broken derivative-at-infinity convention and is a hard failure.  The
+    one-row case of ``_rows``.
     """
-    terms = geom.expansion_terms
-    s, th, _ = geom.theta_pass
-    (coeffs,), (err,) = _gate_rows([geom], s, th, _small(th), [terms], [None])
+    _, (coeffs,), (err,) = _rows([geom])
     if err is not None:
         raise err
     return coeffs
@@ -853,13 +829,13 @@ def _generic_curvature(data: ScatteringData) -> float:
     return data.r.curvature_at_one()
 
 
-def _wave(point: SpaceTimePoint, geom: ShockGeometry, p: float, q: float) -> AsymptoticValue:
+def _wave(point: SpaceTimePoint, geom: ShockGeometry, terms: tuple[complex, complex],
+          h1: float, p: float, q: float) -> AsymptoticValue:
     """u at a point from its geometry: the two expansion coefficients of the
-    model matrix and the tail limits of the scalar g and h."""
-    g_inf, x_tilde = geom.expansion_terms
+    model matrix (``terms``) and the tail limits of the scalar g and h."""
+    g_inf, x_tilde = terms
     rotation = cmath.exp(1j * geom.phi)
     z1, z2 = rotation * g_inf, rotation * x_tilde
-    h1 = h1_limit(geom)
     g0 = g0_limit(geom)
     pref = (2.0 - point.xi) * (geom.b - geom.a) * q / (12.0 * p)
     u = 1.0 - pref * (2.0 * (h1 + geom.tau * g0) * z1.real - z2.imag)
@@ -884,13 +860,13 @@ def _u_points(points: list, data: ScatteringData, p: float, q: float) -> list:
         except Exception as exc:    # refuses this point only
             params.append(exc)
     out = []
-    for point, geom in zip(points, _build(params)):
-        if isinstance(geom, ShockGeometry):
+    for point, done in zip(points, _build(params)):
+        if not isinstance(done, Exception):
             try:
-                geom = _wave(point, geom, p, q)
+                done = _wave(point, *done, p, q)
             except Exception as exc:
-                geom = exc
-        out.append(geom)
+                done = exc
+        out.append(done)
     return out
 
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mchasy import (ReflectionCoefficient, ScatteringData, airy, find_root,
-                    jacobi_theta, log_transforms, region3)
+from mchasy import (ReflectionCoefficient, ScatteringData, airy, jacobi_theta,
+                    log_transforms, region3)
 from mchasy.errors import (BracketError, BranchError, DivergentSeriesError, DomainError,
                            RangeError)
-from mchasy.numerics import (QuadratureSpec, _ellipke, _horner, _rf, quad, quad_band,
-                             quad_pv, quad_real_line)
+from mchasy.numerics import (QuadratureSpec, _ellipke, _horner, _rf, find_root, quad,
+                             quad_band, quad_pv, quad_real_line)
 
 from conftest import ellipk, richardson_derivative, theta_longdouble
 

@@ -76,6 +76,21 @@ class TestCurvature:
         with pytest.raises(AdmissibilityError):
             params_bad()
 
+    @pytest.mark.parametrize("c_r", [math.inf, math.nan])
+    def test_non_finite_curvature_rejected(self, c_r):
+        # named before any scale is computed: no warning, no Laurent fit of nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityError, match="C_R must be positive and finite"):
+                build_geometry(ShockParams(p=1.0, q=1.0, xi=1.99, t=1e6, C_R=c_r))
+            with pytest.raises(AdmissibilityError, match="C_R must be positive and finite"):
+                delta0(0.3, 0.7, c_r)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_p_q_rejected(self, p, q):
+        with pytest.raises(DomainError, match="p and q must be positive"):
+            ShockParams(p=p, q=q, xi=XI0, t=T0, C_R=1.0)
+
     @pytest.mark.parametrize("p, q", [(1e300, 1.0), (1.0, 1e-300), (5e-324, 1.0),
                                       (1.0, 1e-200)])
     def test_extreme_p_q_rejected(self, p, q):
@@ -723,10 +738,15 @@ class TestNr7:
         assert len(calls) == 1
         assert np.shape(calls[0]) == (23,)
 
+    def test_geometry_is_plain_data(self, geom):
+        # the theta pass and the expansion terms are not kept on a geometry
+        nr7_coeffs(geom)
+        assert vars(geom).keys() == {f.name for f in dataclasses.fields(geom)}
+
     def test_gate_points_only_tested_by_gate(self, gen_data, geom, monkeypatch):
         # a theta value that vanishes at a gate sample is a pole for the gate
         # alone: the expansion terms that u reads are the same without it
-        want = geom.expansion_terms
+        (want,), _, _ = region3._rows([geom])
         real = region3.jacobi_theta
 
         def zero_at_gate(s, p, order=0):
@@ -735,10 +755,11 @@ class TestNr7:
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_gate)
-        fresh = dataclasses.replace(geom)   # a copy without the cached theta pass
-        assert fresh.expansion_terms == want
+        (terms,), (coeffs,), (err,) = region3._rows([geom])
+        assert terms == want
+        assert coeffs is None and isinstance(err, PoleOfSolutionError)
         with pytest.raises(PoleOfSolutionError):
-            nr7_coeffs(fresh)
+            nr7_coeffs(geom)
         with pytest.raises(PoleOfSolutionError):
             u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data)
 
@@ -752,10 +773,9 @@ class TestNr7:
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_last)
-        fresh = dataclasses.replace(geom)
         with pytest.raises(PoleOfSolutionError) as info:
-            nr7_coeffs(fresh)
-        assert info.value.point == fresh.theta_pass[0][last]
+            nr7_coeffs(geom)
+        assert info.value.point == region3._theta_rows([geom])[0][last]
 
     def test_expansion_points_tested_without_validation(self, geom, monkeypatch):
         # the expansion terms test their own theta values, not only the gate
@@ -767,8 +787,9 @@ class TestNr7:
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_expansion)
-        with pytest.raises(PoleOfSolutionError):
-            dataclasses.replace(geom).expansion_terms
+        (terms,), _, (err,) = region3._rows([geom])
+        assert terms is None and isinstance(err, PoleOfSolutionError)
+        assert err.point == region3._theta_rows([geom])[0][region3._EXPANSION.start]
 
     def test_phase_shift_invariance(self, geom):
         shifted = dataclasses.replace(geom, phi=geom.phi + 2 * math.pi)

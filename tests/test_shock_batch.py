@@ -7,6 +7,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mchasy import RegionTag, SpaceTimePoint, classify, cli, phase, region3
@@ -200,6 +201,20 @@ class TestOneClassifyPerPoint:
         assert u == run_scan(cfg)[0]["u"]
 
 
+class TestOneAgmPairPerPoint:
+    @pytest.mark.parametrize("n", [5, 16, 100])
+    def test_misses_per_point(self, n):
+        # K and E of each point's root start and of its root, each computed
+        # once: the periods, delta0 and h1 read the root's while it is the
+        # latest entry of _elliptic, in a batch of any size
+        cfg = scan_config(1e6, [3.0 + 2.5 * k / (n - 1) for k in range(n)])
+        region3._band_table()
+        region3._elliptic.cache_clear()
+        rows = run_scan(cfg)
+        assert [(r["region"], r["error"]) for r in rows] == [("III", "")] * n
+        assert region3._elliptic.cache_info().misses == 2 * n
+
+
 class TestThetaRows:
     """The theta pass of a batch, against that of each point alone."""
 
@@ -223,7 +238,7 @@ class TestThetaRows:
         # 624 rows of several N, and each shifted by two periods (strip reduction)
         geoms = self.geometries()
         vk = np.array([g.varkappa for g in geoms])
-        s = np.array([g.theta_pass[0] for g in geoms])
+        s = region3._theta_rows(geoms)[0]
         s = np.vstack([s, s + 2.0 * vk[:, np.newaxis]])
         vk = np.concatenate([vk, vk])
         assert len({_theta_order(y) for y in vk.imag}) > 1
@@ -247,8 +262,11 @@ class TestThetaRows:
             alone = region3._theta_rows([geoms[k]])
             assert th[k].tobytes() == alone[1].tobytes()
             assert dth[k].tobytes() == alone[2].tobytes()
+        terms, coeffs, refused = region3._rows(geoms)
+        assert isinstance(refused[1], RangeError) and terms[1] is coeffs[1] is None
+        assert refused[:1] + refused[2:] == [None] * (len(geoms) - 1)
         with mock.patch.object(region3, "_assemble", lambda params: geoms.pop(0)):
             built = region3._build([None] * 3)
         assert isinstance(built[1], RangeError)
-        assert [type(g) for g in built[::2]] == [region3.ShockGeometry] * 2
+        assert [type(g[0]) for g in built[::2]] == [region3.ShockGeometry] * 2
 
