@@ -3,10 +3,10 @@
 Airy Ai/Ai' (the asymptotic series in pure Python for s >= 10, Cephes
 through scipy below), the Jacobi theta series, the composite Gauss-Kronrod
 rule of the table transforms, and a bracketed Newton root finder.
-``jacobi_theta`` takes one varkappa, or one per row of a 2-D s: then each
-row sums to the order N of its own varkappa, and the rows of one N share
-one exponential call and one stacked matrix-vector product, so that a row
-gets the bits of the call of that row alone.  Zone
+``jacobi_theta`` has one kernel, over rows of s (a number varkappa is one
+row): each row sums to the order N of its own varkappa, and the rows of
+one N share one exponential call and one stacked matrix-vector product, so
+that a row gets the bits of the call of that row alone.  Zone
 III's complete elliptic integrals K and E (``_ellipke``, by the AGM),
 Carlson's R_F (``_rf``, by duplication) and truncated 2F1 Taylor series
 (``_horner`` on ``_hyp2f1_taylor``) are private, in pure Python.
@@ -24,6 +24,7 @@ with this module: no zone evaluator makes one, so a scan never loads it.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -133,6 +134,11 @@ def airy(s: float) -> tuple[float, float]:
 _LOG_THETA_MAX = 700.0
 _THETA_TOL = 1e-15      # absolute bound on the dropped tail of the series
 _THETA_BUDGET = -math.log(_THETA_TOL) / math.pi
+# largest order N that jacobi_theta sums to, Im(varkappa) >= 2.8e-3: the
+# bench's shock pool needs N <= 5 (Im(varkappa) >= 1.19), and zone III's
+# varkappa = 2i K(m)/K(1 - m) keeps Im(varkappa) >= 8.4e-3 (N <= 38) at
+# every band end ratio a/b whose m = (a/b)^2 is a positive double
+_THETA_MAX_ORDER = 64
 
 
 def jacobi_theta(s, varkappa, order: int | tuple[int, int] = 0):
@@ -145,46 +151,40 @@ def jacobi_theta(s, varkappa, order: int | tuple[int, int] = 0):
     dropped terms are below ``_THETA_TOL`` anywhere in the strip (Deconinck
     et al. 2004, Math. Comp. 73).  ``order=(0, 1)`` gives the pair (Theta,
     Theta') from the same exponentials, Theta' = F*(Theta'(s0) -
-    2*pi*i*m*Theta(s0)).  A scalar ``s`` gives a ``complex``, an array a
-    complex array of its shape (one exponential over s x (2N+1) terms).
+    2*pi*i*m*Theta(s0)).
 
-    ``varkappa`` is a number, or an array with one entry per row of a 2-D
-    ``s`` (``_theta_per_row``): every row then gets the bits that a call of
-    that row alone gives.
+    ``varkappa`` is a number, or a sequence with one entry per row of a 2-D
+    ``s``.  There is one kernel, ``_theta_per_row``, and a number is its one
+    row: a scalar ``s`` then gives a ``complex``, an array a complex array
+    of its shape.  Every row gets the bits that a call of that row alone
+    gives.  A non-finite s or varkappa is a ``DomainError``, and an
+    Im(varkappa) that needs an N above ``_THETA_MAX_ORDER`` a
+    ``RangeError``, both raised before any series is formed.
     """
-    if isinstance(varkappa, np.ndarray) and varkappa.ndim:
-        return _theta_per_row(s, varkappa, order)
-    vk = complex(varkappa)
-    _check_theta_args([vk.imag], varkappa, order)
-    s0, m, factor = _strip(np.asarray(s, dtype=complex), vk)
-    big_n = _theta_order(vk.imag)
-    n = np.arange(-big_n, big_n + 1, dtype=float)
-    z = np.exp(np.multiply.outer(2j * np.pi * s0, n))
-    q = np.exp((1j * np.pi * vk) * (n * n))
-    total = z @ q
-    if order == 0:
-        return _theta_out(factor * total)
-    # F times a named array, not a temporary: numpy computes a product with a
-    # temporary above 256 KiB in place, its operands swapped, and a complex
-    # product's bits depend on the order (Theta' of 20,000 values came out
-    # 1 ulp off in 4,088 of them against the same values 100 at a time)
-    dtotal = z @ (2j * np.pi * n * q) - (2j * np.pi * m) * total
-    return _theta_out(factor * total), _theta_out(factor * dtotal)
-
-
-def _check_theta_args(imag: list, varkappa, order) -> None:
-    """Refuse an Im(varkappa) in ``imag`` that is not positive, and an order
-    other than 0 or (0, 1)."""
-    if not all(y > 0 for y in imag):
+    s = np.asarray(s, dtype=complex)
+    vk = np.asarray(varkappa, dtype=complex)
+    if vk.ndim and not (vk.ndim == 1 and s.ndim == 2 and len(s) == vk.size):
+        raise DomainError("varkappa must be a number or have one entry per row of s")
+    vks = vk.reshape(-1).tolist()
+    if not all(v.imag > 0 for v in vks):
         raise DivergentSeriesError(
             "theta series needs Im(varkappa) > 0, got %r" % (varkappa,))
     if order not in (0, (0, 1)):
         raise DomainError("order must be 0 or (0, 1)")
+    if not all(map(cmath.isfinite, vks)):
+        raise DomainError("theta series needs a finite varkappa, got %r" % (varkappa,))
+    if not np.isfinite(s).all():
+        raise DomainError("theta series needs a finite s, got %r"
+                          % complex(s[~np.isfinite(s)][0]))
+    out = _theta_per_row(s if vk.ndim else s.reshape(1, -1), vk.reshape(-1),
+                         [_theta_order(v.imag) for v in vks], order)
+    out = [complex(x[0, 0]) if s.ndim == 0 else x.reshape(s.shape) for x in out]
+    return out[0] if order == 0 else tuple(out)
 
 
 def _strip(s, vk):
-    """(s0, m, F) of the reduction of s into the fundamental strip of vk (a
-    number, or one per s), with F = 1.0 where no s leaves it."""
+    """(s0, m, F) of the reduction of the rows of s into the fundamental
+    strip of their vk, with F = 1.0 where no s leaves it."""
     s = s - np.round(s.real)   # exact: Theta has period 1
     m = np.round(s.imag / vk.imag)
     if not m.any():
@@ -202,28 +202,24 @@ def _theta_order(y0: float) -> int:
     """N for Im(varkappa) = y0: |Im s0| <= y0/2 bounds |term n| by
     exp(-pi*y0*(n^2 - |n|)), which is below ``_THETA_TOL`` beyond n* = 1/2 +
     sqrt(1/4 + budget/y0)."""
-    return math.ceil(0.5 + math.sqrt(0.25 + _THETA_BUDGET / y0)) + 1
+    n_star = 0.5 + math.sqrt(0.25 + _THETA_BUDGET / y0)
+    if not n_star <= _THETA_MAX_ORDER - 1:
+        raise RangeError("theta series at Im(varkappa) = %.3g needs an order N above %d"
+                         % (y0, _THETA_MAX_ORDER))
+    return math.ceil(n_star) + 1
 
 
-def _theta_per_row(s, varkappa, order):
-    """``jacobi_theta`` with one varkappa per row of a 2-D s.
+def _theta_per_row(s, vk, big_n: list, order) -> list:
+    """[Theta] or [Theta, Theta'] of a 2-D s with one vk per row.
 
-    Each row takes the N of its own varkappa.  The rows of one N share one
-    exponential call and one stacked matrix-vector product, which is one
-    product per row: a row gets the terms, the order of summation and so the
-    bits of the scalar call of that row alone.
+    Each row takes its N in ``big_n``, that of its own vk.  The rows of one
+    N share one exponential call and one stacked matrix-vector product,
+    which is one product per row: a row gets the terms, the order of
+    summation and so the bits of the call of that row alone.
     """
-    vk = varkappa.astype(complex)
-    imag = vk.imag.tolist()
-    _check_theta_args(imag, varkappa, order)
-    s = np.asarray(s, dtype=complex)
-    if not (vk.ndim == 1 and s.ndim == 2 and len(s) == vk.size):
-        raise DomainError("varkappa must be a number or have one entry per row of s")
-    s0, m, factor = _strip(s.ravel(), np.repeat(vk, s.shape[1]))
-    s0 = s0.reshape(s.shape)
+    s0, m, factor = _strip(s, vk[:, np.newaxis])
     total = np.empty_like(s0)
     dtotal = None if order == 0 else np.empty_like(s0)
-    big_n = [_theta_order(y) for y in imag]
     for n_rows in set(big_n):
         rows = [k for k, v in enumerate(big_n) if v == n_rows]
         if len(rows) == len(big_n):
@@ -234,16 +230,14 @@ def _theta_per_row(s, varkappa, order):
         total[rows] = (z @ q)[..., 0]
         if dtotal is not None:
             dtotal[rows] = (z @ ((2j * np.pi * n)[:, np.newaxis] * q))[..., 0]
-    total = total.ravel()
-    th = (factor * total).reshape(s.shape)
-    if order == 0:
-        return th
-    dtotal = dtotal.ravel() - (2j * np.pi * m) * total
-    return th, (factor * dtotal).reshape(s.shape)
-
-
-def _theta_out(total):
-    return complex(total) if total.ndim == 0 else total
+    # F times a named array, not a temporary: numpy computes a product with a
+    # temporary above 256 KiB in place, its operands swapped, and a complex
+    # product's bits depend on the order (Theta' of 20,000 values came out
+    # 1 ulp off in 4,088 of them against the same values 100 at a time)
+    if dtotal is None:
+        return [factor * total]
+    dtotal = dtotal - (2j * np.pi * m) * total
+    return [factor * total, factor * dtotal]
 
 
 # ----------------------------------------------------------------------

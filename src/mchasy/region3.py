@@ -47,9 +47,9 @@ point at its own varkappa, and the pole tests, the expansion terms and the
 ``nr7_coeffs`` gate run over the rows (``_rows``).  A ``ShockGeometry`` is
 plain data: ``_build`` hands ``_wave`` each point's geometry with its
 expansion terms and h1, and ``build_geometry``, ``nr7_coeffs`` and
-``u_region3`` are the one-point case of the same code, so every row gets
-the bits and the error it gets alone.  ``u_region3`` hands a scan's point
-the result prepared for it, from the data's memo, and drops it.
+``u_region3`` are a batch of one row, through the same code, so every row
+gets the bits and the error it gets alone.  ``u_region3`` hands a scan's
+point the result prepared for it, from the data's memo, and drops it.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .errors import (
     ConventionError,
     DomainError,
     PoleOfSolutionError,
-    RangeError,
     RegionError,
     WindowError,
 )
@@ -119,8 +118,11 @@ class ShockParams:
             raise DomainError("p and q must be positive")
         if not 0.0 < self.C_R < math.inf:
             raise AdmissibilityError("C_R must be positive and finite, got %r" % self.C_R)
-        if not self.xi < 2.0:
-            raise DomainError("shock parametrization needs xi < 2")
+        if not 0.0 < self.t < math.inf:
+            raise DomainError("shock parametrization needs 0 < t < inf, got t=%r" % (self.t,))
+        if not -math.inf < self.xi < 2.0:
+            raise DomainError("shock parametrization needs a finite xi < 2, got xi=%r"
+                              % (self.xi,))
         # extreme p, q overflow or underflow the scale tau or the size
         # q*(2p/3q)^2 of g0_limit, as the band radius^2 is 2p/3q; the right
         # side of the band equation is taken at p = q = 1 (its sign is
@@ -611,12 +613,12 @@ def _theta_ratios(geom: ShockGeometry, s) -> np.ndarray:
     """Theta(s + phi/pi) / Theta(s) for each s, from one theta-series call
     whose values are tested for poles against its |Theta(0)|."""
     s = np.asarray(s, dtype=complex)
-    args = np.concatenate([s + geom.phi / math.pi, s])
-    th = jacobi_theta(np.append(args, 0.0), geom.varkappa)
-    (err,) = _refusals([None], args, np.abs(th[:-1]) < 1e-12 * abs(th[-1]), slice(None))
+    row = np.concatenate([[0.0], s + geom.phi / math.pi, s])[np.newaxis]
+    th = jacobi_theta(row, [geom.varkappa])
+    (err,) = _refusals([None], row, _small(th), slice(1, None))
     if err is not None:
         raise err
-    return th[:s.size] / th[s.size:-1]
+    return th[0, 1:s.size + 1] / th[0, s.size + 1:]
 
 
 def nr7_matrix(geom: ShockGeometry, k, side: str | None = None) -> np.ndarray:
@@ -652,34 +654,19 @@ _NR7_PINV = np.linalg.pinv(np.vstack([np.ones_like(_NR7_KS), 1.0 / _NR7_KS,
                                       1.0 / _NR7_KS ** 2, 1.0 / _NR7_KS ** 3]).T)[:2]
 
 
-# The batch kernels below take the points of a batch as rows.  One point's
-# arrays have no row axis: they are the shapes a single point always had,
-# and numpy takes them in fewer steps.  Each row gets the bits it gets alone.
-
-def _per_row(values: list):
-    """A quantity per row: the value itself for one row, else an array with
-    one row per value."""
-    return values[0] if len(values) == 1 else np.array(values)
-
-
-def _columns(rows: list):
-    """Quantities per row, given as a tuple per row: for one row that tuple,
-    else one column per quantity."""
-    return rows[0] if len(rows) == 1 else np.array(rows).T[:, :, np.newaxis]
-
-
 def _theta_rows(geoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """(s, Theta(s), Theta'(s)), a row of 23 per geometry (0, ``_EXPANSION``
     and ``_GATE``), from one theta-series call at each row's varkappa, and
-    per row None or the ``RangeError`` that refuses it.  Each reader tests
-    the values it uses for poles."""
+    per row None or the ``DomainError`` of the series that refuses it (a
+    ``RangeError`` where its quasi-period factor overflows).  Each reader
+    tests the values it uses for poles."""
     coeffs, vk = [], []
     for g in geoms:
         coeffs.append(_far_tail_coeffs(g.a, g.b, g.gate_unit))
         vk.append(g.varkappa)
-    tails = np.matmul(_NR7_TAIL_POWERS, np.array(_per_row(coeffs))[..., np.newaxis])
+    tails = np.matmul(_NR7_TAIL_POWERS, np.array(coeffs)[..., np.newaxis])
     rows = []
-    for g, tail in zip(geoms, tails.reshape(len(geoms), -1).tolist()):
+    for g, tail in zip(geoms, tails[..., 0].tolist()):
         kap4, shift = g.varkappa / 4, g.phi / math.pi
         plus, minus = g.A_inf - kap4, -g.A_inf - kap4
         # at the samples k, -A(k) - kap/4 = -i*int_k^inf dz/|w| / (2*K_band),
@@ -689,21 +676,19 @@ def _theta_rows(geoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
         gate = [scale * v for v in tail] + [plus]
         rows.append([0.0, plus, minus, plus + shift, minus + shift]
                     + [v + shift for v in gate] + gate)
-    s = np.array(_per_row(rows))
+    s = np.array(rows)
     try:
-        return (s, *jacobi_theta(s, _per_row(vk), order=(0, 1)), [None] * len(geoms))
-    except RangeError:
+        return (s, *jacobi_theta(s, vk, order=(0, 1)), [None] * len(geoms))
+    except DomainError:
         pass
-    # a row's quasi-period factor overflows: each row alone, so that only
-    # its own point is refused
+    # a row the series refuses (its quasi-period factor overflows, say):
+    # each row alone, so that only its own point is refused
     th, dth, errors = np.full_like(s, np.nan), np.full_like(s, np.nan), []
-    n = len(geoms)
-    for row, v, th_row, dth_row in zip(s.reshape(n, -1), vk, th.reshape(n, -1),
-                                       dth.reshape(n, -1)):
+    for row, v, th_row, dth_row in zip(s, vk, th, dth):
         try:
             th_row[:], dth_row[:] = jacobi_theta(row, v, order=(0, 1))
             errors.append(None)
-        except RangeError as exc:
+        except DomainError as exc:
             errors.append(exc)
     return s, th, dth, errors
 
@@ -723,8 +708,7 @@ def _refusals(refused: list, s, small, columns) -> list:
     no error yet and a ``_small`` value in ``columns``: its first."""
     refused = list(refused)
     if small is not None:
-        n = len(refused)
-        s, small = s.reshape(n, -1)[:, columns], small.reshape(n, -1)[:, columns]
+        s, small = s[:, columns], small[:, columns]
         for k in np.flatnonzero(small.any(axis=1)):
             refused[k] = refused[k] or PoleOfSolutionError(
                 "theta denominator vanished", point=complex(s[k][small[k]][0]))
@@ -736,7 +720,6 @@ def _expansion_rows(geoms, s, th, dth, small, refused) -> tuple[list, list]:
     ``refused`` or pole refuses, and the refusals."""
     refused = _refusals(refused, s, small, _EXPANSION)
     terms = [None] * len(geoms)
-    th, dth = th.reshape(len(geoms), -1), dth.reshape(len(geoms), -1)
     for k, geom in enumerate(geoms):
         if refused[k] is None:
             den_p, den_m, num_p, num_m = th[k, _EXPANSION]
@@ -760,15 +743,14 @@ def _gate_rows(geoms, s, th, small, terms, refused) -> tuple[list, list]:
     # the (1,2) entry of nr7_matrix at each sample k: phase (nu - 1/nu) times
     # the row-1 theta ratio at -A(k), normalized by the one at A_inf; the
     # fit takes k times the k-dependent part
-    a, b, unit = _columns([(g.a, g.b, g.gate_unit) for g in geoms])
+    a, b, unit = np.array([(g.a, g.b, g.gate_unit) for g in geoms]).T[:, :, np.newaxis]
     ks = _NR7_KS * unit
     nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
     den = th[..., _GATE_DEN]
     if any(refused):    # a refused row's quotients are not read
         den = np.where(np.array([e is not None for e in refused])[:, np.newaxis], 1.0, den)
     r = th[..., _GATE_NUM] / den
-    fit = np.matmul(_NR7_PINV, ((nu - 1.0 / nu) * ks * r[..., :-1])[..., np.newaxis])
-    fit, r = fit.reshape(len(geoms), -1), r.reshape(len(geoms), -1)
+    fit = np.matmul(_NR7_PINV, ((nu - 1.0 / nu) * ks * r[..., :-1])[..., np.newaxis])[..., 0]
     for k, geom in enumerate(geoms):
         if refused[k] is not None:
             continue

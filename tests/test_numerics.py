@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from unittest import mock
 
 import mpmath as mp
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mchasy import (ReflectionCoefficient, ScatteringData, airy, jacobi_theta,
-                    log_transforms, region3)
+                    log_transforms, numerics, region3)
 from mchasy.errors import (BracketError, BranchError, DivergentSeriesError, DomainError,
                            RangeError)
 from mchasy.numerics import (QuadratureSpec, _ellipke, _horner, _rf, find_root, quad,
@@ -161,6 +162,78 @@ class TestJacobiTheta:
         parts = [jacobi_theta(s[i:i + 100], vk, order=(0, 1)) for i in range(0, s.size, 100)]
         assert th.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
         assert dth.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([(), (7,), (20000,), (3, 6)]), st.floats(-1, 1),
+           st.floats(0.3, 5), st.integers(0, 2 ** 32 - 1))
+    def test_number_varkappa_is_its_one_row_view(self, shape, vk_re, vk_im, seed):
+        # one kernel: a number varkappa is the one-row call, in its shape and
+        # type, with its bits, and Im s up to two periods off the axis
+        vk = complex(vk_re, vk_im)
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-2 * vk_im, 2 * vk_im, shape)
+        row = np.reshape(s, (1, -1))
+        th, dth = jacobi_theta(s, vk, order=(0, 1))
+        want = jacobi_theta(row, [vk], order=(0, 1))
+        th0 = jacobi_theta(s, vk)
+        if shape == ():
+            assert type(th) is type(dth) is type(th0) is complex
+        else:
+            assert th.shape == dth.shape == th0.shape == shape
+        for got, ref in ((th, want[0]), (dth, want[1]), (th0, want[0])):
+            assert np.asarray(got).tobytes() == ref.tobytes()
+
+    def test_per_row_sequence_is_an_array(self):
+        # a list or tuple of varkappa, one per row, is taken as an ndarray is
+        rng = np.random.default_rng(8)
+        s = rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-0.5, 0.5, (3, 5))
+        vks = [0.3 + 0.8j, 1j, -0.2 + 2.5j]
+        want = jacobi_theta(s, np.array(vks), order=(0, 1))
+        for seq in (vks, tuple(vks)):
+            got = jacobi_theta(s, seq, order=(0, 1))
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        for bad_s, bad_vk in ((s, vks[:2]), (s[0], vks), (s[:, :, np.newaxis], vks)):
+            with pytest.raises(DomainError, match="one entry per row"):
+                jacobi_theta(bad_s, bad_vk)
+
+    @pytest.mark.parametrize("s, vk, named", [
+        (complex(0, math.inf), 1j, "finite s"),
+        (complex(math.nan, 0.2), 1j, "finite s"),
+        (complex(-math.inf, 0), 0.5 + 1j, "finite s"),
+        (0.1, complex(0, math.inf), "finite varkappa"),
+        (0.1, complex(math.inf, 1), "finite varkappa"),
+        (0.1, complex(math.nan, 1), "finite varkappa"),
+    ])
+    def test_non_finite_argument_named_before_any_series(self, s, vk, named):
+        # refused before the strip reduction, the first array of s's size,
+        # with no warning on the way
+        with warnings.catch_warnings(), \
+                mock.patch.object(numerics, "_strip", side_effect=AssertionError):
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=named):
+                jacobi_theta(np.array([s]), vk)
+            with pytest.raises(DomainError, match=named):
+                jacobi_theta(s, vk, order=(0, 1))
+
+    @pytest.mark.parametrize("y", [1e-300, 5e-324, 1e-10, 2.5e-3])
+    def test_order_past_the_cap_is_range_error(self, y):
+        # N grows like sqrt(11/Im(varkappa)): 3.3e5 at 1e-10, so 1,000 values
+        # of s would need a 10 GB exponential matrix.  1-element s, refused
+        # before the strip reduction; the cap admits Im(varkappa) down to
+        # budget/(N_max - 1.5)^2, above 2.5e-3
+        assert numerics._THETA_BUDGET / (numerics._THETA_MAX_ORDER - 1.5) ** 2 > 2.5e-3
+        with mock.patch.object(numerics, "_strip", side_effect=AssertionError):
+            with pytest.raises(RangeError, match=re.escape("Im(varkappa) = %.3g" % y)):
+                jacobi_theta(np.array([0.1]), complex(0.0, y))
+
+    def test_order_cap_admits_every_zone_iii_varkappa(self):
+        # the smallest Im(varkappa) of zone III: a band end ratio a/b whose
+        # m = (a/b)^2 is near the smallest positive double
+        _, _, vk = region3.periods(3e-162, 1.0, 1.0)
+        assert 0.0 < vk.imag < 8.5e-3
+        assert numerics._theta_order(vk.imag) <= 38
+        assert numerics._theta_order(2.9e-3) <= numerics._THETA_MAX_ORDER
+        assert math.isfinite(abs(jacobi_theta(0.1 + 0.3 * vk, vk)))
 
     @pytest.mark.parametrize("order", [2, (1, 0), (0, 1, 2), 1])
     def test_unknown_order_rejected(self, order):

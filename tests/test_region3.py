@@ -91,6 +91,17 @@ class TestCurvature:
         with pytest.raises(DomainError, match="p and q must be positive"):
             ShockParams(p=p, q=q, xi=XI0, t=T0, C_R=1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0, 0.0])
+    def test_bad_t_named(self, t):
+        # named as t, not blamed on p and q through a non-finite tau
+        with pytest.raises(DomainError, match="needs 0 < t < inf, got t=%r" % t):
+            ShockParams(p=1.0, q=1.0, xi=1.99, t=t, C_R=1.0)
+
+    @pytest.mark.parametrize("xi", [-math.inf, math.nan, 2.0])
+    def test_bad_xi_named(self, xi):
+        with pytest.raises(DomainError, match="needs a finite xi < 2, got xi=%r" % xi):
+            ShockParams(p=1.0, q=1.0, xi=xi, t=1e6, C_R=1.0)
+
     @pytest.mark.parametrize("p, q", [(1e300, 1.0), (1.0, 1e-300), (5e-324, 1.0),
                                       (1.0, 1e-200)])
     def test_extreme_p_q_rejected(self, p, q):
@@ -707,7 +718,7 @@ class TestNr7:
         def theta(s, varkappa, order=0):
             out = real(s, varkappa, order=order)
             if order == (0, 1):
-                out[0][region3._GATE.start] = math.nan
+                out[0][..., region3._GATE.start] = math.nan
             return out
 
         monkeypatch.setattr(region3, "jacobi_theta", theta)
@@ -736,7 +747,7 @@ class TestNr7:
                             lambda s, p, order=0: calls.append(s) or real(s, p, order))
         u_region3(SpaceTimePoint(XI0 * T0, T0), gen_data)
         assert len(calls) == 1
-        assert np.shape(calls[0]) == (23,)
+        assert np.shape(calls[0]) == (1, 23)
 
     def test_geometry_is_plain_data(self, geom):
         # the theta pass and the expansion terms are not kept on a geometry
@@ -751,7 +762,7 @@ class TestNr7:
 
         def zero_at_gate(s, p, order=0):
             th, dth = real(s, p, order)
-            th[region3._GATE] = 0.0
+            th[..., region3._GATE] = 0.0
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_gate)
@@ -769,13 +780,13 @@ class TestNr7:
 
         def zero_at_last(s, p, order=0):
             th, dth = real(s, p, order)
-            th[last] = 0.0
+            th[..., last] = 0.0
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_last)
         with pytest.raises(PoleOfSolutionError) as info:
             nr7_coeffs(geom)
-        assert info.value.point == region3._theta_rows([geom])[0][last]
+        assert info.value.point == region3._theta_rows([geom])[0][0, last]
 
     def test_expansion_points_tested_without_validation(self, geom, monkeypatch):
         # the expansion terms test their own theta values, not only the gate
@@ -783,13 +794,13 @@ class TestNr7:
 
         def zero_at_expansion(s, p, order=0):
             th, dth = real(s, p, order)
-            th[region3._EXPANSION] = 0.0
+            th[..., region3._EXPANSION] = 0.0
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_expansion)
         (terms,), _, (err,) = region3._rows([geom])
         assert terms is None and isinstance(err, PoleOfSolutionError)
-        assert err.point == region3._theta_rows([geom])[0][region3._EXPANSION.start]
+        assert err.point == region3._theta_rows([geom])[0][0, region3._EXPANSION.start]
 
     def test_phase_shift_invariance(self, geom):
         shifted = dataclasses.replace(geom, phi=geom.phi + 2 * math.pi)

@@ -234,20 +234,21 @@ class TestThetaRows:
                         p=1.0, q=1.0, xi=xi, t=t, C_R=beta / 6.0)))
         return geoms
 
-    def test_one_varkappa_per_row_is_the_scalar_call(self):
-        # 624 rows of several N, and each shifted by two periods (strip reduction)
+    def test_each_row_is_its_one_row_call(self):
+        # 1,248 rows: the pool's 624 of several N, and each shifted by two
+        # periods (strip reduction)
         geoms = self.geometries()
         vk = np.array([g.varkappa for g in geoms])
         s = region3._theta_rows(geoms)[0]
         s = np.vstack([s, s + 2.0 * vk[:, np.newaxis]])
         vk = np.concatenate([vk, vk])
-        assert len({_theta_order(y) for y in vk.imag}) > 1
+        assert len(s) == 1248 and len({_theta_order(y) for y in vk.imag}) > 1
         th, dth = jacobi_theta(s, vk, order=(0, 1))
         assert np.array_equal(jacobi_theta(s, vk), th)
-        for row, v, th_row, dth_row in zip(s, vk, th, dth):
-            want = jacobi_theta(row, v, order=(0, 1))
-            assert th_row.tobytes() == want[0].tobytes()
-            assert dth_row.tobytes() == want[1].tobytes()
+        for k in range(len(s)):
+            want = jacobi_theta(s[k:k + 1], vk[k:k + 1], order=(0, 1))
+            assert th[k].tobytes() == want[0].tobytes()
+            assert dth[k].tobytes() == want[1].tobytes()
 
     def test_overflow_refuses_its_row_only(self):
         geoms = self.geometries()[::97]
