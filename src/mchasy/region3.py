@@ -40,13 +40,14 @@ at the gate's eight far samples.  The 2F1 Taylor series give J_gap and a
 small band's J_band.
 
 A scan evaluates the shock-zone points of one t together (``_prepare``, in
-chunks the scan bounds).  The scalar part of each point (band root, periods,
-the A(inf) and band-period checks, Delta0, h1) stays a loop; then one
-theta-series call covers the 23 theta arguments of every point, a row per
-point at its own varkappa, and the pole tests, the expansion terms and the
-``nr7_coeffs`` gate run over the rows (``_rows``).  A ``ShockGeometry`` is
-plain data: ``_build`` hands ``_wave`` each point's geometry with its
-expansion terms and h1, and ``build_geometry``, ``nr7_coeffs`` and
+chunks the scan bounds).  ``_u_points`` keeps one outcome per point, a value
+or the error that refuses it.  The scalar part of each point (band root,
+periods, the A(inf) and band-period checks, Delta0, h1) stays a loop; then
+one ``_rows`` call covers the points that survive it: one theta-series call
+for the 23 theta arguments of every point, a row per point at its own
+varkappa, one Laurent fit for the ``nr7_coeffs`` gate, and one outcome per
+row, its expansion terms and gate coefficients or its error.  A
+``ShockGeometry`` is plain data.  ``build_geometry``, ``nr7_coeffs`` and
 ``u_region3`` are a batch of one row, through the same code, so every row
 gets the bits and the error it gets alone.  ``u_region3`` hands a scan's
 point the result prepared for it, from the data's memo, and drops it.
@@ -178,7 +179,7 @@ def _elliptic(a, b) -> tuple[float, float, float, float]:
     two (a, b) per point: its start, K(m1) for the slope and E(m1) for the
     area (the area reads none where m1 < 1/2), and its root, for the area.
     The geometry's periods, ``delta0`` and ``h1_limit`` read the root's
-    next, in ``_build``'s loop over the points, while it is the latest
+    next, in ``_u_points``' loop over the points, while it is the latest
     entry: two misses per point, in a batch of any size."""
     return _ellipke((a / b) ** 2, _m1(a, b))
 
@@ -541,43 +542,13 @@ def _assemble(params: ShockParams) -> ShockGeometry:
     return geom
 
 
-def _build(params: list) -> list:
-    """What ``_wave`` reads of many points, each (geometry, expansion terms,
-    h1) or the exception that refuses its point (an exception in ``params``
-    stays).  The scalar part (``_assemble``, ``h1_limit``) is a loop over
-    the points, and ``_rows`` then runs every point's theta pass and
-    convention gate at once; each row's values and errors are those of the
-    point alone."""
-    out, geoms = [], []
-    for p in params:
-        if not isinstance(p, Exception):
-            try:
-                geom = _assemble(p)
-                # here, while the root's K and E are _elliptic's latest entry
-                p = (geom, h1_limit(geom))
-                geoms.append(geom)
-            except Exception as exc:    # refuses this point only
-                p = exc
-        out.append(p)
-    if not geoms:
-        return out
-    terms, _, refused = _rows(geoms)
-    rows = iter(zip(terms, refused))
-    for k, done in enumerate(out):
-        if isinstance(done, tuple):
-            term, err = next(rows)
-            out[k] = err or (done[0], term, done[1])
-    return out
-
-
 def build_geometry(params: ShockParams) -> ShockGeometry:
     """Solve the band equations and assemble all derived constants, gated by
-    the A(inf) and band-period identities and the ``nr7_coeffs`` convention
-    check: the one-point case of ``_build``."""
-    (done,) = _build([params])
-    if isinstance(done, Exception):
-        raise done
-    return done[0]
+    the A(inf) and band-period identities (``_assemble``) and the
+    ``nr7_coeffs`` convention check."""
+    geom = _assemble(params)
+    nr7_coeffs(geom)
+    return geom
 
 
 # ----------------------------------------------------------------------
@@ -615,7 +586,7 @@ def _theta_ratios(geom: ShockGeometry, s) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     row = np.concatenate([[0.0], s + geom.phi / math.pi, s])[np.newaxis]
     th = jacobi_theta(row, [geom.varkappa])
-    (err,) = _refusals([None], row, _small(th), slice(1, None))
+    (err,) = _poles(row, th)
     if err is not None:
         raise err
     return th[0, 1:s.size + 1] / th[0, s.size + 1:]
@@ -658,8 +629,8 @@ def _theta_rows(geoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """(s, Theta(s), Theta'(s)), a row of 23 per geometry (0, ``_EXPANSION``
     and ``_GATE``), from one theta-series call at each row's varkappa, and
     per row None or the ``DomainError`` of the series that refuses it (a
-    ``RangeError`` where its quasi-period factor overflows).  Each reader
-    tests the values it uses for poles."""
+    ``RangeError`` where its quasi-period factor overflows).  ``_rows``
+    tests the values for poles (``_poles``)."""
     coeffs, vk = [], []
     for g in geoms:
         coeffs.append(_far_tail_coeffs(g.a, g.b, g.gate_unit))
@@ -693,53 +664,29 @@ def _theta_rows(geoms: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     return s, th, dth, errors
 
 
-def _small(th) -> np.ndarray | None:
-    """Where a theta value of a row is below 1e-12 |Theta(0)| of that row (a
-    pole of the model solution, for the readers of those values), or None
-    if it is nowhere."""
+def _poles(s, th) -> list:
+    """Per row of (s, Theta(s)), Theta(0) first, the ``PoleOfSolutionError``
+    of its first theta value below 1e-12 |Theta(0)| of the row (a pole of
+    the model solution), or None."""
     mag = np.abs(th)
-    if not (mag.min(axis=-1) < 1e-12 * mag[..., 0]).any():
-        return None
-    return mag < 1e-12 * mag[..., :1]
+    small = mag < 1e-12 * mag[:, :1]
+    out = [None] * len(th)
+    for k in np.flatnonzero(small.any(axis=1)):
+        out[k] = PoleOfSolutionError("theta denominator vanished",
+                                     point=complex(s[k][small[k]][0]))
+    return out
 
 
-def _refusals(refused: list, s, small, columns) -> list:
-    """``refused`` with a ``PoleOfSolutionError`` added to each row that has
-    no error yet and a ``_small`` value in ``columns``: its first."""
-    refused = list(refused)
-    if small is not None:
-        s, small = s[:, columns], small[:, columns]
-        for k in np.flatnonzero(small.any(axis=1)):
-            refused[k] = refused[k] or PoleOfSolutionError(
-                "theta denominator vanished", point=complex(s[k][small[k]][0]))
-    return refused
-
-
-def _expansion_rows(geoms, s, th, dth, small, refused) -> tuple[list, list]:
-    """(g_inf, x_tilde) per row of ``_theta_rows`` that no error in
-    ``refused`` or pole refuses, and the refusals."""
-    refused = _refusals(refused, s, small, _EXPANSION)
-    terms = [None] * len(geoms)
-    for k, geom in enumerate(geoms):
-        if refused[k] is None:
-            den_p, den_m, num_p, num_m = th[k, _EXPANSION]
-            g_inf = den_p * num_m / (den_m * num_p)
-            c_inf = den_p / num_p
-            # d/d(1/k) at infinity of the ratio evaluated along -A(k)
-            dden, dnum = dth[k, 2], dth[k, 4]
-            f1 = -geom.cA * (dnum * den_m - num_m * dden) / (den_m * den_m)
-            terms[k] = complex(g_inf), complex(c_inf * f1)
-    return terms, refused
-
-
-def _gate_rows(geoms, s, th, small, terms, refused) -> tuple[list, list]:
-    """The closed-form 1/k and 1/k^2 coefficients of the (1,2) entry per row
-    of ``_theta_rows`` with its ``_expansion_rows`` terms, and the
-    refusals, a failed ``nr7_coeffs`` gate or pole added."""
-    refused = _refusals(refused, s, small, _GATE)
-    coeffs = [None] * len(geoms)
-    if all(refused):
-        return coeffs, refused
+def _rows(geoms: list) -> list:
+    """One outcome per geometry: ((g_inf, x_tilde), (n1_12, n2_12)), its
+    expansion terms and the closed-form 1/k and 1/k^2 coefficients of the
+    (1,2) entry that the ``nr7_coeffs`` gate passed, or the exception that
+    refuses the row.  One ``_theta_rows`` pass and one Laurent fit cover
+    all rows; a row is refused by its series error, else a pole among its
+    expansion values, else one among its gate values (``_poles``, as the
+    expansion columns come first), else the gate."""
+    s, th, dth, errors = _theta_rows(geoms)
+    out = [err or pole for err, pole in zip(errors, _poles(s, th))]
     # the (1,2) entry of nr7_matrix at each sample k: phase (nu - 1/nu) times
     # the row-1 theta ratio at -A(k), normalized by the one at A_inf; the
     # fit takes k times the k-dependent part
@@ -747,14 +694,20 @@ def _gate_rows(geoms, s, th, small, terms, refused) -> tuple[list, list]:
     ks = _NR7_KS * unit
     nu = ((ks - a) * (ks + b) / ((ks + a) * (ks - b))) ** 0.25
     den = th[..., _GATE_DEN]
-    if any(refused):    # a refused row's quotients are not read
-        den = np.where(np.array([e is not None for e in refused])[:, np.newaxis], 1.0, den)
+    if any(out):    # a refused row's quotients are not read
+        den = np.where(np.array([e is not None for e in out])[:, np.newaxis], 1.0, den)
     r = th[..., _GATE_NUM] / den
     fit = np.matmul(_NR7_PINV, ((nu - 1.0 / nu) * ks * r[..., :-1])[..., np.newaxis])[..., 0]
     for k, geom in enumerate(geoms):
-        if refused[k] is not None:
+        if out[k] is not None:
             continue
-        g_inf, x_tilde = terms[k]
+        den_p, den_m, num_p, num_m = th[k, _EXPANSION]
+        g_inf = complex(den_p * num_m / (den_m * num_p))
+        c_inf = den_p / num_p
+        # d/d(1/k) at infinity of the ratio evaluated along -A(k)
+        dden, dnum = dth[k, 2], dth[k, 4]
+        f1 = -geom.cA * (dnum * den_m - num_m * dden) / (den_m * den_m)
+        x_tilde = complex(c_inf * f1)
         phase = -cmath.exp(1j * geom.phi) / 2j
         n1_12 = phase * (geom.b - geom.a) * g_inf
         n2_12 = phase * (geom.b - geom.a) * x_tilde
@@ -763,23 +716,11 @@ def _gate_rows(geoms, s, th, small, terms, refused) -> tuple[list, list]:
         c1 = phase * fit[k, 1] * geom.gate_unit / r[k, -1]
         if not (abs(c0 - n1_12) <= 1e-5 * max(1.0, abs(n1_12))
                 and abs(c1 - n2_12) <= 1e-5 * max(1.0, abs(n2_12))):
-            refused[k] = ConventionError(
-                "Laurent fit %r, %r disagrees with closed forms %r, %r"
-                % (c0, c1, n1_12, n2_12))
+            out[k] = ConventionError("Laurent fit %r, %r disagrees with closed forms %r, %r"
+                                     % (c0, c1, n1_12, n2_12))
         else:
-            coeffs[k] = complex(n1_12), complex(n2_12)
-    return coeffs, refused
-
-
-def _rows(geoms: list) -> tuple[list, list, list]:
-    """(expansion terms, gate coefficients, refusals) per geometry, from one
-    ``_theta_rows`` pass: the pole tests, ``_expansion_rows`` and
-    ``_gate_rows`` over its rows."""
-    s, th, dth, refused = _theta_rows(geoms)
-    small = _small(th)
-    terms, refused = _expansion_rows(geoms, s, th, dth, small, refused)
-    coeffs, refused = _gate_rows(geoms, s, th, small, terms, refused)
-    return terms, coeffs, refused
+            out[k] = (g_inf, x_tilde), (complex(n1_12), complex(n2_12))
+    return out
 
 
 def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
@@ -789,12 +730,12 @@ def nr7_coeffs(geom: ShockGeometry) -> tuple[complex, complex]:
     eight real k from 100 ``gate_unit`` up, read from the geometry's theta
     pass; disagreement beyond 1e-5, or a fit that is not a number, signals
     a broken derivative-at-infinity convention and is a hard failure.  The
-    one-row case of ``_rows``.
+    one outcome of ``_rows([geom])``.
     """
-    _, (coeffs,), (err,) = _rows([geom])
-    if err is not None:
-        raise err
-    return coeffs
+    (row,) = _rows([geom])
+    if isinstance(row, Exception):
+        raise row
+    return row[1]
 
 
 # ----------------------------------------------------------------------
@@ -829,26 +770,34 @@ def _wave(point: SpaceTimePoint, geom: ShockGeometry, terms: tuple[complex, comp
 
 
 def _u_points(points: list, data: ScatteringData, p: float, q: float) -> list:
-    """``u_region3`` at many shock-zone points of one data, p and q, each an
-    ``AsymptoticValue`` or the exception that refuses its point, with one
-    ``_build`` for all of them."""
-    params = []
-    curvature = functools.partial(_generic_curvature, data)
-    for point in points:
+    """``u_region3`` at many shock-zone points of one data, p and q: one
+    outcome per point, an ``AsymptoticValue`` or the exception that refuses
+    it.  The scalar part (``ShockParams``, ``_assemble``, ``h1_limit``) is a
+    loop over the points; one ``_rows`` call then runs the theta pass and
+    the convention gate of every point that survives it, and ``_wave`` each
+    row that ``_rows`` accepts.  Each point's value and error are those it
+    gets alone."""
+    try:
+        curv = data._memo("shock_curvature", functools.partial(_generic_curvature, data))
+    except Exception as exc:    # refuses every point
+        return [exc] * len(points)
+    out, built = [None] * len(points), []
+    for k, point in enumerate(points):
         try:
-            curv = data._memo("shock_curvature", curvature)
-            params.append(ShockParams(p=p, q=q, xi=point.xi, t=point.t,
-                                      C_R=(q / (12.0 * p)) * curv))
+            geom = _assemble(ShockParams(p=p, q=q, xi=point.xi, t=point.t,
+                                         C_R=(q / (12.0 * p)) * curv))
+            # here, while the root's K and E are _elliptic's latest entry
+            built.append((k, geom, h1_limit(geom)))
         except Exception as exc:    # refuses this point only
-            params.append(exc)
-    out = []
-    for point, done in zip(points, _build(params)):
-        if not isinstance(done, Exception):
+            out[k] = exc
+    rows = _rows([geom for _, geom, _ in built]) if built else []
+    for (k, geom, h1), row in zip(built, rows):
+        out[k] = row
+        if not isinstance(row, Exception):
             try:
-                done = _wave(point, *done, p, q)
+                out[k] = _wave(points[k], geom, row[0], h1, p, q)
             except Exception as exc:
-                done = exc
-        out.append(done)
+                out[k] = exc
     return out
 
 

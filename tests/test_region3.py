@@ -755,9 +755,8 @@ class TestNr7:
         assert vars(geom).keys() == {f.name for f in dataclasses.fields(geom)}
 
     def test_gate_points_only_tested_by_gate(self, gen_data, geom, monkeypatch):
-        # a theta value that vanishes at a gate sample is a pole for the gate
-        # alone: the expansion terms that u reads are the same without it
-        (want,), _, _ = region3._rows([geom])
+        # a theta value that vanishes at a gate sample is a pole for the gate:
+        # its row is refused with the gate's first sample as the point
         real = region3.jacobi_theta
 
         def zero_at_gate(s, p, order=0):
@@ -766,9 +765,9 @@ class TestNr7:
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_gate)
-        (terms,), (coeffs,), (err,) = region3._rows([geom])
-        assert terms == want
-        assert coeffs is None and isinstance(err, PoleOfSolutionError)
+        (row,) = region3._rows([geom])
+        assert isinstance(row, PoleOfSolutionError)
+        assert row.point == region3._theta_rows([geom])[0][0, region3._GATE.start]
         with pytest.raises(PoleOfSolutionError):
             nr7_coeffs(geom)
         with pytest.raises(PoleOfSolutionError):
@@ -798,9 +797,9 @@ class TestNr7:
             return th, dth
 
         monkeypatch.setattr(region3, "jacobi_theta", zero_at_expansion)
-        (terms,), _, (err,) = region3._rows([geom])
-        assert terms is None and isinstance(err, PoleOfSolutionError)
-        assert err.point == region3._theta_rows([geom])[0][0, region3._EXPANSION.start]
+        (row,) = region3._rows([geom])
+        assert isinstance(row, PoleOfSolutionError)
+        assert row.point == region3._theta_rows([geom])[0][0, region3._EXPANSION.start]
 
     def test_phase_shift_invariance(self, geom):
         shifted = dataclasses.replace(geom, phi=geom.phi + 2 * math.pi)

@@ -205,8 +205,9 @@ class TestOneAgmPairPerPoint:
     @pytest.mark.parametrize("n", [5, 16, 100])
     def test_misses_per_point(self, n):
         # K and E of each point's root start and of its root, each computed
-        # once: the periods, delta0 and h1 read the root's while it is the
-        # latest entry of _elliptic, in a batch of any size
+        # once: in _u_points' loop over the points, the periods, delta0 and h1
+        # read the root's while it is the latest entry of _elliptic, in a
+        # batch of any size
         cfg = scan_config(1e6, [3.0 + 2.5 * k / (n - 1) for k in range(n)])
         region3._band_table()
         region3._elliptic.cache_clear()
@@ -224,15 +225,18 @@ class TestThetaRows:
     WS = (2.95, 3.35, 3.75, 4.15, 4.55, 4.95, 5.35, 5.7)
 
     @classmethod
-    def geometries(cls):
-        geoms = []
+    def params(cls):
+        params = []
         for beta in cls.BETAS:
             for t in cls.TIMES:
                 for w in cls.WS:
                     xi = 2.0 - w * math.log(t) ** (2 / 3) * t ** (-2 / 3)
-                    geoms.append(region3.build_geometry(region3.ShockParams(
-                        p=1.0, q=1.0, xi=xi, t=t, C_R=beta / 6.0)))
-        return geoms
+                    params.append(region3.ShockParams(p=1.0, q=1.0, xi=xi, t=t, C_R=beta / 6.0))
+        return params
+
+    @classmethod
+    def geometries(cls):
+        return [region3.build_geometry(p) for p in cls.params()]
 
     def test_each_row_is_its_one_row_call(self):
         # 1,248 rows: the pool's 624 of several N, and each shifted by two
@@ -263,11 +267,22 @@ class TestThetaRows:
             alone = region3._theta_rows([geoms[k]])
             assert th[k].tobytes() == alone[1].tobytes()
             assert dth[k].tobytes() == alone[2].tobytes()
-        terms, coeffs, refused = region3._rows(geoms)
-        assert isinstance(refused[1], RangeError) and terms[1] is coeffs[1] is None
-        assert refused[:1] + refused[2:] == [None] * (len(geoms) - 1)
-        with mock.patch.object(region3, "_assemble", lambda params: geoms.pop(0)):
-            built = region3._build([None] * 3)
-        assert isinstance(built[1], RangeError)
-        assert [type(g[0]) for g in built[::2]] == [region3.ShockGeometry] * 2
+        rows = region3._rows(geoms)
+        assert isinstance(rows[1], RangeError)
+        assert [type(r) for r in rows[:1] + rows[2:]] == [tuple] * (len(geoms) - 1)
+        # the same geometries as the scalar part of a batch of points, and of
+        # each point alone
+        data = scan_config(1e6, [4.0]).data
+        points = [SpaceTimePoint(p.xi * p.t, p.t) for p in self.params()[::97]]
+
+        def u_points(points, geoms):
+            with mock.patch.object(region3, "_assemble", side_effect=geoms):
+                return region3._u_points(points, data, 1.0, 1.0)
+
+        batch = u_points(points, geoms)
+        assert isinstance(batch[1], RangeError)
+        for k in range(len(points)):
+            if k != 1:
+                (alone,) = u_points([points[k]], [geoms[k]])
+                assert batch[k].u.hex() == alone.u.hex()
 
