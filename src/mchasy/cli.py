@@ -348,9 +348,13 @@ def run_scan(cfg: RunConfig) -> list[dict]:
     """Classify and evaluate every scan point; per-point errors are recorded
     in the ``error`` column and the scan continues.
 
-    Each point is classified once.  The points of one t go in chunks of
-    ``_CHUNK``, and the shock-zone points of a chunk are evaluated together
-    first (``region3._prepare``): ``u_region3`` then hands each its result."""
+    The scan classifies each point once.  The points of one t go in chunks
+    of ``_CHUNK``, and the shock-zone points of a chunk are evaluated
+    together first (``region3._prepare``): ``u_region3`` then hands each its
+    result without classifying it again.  ``u_region1`` and ``u_region2``
+    classify each zone-I/II point a second time, their guard for library
+    callers, so such a point costs two ``classify`` calls; ROADMAP item 6
+    removes the second."""
     cache = SolutionCache()
     rows = []
     for t in cfg.times:

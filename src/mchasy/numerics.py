@@ -117,11 +117,7 @@ def airy(s: float) -> tuple[float, float]:
         return float(ai), float(aip)
     quart = math.sqrt(math.sqrt(s))
     zeta = s ** 1.5 * (2.0 / 3.0)
-    x = -1.0 / zeta
-    su = sv = 0.0
-    for u, v in _AIRY_UV:
-        su = su * x + u
-        sv = sv * x + v
+    su, sv = _horner_pairs(_AIRY_UV, -1.0 / zeta)
     scale = _HALF_RSQRT_PI * math.exp(-zeta)
     return scale * su / quart, -scale * quart * sv
 
@@ -340,6 +336,16 @@ def _horner(coeffs, x: float) -> float:
     for c in coeffs:
         total = total * x + c
     return total
+
+
+def _horner_pairs(pairs, x: float) -> tuple[float, float]:
+    """The two polynomials whose coefficients (highest first) are the firsts
+    and the seconds of ``pairs``, at x, in one Horner pass."""
+    p = q = 0.0
+    for a, b in pairs:
+        p = p * x + a
+        q = q * x + b
+    return p, q
 
 
 # ----------------------------------------------------------------------

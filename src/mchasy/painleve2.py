@@ -32,7 +32,7 @@ from operator import mul
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .numerics import airy
+from .numerics import _horner_pairs, airy
 
 __all__ = [
     "PIISolution",
@@ -66,16 +66,6 @@ def _airy_data(k, s):
     return v, vp, vp * vp - (s + vv) * vv
 
 
-def _horner(row, t):
-    """(v, v') of one piece at offset t from its center, by one Horner pass
-    over the coefficient pairs."""
-    v = vp = 0.0
-    for cv, cd in row:
-        v = v * t + cv
-        vp = vp * t + cd
-    return v, vp
-
-
 class _Steps:
     """Dense (v, v') as backward Taylor steps from ``_S_MAX``, and Q from them.
 
@@ -97,7 +87,7 @@ class _Steps:
         i = bisect_right(self.neg_ends, -s, 0, n) - 1
         if not 0 <= i < n - 1:
             i = self.reach(s)
-        v, vp = _horner(self.rows[i], s + self.neg_ends[i])
+        v, vp = _horner_pairs(self.rows[i], s + self.neg_ends[i])
         vv = v * v
         return v, vp, vp * vp - (s + vv) * vv
 
@@ -143,7 +133,7 @@ class _Taylor(_Steps):
         except ConvergenceError as exc:
             self._error = exc
             return
-        self._state = _horner(row, s1 + self.neg_ends[-1])
+        self._state = _horner_pairs(row, s1 + self.neg_ends[-1])
         self.rows.append(row)
         self.neg_ends.append(-s1)
 
@@ -245,7 +235,7 @@ def _shoot(s0, s1, state, steps=None):
     while s0 > s1:
         row, s_next, b = _taylor_step(1.0, s0, state, s1)
         t = s_next - s0
-        state = _horner(row, t)
+        state = _horner_pairs(row, t)
         if steps is None:
             cols = tuple(_variation(s0, b, t, *col) for col in cols)
         else:
@@ -319,31 +309,35 @@ def _hastings_mcleod(s_min):
     return _solve_hastings_mcleod(s_min)
 
 
-def _is_ablowitz_segur(k: float) -> bool:
-    return abs(k) < 1.0 - _HM_EDGE
-
-
 def s_min_for(s: float) -> float:
     """Left end of the solution domain a lookup at s asks for: -10, or half a
     unit below s when s is deeper, never below ``_S_MIN_HARD``."""
     return -10.0 if s >= -10.0 else max(_S_MIN_HARD, s - 0.5)
 
 
-def _check_domain(s_min):
-    if s_min < _S_MIN_HARD:
-        raise RangeError("s_min below the documented stability range %g" % _S_MIN_HARD)
+def _checked(k, s_min) -> float:
+    """k as a float, refused unless |k| <= 1 (to ``_HM_EDGE``) and s_min >=
+    ``_S_MIN_HARD``; NaN fails both."""
+    k = float(k)
+    if not abs(k) <= 1.0 + _HM_EDGE:
+        raise DomainError("|k| <= 1 required (pole fields beyond), got %r" % k)
+    if not s_min >= _S_MIN_HARD:
+        raise RangeError("s_min >= %g required, got %r" % (_S_MIN_HARD, s_min))
+    return k
 
 
-def _as_error(k):
-    """Error estimate of the Ablowitz-Segur solution k, refused above
-    ``_AS_ERR_MAX``."""
-    err = _AS_ERR / (1.0 - abs(k))
+def _ablowitz_segur(k, s_min, dense) -> PIISolution:
+    """The Ablowitz-Segur solution on ``dense``, the steps of |k|: it takes
+    their |k| with the sign of k, and its error estimate
+    ``_AS_ERR``/(1-|k|) is refused above ``_AS_ERR_MAX``."""
+    err = _AS_ERR / (1.0 - dense.k)
     if err > _AS_ERR_MAX:
         raise ConvergenceError(
             "Painleve II (k=%r) too close to Hastings-McLeod: estimated "
             "error %.1e exceeds %g" % (k, err, _AS_ERR_MAX),
             estimate_error=err)
-    return err
+    return PIISolution(k=math.copysign(dense.k, k), s_min=s_min, kind="ivp",
+                       err_est=err, _dense=dense)
 
 
 def solve_pii(k: float, s_min: float = -10.0) -> PIISolution:
@@ -352,20 +346,13 @@ def solve_pii(k: float, s_min: float = -10.0) -> PIISolution:
     An Ablowitz-Segur solution is integrated down to s_min before it is
     returned, so that a pole in [s_min, ``_S_MAX``] raises here.
     """
-    k = float(k)
-    if abs(k) > 1.0 + _HM_EDGE:
-        raise DomainError("|k| <= 1 required (pole fields beyond), got %r" % k)
-    _check_domain(s_min)
-    if _is_ablowitz_segur(k):
-        err = _as_error(k)
-        dense = _Taylor(abs(k))
-        dense.reach(s_min)
-        kind = "ivp"
-    else:
-        dense = _hastings_mcleod(s_min)
-        kind = "bvp"
-        err = _HM_ERR
-    return PIISolution(k=k, s_min=s_min, kind=kind, err_est=err, _dense=dense)
+    k = _checked(k, s_min)
+    if abs(k) < 1.0 - _HM_EDGE:
+        sol = _ablowitz_segur(k, s_min, _Taylor(abs(k)))
+        sol._dense.reach(s_min)
+        return sol
+    return PIISolution(k=k, s_min=s_min, kind="bvp", err_est=_HM_ERR,
+                       _dense=_hastings_mcleod(s_min))
 
 
 def eval_pii(sol: PIISolution, s: float):
@@ -378,7 +365,7 @@ def eval_pii(sol: PIISolution, s: float):
     For k < 0 the steps are those of |k|, and (v, v') are negated.
     """
     s = float(s)
-    if s < sol.s_min:
+    if not s >= sol.s_min:
         raise RangeError("s=%r below solution domain [%r, %r]" % (s, sol.s_min, _S_MAX))
     if s > _S_MAX:
         if s > 30.0:
@@ -415,17 +402,16 @@ class SolutionCache:
             sol = self._store.get(key)
         if sol is not None:
             return sol
-        if _is_ablowitz_segur(k):
-            _check_domain(s_min)
+        k = _checked(k, s_min)
+        if abs(k) < 1.0 - _HM_EDGE:
             size = abs(key[0])
             with self._lock:
                 dense = self._taylors.get(size)
                 if dense is None:
-                    dense = self._taylors[size] = _Taylor(abs(float(k)))
+                    dense = self._taylors[size] = _Taylor(abs(k))
             # the |k| of the first lookup, whose Airy data the steps start
             # from, with the sign of this one
-            sol = PIISolution(k=math.copysign(dense.k, k), s_min=s_min, kind="ivp",
-                              err_est=_as_error(dense.k), _dense=dense)
+            sol = _ablowitz_segur(k, s_min, dense)
         else:
             sol = solve_pii(k, s_min)
         with self._lock:

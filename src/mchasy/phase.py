@@ -49,9 +49,9 @@ class RegionConstants:
     c3: float = 4.0 * _CBRT3
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
+        if not (self.c1 > 0 and self.c2 > 0):
             raise DomainError("region half-widths must be positive")
-        if self.c3 <= 2.0 * _CBRT3:
+        if not self.c3 > 2.0 * _CBRT3:
             raise DomainError("c3 must exceed 2*3**(1/3)")
 
 

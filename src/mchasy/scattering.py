@@ -161,7 +161,7 @@ class _Family(ReflectionCoefficient):
         self.kappa_r = float(kappa_r)
         self.alpha = float(alpha)
         self.beta = float(beta)
-        if abs(self.kappa_r) > 1.0 + 1e-14:
+        if not abs(self.kappa_r) <= 1.0 + 1e-14:
             raise AdmissibilityError("|kappa_r| <= 1 required, got %r" % self.kappa_r)
         # |ln z| < 745 for every positive double: these bounds keep beta*ln(z)^2
         # and alpha*ln(z) finite
@@ -221,7 +221,7 @@ class _Table(ReflectionCoefficient):
         self.grid = grid
         self.values = values
         self.tail_rate = float(tail_rate)
-        if self.tail_rate <= 0:
+        if not self.tail_rate > 0:
             raise DomainError("tail decay rate must be positive")
         upper = y[-1] >= -y[0]
         other = grid <= 1.0 if upper else grid >= 1.0

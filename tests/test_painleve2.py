@@ -13,7 +13,8 @@ from scipy.integrate import solve_ivp
 
 from mchasy import SolutionCache, airy, eval_pii, solve_pii
 from mchasy.errors import ConvergenceError, DomainError, RangeError
-from mchasy.painleve2 import (_S_MAX, _Taylor, _airy_data, _hastings_mcleod, _horner,
+from mchasy.numerics import _horner_pairs
+from mchasy.painleve2 import (_S_MAX, _Taylor, _airy_data, _hastings_mcleod,
                               _solve_hastings_mcleod, _step_size, _taylor_coeffs,
                               s_min_for)
 
@@ -200,8 +201,11 @@ class TestSolve:
         assert vm8 == pytest.approx(math.sqrt(4.0), rel=2e-3)
 
     def test_out_of_family(self):
-        with pytest.raises(DomainError):
-            solve_pii(1.5)
+        for k in (1.5, math.nan):
+            with pytest.raises(DomainError):
+                solve_pii(k)
+            with pytest.raises(DomainError):
+                SolutionCache().get(k)
 
     def test_residual_suite(self, cache):
         for k in (0.3, 0.7, 0.99, 1.0):
@@ -607,13 +611,19 @@ class TestOnDemand:
             assert lazy.at(s) == eager.at(s)
         waited.assert_called_once_with(s)
         # the half-appended row extrapolated to s is far off
-        assert _horner(eager.rows[m], s + eager.neg_ends[m]) != eager.at(s)
+        assert _horner_pairs(eager.rows[m], s + eager.neg_ends[m]) != eager.at(s)
 
 
 class TestEval:
     def test_range_error(self, cache):
-        with pytest.raises(RangeError):
-            eval_pii(cache.get(0.5), -11.0)
+        for s in (-11.0, math.nan):
+            with pytest.raises(RangeError):
+                eval_pii(cache.get(0.5), s)
+        # an s_min below -12, or NaN, is refused before any step or shooting
+        for k in (0.5, 1.0):
+            for s_min in (-12.5, math.nan):
+                with pytest.raises(RangeError):
+                    solve_pii(k, s_min=s_min)
 
     def test_airy_extension_beyond_domain(self, cache):
         sol = cache.get(0.5)

@@ -45,5 +45,6 @@ class TestClassify:
         assert classify(SpaceTimePoint(xi * t, t), consts) is RegionTag.R_I
 
     def test_invalid_constants(self):
-        with pytest.raises(DomainError):
-            RegionConstants(c3=1.0)
+        for bad in ({"c3": 1.0}, {"c1": math.nan}, {"c2": math.nan}, {"c3": math.nan}):
+            with pytest.raises(DomainError):
+                RegionConstants(**bad)

@@ -120,6 +120,13 @@ class TestArrayR:
         assert np.all(np.isfinite(r(np.array([2.0, -0.1, 3.0]))))
         with pytest.raises(DomainError):
             ReflectionCoefficient.family(0.5)(np.array([1.0, np.inf]))
+        # NaN data are refused when r is built, each with the error of its
+        # out-of-range values
+        with pytest.raises(AdmissibilityError):
+            ReflectionCoefficient.family(math.nan, 0.0, 1.0)
+        for rate in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                _table(tail_rate=rate)
 
 
 @st.composite
