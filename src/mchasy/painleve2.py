@@ -1,15 +1,20 @@
 """Painleve II transcendents v'' = s v + 2 v^3 fixed by v ~ k*Ai(s), s -> +inf.
 
-Ablowitz-Segur solutions (|k| < 1) are integrated backward from the Airy
-data at s = 10 by a fixed-order Taylor method (Fornberg & Weideman 2011,
-J. Comput. Phys. 230), only as deep as their lookups reach.  The problem
-is ill-conditioned as |k| -> 1: the error grows like 1e-11/(1-|k|), which
+Ablowitz-Segur solutions (|k| < 1) are backward steps of a fixed-order
+Taylor method (Fornberg & Weideman 2011, J. Comput. Phys. 230).  On
+[0, 10] every |k| takes them from one table, built once per process on the
+first lookup (about 5 ms): the steps of 8 Chebyshev nodes in k^2 from their
+Airy data at s = 10, each step the shortest any node asks for, interpolated
+to k^2 in barycentric form (Berrut & Trefethen 2004, SIAM Review 46).  On
+[0, 10] that agrees with the steps from k's own Airy data to 1e-15 of
+|v| + |v'|.  Below s = 0, steps go on from the state there, only as deep as
+the lookups reach.  The problem is ill-conditioned as |k| -> 1: the error grows like 1e-11/(1-|k|), which
 each solution carries as ``err_est``, and a solve whose estimate exceeds
 1e-6 raises ``ConvergenceError``.  Every solve steps at the one tolerance
 ``_RTOL`` for which that estimate was measured.  The Hastings-McLeod edge
 |k| = 1 is a separatrix, solved as a two-point boundary value problem by
 Newton multiple shooting on the same Taylor steps, from a square-root guess
-joined to the initial value solution from the Airy data, and memoized per
+joined to the k = 1 solution from the table, and memoized per
 process by s_min.  Both carry dense output for
 (v, v') as the Taylor step polynomials.  The equation is odd in v, so every
 k < 0 is the exact negation (v, v', Q) -> (-v, -v', Q) of |k|: only |k| is
@@ -46,6 +51,8 @@ _AS_ERR = 1e-11     # error of an Ablowitz-Segur solve is about _AS_ERR/(1-|k|)
 _AS_ERR_MAX = 1e-6
 _S_MIN_HARD = -12.0
 _S_MAX = 10.0      # Airy data start here; k*Ai is used beyond
+_JOIN = 0.0        # Ablowitz-Segur steps come from a table of k^2 above this
+_NODES = 8         # Chebyshev nodes of that table
 _ORDER = 24
 _H_MAX = 1.0
 _H_MIN = 0.02       # a pole near the axis shrinks the step below this
@@ -99,10 +106,13 @@ class _Steps:
 class _Taylor(_Steps):
     """Dense (v, v') of an Ablowitz-Segur solution, integrated on demand.
 
-    Backward Taylor steps start from the Airy data at ``_S_MAX`` and are
-    taken only when a lookup reaches below the last one, the last step clipped
-    to end on ``_S_MIN_HARD``: whatever the order of lookups, the steps are
-    those of one integration down to ``_S_MIN_HARD``.
+    The first lookup takes the steps on [``_JOIN``, ``_S_MAX``] from the
+    table of ``_as_table``: its rows interpolated to k^2 and times k, the
+    first one starting on the Airy data of k.  Backward Taylor steps go on
+    from the state at the join only when a lookup reaches below the last
+    one, the last step clipped to end on ``_S_MIN_HARD``: whatever the order
+    of lookups, the steps are those of one integration down to
+    ``_S_MIN_HARD``.
 
     Steps are appended under a lock, each row before its left end, so that
     a lookup that finds its step among the ends it read first needs no
@@ -113,19 +123,36 @@ class _Taylor(_Steps):
     def __init__(self, k):
         super().__init__()
         self.k = k
-        # adding 0.0 turns a signed zero of k = 0 into +0.0
-        self._state = tuple(x + 0.0 for x in _airy_data(k, _S_MAX)[:2])
+        self._state = None
         self._error = None
         self._lock = threading.Lock()
 
     def reach(self, s: float) -> int:
         """Index of the step that holds s, stepping back to it first."""
         with self._lock:
-            while -self.neg_ends[-1] > max(s, _S_MIN_HARD) or not self.rows:
+            if not self.rows:
+                self._start()
+            while -self.neg_ends[-1] > max(s, _S_MIN_HARD):
                 if self._error is not None:
                     raise self._error.with_traceback(None)
                 self._step()
         return super().reach(s)
+
+    def _start(self):
+        """Take the steps on [``_JOIN``, ``_S_MAX``] from the table."""
+        x, weights, table, neg_ends = _as_table()
+        # the first barycentric form: the Lagrange polynomial of node m at
+        # k^2 is its weight times the product of k^2 - x_j over j != m
+        lagrange = weights * _but_one(self.k * self.k - x)
+        # adding 0.0 turns a signed zero of k = 0 into +0.0
+        combined = np.tensordot(lagrange, table, (0, 1)) * self.k + 0.0
+        # pairs as tuples, as _taylor_step makes them: Horner reads them faster
+        rows = [list(zip(v, dv)) for v, dv in combined.transpose(0, 2, 1).tolist()]
+        # (v, v') at _S_MAX exactly the Airy data of k, as beyond it
+        rows[0][-1] = tuple(y + 0.0 for y in _airy_data(self.k, _S_MAX)[:2])
+        self._state = _horner_pairs(rows[-1], _JOIN + neg_ends[-2])
+        self.rows.extend(rows)
+        self.neg_ends.extend(neg_ends[1:])
 
     def _step(self):
         try:
@@ -138,9 +165,43 @@ class _Taylor(_Steps):
         self.neg_ends.append(-s1)
 
 
+@functools.cache
+def _as_table():
+    """Chebyshev nodes x_m in (0, 1) of k^2, the weights of their first
+    barycentric form, the steps of k_m = sqrt(x_m) from the Airy data at
+    ``_S_MAX`` down to ``_JOIN``, rows divided by k_m, as one array of shape
+    (steps, nodes, ``_ORDER`` + 1, 2), and their negated ends, -``_S_MAX``
+    first.  Each step is the shortest that any node asks for.  Built once per
+    process, on the first lookup of an Ablowitz-Segur solution.
+    """
+    x = 0.5 - 0.5 * np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
+    weights = 1.0 / _but_one(x[:, None] - x)
+    ks = np.sqrt(x).tolist()
+    states = [_airy_data(k, _S_MAX)[:2] for k in ks]
+    s0 = _S_MAX
+    neg_ends = [-s0]
+    steps = []
+    while s0 > _JOIN:
+        rows, ends = zip(*(_taylor_step(k, s0, state, _JOIN)[:2]
+                           for k, state in zip(ks, states)))
+        s1 = max(ends)
+        states = [_horner_pairs(row, s1 - s0) for row in rows]
+        steps.append(rows)
+        neg_ends.append(-s1)
+        s0 = s1
+    table = np.array(steps) / np.array(ks)[:, None, None]
+    return x, weights, table, tuple(neg_ends)
+
+
+def _but_one(d):
+    """For each m, the product of row m of d over every column but m; a
+    vector d is the row of every m."""
+    return np.prod(np.where(np.eye(d.shape[-1], dtype=bool), 1.0, d), axis=-1)
+
+
 # the k = 1 solution of the initial value problem from the Airy data at
 # _S_MAX: on [0, _S_MAX] it is the Hastings-McLeod guess at every s_min, and
-# its steps are taken once per process
+# its steps come from the table once per process
 _HM_GUESS = _Taylor(1.0)
 
 
@@ -380,9 +441,10 @@ def eval_pii(sol: PIISolution, s: float):
 class SolutionCache:
     """Thread-safe memo of PIISolution keyed by (k, s_min).
 
-    Ablowitz-Segur solutions (every |k| < 1) nest: their dense output steps
-    back from ``_S_MAX`` only as deep as lookups reach, and takes the same
-    steps whatever s_min is.  So each |k| gets one dense output, shared by
+    Ablowitz-Segur solutions (every |k| < 1) nest: their dense output takes
+    the table's steps on [0, ``_S_MAX``] and steps back from 0 only as deep
+    as lookups reach, the same steps whatever s_min is.  So each |k| gets
+    one dense output, shared by
     k and -k, and every (k, s_min) a PIISolution that shares it but keeps
     its own sign and s_min, below which ``eval_pii`` still raises.  A scan
     whose deepest point is at s = -6 never integrates [-12, -6].
@@ -409,8 +471,8 @@ class SolutionCache:
                 dense = self._taylors.get(size)
                 if dense is None:
                     dense = self._taylors[size] = _Taylor(abs(k))
-            # the |k| of the first lookup, whose Airy data the steps start
-            # from, with the sign of this one
+            # the |k| of the first lookup, which the steps are taken for,
+            # with the sign of this one
             sol = _ablowitz_segur(k, s_min, dense)
         else:
             sol = solve_pii(k, s_min)

@@ -991,6 +991,20 @@ def test_pii_hastings_mcleod_loads_neither_deferred_module():
     assert float(rows[11].split(",")[1]) == pytest.approx(0.36706155154807, rel=1e-12)
 
 
+def test_shock_scan_builds_no_painleve_table(tmp_path):
+    # the Painleve II table is built on the first Ablowitz-Segur lookup, not
+    # at import, so that a zone-III scan does not pay for it; a zone-I
+    # lookup afterwards builds it
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(SHOCK_SCAN.format(path=tmp_path / "o.csv"))
+    code = ("import mchasy.cli; from mchasy import painleve2; "
+            "assert mchasy.cli.main(['scan', '--config', %r]) == 0; "
+            "print(painleve2._as_table.cache_info().currsize); "
+            "painleve2.eval_pii(painleve2.solve_pii(0.5), 1.0); "
+            "print(painleve2._as_table.cache_info().currsize)" % str(cfg_path))
+    assert _run_fresh(code).split() == ["0", "1"]
+
+
 def test_shock_scan_loads_no_deferred_module(tmp_path):
     # the same scan in a process that imported scipy.special before mchasy
     # writes the same bytes

@@ -14,9 +14,9 @@ from scipy.integrate import solve_ivp
 from mchasy import SolutionCache, airy, eval_pii, solve_pii
 from mchasy.errors import ConvergenceError, DomainError, RangeError
 from mchasy.numerics import _horner_pairs
-from mchasy.painleve2 import (_S_MAX, _Taylor, _airy_data, _hastings_mcleod,
-                              _solve_hastings_mcleod, _step_size, _taylor_coeffs,
-                              s_min_for)
+from mchasy.painleve2 import (_HM_GUESS, _S_MAX, _Steps, _Taylor, _airy_data, _as_table,
+                              _hastings_mcleod, _solve_hastings_mcleod, _step_size,
+                              _taylor_coeffs, _taylor_step, s_min_for)
 
 from conftest import richardson_derivative
 
@@ -459,6 +459,59 @@ class TestStepper:
             _Taylor(1.5).reach(-12.0)
 
 
+def airy_steps(k, s_end):
+    """(v, v') of the solution k on the Taylor steps from its own Airy data
+    at ``_S_MAX`` down to s_end, without the table."""
+    steps = _Steps()
+    state, s0 = _airy_data(k, _S_MAX)[:2], _S_MAX
+    while s0 > s_end:
+        row, s1, _b = _taylor_step(k, s0, state, s_end)
+        state = _horner_pairs(row, s1 - s0)
+        steps.rows.append(row)
+        steps.neg_ends.append(-s1)
+        s0 = s1
+    return steps
+
+
+class TestTable:
+    """Every Ablowitz-Segur solution, and the k = 1 guess of Hastings-McLeod,
+    takes its steps on [0, 10] from one table in k^2."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-(1.0 - 1e-5), 1.0 - 1e-5).filter(lambda k: abs(k) >= 1e-100))
+    @example(0.0)
+    @example(1e-40)
+    @example(1.0)
+    def test_matches_the_steps_from_the_airy_data(self, k):
+        # |k| below 1e-100 is covered by test_tiny_k_keeps_relative_accuracy;
+        # from k = 1 the initial value problem meets a pole near s = -11.8
+        edge = abs(k) == 1.0
+        ref = airy_steps(k, 0.0 if edge else -12.0)
+        table = _Taylor(k)
+        for s in np.linspace(0.0, 10.0, 201):
+            want, got = np.array(ref.at(s)[:2]), np.array(table.at(s)[:2])
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).sum())
+            if k == 0.0:
+                assert all(math.copysign(1.0, x) == 1.0 for x in got)
+        if not edge:
+            # the error estimate of the solution, which solve_pii refuses for
+            # |k| = 1 - 1e-5 by the rounding of 1 - |k|
+            err = 1e-11 / (1.0 - abs(k))
+            s = np.linspace(-12.0, 0.0, 241)
+            want = np.array([ref.at(x) for x in s]).T
+            got = np.array([table.at(x) for x in s]).T
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= err * scale)
+
+    def test_every_solution_starts_on_the_table_ends(self):
+        _x, _weights, table, neg_ends = _as_table()
+        assert table.shape[0] == len(neg_ends) - 1
+        assert (neg_ends[0], neg_ends[-1]) == (-_S_MAX, -0.0)
+        for steps in (solve_pii(0.5)._dense, SolutionCache().get(-0.25)._dense, _HM_GUESS):
+            steps.reach(0.0)
+            assert tuple(steps.neg_ends[:len(neg_ends)]) == neg_ends
+
+
 class TestOnDemand:
     """Ablowitz-Segur dense output is integrated only as deep as lookups
     reach, and gives the values of the eager integration down to -12."""
@@ -473,6 +526,9 @@ class TestOnDemand:
             assert eval_pii(cache.get(k, s_min_for(s)), s) == eval_pii(eager, s)
 
     def test_steps_only_as_deep_as_lookups(self):
+        # the table is built once per process, whichever lookup comes first:
+        # built here, it is not counted as any solution's steps
+        _as_table()
         with mock.patch("mchasy.painleve2._taylor_coeffs", wraps=_taylor_coeffs) as coeffs:
             eval_pii(solve_pii(0.5, -12.0), -12.0)
             eager = coeffs.call_count
@@ -485,6 +541,11 @@ class TestOnDemand:
             deep = coeffs.call_count
             eval_pii(cache.get(0.5, -11.0), -10.5)
             assert coeffs.call_count == deep
+            # a fresh |k| looked up on [0, 10] takes only the table's steps
+            coeffs.reset_mock()
+            for s in (10.0, 4.5, 0.0):
+                eval_pii(cache.get(0.25), s)
+            assert coeffs.call_count == 0
         assert 0 < shallow < deep == eager
 
     def test_threads_share_one_integration(self):
