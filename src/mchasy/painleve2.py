@@ -395,7 +395,7 @@ def _ablowitz_segur(k, s_min, dense) -> PIISolution:
     if err > _AS_ERR_MAX:
         raise ConvergenceError(
             "Painleve II (k=%r) too close to Hastings-McLeod: estimated "
-            "error %.1e exceeds %g" % (k, err, _AS_ERR_MAX),
+            "error %r exceeds %r" % (k, err, _AS_ERR_MAX),
             estimate_error=err)
     return PIISolution(k=math.copysign(dense.k, k), s_min=s_min, kind="ivp",
                        err_est=err, _dense=dense)

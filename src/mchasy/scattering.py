@@ -1,5 +1,5 @@
-"""Scattering data: reflection coefficient and discrete spectrum, and the
-transforms of log(1-|r|^2) that the second zone needs.
+"""Scattering data: reflection coefficient and discrete spectrum, the
+transforms of log(1-|r|^2) that the second zone needs, and T(i) and T_1.
 
 The reflection coefficient is either the builtin closed-form family
 
@@ -16,7 +16,7 @@ A table is built from the knots on the side of z = 1 that reaches further
 in |ln z|, mirrored with Re r even and Im r odd in y, so r(1) is real; the
 knots on the other side only measure how far the data break the inversion
 symmetry.  The discrete spectrum is stored through its fourth-quadrant
-representatives on the unit circle.
+representatives on the unit circle, each given once.
 
 The transforms.  lg(x) = log(1-|r(x)|^2) is even in x, so every integral
 over the real line folds onto x > 0, and in y = ln x each kernel becomes
@@ -29,7 +29,9 @@ smooth and decays like exp(-|y|):
     PV int lg/(x-c) dx  = PV int_0^inf lg 2c/(x^2-c^2) dx
                         = PV int lg(c e^u) / sinh u du,   u = y - ln c,
 
-for c > 0.  The saddles c = 2 +- sqrt(3) are reciprocal, so the two poles
+for c > 0.  As |r(1/x)| = |r(x)|, lg(e^y) is even in y, so each rule takes
+it from r's half at |y| (``_half_array``), with neither r's fold nor e^y.
+The saddles c = 2 +- sqrt(3) are reciprocal, so the two poles
 sit at y = +-ln(2+sqrt(3)).  A principal value on an interval rule over
 [y_lo, y_hi] subtracts lg(c), which leaves an integrand without a pole, and
 adds back the exact term
@@ -42,6 +44,7 @@ nodes pair up as u = +-(j+1/2)h around each pole, and the grid sum of the
 odd 1/sinh u vanishes, as its principal value over the line does; there the
 plain grid sum of lg/sinh u is the principal value, and the trapezoid rule
 converges exponentially in 1/h (Trefethen & Weideman 2014, SIAM Rev. 56).
+T(i) is exp(log T(i)), which the first transform makes real by construction.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ __all__ = [
 _Y_SADDLE = math.log(2.0 + math.sqrt(3.0))
 # a refinement that would need more nodes than this raises ConvergenceError
 _MAX_NODES = 200_000
-# the rules in y = ln|z| stop short of where e^y overflows
+# |ln z| of a double z stays below 709.79: data whose log(1-|r|^2) is not
+# negligible this close to the end of the real line are refused
 _MAX_LOG_Z = 700.0
 # the rules are refined until each transform's error estimate is at most this
 # times max(1, |value|).  They converge exponentially, so a looser value moves
@@ -137,21 +141,6 @@ class ReflectionCoefficient:
         if y < 0:
             val = complex(val.real, 0.0 - val.imag)
         return val if z > 0 else -val.conjugate()
-
-    def log_one_minus_r2(self, z):
-        """log(1-|r(z)|^2) at a float or an array, kept finite where |r| = 1."""
-        z = np.asarray(z, dtype=float)
-        vals = np.abs(self(np.atleast_1d(z))) ** 2
-        vals = np.minimum(vals, np.nextafter(1.0, 0.0))
-        out = np.log1p(-vals)
-        return out if z.ndim else out[0]
-
-    def _log_one_minus_r2_in_y(self, y: np.ndarray) -> np.ndarray:
-        """log(1-|r|^2) at z = e^y in one array evaluation."""
-        if np.max(np.abs(y)) > _MAX_LOG_Z:
-            raise DomainError("log(1-|r|^2) is not negligible within |ln z| <= %g"
-                              % _MAX_LOG_Z)
-        return self.log_one_minus_r2(np.exp(y))
 
 
 class _Family(ReflectionCoefficient):
@@ -300,7 +289,7 @@ class _Table(ReflectionCoefficient):
 
 
 class DiscreteSpectrum:
-    """Unit-circle eigenvalues via their fourth-quadrant representatives."""
+    """Unit-circle eigenvalues via distinct fourth-quadrant representatives."""
 
     def __init__(self, representatives: Sequence[complex] = ()):
         reps = [complex(z) for z in representatives]
@@ -309,22 +298,16 @@ class DiscreteSpectrum:
                 raise DomainError("unit circle: |z| != 1 for %r" % z)
             if not (z.imag < 0 and z.real > 0):
                 raise DomainError("fourth quadrant: need Re>0, Im<0, got %r" % z)
+        # -conj z of a fourth-quadrant z lies in the third, so all 2N poles
+        # are distinct exactly when the representatives are
+        if len(set(reps)) < len(reps):
+            raise DomainError("spectrum point repeats in %r" % (reps,))
         self.representatives = tuple(reps)
-        if reps and self.varrho() <= 0:
-            raise DomainError("spectrum separation varrho must be positive")
 
     @property
     def full(self) -> tuple:
         """All 2N poles in the lower half plane: {z_j} and {-conj(z_j)}."""
         return self.representatives + tuple(-z.conjugate() for z in self.representatives)
-
-    def varrho(self) -> float:
-        z = self.full
-        if not z:
-            return math.inf
-        vals = [abs(w - 1j) for w in z] + [abs(w.imag) for w in z]
-        vals += [abs(z[i] - z[j]) for i in range(len(z)) for j in range(i + 1, len(z))]
-        return 0.25 * min(vals)
 
 
 @dataclass
@@ -392,13 +375,6 @@ def check_symmetries(data: ScatteringData) -> SymmetryReport:
     return data._memo("symmetries", build)
 
 
-def _blaschke(data: ScatteringData, z: complex) -> complex:
-    out = 1.0 + 0.0j
-    for p in data.spectrum.full:
-        out *= (z - p.conjugate()) / (z - p)
-    return out
-
-
 class LogTransforms(NamedTuple):
     """The transforms of lg = log(1-|r|^2) that the second zone needs, with
     the largest error estimate among them."""
@@ -462,11 +438,15 @@ def log_transforms(data: ScatteringData) -> LogTransforms:
                 raise ConvergenceError(
                     "transforms of log(1-|r|^2) not converged within %d nodes"
                     " (err=%.3g)" % (_MAX_NODES, err), best=best, estimate_error=err)
-            # lg at both poles rides along in the same evaluation; the
-            # whole-line grid does not subtract it
-            poles = [_Y_SADDLE, -_Y_SADDLE]
-            vals = r._log_one_minus_r2_in_y(np.concatenate([grid.y, poles]))
-            rows, exact = _integrands(grid, vals[:-2], vals[-2:])
+            # lg is even in y: r's half at |y|, the poles riding along (the
+            # whole-line grid does not subtract lg there)
+            y = np.abs(np.concatenate([grid.y, [_Y_SADDLE, -_Y_SADDLE]]))
+            if y.max() > _MAX_LOG_Z:
+                raise DomainError("log(1-|r|^2) is not negligible within |ln z| <= %g"
+                                  % _MAX_LOG_Z)
+            r2 = np.minimum(np.abs(r._half_array(y)) ** 2, np.nextafter(1.0, 0.0))
+            lg = np.log1p(-r2)
+            rows, exact = _integrands(grid, lg[:-2], lg[-2:])
             fine = rows @ grid.w + exact
             gaps = np.abs(fine - (rows @ grid.w_coarse + exact))
             best = LogTransforms(complex(fine[0]), complex(fine[1]), float(fine[2].real),
@@ -490,20 +470,12 @@ def log_T_i(data: ScatteringData) -> float:
 
 
 def t_i_and_t1(data: ScatteringData) -> tuple[complex, complex]:
-    """Expansion data of T at z=i: the value T(i) and the linear coefficient.
-
-    T(i) must come out (numerically) real and i*T1/T(i) real as well; both
-    are verified here and a ``RealityError`` is raised otherwise, since every
-    downstream formula relies on that symmetry.
-    """
-    prod = _blaschke(data, 1j)
-    tr = log_transforms(data)
-    expf = cmath.exp(-tr.cauchy_1 / (2j * math.pi))
-    t_i = prod * expf
+    """Expansion data of T at z=i: T(i) = exp(``log_T_i``), real by
+    construction, and the linear coefficient T_1.  Every downstream formula
+    relies on i*T_1/T(i) being real: a ``RealityError`` says it is not."""
+    t_i = complex(math.exp(log_T_i(data)))
     pole_sum = sum(1.0 / (p - 1j) for p in data.spectrum.full)
-    t_1 = t_i * (-tr.cauchy_2 / (2j * math.pi) + pole_sum)
-    if abs(t_i.imag) > 1e-10 * abs(t_i):
-        raise RealityError("T(i) not real: %r" % t_i)
+    t_1 = t_i * (-log_transforms(data).cauchy_2 / (2j * math.pi) + pole_sum)
     ratio = 1j * t_1 / t_i
     if abs(ratio.imag) > 1e-8 * (1 + abs(ratio)):
         raise RealityError("i*T1/T(i) not real: %r" % ratio)

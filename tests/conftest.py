@@ -270,6 +270,19 @@ def full_line_t_at_i(data):
     return prod * math.exp(-float(integral) / math.pi)
 
 
+def log_one_minus_r2(r):
+    """lg(z) = log(1-|r(z)|^2) for a float or an array z, through r on the
+    real line (its fold included), kept finite where |r| = 1: the integrand
+    of the zone-II transforms in z, independent of the package's rule in
+    y = ln|z|."""
+    def lg(z):
+        z = np.asarray(z, dtype=float)
+        vals = np.minimum(np.abs(r(np.atleast_1d(z))) ** 2, np.nextafter(1.0, 0.0))
+        out = np.log1p(-vals)
+        return out if z.ndim else out[0]
+    return lg
+
+
 def region2_constants_adaptive(data, spec=QuadratureSpec()):
     """Zone-II constants by adaptive Gauss-Kronrod on the real line: the two
     Cauchy transforms of lg = log(1-|r|^2) at i through ``quad_real_line``,
@@ -277,7 +290,7 @@ def region2_constants_adaptive(data, spec=QuadratureSpec()):
     tail mass of the family, then T(i), T_1 and Lambda_a, Lambda_b as in
     ``region2``.  Family data only."""
     r = data.r
-    lg = r.log_one_minus_r2
+    lg = log_one_minus_r2(r)
 
     def tail_mass(x):
         # int_x^inf kappa^2 exp(-2 beta log(t)^2) dt/t

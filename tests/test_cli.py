@@ -322,6 +322,15 @@ class TestScan:
         assert out[0].endswith(" skipped (float division by zero)")
         assert out[-1].startswith("max |u(1,1) - u(3,2)| = ")
 
+    def test_pq_invariance_without_shock_points(self, tmp_path, capsys):
+        # every point of a zone-I scan is skipped: nothing was compared
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(R1_SCAN.format(path=tmp_path / "o.csv", fmt="csv"))
+        assert main(["region3", "--config", str(cfg_path), "--check-pq-invariance"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 6 and all(" skipped (" in line for line in out[:5])
+        assert out[-1] == "no scan point lies in the shock window"
+
 
 # One scan per zone on family data at t = 1e6, and its CSV as recorded
 # before RunConfig held the parsed values (emit_config, the section dicts).
@@ -679,6 +688,7 @@ class TestMalformedConfig:
          "tolerances: unknown section [tolerances]"),
         ("[tolerances]\npii_tol = 1e-10\n", "tolerances: unknown section [tolerances]"),
         ("[tolerances]\ntail_cutoff = 1e-17\n", "tolerances: unknown section [tolerances]"),
+        ("[scattering]\nkappa_r = 1.5\n", "scattering.kappa_r: |kappa_r| <= 1 required"),
         ("[scan]\nt = 1\n", "scan.t: scan times must exceed 1"),
         ("[scan]\ns = 0:1:3\nxi = 0.5:1:3\n", "scan: give exactly one of s, xi, w"),
         ("[scan]\ngrid_region = 3\n", "scan.grid_region: grid_region must be 1 or 2"),
@@ -688,7 +698,7 @@ class TestMalformedConfig:
         ("[scan]\ns = 0:1:1000001\n", "scan.s: grid of 1000001 points, at most 1000000 allowed"),
     ], ids=["key_before_section", "no_delimiter", "empty_key", "repeated_section",
             "repeated_key", "default_section", "unknown_key", "control_character", "family", "max_subdivisions",
-            "pii_tol", "tail_cutoff", "time_not_above_1", "two_grids", "grid_region_3",
+            "pii_tol", "tail_cutoff", "kappa_r_above_1", "time_not_above_1", "two_grids", "grid_region_3",
             "descending_grid", "grid_over_1e6"])
     def test_one_line_exit_1(self, tmp_path, capsys, body, message):
         cfg_path = tmp_path / "cfg.ini"

@@ -104,7 +104,7 @@ def test_settable_values():
            + [getattr(cli, n) for n in cli.__all__] if callable(obj)}
     keys = sum(map(len, cli._KEYS.values()))
     assert keys == 16
-    assert sum(map(_settable, api.values())) + keys == 110
+    assert sum(map(_settable, api.values())) + keys == 109
 
 
 def test_readme_config_lists_every_key():

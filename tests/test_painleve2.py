@@ -452,6 +452,13 @@ class TestStepper:
         assert exc.value.estimate_error == pytest.approx(1e-5)
         assert solve_pii(0.99998).kind == "ivp"
         assert solve_pii(1.0 - 1e-13).kind == "bvp"
+        # the edge: 1 - 0.99999 rounds below 1e-5, so k = 0.99999 itself is
+        # refused, and its message shows the estimate above the limit
+        with pytest.raises(ConvergenceError) as exc:
+            solve_pii(0.99999)
+        assert exc.value.estimate_error > 1e-6
+        assert repr(exc.value.estimate_error) in str(exc.value)
+        assert solve_pii(0.999989999).err_est < 1e-6
 
     def test_pole_stops_integration(self):
         # beyond |k| = 1 the solution has a pole on the real axis

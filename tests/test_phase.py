@@ -37,6 +37,10 @@ class TestClassify:
     def test_outside(self):
         assert classify(SpaceTimePoint(0.0, 1e6)) is RegionTag.OUTSIDE
 
+    def test_time_at_most_one_refused(self):
+        with pytest.raises(DomainError, match="t > 1"):
+            classify(SpaceTimePoint(2.0, 1.0))
+
     def test_painleve_precedence_over_shock(self):
         # widen c1 until the first window swallows the shock window edge
         t = 1e4
