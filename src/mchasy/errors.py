@@ -46,7 +46,8 @@ class WindowError(AdmissibilityError):
 
 
 class RealityError(MchasyError, ArithmeticError):
-    """A quantity that must come out real carries too much imaginary part."""
+    """A value that must be real and finite is not: a non-finite u, an error
+    order that is not negative, or hand-built i*T_1/T(i) that is not real."""
 
 
 class BranchError(MchasyError, ArithmeticError):

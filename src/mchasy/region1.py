@@ -38,14 +38,12 @@ def u_region1(point: SpaceTimePoint, data: ScatteringData,
     if classify(point, constants) is not RegionTag.R_I:
         raise RegionError("point (x=%g, t=%g) is not in the first zone"
                           % (point.x, point.t))
-    k = data.r(1.0)
-    if abs(k.imag) > 1e-12:
-        raise RealityError("r(1) must be real, got %r" % k)
+    k = data.r(1.0).real    # real by construction: r's half at y = 0
     cache = sol_cache if sol_cache is not None else SolutionCache()
     s = scaled_s(point, RegionTag.R_I)
-    sol = cache.get(k.real, s_min=s_min_for(s))
+    sol = cache.get(k, s_min=s_min_for(s))
     v, vp, q = eval_pii(sol, s)
     u = 1.0 - _AMPL * point.t ** (-2.0 / 3.0) * vp
     return AsymptoticValue(u, _ERROR_ORDER,
-                           {"s": s, "k": k.real, "v": v, "v_prime": vp, "Q": q,
+                           {"s": s, "k": k, "v": v, "v_prime": vp, "Q": q,
                             "pii_err_est": sol.err_est})

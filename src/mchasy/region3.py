@@ -385,9 +385,7 @@ def periods(a: float, b: float, q: float) -> tuple[complex, complex, complex]:
         raise DomainError("periods need 0 < a < b")
     B1 = 6.0 * q * _j_gap(a, b)
     A1 = 6.0j * q * _j_band(a, b)
-    varkappa = 1j * _k_gap(a, b) / _k_band(a, b)
-    if not varkappa.imag > 0:
-        raise BranchError("period ratio lost positivity: %r" % varkappa)
+    varkappa = 1j * _k_gap(a, b) / _k_band(a, b)    # both K > 0 for m in (0, 1)
     return complex(B1), A1, varkappa
 
 

@@ -58,8 +58,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (AdmissibilityError, ConvergenceError, DomainError, MchasyError,
-                     RealityError)
+from .errors import AdmissibilityError, ConvergenceError, DomainError, MchasyError
 from .numerics import _TAIL_CUTOFF, gauss_kronrod_rule
 
 __all__ = [
@@ -459,24 +458,18 @@ def log_transforms(data: ScatteringData) -> LogTransforms:
 
 def log_T_i(data: ScatteringData) -> float:
     """log T(i): the closed-form sum over the fourth-quadrant representatives
-    plus the (real) full-line integral of log(1-|r|^2)."""
+    plus the full-line integral of log(1-|r|^2) over -2 pi i, real by
+    construction: its rule's row i*lg*sech is imaginary, as ``cauchy_1`` is."""
     total = 0.0
     for z in data.spectrum.representatives:
         total += math.log((1.0 + z.imag) / (1.0 - z.imag))
-    expo = log_transforms(data).cauchy_1 / (-2j * math.pi)
-    if abs(expo.imag) > 1e-8 * (1 + abs(expo)):
-        raise RealityError("integral part of log T(i) is not real: %r" % expo)
-    return total + expo.real
+    return total + (log_transforms(data).cauchy_1 / (-2j * math.pi)).real
 
 
-def t_i_and_t1(data: ScatteringData) -> tuple[complex, complex]:
-    """Expansion data of T at z=i: T(i) = exp(``log_T_i``), real by
-    construction, and the linear coefficient T_1.  Every downstream formula
-    relies on i*T_1/T(i) being real: a ``RealityError`` says it is not."""
-    t_i = complex(math.exp(log_T_i(data)))
+def t_i_and_t1(data: ScatteringData) -> tuple[float, complex]:
+    """Expansion data of T at z=i: T(i) = exp(``log_T_i``), a float, and T_1.
+    i*T_1/T(i) is real by construction (``cauchy_2`` is real, and each pair
+    z, -conj z adds an imaginary term); ``Region2Constants.it1_over_ti`` checks."""
+    t_i = math.exp(log_T_i(data))
     pole_sum = sum(1.0 / (p - 1j) for p in data.spectrum.full)
-    t_1 = t_i * (-log_transforms(data).cauchy_2 / (2j * math.pi) + pole_sum)
-    ratio = 1j * t_1 / t_i
-    if abs(ratio.imag) > 1e-8 * (1 + abs(ratio)):
-        raise RealityError("i*T1/T(i) not real: %r" % ratio)
-    return t_i, t_1
+    return t_i, t_i * (-log_transforms(data).cauchy_2 / (2j * math.pi) + pole_sum)

@@ -227,7 +227,7 @@ def test_13_region2_reality_and_frequency():
     data = ScatteringData(ReflectionCoefficient.family(0.5, 0.0, 0.05),
                           DiscreteSpectrum([cmath.exp(-1j * math.pi / 3)]))
     # reality streak over 10 scan points (the assembled expression raises
-    # RealityError if its imaginary part exceeds 1e-6)
+    # RealityError if i*T1/T(i) has an imaginary part above 1e-8)
     t = 1e6
     for s in np.linspace(-1.5, 1.5, 10):
         xi = -0.25 - (9 / 8) ** (1 / 3) * s * t ** (-2 / 3)

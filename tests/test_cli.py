@@ -166,6 +166,13 @@ class TestScan:
         assert [r["region"] for r in rows] == ["I"] * 3
         assert all(math.isfinite(r["u"]) for r in rows)
 
+    def test_zone_i_past_s_30_is_the_background(self):
+        # eval_pii reads v' = 0 past s = 30, so u is exactly 1, with no error
+        cfg = parse_config("[scattering]\nkappa_r = 0.5\n[regions]\nc1 = 500\n"
+                           "[scan]\nt = 1e6\ns = 31, 60\ngrid_region = 1\n")
+        rows = run_scan(cfg)
+        assert [(r["region"], r["u"], r["error"]) for r in rows] == [("I", 1.0, "")] * 2
+
     def test_table_loaded_once_per_scan(self, tmp_path, capsys):
         import numpy as np
         grid = np.geomspace(0.05, 20, 120)
@@ -238,6 +245,17 @@ class TestScan:
         for row in captured.out.splitlines()[1:]:
             u, error = row.split(",")[4], row.split(",", 6)[6]
             assert (u and math.isfinite(float(u))) or error.startswith("ConvergenceError: ")
+
+    def test_zone_ii_wide_family_is_a_domain_error_per_row(self):
+        # beta = 1e-5 keeps log(1-|r|^2) above the cutoff past |ln z| = 700,
+        # the end of the real line of doubles: each zone-II row names it
+        cfg = parse_config("[scattering]\nkappa_r = 0.5\nbeta = 1e-5\n[regions]\nc2 = 5\n"
+                           "[scan]\nt = 1e6\ns = -1:1:3\ngrid_region = 2\n")
+        rows = run_scan(cfg)
+        assert len(rows) == 3
+        assert all(r["region"] == "II" and r["u"] is None and r["error"] ==
+                   "DomainError: log(1-|r|^2) is not negligible within |ln z| <= 700"
+                   for r in rows)
 
     def test_failed_transforms_built_once_per_scan(self, tmp_path, capsys):
         # the ConvergenceError of the transforms is kept per data:

@@ -350,6 +350,9 @@ class TestRealLine:
 class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: x - 1, lambda x: 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-13)
+        # a bracket end that is a root is returned as it is, at either end
+        assert find_root(lambda x: x - 1, lambda x: 1.0, 1.0, 2.0) == 1.0
+        assert find_root(lambda x: x - 1, lambda x: 1.0, 0.0, 1.0) == 1.0
 
     def test_sqrt2(self):
         root = find_root(lambda x: x * x - 2, lambda x: 2 * x, 1.0, 2.0)

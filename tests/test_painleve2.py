@@ -5,6 +5,7 @@ import threading
 from array import array
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -379,6 +380,19 @@ class TestNegation:
             assert eval_pii(neg, s) == (-v, -vp, q)
             assert direct.at(s) == (-v, -vp, q)
 
+    @pytest.mark.parametrize("k", [0.3, 0.9, 0.999])
+    def test_negative_k_matches_an_independent_integration(self, k):
+        # v -> -v against a solve that shares neither the negation nor the
+        # Airy data: DOP853 from -k (Ai, Ai')(10) as mpmath gives them
+        y0 = -k * np.array([float(mp.airyai(10)), float(mp.airyai(10, derivative=1))])
+        s = np.linspace(-6.0, 10.0, 161)
+        ref = solve_ivp(lambda x, y: [y[1], x * y[0] + 2.0 * y[0] ** 3], (10.0, -6.0), y0,
+                        method="DOP853", rtol=1e-13, atol=1e-15 * np.abs(y0),
+                        dense_output=True).sol(s)
+        sol = solve_pii(-k)
+        rel = np.abs(dense(sol, s)[:2] - ref).sum(axis=0) / np.abs(ref).sum(axis=0)
+        assert rel.max() <= sol.err_est
+
 
 class TestStepper:
     @settings(max_examples=10, deadline=None)
@@ -699,6 +713,9 @@ class TestEval:
         ai, aip = airy(12.0)
         assert v == pytest.approx(0.5 * ai, rel=1e-10)
         assert vp == pytest.approx(0.5 * aip, rel=1e-10)
+        # past s = 30, |k Ai(s)| < 4e-49: the solution reads as 0
+        for s in (30.5, 60.0):
+            assert eval_pii(sol, s) == (0.0, 0.0, 0.0)
 
 
 class TestParametrix:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from unittest import mock
 
@@ -12,7 +13,8 @@ from mchasy import (DiscreteSpectrum, ReflectionCoefficient,
                     f_II, lambda_ab, log_transforms, psi_ab, region2_constants,
                     u_region2)
 from mchasy import numerics, scattering
-from mchasy.errors import AdmissibilityError, ConvergenceError, DomainError, RegionError
+from mchasy.errors import (AdmissibilityError, ConvergenceError, DomainError, RealityError,
+                           RegionError)
 from mchasy.region2 import _GAMMA_A, _GAMMA_B, Region2Constants
 
 from conftest import deadline, region2_constants_adaptive
@@ -135,6 +137,11 @@ class TestURegion2:
         c = region2_constants(data)
         assert abs(c.T_i.imag) < 1e-8 * abs(c.T_i)
         assert c.it1_over_ti == pytest.approx(-1.0, abs=1e-8)
+        # hand-built constants meet the ratio's one check, and NaN fails it
+        for bad in ({"T_1": c.T_1 + 1e-7 * c.T_i}, {"T_1": complex(math.nan, 0.0)},
+                    {"T_i": math.nan}):
+            with pytest.raises(RealityError, match="not real"):
+                dataclasses.replace(c, **bad).it1_over_ti
 
     def test_gamma_complement(self):
         # the saddle angles arctan(2 +- sqrt(3)) that f_II projects on

@@ -414,6 +414,10 @@ class TestPeriods:
         assert geom.A1.imag > 0
         assert geom.varkappa.real == pytest.approx(0.0, abs=1e-10)
         assert geom.varkappa.imag > 0
+        # both K are positive for m in (0, 1): Im varkappa > 0 at every a/b
+        for a in np.concatenate([np.geomspace(1e-9, 0.5, 40),
+                                 1.0 - np.geomspace(0.5, 1e-12, 40)]):
+            assert periods(a, 1.0, 1.0)[2].imag > 0
 
     def test_scale_law(self):
         # z -> lam*z multiplies the w-periods by lam^3 and cancels in varkappa

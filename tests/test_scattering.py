@@ -15,8 +15,9 @@ from mchasy import (DiscreteSpectrum, ReflectionCoefficient, ScatteringData,
                     check_symmetries, log_T_i, log_transforms, t_i_and_t1)
 from mchasy.cli import parse_config
 from mchasy.errors import AdmissibilityError, ConfigError, ConvergenceError, DomainError
+from mchasy.numerics import QuadratureSpec
 
-from conftest import full_line_t_at_i, symmetry_loop
+from conftest import full_line_t_at_i, region2_constants_adaptive, symmetry_loop
 
 SQ3 = math.sqrt(3.0)
 
@@ -292,6 +293,18 @@ class TestWhatTheScanTrusts:
         assert symmetry_loop(data.r)[0] == 0.0
 
     @staticmethod
+    def assert_real_by_construction(data):
+        # r(1) is r's half at y = 0, on the scalar and the array path, and
+        # the rule's Cauchy row i*lg*sech is imaginary: no rounding is left
+        assert data.r(1.0).imag == 0.0
+        assert data.r(np.array([1.0]))[0].imag == 0.0
+        try:
+            transforms = log_transforms(data)
+        except (ConvergenceError, DomainError):
+            return      # no transforms to witness
+        assert transforms.cauchy_1.real == 0.0
+
+    @staticmethod
     def assert_scan_agrees(text, report):
         if report.passed:
             parse_config(text, strict=True)
@@ -306,6 +319,7 @@ class TestWhatTheScanTrusts:
         alpha, beta = sign * 10.0 ** log_alpha, 10.0 ** log_beta
         data = ScatteringData(ReflectionCoefficient.family(kappa, alpha, beta))
         self.assert_negation_exact(data)
+        self.assert_real_by_construction(data)
         text = "[scattering]\nkappa_r = %r\nalpha = %r\nbeta = %r\n" % (kappa, alpha, beta)
         self.assert_scan_agrees(text, check_symmetries(data))
 
@@ -327,6 +341,7 @@ class TestWhatTheScanTrusts:
         vals /= np.maximum(np.abs(vals), 1.0)
         data = ScatteringData(ReflectionCoefficient.tabulated(grid, vals))
         self.assert_negation_exact(data)
+        self.assert_real_by_construction(data)
         # the scan reads the table back from a file: %.18e keeps every double
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "r.csv")
@@ -438,10 +453,19 @@ class TestTiAndT1:
         assert t1 == pytest.approx(oracle, abs=1e-13)
 
     def test_family_reality(self, family_half):
-        ti, t1 = t_i_and_t1(family_half)
-        assert abs(ti.imag) < 1e-10 * abs(ti)
-        ratio = 1j * t1 / ti
-        assert abs(ratio.imag) < 1e-8
+        # i*T1/T(i) is real by construction, to rounding, with 0-3 spectrum
+        # points, and agrees with the adaptive real-line quadrature of conftest
+        for r, thetas in ((family_half.r, ()),
+                          (ReflectionCoefficient.family(0.5, 0.0, 0.05), (math.pi / 3,)),
+                          (ReflectionCoefficient.family(0.6, 0.7, 0.25), (0.3, 1.1)),
+                          (ReflectionCoefficient.family(-0.8, -1.5, 0.5), (0.2, 0.7, 1.3))):
+            data = ScatteringData(r, DiscreteSpectrum([cmath.exp(-1j * th) for th in thetas]))
+            ti, t1 = t_i_and_t1(data)
+            assert abs(ti.imag) < 1e-10 * abs(ti)
+            ratio = 1j * t1 / ti
+            assert abs(ratio.imag) <= 1e-15 * (1 + abs(ratio))
+            want = region2_constants_adaptive(data, QuadratureSpec(1e-14, 1e-14, 20000))
+            assert abs(ratio - 1j * want["T_1"] / want["T_i"]) <= 1e-12 * (1 + abs(ratio))
 
     def test_consistency_with_full_line_t(self, family_half):
         ti, _ = t_i_and_t1(family_half)
