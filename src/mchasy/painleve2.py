@@ -1,27 +1,28 @@
 """Painleve II transcendents v'' = s v + 2 v^3 fixed by v ~ k*Ai(s), s -> +inf.
 
-Ablowitz-Segur solutions (|k| < 1) are backward steps of a fixed-order
-Taylor method (Fornberg & Weideman 2011, J. Comput. Phys. 230).  On
-[0, 10] every |k| takes them from one table, built once per process on the
-first lookup (about 5 ms): the steps of 8 Chebyshev nodes in k^2 from their
-Airy data at s = 10, each step the shortest any node asks for, interpolated
-to k^2 in barycentric form (Berrut & Trefethen 2004, SIAM Review 46).  On
-[0, 10] that agrees with the steps from k's own Airy data to 1e-15 of
-|v| + |v'|.  Below s = 0, steps go on from the state there, only as deep as
-the lookups reach.  The problem is ill-conditioned as |k| -> 1: the error grows like 1e-11/(1-|k|), which
-each solution carries as ``err_est``, and a solve whose estimate exceeds
-1e-6 raises ``ConvergenceError``.  Every solve steps at the one tolerance
-``_RTOL`` for which that estimate was measured.  The Hastings-McLeod edge
-|k| = 1 is a separatrix, solved as a two-point boundary value problem by
-Newton multiple shooting on the same Taylor steps, from a square-root guess
-joined to the k = 1 solution from the table, and memoized per
-process by s_min.  Both carry dense output for
-(v, v') as the Taylor step polynomials.  The equation is odd in v, so every
-k < 0 is the exact negation (v, v', Q) -> (-v, -v', Q) of |k|: only |k| is
-ever integrated, and ``eval_pii`` negates its values.  The tail
-integral Q(s) of v^2 is the Hamiltonian v'^2 - s v^2 - v^4, which has
-dQ/ds = -v^2 and Q -> 0 as s -> +inf (Tracy & Widom 1994, Commun. Math.
-Phys. 159), not integrated.
+Ablowitz-Segur solutions (|k| < 1) are read from one table, built once per
+process on the first of them: the backward steps of a fixed-order Taylor
+method (Fornberg & Weideman 2011, J. Comput. Phys. 230) of 64 Chebyshev
+nodes in d^2 = -ln(1-k^2)/pi, from their Airy data at s = 10 down to
+s = -12, each step the shortest any node asks for.  A solution combines
+the rows in barycentric form (Berrut & Trefethen 2004, SIAM Review 46) at
+its own d^2, in which v is smooth and k^2 = 1 is at infinity, so no
+request takes a Taylor step.  Against the steps from k's own Airy data
+the table agrees to 1e-14 of |v| + |v'| on [0, 10] and to 0.13 of the
+error estimate below 0.  The problem is ill-conditioned as |k| -> 1: the
+error grows like 1e-11/(1-|k|), which each solution carries as
+``err_est``, and a solve whose estimate exceeds 1e-6 raises
+``ConvergenceError``.  Every step is taken at the one tolerance ``_RTOL``
+for which that estimate was measured.  The Hastings-McLeod edge |k| = 1 is
+a separatrix, solved as a two-point boundary value problem by Newton
+multiple shooting on the same Taylor steps, from a square-root guess joined
+to the k = 1 initial value problem stepped from its Airy data, and memoized
+per process by s_min.  Both carry dense output for (v, v') as the Taylor
+step polynomials.  The equation is odd in v, so every k < 0 is the exact
+negation (v, v', Q) -> (-v, -v', Q) of |k|: only |k| is ever combined, and
+``eval_pii`` negates its values.  The tail integral Q(s) of v^2 is the
+Hamiltonian v'^2 - s v^2 - v^4, which has dQ/ds = -v^2 and Q -> 0 as
+s -> +inf (Tracy & Widom 1994, Commun. Math. Phys. 159), not integrated.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ _AS_ERR = 1e-11     # error of an Ablowitz-Segur solve is about _AS_ERR/(1-|k|)
 _AS_ERR_MAX = 1e-6
 _S_MIN_HARD = -12.0
 _S_MAX = 10.0      # Airy data start here; k*Ai is used beyond
-_JOIN = 0.0        # Ablowitz-Segur steps come from a table of k^2 above this
-_NODES = 8         # Chebyshev nodes of that table
+_NODES = 64        # Chebyshev nodes of the Ablowitz-Segur table
 _ORDER = 24
 _H_MAX = 1.0
 _H_MIN = 0.02       # a pole near the axis shrinks the step below this
 _DEN = tuple(1.0 / ((n + 2) * (n + 1)) for n in range(_ORDER - 1))
+_ORDERS = np.arange(_ORDER + 1.0)  # powers of a step's offset, factors of v'
 _NEWTON_MAX = 12    # Newton iterations of the Hastings-McLeod shooting
 _NEWTON_TOL = 1e-8  # an update this small leaves one more at rounding level
 _RTOL = 1e-16       # the last two Taylor terms of v, relative to the first two
@@ -88,121 +89,141 @@ class _Steps:
         self.neg_ends = array("d", [-_S_MAX])
 
     def at(self, s: float) -> tuple:
-        """(v, v', Q) at a float s, Q = v'^2 - s v^2 - v^4."""
-        # ends read first: the rows of the steps they close are all built
-        n = len(self.neg_ends)
-        i = bisect_right(self.neg_ends, -s, 0, n) - 1
-        if not 0 <= i < n - 1:
-            i = self.reach(s)
-        v, vp = _horner_pairs(self.rows[i], s + self.neg_ends[i])
+        """(v, v', Q) at a float s <= ``_S_MAX``, Q = v'^2 - s v^2 - v^4."""
+        ends = self.neg_ends
+        i = min(bisect_right(ends, -s), len(ends) - 1) - 1
+        v, vp = _horner_pairs(self.row(i), s + ends[i])
         vv = v * v
         return v, vp, vp * vp - (s + vv) * vv
 
-    def reach(self, s: float) -> int:
-        """Index of the step that holds s."""
-        return min(max(bisect_right(self.neg_ends, -s) - 1, 0), len(self.rows) - 1)
+    def row(self, i: int) -> list:
+        """The coefficient pairs of step i."""
+        return self.rows[i]
 
 
 class _Taylor(_Steps):
-    """Dense (v, v') of an Ablowitz-Segur solution, integrated on demand.
+    """Dense (v, v') of the Ablowitz-Segur solution k, read from the table.
 
-    The first lookup takes the steps on [``_JOIN``, ``_S_MAX``] from the
-    table of ``_as_table``: its rows interpolated to k^2 and times k, the
-    first one starting on the Airy data of k.  Backward Taylor steps go on
-    from the state at the join only when a lookup reaches below the last
-    one, the last step clipped to end on ``_S_MIN_HARD``: whatever the order
-    of lookups, the steps are those of one integration down to
-    ``_S_MIN_HARD``.
-
-    Steps are appended under a lock, each row before its left end, so that
-    a lookup that finds its step among the ends it read first needs no
-    lock.  A step that fails is not tried again: its ``ConvergenceError``
-    is raised again for every lookup below its right end.
+    Its steps are those of ``_as_table``, and row i is the table's step i
+    combined with the barycentric weights of d^2(k) = -ln(1-k^2)/pi, times
+    k, made when a lookup first reaches it.  Row 0 starts on the Airy data
+    of k, so that (v, v') at ``_S_MAX`` are exactly those beyond it.  A row
+    is a function of k alone: two threads that make it at once make the
+    same pairs.
     """
 
     def __init__(self, k):
-        super().__init__()
+        x, weights, self._table, self.neg_ends = _as_table()
         self.k = k
-        self._state = None
-        self._error = None
-        self._lock = threading.Lock()
-
-    def reach(self, s: float) -> int:
-        """Index of the step that holds s, stepping back to it first."""
-        with self._lock:
-            if not self.rows:
-                self._start()
-            while -self.neg_ends[-1] > max(s, _S_MIN_HARD):
-                if self._error is not None:
-                    raise self._error.with_traceback(None)
-                self._step()
-        return super().reach(s)
-
-    def _start(self):
-        """Take the steps on [``_JOIN``, ``_S_MAX``] from the table."""
-        x, weights, table, neg_ends = _as_table()
+        self.rows = [None] * len(self._table)
         # the first barycentric form: the Lagrange polynomial of node m at
-        # k^2 is its weight times the product of k^2 - x_j over j != m
-        lagrange = weights * _but_one(self.k * self.k - x)
-        # adding 0.0 turns a signed zero of k = 0 into +0.0
-        combined = np.tensordot(lagrange, table, (0, 1)) * self.k + 0.0
-        # pairs as tuples, as _taylor_step makes them: Horner reads them faster
-        rows = [list(zip(v, dv)) for v, dv in combined.transpose(0, 2, 1).tolist()]
-        # (v, v') at _S_MAX exactly the Airy data of k, as beyond it
-        rows[0][-1] = tuple(y + 0.0 for y in _airy_data(self.k, _S_MAX)[:2])
-        self._state = _horner_pairs(rows[-1], _JOIN + neg_ends[-2])
-        self.rows.extend(rows)
-        self.neg_ends.extend(neg_ends[1:])
+        # d^2 is its weight times the product of d^2 - x_j over j != m
+        self._lagrange = weights * _but_one(-math.log1p(-k * k) / math.pi - x)
 
-    def _step(self):
-        try:
-            row, s1, _b = _taylor_step(self.k, -self.neg_ends[-1], self._state, _S_MIN_HARD)
-        except ConvergenceError as exc:
-            self._error = exc
-            return
-        self._state = _horner_pairs(row, s1 + self.neg_ends[-1])
-        self.rows.append(row)
-        self.neg_ends.append(-s1)
+    def row(self, i: int) -> list:
+        row = self.rows[i]
+        if row is None:
+            # adding 0.0 turns a signed zero of k = 0 into +0.0
+            a = self._table[i] @ self._lagrange * self.k + 0.0
+            # pairs as tuples, as _taylor_step makes them: Horner reads them
+            # faster; the pairs of v' are j a_j
+            row = list(zip(a[::-1].tolist(), [0.0] + (a[:0:-1] * _ORDERS[:0:-1]).tolist()))
+            if i == 0:
+                row[-1] = tuple(y + 0.0 for y in _airy_data(self.k, _S_MAX)[:2])
+            self.rows[i] = row
+        return row
 
 
 @functools.cache
 def _as_table():
-    """Chebyshev nodes x_m in (0, 1) of k^2, the weights of their first
-    barycentric form, the steps of k_m = sqrt(x_m) from the Airy data at
-    ``_S_MAX`` down to ``_JOIN``, rows divided by k_m, as one array of shape
-    (steps, nodes, ``_ORDER`` + 1, 2), and their negated ends, -``_S_MAX``
-    first.  Each step is the shortest that any node asks for.  Built once per
-    process, on the first lookup of an Ablowitz-Segur solution.
+    """Chebyshev nodes x_m in (0, D) of d^2 = -ln(1-k^2)/pi, D that of the
+    largest |k| that ``_ablowitz_segur`` accepts, the weights of their first
+    barycentric form, the steps of k_m = sqrt(1 - exp(-pi x_m)) from the
+    Airy data at ``_S_MAX`` down to ``_S_MIN_HARD``, and their negated ends,
+    -``_S_MAX`` first.  Step i is the Taylor coefficients of v, an array of
+    shape (``_ORDER`` + 1, nodes) divided by k_m.  Each step is the
+    shortest that any node asks for.  Built once per process, on the first
+    Ablowitz-Segur solution.
     """
-    x = 0.5 - 0.5 * np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)
-    weights = 1.0 / _but_one(x[:, None] - x)
-    ks = np.sqrt(x).tolist()
-    states = [_airy_data(k, _S_MAX)[:2] for k in ks]
+    edge = 1.0 - _AS_ERR / _AS_ERR_MAX
+    d2_max = -math.log1p(-edge * edge) / math.pi
+    x = d2_max * (0.5 - 0.5 * np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES))
+    weights = 1.0 / np.diagonal(_but_one(x[:, None] - x))
+    ks = np.sqrt(-np.expm1(-np.pi * x))
+    a, fill = _coeffs_of(_NODES)
+    a[:2] = np.multiply.outer(airy(_S_MAX), ks)
     s0 = _S_MAX
     neg_ends = [-s0]
     steps = []
-    while s0 > _JOIN:
-        rows, ends = zip(*(_taylor_step(k, s0, state, _JOIN)[:2]
-                           for k, state in zip(ks, states)))
-        s1 = max(ends)
-        states = [_horner_pairs(row, s1 - s0) for row in rows]
-        steps.append(rows)
+    while s0 > _S_MIN_HARD:
+        fill(s0)
+        size = np.abs(a[0]) + np.abs(a[1])
+        # _step_size of every node: the ratio first, as there
+        h = (_RTOL * (size / np.abs(a[_ORDER - 1:]))) ** (1.0 / _ORDERS[_ORDER - 1:, None])
+        s1 = max(s0 - min(_H_MAX, float(h.min())), _S_MIN_HARD)
+        steps.append(a / ks)
+        powers = (s1 - s0) ** _ORDERS
+        a[0], a[1] = powers @ a, (_ORDERS[1:] * powers[:-1]) @ a[1:]
         neg_ends.append(-s1)
         s0 = s1
-    table = np.array(steps) / np.array(ks)[:, None, None]
-    return x, weights, table, tuple(neg_ends)
+    return x, weights, tuple(steps), tuple(neg_ends)
+
+
+def _coeffs_of(n):
+    """``_taylor_coeffs`` for n solutions at once: an array a of shape
+    (``_ORDER`` + 1, n), and fill(s0), which sets rows 2 on of a to the
+    Taylor coefficients at s0 of the solutions whose (v, v') are rows 0
+    and 1.
+
+    Each pass takes two orders: a_{j+2} and a_{j+3} need the coefficients
+    of v and b = v^2 up to order j + 1 only.  b holds b_j + l_j/2, l the
+    coefficients of s0 + (s - s0), so that the linear terms s0 a_j +
+    a_{j-1} ride in the one sum over b.
+    """
+    # a_j is row _ORDER + j of pad, with zero rows above for a_{-j}, so that
+    # window j of the reversed view holds a_j, a_{j-1}, ..., a_{j-_ORDER};
+    # the last row takes the unused a_{_ORDER+1}
+    pad = np.zeros((2 * _ORDER + 2, n))
+    a = pad[_ORDER:]
+    b = np.zeros((_ORDER + 1, n))
+    rev = np.lib.stride_tricks.sliding_window_view(pad, _ORDER + 1, axis=0)[:, :, ::-1]
+    twice_den = 2.0 * np.array(_DEN + (0.0,))[:, None]
+    a_t, b_t = a.T, b.T
+    # pass j sums over orders up to j + 1: the rest meet the zero rows
+    passes = [(rev[j:j + 2, :, :j + 2], a_t[:, :j + 2], b[j:j + 2], b_t[:, :j + 2],
+               a[j + 2:j + 4], twice_den[j:j + 2]) for j in range(0, _ORDER - 1, 2)]
+    c = np.empty((2, n))
+
+    def fill(s0):
+        for j, (window, a_j, b_out, b_j, a_out, den) in enumerate(passes):
+            np.vecdot(window, a_j, out=b_out)
+            if not j:
+                b_out[0] += 0.5 * s0
+                b_out[1] += 0.5
+            np.vecdot(window, b_j, out=c)
+            np.multiply(c, den, out=a_out)
+
+    return a[:-1], fill
 
 
 def _but_one(d):
-    """For each m, the product of row m of d over every column but m; a
-    vector d is the row of every m."""
-    return np.prod(np.where(np.eye(d.shape[-1], dtype=bool), 1.0, d), axis=-1)
+    """For each m, the product of d along its last axis over every index
+    but m, as the products before m times those after it."""
+    ones = np.ones_like(d[..., :1])
+    before = np.cumprod(np.concatenate((ones, d[..., :-1]), axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate((ones, d[..., :0:-1]), axis=-1), axis=-1)
+    return before * after[..., ::-1]
 
 
-# the k = 1 solution of the initial value problem from the Airy data at
-# _S_MAX: on [0, _S_MAX] it is the Hastings-McLeod guess at every s_min, and
-# its steps come from the table once per process
-_HM_GUESS = _Taylor(1.0)
+@functools.cache
+def _hm_guess():
+    """The k = 1 solution of the initial value problem from the Airy data at
+    ``_S_MAX``, stepped down to 0 once per process, at the first
+    Hastings-McLeod solve: the guess on [0, ``_S_MAX``] at every s_min.
+    The table cannot serve it: k = 1 is d^2 = inf."""
+    steps = _Steps()
+    _shoot(_S_MAX, 0.0, _airy_data(1.0, _S_MAX)[:2], steps)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -323,10 +344,11 @@ def _solve_hastings_mcleod(s_min):
         nodes.append(max(nodes[-1] - 1.0, s_min))
     m = len(nodes) - 1
     v_left = math.sqrt(-s_min / 2.0)
-    # the guess: sqrt(-s/2) left of 0, ``_HM_GUESS`` from 0 on; u[2j],
+    # the guess: sqrt(-s/2) left of 0, ``_hm_guess`` from 0 on; u[2j],
     # u[2j+1] are (v, v') at node j, and u[0] = Ai(_S_MAX) stays
+    guess = _hm_guess()
     u = np.array([(math.sqrt(-e / 2.0), -0.25 / math.sqrt(-e / 2.0)) if e < 0.0
-                  else _HM_GUESS.at(e)[:2] for e in nodes[:-1]], dtype=float).ravel()
+                  else guess.at(e)[:2] for e in nodes[:-1]], dtype=float).ravel()
     update = math.inf
     for _ in range(_NEWTON_MAX):
         steps = _Steps() if update <= _NEWTON_TOL else None
@@ -404,14 +426,13 @@ def _ablowitz_segur(k, s_min, dense) -> PIISolution:
 def solve_pii(k: float, s_min: float = -10.0) -> PIISolution:
     """Painleve II solution with v ~ k*Ai(s) as s -> +inf, k in [-1, 1].
 
-    An Ablowitz-Segur solution is integrated down to s_min before it is
-    returned, so that a pole in [s_min, ``_S_MAX``] raises here.
+    An Ablowitz-Segur solution reads the table of ``_as_table``, which
+    covers [``_S_MIN_HARD``, ``_S_MAX``] and has no pole there; a
+    Hastings-McLeod solution is the boundary value problem at s_min.
     """
     k = _checked(k, s_min)
     if abs(k) < 1.0 - _HM_EDGE:
-        sol = _ablowitz_segur(k, s_min, _Taylor(abs(k)))
-        sol._dense.reach(s_min)
-        return sol
+        return _ablowitz_segur(k, s_min, _Taylor(abs(k)))
     return PIISolution(k=k, s_min=s_min, kind="bvp", err_est=_HM_ERR,
                        _dense=_hastings_mcleod(s_min))
 
@@ -421,8 +442,6 @@ def eval_pii(sol: PIISolution, s: float):
 
     Beyond ``_S_MAX`` the defining Airy asymptote k*Ai is used (the cubic
     term is below solver tolerance there); below s_min the solution is undefined.
-    An Ablowitz-Segur lookup below the steps taken so far takes the steps
-    down to s first, and raises their ``ConvergenceError`` if one fails.
     For k < 0 the steps are those of |k|, and (v, v') are negated.
     """
     s = float(s)
@@ -441,16 +460,14 @@ def eval_pii(sol: PIISolution, s: float):
 class SolutionCache:
     """Thread-safe memo of PIISolution keyed by (k, s_min).
 
-    Ablowitz-Segur solutions (every |k| < 1) nest: their dense output takes
-    the table's steps on [0, ``_S_MAX``] and steps back from 0 only as deep
-    as lookups reach, the same steps whatever s_min is.  So each |k| gets
-    one dense output, shared by
-    k and -k, and every (k, s_min) a PIISolution that shares it but keeps
-    its own sign and s_min, below which ``eval_pii`` still raises.  A scan
-    whose deepest point is at s = -6 never integrates [-12, -6].
-    Hastings-McLeod solutions do not nest: the BVP puts its left boundary
-    condition at s_min, so they are solved per s_min, from the process-wide
-    memo of BVP solutions.
+    Ablowitz-Segur solutions (every |k| < 1) nest: their dense output is the
+    table's steps on [``_S_MIN_HARD``, ``_S_MAX``], each row combined for
+    |k| when a lookup first reaches it, whatever s_min is.  So each |k| gets
+    one dense output, shared by k and -k, and every (k, s_min) a
+    PIISolution that shares it but keeps its own sign and s_min, below
+    which ``eval_pii`` still raises.  Hastings-McLeod solutions do not
+    nest: the BVP puts its left boundary condition at s_min, so they are
+    solved per s_min, from the process-wide memo of BVP solutions.
     """
 
     def __init__(self):

@@ -1022,15 +1022,15 @@ def test_pii_hastings_mcleod_loads_neither_deferred_module():
 def test_shock_scan_builds_no_painleve_table(tmp_path):
     # the Painleve II table is built on the first Ablowitz-Segur lookup, not
     # at import, so that a zone-III scan does not pay for it; a zone-I
-    # lookup afterwards builds it
+    # lookup afterwards builds it, and still not the Hastings-McLeod guess
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(SHOCK_SCAN.format(path=tmp_path / "o.csv"))
+    built = ("print(painleve2._as_table.cache_info().currsize, "
+             "painleve2._hm_guess.cache_info().currsize); ")
     code = ("import mchasy.cli; from mchasy import painleve2; "
-            "assert mchasy.cli.main(['scan', '--config', %r]) == 0; "
-            "print(painleve2._as_table.cache_info().currsize); "
-            "painleve2.eval_pii(painleve2.solve_pii(0.5), 1.0); "
-            "print(painleve2._as_table.cache_info().currsize)" % str(cfg_path))
-    assert _run_fresh(code).split() == ["0", "1"]
+            "assert mchasy.cli.main(['scan', '--config', %r]) == 0; " % str(cfg_path)
+            + built + "painleve2.eval_pii(painleve2.solve_pii(0.5), 1.0); " + built)
+    assert _run_fresh(code).split() == ["0", "0", "1", "0"]
 
 
 def test_shock_scan_loads_no_deferred_module(tmp_path):

@@ -2,7 +2,6 @@ import math
 import random
 import sys
 import threading
-from array import array
 from unittest import mock
 
 import mpmath as mp
@@ -15,9 +14,9 @@ from scipy.integrate import solve_ivp
 from mchasy import SolutionCache, airy, eval_pii, solve_pii
 from mchasy.errors import ConvergenceError, DomainError, RangeError
 from mchasy.numerics import _horner_pairs
-from mchasy.painleve2 import (_HM_GUESS, _S_MAX, _Steps, _Taylor, _airy_data, _as_table,
-                              _hastings_mcleod, _solve_hastings_mcleod, _step_size,
-                              _taylor_coeffs, _taylor_step, s_min_for)
+from mchasy.painleve2 import (_H_MIN, _NODES, _S_MAX, _S_MIN_HARD, _Steps, _Taylor, _airy_data,
+                              _as_table, _coeffs_of, _hastings_mcleod, _hm_guess, _shoot,
+                              _solve_hastings_mcleod, _taylor_coeffs, _taylor_step, s_min_for)
 
 from conftest import richardson_derivative
 
@@ -380,16 +379,17 @@ class TestNegation:
             assert eval_pii(neg, s) == (-v, -vp, q)
             assert direct.at(s) == (-v, -vp, q)
 
-    @pytest.mark.parametrize("k", [0.3, 0.9, 0.999])
+    @pytest.mark.parametrize("k", [0.3, 0.9, 0.999, 0.99998])
     def test_negative_k_matches_an_independent_integration(self, k):
-        # v -> -v against a solve that shares neither the negation nor the
-        # Airy data: DOP853 from -k (Ai, Ai')(10) as mpmath gives them
+        # v -> -v against a solve that shares neither the negation, nor the
+        # Airy data, nor the table: DOP853 from -k (Ai, Ai')(10) as mpmath
+        # gives them, over the whole table
         y0 = -k * np.array([float(mp.airyai(10)), float(mp.airyai(10, derivative=1))])
-        s = np.linspace(-6.0, 10.0, 161)
-        ref = solve_ivp(lambda x, y: [y[1], x * y[0] + 2.0 * y[0] ** 3], (10.0, -6.0), y0,
+        s = np.linspace(-12.0, 10.0, 221)
+        ref = solve_ivp(lambda x, y: [y[1], x * y[0] + 2.0 * y[0] ** 3], (10.0, -12.0), y0,
                         method="DOP853", rtol=1e-13, atol=1e-15 * np.abs(y0),
                         dense_output=True).sol(s)
-        sol = solve_pii(-k)
+        sol = solve_pii(-k, -12.0)
         rel = np.abs(dense(sol, s)[:2] - ref).sum(axis=0) / np.abs(ref).sum(axis=0)
         assert rel.max() <= sol.err_est
 
@@ -434,24 +434,21 @@ class TestStepper:
             # a Taylor step is centered on its right end: step i ends at
             # joint e, and step i+1 starts there with offset 0; a row holds
             # (v, v') pairs
-            vals = [np.polyval(np.array(steps.rows[j]), e - ends[j]) for j in (i, i + 1)]
+            vals = [np.polyval(np.array(steps.row(j)), e - ends[j]) for j in (i, i + 1)]
             assert np.all(np.abs(vals[0] - vals[1]) <= 1e-14 * scale[:2])
         near = np.add.outer(joints, [-1e-9, 1e-9]).ravel()
         assert np.all(np.abs(dense(sol, near) - dense(sol, np.repeat(joints, 2)))
                       <= 1e-8 * scale[:, None])
 
     def test_exact_at_both_ends(self):
-        # the integration starts on the Airy data at _S_MAX, and its last
-        # step is clipped to land on -12
+        # the steps start on the Airy data at _S_MAX, and the last one is
+        # clipped to land on -12
         full = solve_pii(0.5, -12.0)
         assert full._dense.neg_ends[-1] == 12.0
         assert eval_pii(full, 10.0) == tuple(float(x) for x in _airy_data(0.5, 10.0))
-        # a solve to s_min stops at the step that holds s_min, one of the
-        # steps of the integration down to -12
+        # every s_min reads the same steps
         sol = solve_pii(0.5, -11.25)
-        ends = [-e for e in sol._dense.neg_ends]
-        assert ends[-1] < -11.25 <= ends[-2]
-        assert sol._dense.rows == full._dense.rows[:len(ends) - 1]
+        assert sol._dense.neg_ends == full._dense.neg_ends
         assert eval_pii(sol, 10.0) == eval_pii(full, 10.0)
         nested = SolutionCache().get(0.5, -11.25)
         assert eval_pii(nested, -11.25) == eval_pii(sol, -11.25) == eval_pii(full, -11.25)
@@ -475,9 +472,12 @@ class TestStepper:
         assert solve_pii(0.999989999).err_est < 1e-6
 
     def test_pole_stops_integration(self):
-        # beyond |k| = 1 the solution has a pole on the real axis
+        # beyond |k| = 1 the solution has a pole on the real axis, and the
+        # k = 1 initial value problem one near s = -11.8
         with pytest.raises(ConvergenceError, match="pole"):
-            _Taylor(1.5).reach(-12.0)
+            airy_steps(1.5, -12.0)
+        with pytest.raises(ConvergenceError, match="pole"):
+            _shoot(_S_MAX, -12.0, _airy_data(1.0, _S_MAX)[:2], _Steps())
 
 
 def airy_steps(k, s_end):
@@ -495,47 +495,66 @@ def airy_steps(k, s_end):
 
 
 class TestTable:
-    """Every Ablowitz-Segur solution, and the k = 1 guess of Hastings-McLeod,
-    takes its steps on [0, 10] from one table in k^2."""
+    """Every Ablowitz-Segur solution reads its steps on [-12, 10] from one
+    table in d^2 = -ln(1-k^2)/pi."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-(1.0 - 1e-5), 1.0 - 1e-5).filter(lambda k: abs(k) >= 1e-100))
     @example(0.0)
     @example(1e-40)
-    @example(1.0)
+    @example(0.99998)
+    @example(1.0 - 1e-5)
     def test_matches_the_steps_from_the_airy_data(self, k):
-        # |k| below 1e-100 is covered by test_tiny_k_keeps_relative_accuracy;
-        # from k = 1 the initial value problem meets a pole near s = -11.8
-        edge = abs(k) == 1.0
-        ref = airy_steps(k, 0.0 if edge else -12.0)
+        # |k| below 1e-100 is covered by test_tiny_k_keeps_relative_accuracy
+        ref = airy_steps(k, -12.0)
         table = _Taylor(k)
         for s in np.linspace(0.0, 10.0, 201):
             want, got = np.array(ref.at(s)[:2]), np.array(table.at(s)[:2])
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).sum())
             if k == 0.0:
                 assert all(math.copysign(1.0, x) == 1.0 for x in got)
-        if not edge:
-            # the error estimate of the solution, which solve_pii refuses for
-            # |k| = 1 - 1e-5 by the rounding of 1 - |k|
-            err = 1e-11 / (1.0 - abs(k))
-            s = np.linspace(-12.0, 0.0, 241)
-            want = np.array([ref.at(x) for x in s]).T
-            got = np.array([table.at(x) for x in s]).T
-            scale = np.abs(want).max(axis=1, keepdims=True)
-            assert np.all(np.abs(got - want) <= err * scale)
+        # the error estimate of the solution, which solve_pii refuses for
+        # |k| = 1 - 1e-5 by the rounding of 1 - |k|
+        err = 1e-11 / (1.0 - abs(k))
+        s = np.linspace(-12.0, 0.0, 241)
+        want = np.array([ref.at(x) for x in s]).T
+        got = np.array([table.at(x) for x in s]).T
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= err * scale)
 
     def test_every_solution_starts_on_the_table_ends(self):
         _x, _weights, table, neg_ends = _as_table()
-        assert table.shape[0] == len(neg_ends) - 1
-        assert (neg_ends[0], neg_ends[-1]) == (-_S_MAX, -0.0)
-        for steps in (solve_pii(0.5)._dense, SolutionCache().get(-0.25)._dense, _HM_GUESS):
-            steps.reach(0.0)
-            assert tuple(steps.neg_ends[:len(neg_ends)]) == neg_ends
+        assert len(table) == len(neg_ends) - 1
+        assert (neg_ends[0], neg_ends[-1]) == (-_S_MAX, -_S_MIN_HARD)
+        # each step but the clipped last is longer than _taylor_step allows
+        assert min(np.diff(neg_ends)[:-1]) >= _H_MIN
+        for steps in (solve_pii(0.5)._dense, SolutionCache().get(-0.25)._dense):
+            assert steps.neg_ends == neg_ends and len(steps.rows) == len(table)
+
+    def test_node_coefficients_match_the_scalar_recursion(self):
+        # the batch recursion sums in another order than _taylor_coeffs, so
+        # they agree to rounding, relative to the largest term of each order
+        rng = np.random.default_rng(7)
+        for s0 in (10.0, 0.3, -11.9):
+            a, fill = _coeffs_of(_NODES)
+            a[:2] = rng.uniform(-2.0, 2.0, (2, _NODES))
+            fill(s0)
+            want = np.array([_taylor_coeffs(s0, v, vp)[0] for v, vp in a[:2].T.tolist()]).T
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert np.all(np.abs(a - want) <= 1e-14 * scale)
+
+    def test_hastings_mcleod_guess_is_the_k_1_steps(self):
+        # k = 1 is d^2 = inf, outside the table: its guess on [0, 10] is the
+        # steps from its own Airy data, taken once
+        guess = _hm_guess()
+        assert guess is _hm_guess()
+        ref = airy_steps(1.0, 0.0)
+        assert guess.rows == ref.rows and guess.neg_ends == ref.neg_ends
 
 
 class TestOnDemand:
-    """Ablowitz-Segur dense output is integrated only as deep as lookups
-    reach, and gives the values of the eager integration down to -12."""
+    """Ablowitz-Segur rows are made as lookups first reach them, and give
+    the values of the eager solve."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(-0.999, 0.999),
@@ -546,28 +565,23 @@ class TestOnDemand:
         for s in ss:
             assert eval_pii(cache.get(k, s_min_for(s)), s) == eval_pii(eager, s)
 
-    def test_steps_only_as_deep_as_lookups(self):
+    def test_lookups_take_no_taylor_step(self):
         # the table is built once per process, whichever lookup comes first:
         # built here, it is not counted as any solution's steps
         _as_table()
-        with mock.patch("mchasy.painleve2._taylor_coeffs", wraps=_taylor_coeffs) as coeffs:
-            eval_pii(solve_pii(0.5, -12.0), -12.0)
-            eager = coeffs.call_count
-            coeffs.reset_mock()
+        with mock.patch("mchasy.painleve2._taylor_coeffs", wraps=_taylor_coeffs) as coeffs, \
+                mock.patch("mchasy.painleve2._coeffs_of", wraps=_coeffs_of) as batch:
             cache = SolutionCache()
-            for s in (0.0, -4.0, 3.0, -2.5):
-                eval_pii(cache.get(0.5), s)
-            shallow = coeffs.call_count
-            eval_pii(cache.get(0.5, -12.0), -12.0)
-            deep = coeffs.call_count
-            eval_pii(cache.get(0.5, -11.0), -10.5)
-            assert coeffs.call_count == deep
-            # a fresh |k| looked up on [0, 10] takes only the table's steps
-            coeffs.reset_mock()
-            for s in (10.0, 4.5, 0.0):
-                eval_pii(cache.get(0.25), s)
-            assert coeffs.call_count == 0
-        assert 0 < shallow < deep == eager
+            for k in (0.5, -0.25, 0.99998):
+                for s in (10.0, 4.5, 0.0, -4.0, -11.0, -12.0):
+                    eval_pii(cache.get(k, s_min_for(s)), s)
+                eval_pii(solve_pii(k, -12.0), -12.0)
+        assert coeffs.call_count == batch.call_count == 0
+        # a row is made when a lookup first reaches it
+        sol = cache.get(0.125)
+        assert all(row is None for row in sol._dense.rows)
+        eval_pii(sol, -4.0)
+        assert sum(row is not None for row in sol._dense.rows) == 1
 
     def test_threads_share_one_integration(self):
         ks = (0.3, -0.7, 0.95)
@@ -602,98 +616,14 @@ class TestOnDemand:
         for rows in results.values():
             for k, s, got in rows:
                 assert got == eval_pii(eager[k], s)
-        # each step taken once: a step appended twice would shift every row after it
+        # one dense output per |k|, whose rows the threads made are those
+        # made alone
         for k in ks:
-            assert cache.get(k, -12.0)._dense.rows == eager[k]._dense.rows
-
-    def test_failed_step_raises_again_without_stepping(self):
-        eager = solve_pii(0.5, -12.0)
-        ref = eval_pii(eager, -4.0)
-        depth = []
-
-        def coeffs(s0, *state):
-            depth.append(s0)
-            return _taylor_coeffs(s0, *state)
-
-        def size(a):
-            # a step from below s = -5 shrinks as if a pole were near
-            return 0.0 if depth[-1] < -5.0 else _step_size(a)
-
-        with mock.patch("mchasy.painleve2._taylor_coeffs", side_effect=coeffs), \
-                mock.patch("mchasy.painleve2._step_size", side_effect=size):
-            cache = SolutionCache()
-            assert eval_pii(cache.get(0.5), -4.0) == ref
-            with pytest.raises(ConvergenceError, match="pole"):
-                eval_pii(cache.get(0.5), -8.0)
-            tried = len(depth)
-            assert depth[-1] < -5.0 <= depth[-2]
-            below = math.nextafter(depth[-1], -math.inf)
-            for s in (-8.0, below, -11.0):
-                with pytest.raises(ConvergenceError, match="pole"):
-                    eval_pii(cache.get(0.5, s_min_for(s)), s)
-            assert len(depth) == tried
-            # the steps built before the failure still serve, down to the
-            # end of the last one
-            assert eval_pii(cache.get(0.5), -4.0) == ref
-            for s in (math.nextafter(depth[-1], 0.0), depth[-1]):
-                assert eval_pii(cache.get(0.5), s) == eval_pii(eager, s)
-            assert len(depth) == tried
-            # the eager solve raises for a pole in its domain
-            with pytest.raises(ConvergenceError, match="pole"):
-                solve_pii(0.5, -8.0)
-
-    def test_failure_below_s_min_on_a_step_end(self):
-        # s_min on a step end needs no step below it, even one that fails
-        eager = solve_pii(0.5, -12.0)
-        end = next(-e for e in eager._dense.neg_ends if -e < -5.0)
-        depth = []
-
-        def coeffs(s0, *state):
-            depth.append(s0)
-            return _taylor_coeffs(s0, *state)
-
-        def size(a):
-            return 0.0 if depth[-1] <= end else _step_size(a)
-
-        with mock.patch("mchasy.painleve2._taylor_coeffs", side_effect=coeffs), \
-                mock.patch("mchasy.painleve2._step_size", side_effect=size):
-            sol = solve_pii(0.5, end)
-            assert depth[-1] > end
-            assert eval_pii(sol, end) == eval_pii(eager, end)
-            cache = SolutionCache()
-            assert eval_pii(cache.get(0.5, -10.0), end) == eval_pii(eager, end)
-            with pytest.raises(ConvergenceError, match="pole"):
-                eval_pii(cache.get(0.5, -10.0), math.nextafter(end, -math.inf))
-            assert depth[-1] == end
-            with pytest.raises(ConvergenceError, match="pole"):
-                solve_pii(0.5, math.nextafter(end, -math.inf))
-
-    def test_reader_never_uses_a_step_whose_end_is_not_appended(self):
-        # a lookup between a writer's two appends (row, then its end) sees
-        # one row more than the ends close; that row must not serve an s
-        # below the last end it read
-        eager = _Taylor(0.5)
-        eager.reach(-12.0)
-        m = 3
-        lazy = _Taylor(0.5)
-        lazy.rows = eager.rows[:m + 1]
-        lazy.neg_ends = array("d", eager.neg_ends[:m + 1])
-        reach = lazy.reach
-
-        def writer_done(s):
-            lazy.rows = list(eager.rows)
-            lazy.neg_ends = array("d", eager.neg_ends)
-            return reach(s)
-
-        inside = -eager.neg_ends[m - 1] - 0.01
-        s = -11.0
-        with mock.patch.object(lazy, "reach", side_effect=writer_done) as waited:
-            assert lazy.at(inside) == eager.at(inside)
-            waited.assert_not_called()
-            assert lazy.at(s) == eager.at(s)
-        waited.assert_called_once_with(s)
-        # the half-appended row extrapolated to s is far off
-        assert _horner_pairs(eager.rows[m], s + eager.neg_ends[m]) != eager.at(s)
+            steps = cache.get(k, -12.0)._dense
+            assert steps is cache.get(-k)._dense
+            made = [i for i, row in enumerate(steps.rows) if row is not None]
+            assert len(made) > 10
+            assert all(steps.rows[i] == eager[k]._dense.row(i) for i in made)
 
 
 class TestEval:
