@@ -311,7 +311,7 @@ class TestCache:
         cache = SolutionCache()
         with mock.patch("mchasy.painleve2._Taylor", wraps=_Taylor) as taylor:
             sols = [cache.get(0.5, s_min) for s_min in (-10.0, -11.25, -12.0, -10.0)]
-        # one integration, shared by every s_min
+        # one dense output, shared by every s_min
         assert taylor.call_count == 1
         assert len({id(sol._dense) for sol in sols}) == 1
         assert sols[0] is sols[3]
@@ -343,7 +343,7 @@ class TestCache:
             for s_min in (-10.0, -11.0):
                 assert cache.get(0.9999, s_min).kind == "ivp"
                 assert cache.get(1.0 - 1e-13, s_min).kind == "bvp"
-        # one integration for 0.9999, one BVP solve per s_min at the edge
+        # one dense output for 0.9999, one BVP solve per s_min at the edge
         assert taylor.call_count == 1
         assert solve.call_count == 2
 
@@ -371,8 +371,8 @@ class TestNegation:
     def test_negative_k_is_the_exact_negation(self, k, ss):
         pos, neg = solve_pii(k, -12.0), solve_pii(-k, -12.0)
         assert neg.k == -k and neg._dense is not pos._dense
-        # a separate integration of -k from its own Airy data takes the
-        # negated steps, so reading those of |k| changes no bit
+        # a separate dense output of -k, from its own Airy data, reads the
+        # negated rows, so reading those of |k| changes no bit
         direct = _Taylor(-k)
         for s in ss:
             v, vp, q = eval_pii(pos, s)
