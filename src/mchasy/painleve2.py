@@ -189,19 +189,22 @@ def _coeffs_of(n):
     rev = np.lib.stride_tricks.sliding_window_view(pad, _ORDER + 1, axis=0)[:, :, ::-1]
     twice_den = 2.0 * np.array(_DEN + (0.0,))[:, None]
     a_t, b_t = a.T, b.T
-    # pass j sums over orders up to j + 1: the rest meet the zero rows
-    passes = [(rev[j:j + 2, :, :j + 2], a_t[:, :j + 2], b[j:j + 2], b_t[:, :j + 2],
-               a[j + 2:j + 4], twice_den[j:j + 2]) for j in range(0, _ORDER - 1, 2)]
-    c = np.empty((2, n))
+    # pass j sums over orders up to j + 1: the rest meet the zero rows.  The
+    # sums are stacks of (1, j+2) @ (j+2, 1) products, one per order and node
+    passes = [(rev[j:j + 2, :, None, :j + 2], a_t[:, :j + 2, None], b[j:j + 2, :, None, None],
+               b_t[:, :j + 2, None], a[j + 2:j + 4], twice_den[j:j + 2])
+              for j in range(0, _ORDER - 1, 2)]
+    c = np.empty((2, n, 1, 1))
+    c_out = c[:, :, 0, 0]
 
     def fill(s0):
         for j, (window, a_j, b_out, b_j, a_out, den) in enumerate(passes):
-            np.vecdot(window, a_j, out=b_out)
+            np.matmul(window, a_j, out=b_out)
             if not j:
                 b_out[0] += 0.5 * s0
                 b_out[1] += 0.5
-            np.vecdot(window, b_j, out=c)
-            np.multiply(c, den, out=a_out)
+            np.matmul(window, b_j, out=c)
+            np.multiply(c_out, den, out=a_out)
 
     return a[:-1], fill
 
@@ -409,16 +412,18 @@ def _checked(k, s_min) -> float:
     return k
 
 
-def _ablowitz_segur(k, s_min, dense) -> PIISolution:
-    """The Ablowitz-Segur solution on ``dense``, the steps of |k|: it takes
-    their |k| with the sign of k, and its error estimate
-    ``_AS_ERR``/(1-|k|) is refused above ``_AS_ERR_MAX``."""
-    err = _AS_ERR / (1.0 - dense.k)
+def _ablowitz_segur(k, s_min, dense_of) -> PIISolution:
+    """The Ablowitz-Segur solution k on ``dense_of(|k|)``, the steps of
+    |k|: it takes their |k| with the sign of k.  Its error estimate
+    ``_AS_ERR``/(1-|k|) is refused above ``_AS_ERR_MAX`` before the steps
+    are asked for."""
+    err = _AS_ERR / (1.0 - abs(k))
     if err > _AS_ERR_MAX:
         raise ConvergenceError(
             "Painleve II (k=%r) too close to Hastings-McLeod: estimated "
             "error %r exceeds %r" % (k, err, _AS_ERR_MAX),
             estimate_error=err)
+    dense = dense_of(abs(k))
     return PIISolution(k=math.copysign(dense.k, k), s_min=s_min, kind="ivp",
                        err_est=err, _dense=dense)
 
@@ -432,7 +437,7 @@ def solve_pii(k: float, s_min: float = -10.0) -> PIISolution:
     """
     k = _checked(k, s_min)
     if abs(k) < 1.0 - _HM_EDGE:
-        return _ablowitz_segur(k, s_min, _Taylor(abs(k)))
+        return _ablowitz_segur(k, s_min, _Taylor)
     return PIISolution(k=k, s_min=s_min, kind="bvp", err_est=_HM_ERR,
                        _dense=_hastings_mcleod(s_min))
 
@@ -483,15 +488,17 @@ class SolutionCache:
             return sol
         k = _checked(k, s_min)
         if abs(k) < 1.0 - _HM_EDGE:
-            size = abs(key[0])
-            with self._lock:
-                dense = self._taylors.get(size)
-                if dense is None:
-                    dense = self._taylors[size] = _Taylor(abs(k))
-            # the |k| of the first lookup, which the steps are taken for,
-            # with the sign of this one
-            sol = _ablowitz_segur(k, s_min, dense)
+            sol = _ablowitz_segur(k, s_min, functools.partial(self._taylor, abs(key[0])))
         else:
             sol = solve_pii(k, s_min)
         with self._lock:
             return self._store.setdefault(key, sol)
+
+    def _taylor(self, size, k):
+        """The dense output of the rounded |k| ``size``, made for k, the
+        |k| of its first lookup, which the steps of every later one are."""
+        with self._lock:
+            dense = self._taylors.get(size)
+            if dense is None:
+                dense = self._taylors[size] = _Taylor(k)
+        return dense

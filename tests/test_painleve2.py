@@ -347,6 +347,18 @@ class TestCache:
         assert taylor.call_count == 1
         assert solve.call_count == 2
 
+    def test_refused_k_makes_no_dense_output(self):
+        # the estimate is refused before any steps are asked for, so a
+        # refused |k| neither builds a dense output nor keeps one
+        cache = SolutionCache()
+        with mock.patch("mchasy.painleve2._Taylor", wraps=_Taylor) as taylor:
+            for k in (0.999995, -0.999995, 0.999996):
+                for solve in (cache.get, solve_pii):
+                    with pytest.raises(ConvergenceError):
+                        solve(k)
+        assert taylor.call_count == 0
+        assert not cache._taylors and not cache._store
+
     def test_both_signs_share_one_integration(self):
         cache = SolutionCache()
         with mock.patch("mchasy.painleve2._Taylor", wraps=_Taylor) as taylor:
